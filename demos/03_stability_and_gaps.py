@@ -18,7 +18,7 @@ from gatelab import (TrapConfig, axial_spectrum, com_gap, critical_beta,
 trap = lambda n: TrapConfig(n, omega_r=2 * math.pi * 0.2e6,
                             omega_z=2 * math.pi * 10e6)
 
-print("critical anisotropy by bisection:")
+print("critical anisotropy, beta_c = sqrt(lambda_max(L)):")
 print("%6s %10s %12s" % ("N", "beta_c", "beta_c^2"))
 points = []
 crystals = {}

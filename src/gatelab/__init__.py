@@ -11,6 +11,10 @@ The package is organised as one module per study stage:
 - :mod:`gatelab.optimizer`: amplitude solves at fixed detuning, detuning
   scans, pair selection, and the benchmark table.
 - :mod:`gatelab.cli`: file-driven command line front end.
+
+Every artifact is one tab-separated table with '# key<TAB>value' headers;
+``gatelab._textio`` holds its only writer and reader, and each stage's
+``write_*``/``read_*`` pair maps its objects to and from that table.
 """
 
 from .crystal import (Crystal, PowerLawFit, TrapConfig, closed_shell_count,
@@ -18,11 +22,10 @@ from .crystal import (Crystal, PowerLawFit, TrapConfig, closed_shell_count,
                       min_spacing_scan, omega_r_for_spacing, read_crystal,
                       ring_seed, solve_equilibrium, triangular_seed,
                       with_trap, write_crystal)
-from .errors import (BracketFailure, CoincidentIons, ConfigError,
-                     CutoffInsufficient, DegenerateSeed, EigenFailure,
-                     GatelabError, IndefiniteKernel, InsufficientPoints,
-                     NegativeOccupation, NonConvergence, StepFailure,
-                     UnstableSpectrum)
+from .errors import (ConfigError, CutoffInsufficient, DegenerateSeed,
+                     EigenFailure, GatelabError, IndefiniteKernel,
+                     InsufficientPoints, NegativeOccupation, NonConvergence,
+                     StepFailure, UnstableSpectrum)
 from .gate import (GateReport, PulseSchedule, ResponseProfile,
                    entangling_phase, gate_report, mode_displacements,
                    read_report, read_schedule, response_profile,
@@ -38,12 +41,12 @@ from .optimizer import (OptimizationProblem, OptimizationResult, TableRow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxialSpectrum", "BracketFailure", "CoincidentIons", "ConfigError",
-    "Crystal", "CutoffInsufficient", "DegenerateSeed", "EigenFailure",
-    "GateReport", "GatelabError", "IndefiniteKernel", "InsufficientPoints",
-    "NegativeOccupation", "NonConvergence", "OptimizationProblem",
-    "OptimizationResult", "PowerLawFit", "PulseSchedule", "ResponseProfile",
-    "StepFailure", "TableRow", "TrapConfig", "UnstableSpectrum",
+    "AxialSpectrum", "ConfigError", "Crystal", "CutoffInsufficient",
+    "DegenerateSeed", "EigenFailure", "GateReport", "GatelabError",
+    "IndefiniteKernel", "InsufficientPoints", "NegativeOccupation",
+    "NonConvergence", "OptimizationProblem", "OptimizationResult",
+    "PowerLawFit", "PulseSchedule", "ResponseProfile", "StepFailure",
+    "TableRow", "TrapConfig", "UnstableSpectrum",
     "axial_spectrum", "band_edge_optimum", "closed_shell_count", "com_gap",
     "critical_beta", "default_mu_grid", "default_pair_list", "detuning_scan",
     "entangling_phase", "fit_power_law", "gate_report", "length_scale",

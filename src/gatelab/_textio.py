@@ -1,7 +1,10 @@
-"""Small helpers for the plain-text tabular formats and atomic file writes.
+"""The one plain-text table format, and atomic file writes.
 
-Every emitted file is tab separated with '#'-prefixed header metadata lines,
-and every writer has a matching parser so files round-trip.
+Every table file is a '# title' line, '# key<TAB>value' metadata lines (one
+of them names the ``columns``), then one tab-separated row per record.
+:func:`write_rows` and :func:`read_rows` are the only writer and reader of
+that format; each artifact module just maps its objects to metadata pairs
+and string rows and back.
 """
 
 import json
@@ -35,27 +38,36 @@ def fmt(value, sig=17):
     return "%.*g" % (sig, float(value))
 
 
-def header_line(key, value):
-    return "# %s\t%s" % (key, value)
+def write_rows(path, title, meta, rows):
+    """Write one table.
+
+    ``meta`` is an ordered sequence of (key, value) pairs, written as
+    '# key<TAB>value' lines in that order; ``rows`` holds lists of
+    preformatted string fields.
+    """
+    lines = ["# " + title]
+    lines.extend("# %s\t%s" % (key, value) for key, value in meta)
+    lines.extend("\t".join(row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def parse_header(lines):
-    """Collect '# key<TAB>value' metadata from an iterable of lines.
+def read_rows(path):
+    """Parse a file written by :func:`write_rows`.
 
-    Returns (meta dict, remaining data lines). Bare '#' comment lines
-    without a tab are skipped.
+    Returns (meta dict, list of string-field rows).  Blank lines and '#'
+    lines without a tab (such as the title) are skipped.
     """
     meta = {}
-    data = []
-    for line in lines:
-        stripped = line.rstrip("\n")
-        if not stripped.strip():
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if "\t" in body:
-                key, value = body.split("\t", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        data.append(stripped)
-    return meta, data
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                key, tab, value = line[1:].strip().partition("\t")
+                if tab:
+                    meta[key.strip()] = value.strip()
+                continue
+            rows.append(line.split("\t"))
+    return meta, rows

@@ -29,8 +29,7 @@ from . import gate as gt
 from . import modes as md
 from . import optimizer as op
 from .errors import ConfigError, GatelabError, UnstableSpectrum
-from ._textio import (atomic_write_json, atomic_write_text, fmt, header_line,
-                      parse_header)
+from ._textio import atomic_write_json, fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,28 +222,11 @@ def cached_crystal(config, cache_dir, ion_count=None):
 
 
 # ---------------------------------------------------------------------------
-# table writers and their parsers
+# tables
 
 def _json_float(value):
     value = float(value)
     return value if math.isfinite(value) else None
-
-
-def _write_rows(path, title, meta, columns, rows):
-    lines = ["# " + title]
-    for key, value in meta:
-        lines.append(header_line(key, value))
-    lines.append(header_line("columns", "\t".join(columns)))
-    for row in rows:
-        lines.append("\t".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_rows(path):
-    """Parse any CLI table: returns (meta dict, list of string-field rows)."""
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
-    return meta, [row.split("\t") for row in rows]
 
 
 def lattice_deviation(crystal):
@@ -263,15 +245,14 @@ def write_positions(crystal, path):
             ("length_scale_m", fmt(ell)),
             ("u_min", fmt(crystal.u_min)),
             ("spacing_m", fmt(crystal.spacing_metres())),
-            ("energy", fmt(crystal.energy))]
+            ("energy", fmt(crystal.energy)),
+            ("columns", "ion\tx_m\ty_m\tu_x\tu_y\tlattice_deviation_u")]
     rows = []
     for j in range(crystal.ion_count):
         x, y = crystal.positions[j]
         rows.append([str(j), fmt(x * ell, 15), fmt(y * ell, 15),
                      fmt(x, 15), fmt(y, 15), fmt(deviation[j], 15)])
-    _write_rows(path, "gatelab ion positions", meta,
-                ["ion", "x_m", "y_m", "u_x", "u_y", "lattice_deviation_u"],
-                rows)
+    write_rows(path, "gatelab ion positions", meta, rows)
 
 
 def read_positions(path):
@@ -328,9 +309,9 @@ def cmd_scaling(config, out_dir, cache_dir, args):
         meta += [("fit_prefactor", fmt(fit.prefactor)),
                  ("fit_exponent", fmt(fit.exponent)),
                  ("fit_rms_log_residual", fmt(fit.rms_log_residual))]
-    spacing_path = os.path.join(out_dir, "spacing_scan.tsv")
-    _write_rows(spacing_path, "gatelab minimum-spacing scan", meta,
-                ["n", "u_min", "d_min_m"], spacing_rows)
+    meta.append(("columns", "n\tu_min\td_min_m"))
+    write_rows(os.path.join(out_dir, "spacing_scan.tsv"),
+               "gatelab minimum-spacing scan", meta, spacing_rows)
 
     required_rows = []
     u_by_n = dict(points)
@@ -341,11 +322,11 @@ def cmd_scaling(config, out_dir, cache_dir, args):
                 charge=config.charge_c, u_min=u_by_n[n])
             required_rows.append([str(n), fmt(target, 15),
                                   fmt(omega / TWO_PI, 15)])
-    required_path = os.path.join(out_dir, "required_omega_r.tsv")
-    _write_rows(required_path, "gatelab radial frequency for target spacing",
-                [("targets_m", ",".join(fmt(t) for t in
-                                        config.dmin_targets_m))],
-                ["n", "d_min_target_m", "omega_r_hz"], required_rows)
+    write_rows(os.path.join(out_dir, "required_omega_r.tsv"),
+               "gatelab radial frequency for target spacing",
+               [("targets_m", ",".join(fmt(t) for t in config.dmin_targets_m)),
+                ("columns", "n\td_min_target_m\tomega_r_hz")],
+               required_rows)
     summary = {
         "command": "scaling",
         "n_series": list(config.n_series),
@@ -397,9 +378,9 @@ def cmd_modes(config, out_dir, cache_dir, args):
                     ("fit_shift", fmt(fit.shift))]
             summary["beta_c_fit_prefactor"] = _json_float(fit.prefactor)
             summary["beta_c_fit_exponent"] = _json_float(fit.exponent)
-        _write_rows(os.path.join(out_dir, "critical_beta.tsv"),
-                    "gatelab critical anisotropy scan", meta,
-                    ["n", "beta_c", "beta_c_squared"], rows)
+        meta.append(("columns", "n\tbeta_c\tbeta_c_squared"))
+        write_rows(os.path.join(out_dir, "critical_beta.tsv"),
+                   "gatelab critical anisotropy scan", meta, rows)
         files.append("critical_beta.tsv")
 
     if config.beta_values:
@@ -414,10 +395,10 @@ def cmd_modes(config, out_dir, cache_dir, args):
             omega_z_hz = beta * config.omega_r_hz
             rows.append([fmt(beta, 15), fmt(gap / TWO_PI, 15),
                          fmt(omega_z_hz, 15)])
-        _write_rows(os.path.join(out_dir, "com_gap.tsv"),
-                    "gatelab uniform-mode gap versus anisotropy",
-                    [("ion_count", config.ion_count)],
-                    ["beta", "com_gap_hz", "omega_z_hz"], rows)
+        write_rows(os.path.join(out_dir, "com_gap.tsv"),
+                   "gatelab uniform-mode gap versus anisotropy",
+                   [("ion_count", config.ion_count),
+                    ("columns", "beta\tcom_gap_hz\tomega_z_hz")], rows)
         files.append("com_gap.tsv")
         if skipped:
             summary["unstable_beta_values"] = [
@@ -512,11 +493,10 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         code = 3
     if config.table:
         rows = op.table_one(
-            ion_count=config.ion_count,
-            omega_z=TWO_PI * config.omega_z_hz,
+            crystal,
             omega_r_values=tuple(TWO_PI * v
                                  for v in config.omega_r_table_hz),
-            tau=config.tau_s, segments=config.segments, nbar=config.nbar,
+            tau=config.tau_s, segments=config.segments,
             pair_count=config.pair_count, mu_grid=grid)
         op.write_table(rows, os.path.join(out_dir, "table.tsv"))
         files.append("table.tsv")

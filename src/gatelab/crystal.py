@@ -24,7 +24,7 @@ import scipy.constants as const
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import DegenerateSeed, InsufficientPoints, NonConvergence
-from ._textio import atomic_write_text, fmt, header_line, parse_header
+from ._textio import fmt, read_rows, write_rows
 
 ELEMENTARY_CHARGE = const.e          # C
 COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * const.epsilon_0)  # N m^2 / C^2
@@ -577,49 +577,50 @@ def omega_r_for_spacing(n_ions, d_min, ion_mass=MASS_BE9,
 # ---------------------------------------------------------------------------
 # serialization
 
-def crystal_text(crystal):
-    """Render a crystal as the tabular text format."""
-    cfg = crystal.config
-    lines = ["# gatelab crystal"]
-    lines.append(header_line("ion_count", cfg.ion_count))
-    lines.append(header_line("omega_r_rad_s", fmt(cfg.omega_r)))
-    lines.append(header_line("omega_z_rad_s", fmt(cfg.omega_z)))
-    lines.append(header_line("ion_mass_kg", fmt(cfg.ion_mass)))
-    lines.append(header_line("charge_c", fmt(cfg.charge)))
-    nbar = np.atleast_1d(np.asarray(cfg.temperature_nbar, dtype=float))
-    lines.append(header_line("nbar", ",".join(fmt(v) for v in nbar)))
-    lines.append(header_line("beta", fmt(cfg.beta)))
-    lines.append(header_line("length_scale_m", fmt(crystal.length_scale_ell)))
-    lines.append(header_line("u_min", fmt(crystal.u_min)))
-    lines.append(header_line("energy", fmt(crystal.energy)))
-    lines.append(header_line("residual", fmt(crystal.residual_gradient_norm)))
-    lines.append(header_line("columns", "index\tu_x\tu_y"))
-    for i, (x, y) in enumerate(crystal.positions):
-        # full 17 digits so a read-back reproduces the floats exactly
-        lines.append("%d\t%s\t%s" % (i, fmt(x), fmt(y)))
-    return "\n".join(lines) + "\n"
+def trap_meta(config):
+    """The trap block shared by the crystal and spectrum headers, as
+    (key, value) pairs; :func:`read_trap_meta` reads it back."""
+    nbar = np.atleast_1d(np.asarray(config.temperature_nbar, dtype=float))
+    return [("ion_count", config.ion_count),
+            ("omega_r_rad_s", fmt(config.omega_r)),
+            ("omega_z_rad_s", fmt(config.omega_z)),
+            ("ion_mass_kg", fmt(config.ion_mass)),
+            ("charge_c", fmt(config.charge)),
+            ("nbar", ",".join(fmt(v) for v in nbar))]
+
+
+def read_trap_meta(meta):
+    """TrapConfig from a header holding the block of :func:`trap_meta`."""
+    nbar = [float(v) for v in meta["nbar"].split(",")]
+    return TrapConfig(ion_count=int(meta["ion_count"]),
+                      omega_r=float(meta["omega_r_rad_s"]),
+                      omega_z=float(meta["omega_z_rad_s"]),
+                      ion_mass=float(meta["ion_mass_kg"]),
+                      charge=float(meta["charge_c"]),
+                      temperature_nbar=nbar[0] if len(nbar) == 1 else nbar)
 
 
 def write_crystal(crystal, path):
     """Write the crystal table (positions round-trip exactly)."""
-    atomic_write_text(path, crystal_text(crystal))
+    meta = trap_meta(crystal.config) + [
+        ("beta", fmt(crystal.config.beta)),
+        ("length_scale_m", fmt(crystal.length_scale_ell)),
+        ("u_min", fmt(crystal.u_min)),
+        ("energy", fmt(crystal.energy)),
+        ("residual", fmt(crystal.residual_gradient_norm)),
+        ("columns", "index\tu_x\tu_y")]
+    # full 17 digits so a read-back reproduces the floats exactly
+    rows = [[str(i), fmt(x), fmt(y)]
+            for i, (x, y) in enumerate(crystal.positions)]
+    write_rows(path, "gatelab crystal", meta, rows)
 
 
 def read_crystal(path):
     """Parse a file written by :func:`write_crystal` back into a Crystal."""
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
-    nbar_field = [float(v) for v in meta["nbar"].split(",")]
-    nbar = nbar_field[0] if len(nbar_field) == 1 else nbar_field
-    cfg = TrapConfig(ion_count=int(meta["ion_count"]),
-                     omega_r=float(meta["omega_r_rad_s"]),
-                     omega_z=float(meta["omega_z_rad_s"]),
-                     ion_mass=float(meta["ion_mass_kg"]),
-                     charge=float(meta["charge_c"]),
-                     temperature_nbar=nbar)
+    meta, rows = read_rows(path)
+    cfg = read_trap_meta(meta)
     positions = np.zeros((cfg.ion_count, 2))
-    for row in rows:
-        fields = row.split("\t")
+    for fields in rows:
         positions[int(fields[0])] = (float(fields[1]), float(fields[2]))
     return Crystal(positions=positions,
                    length_scale_ell=float(meta["length_scale_m"]),

@@ -21,16 +21,8 @@ class InsufficientPoints(GatelabError):
     """Not enough (or invalid) data points for a fit."""
 
 
-class CoincidentIons(GatelabError):
-    """Two ions sit closer than the geometric sanity threshold."""
-
-
 class EigenFailure(GatelabError):
     """Dense symmetric eigensolver failed to converge."""
-
-
-class BracketFailure(GatelabError):
-    """Bisection could not find a sign change inside the expanded bracket."""
 
 
 class UnstableSpectrum(GatelabError):

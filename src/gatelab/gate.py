@@ -23,7 +23,7 @@ import numpy as np
 
 from .crystal import HBAR
 from .errors import NegativeOccupation
-from ._textio import atomic_write_text, fmt, header_line, parse_header
+from ._textio import fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,10 +97,6 @@ class PulseSchedule:
                       0, self.segment_count - 1)
         vals = self.amplitudes[idx]
         return np.where((t >= 0.0) & (t <= self.duration), vals, 0.0)
-
-    def with_amplitudes(self, amplitudes):
-        return PulseSchedule(times=self.times, amplitudes=amplitudes,
-                            mu=self.mu, target_pair=self.target_pair)
 
 
 def coupling_constants(spectrum, config=None):
@@ -417,37 +413,28 @@ def response_profile(schedule, spectrum, pair, samples=2000):
 # ---------------------------------------------------------------------------
 # serialization
 
-def schedule_text(schedule):
-    lines = ["# gatelab pulse schedule"]
-    lines.append(header_line("segment_count", schedule.segment_count))
-    lines.append(header_line("mu_hz", fmt(schedule.mu / TWO_PI)))
-    lines.append(header_line("duration_s", fmt(schedule.duration)))
-    if schedule.target_pair is not None:
-        lines.append(header_line("target_pair",
-                                 "%d,%d" % schedule.target_pair))
-    lines.append(header_line("columns", "segment\tt_start_s\tt_end_s\tamplitude_hz"))
-    for p in range(schedule.segment_count):
-        lines.append("%d\t%s\t%s\t%s"
-                     % (p, fmt(schedule.times[p], 15),
-                        fmt(schedule.times[p + 1], 15),
-                        fmt(schedule.amplitudes[p] / TWO_PI, 15)))
-    return "\n".join(lines) + "\n"
-
-
 def write_schedule(schedule, path):
     """Write the segment table (frequencies and amplitudes in plain Hz)."""
-    atomic_write_text(path, schedule_text(schedule))
+    meta = [("segment_count", schedule.segment_count),
+            ("mu_hz", fmt(schedule.mu / TWO_PI)),
+            ("duration_s", fmt(schedule.duration))]
+    if schedule.target_pair is not None:
+        meta.append(("target_pair", "%d,%d" % schedule.target_pair))
+    meta.append(("columns", "segment\tt_start_s\tt_end_s\tamplitude_hz"))
+    rows = [[str(p), fmt(schedule.times[p], 15),
+             fmt(schedule.times[p + 1], 15),
+             fmt(schedule.amplitudes[p] / TWO_PI, 15)]
+            for p in range(schedule.segment_count)]
+    write_rows(path, "gatelab pulse schedule", meta, rows)
 
 
 def read_schedule(path):
     """Parse a file written by :func:`write_schedule`."""
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
+    meta, rows = read_rows(path)
     count = int(meta["segment_count"])
     times = np.zeros(count + 1)
     amps = np.zeros(count)
-    for row in rows:
-        fields = row.split("\t")
+    for fields in rows:
         p = int(fields[0])
         times[p] = float(fields[1])
         times[p + 1] = float(fields[2])
@@ -534,43 +521,33 @@ def gate_report(schedule, spectrum, pair, nbar=None, include_response=False,
                       response_peak=peak, response_normalized=normalized)
 
 
-def report_text(report):
-    sched = report.schedule
-    lines = ["# gatelab gate report"]
-    lines.append(header_line("pair", "%d,%d" % report.pair))
-    lines.append(header_line("fidelity", fmt(report.fidelity)))
-    lines.append(header_line("phi_rad", fmt(report.phi)))
-    lines.append(header_line("mu_hz", fmt(sched.mu / TWO_PI)))
-    lines.append(header_line("duration_s", fmt(sched.duration)))
-    lines.append(header_line("segment_count", sched.segment_count))
-    lines.append(header_line(
-        "times_s", ",".join(fmt(t) for t in sched.times)))
-    lines.append(header_line(
-        "amplitudes_hz", ",".join(fmt(a / TWO_PI) for a in sched.amplitudes)))
-    lines.append(header_line("max_amplitude_hz",
-                             fmt(report.max_amplitude / TWO_PI)))
-    lines.append(header_line(
-        "columns", "kind\tindex\tvalue_1\tvalue_2\tvalue_3\tvalue_4\tvalue_5"))
-    lines.append(header_line(
-        "mode_columns", "frequency_hz\talpha_l_re\talpha_l_im"
-        "\talpha_n_re\talpha_n_im"))
-    lines.append(header_line("ion_columns", "peak_m\tnormalized"))
-    for k in range(report.mode_frequencies.size):
-        lines.append("mode\t%d\t%s\t%s\t%s\t%s\t%s" % (
-            k, fmt(report.mode_frequencies[k] / TWO_PI),
-            fmt(report.alpha_l[k].real), fmt(report.alpha_l[k].imag),
-            fmt(report.alpha_n[k].real), fmt(report.alpha_n[k].imag)))
-    if report.response_peak is not None:
-        for j in range(report.response_peak.size):
-            lines.append("ion\t%d\t%s\t%s" % (
-                j, fmt(report.response_peak[j]),
-                fmt(report.response_normalized[j])))
-    return "\n".join(lines) + "\n"
-
-
 def write_report(report, path):
     """Write the gate report (frequencies and amplitudes in plain Hz)."""
-    atomic_write_text(path, report_text(report))
+    sched = report.schedule
+    meta = [("pair", "%d,%d" % report.pair),
+            ("fidelity", fmt(report.fidelity)),
+            ("phi_rad", fmt(report.phi)),
+            ("mu_hz", fmt(sched.mu / TWO_PI)),
+            ("duration_s", fmt(sched.duration)),
+            ("segment_count", sched.segment_count),
+            ("times_s", ",".join(fmt(t) for t in sched.times)),
+            ("amplitudes_hz",
+             ",".join(fmt(a / TWO_PI) for a in sched.amplitudes)),
+            ("max_amplitude_hz", fmt(report.max_amplitude / TWO_PI)),
+            ("columns",
+             "kind\tindex\tvalue_1\tvalue_2\tvalue_3\tvalue_4\tvalue_5"),
+            ("mode_columns", "frequency_hz\talpha_l_re\talpha_l_im"
+             "\talpha_n_re\talpha_n_im"),
+            ("ion_columns", "peak_m\tnormalized")]
+    rows = [["mode", str(k), fmt(report.mode_frequencies[k] / TWO_PI),
+             fmt(report.alpha_l[k].real), fmt(report.alpha_l[k].imag),
+             fmt(report.alpha_n[k].real), fmt(report.alpha_n[k].imag)]
+            for k in range(report.mode_frequencies.size)]
+    if report.response_peak is not None:
+        rows += [["ion", str(j), fmt(report.response_peak[j]),
+                  fmt(report.response_normalized[j])]
+                 for j in range(report.response_peak.size)]
+    write_rows(path, "gatelab gate report", meta, rows)
 
 
 def read_report(path):
@@ -579,8 +556,7 @@ def read_report(path):
     ``nbar`` is not stored per mode in the file; the returned report carries
     zeros there, with the quoted fidelity taken from the header.
     """
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
+    meta, rows = read_rows(path)
     l, n = meta["pair"].split(",")
     pair = (int(l), int(n))
     times = np.array([float(v) for v in meta["times_s"].split(",")])
@@ -591,8 +567,7 @@ def read_report(path):
                              target_pair=pair)
     modes = []
     ions = []
-    for row in rows:
-        fields = row.split("\t")
+    for fields in rows:
         if fields[0] == "mode":
             modes.append([float(v) for v in fields[2:7]])
         elif fields[0] == "ion":

@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import Crystal, TrapConfig, curvature_blocks, read_crystal
-from .errors import BracketFailure, EigenFailure, UnstableSpectrum
-from ._textio import atomic_write_text, fmt, header_line, parse_header
+from .crystal import TrapConfig, curvature_blocks, read_trap_meta, trap_meta
+from .errors import EigenFailure, UnstableSpectrum
+from ._textio import fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * np.pi
-
-# Stability-boundary fit used only for the initial bisection bracket.
-_BRACKET_COEFF = 1.073
-_BRACKET_EXPONENT = 0.55
 
 
 @dataclass(frozen=True)
@@ -117,54 +113,18 @@ def axial_spectrum(crystal, beta=None):
                          beta=float(beta), config=crystal.config)
 
 
-def _min_axial_eigenvalue(positions, beta, laplacian=None):
-    if laplacian is None:
-        laplacian = coulomb_laplacian(positions)
-    n = positions.shape[0]
-    zz = beta**2 * np.eye(n) - laplacian
-    return float(np.linalg.eigvalsh(zz)[0])
+def critical_beta(crystal):
+    """Smallest anisotropy with a stable axial branch.
 
-
-def critical_beta(crystal, tol=1e-6, max_expand=60):
-    """Smallest anisotropy with a stable axial branch, by bisection.
-
-    The minimum axial eigenvalue is monotone increasing in beta, so the
-    boundary is bracketed and bisected to interval width ``tol``.  A single
-    ion is stable for any anisotropy (returns 0).
+    The axial block beta^2 I - L has smallest eigenvalue
+    beta^2 - lambda_max(L), so the boundary is exactly
+    beta_c = sqrt(lambda_max(L)).  A single ion is stable for any
+    anisotropy (returns 0).
     """
-    n = crystal.ion_count
-    if n == 1:
+    if crystal.ion_count == 1:
         return 0.0
-    lap = coulomb_laplacian(crystal.positions)
-    pos = crystal.positions
-
-    lo = 0.1
-    if n > 2:
-        hi = np.sqrt(1.2 * _BRACKET_COEFF * (n - 2) ** _BRACKET_EXPONENT)
-    else:
-        hi = 1.5
-    for _ in range(max_expand):
-        if _min_axial_eigenvalue(pos, hi, lap) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure("no stable upper bracket for beta_c")
-    for _ in range(max_expand):
-        if _min_axial_eigenvalue(pos, lo, lap) < 0.0:
-            break
-        lo *= 0.5
-        if lo < 1e-12:
-            return 0.0
-    else:
-        raise BracketFailure("no unstable lower bracket for beta_c")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _min_axial_eigenvalue(pos, mid, lap) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(np.sqrt(np.linalg.eigvalsh(
+        coulomb_laplacian(crystal.positions))[-1]))
 
 
 def com_gap(crystal, beta=None):
@@ -179,45 +139,26 @@ def com_gap(crystal, beta=None):
 # ---------------------------------------------------------------------------
 # serialization
 
-def spectrum_text(spectrum):
-    cfg = spectrum.config
-    n = spectrum.mode_count
-    lines = ["# gatelab axial spectrum"]
-    lines.append(header_line("ion_count", cfg.ion_count))
-    lines.append(header_line("omega_r_rad_s", fmt(cfg.omega_r)))
-    lines.append(header_line("omega_z_rad_s", fmt(cfg.omega_z)))
-    lines.append(header_line("ion_mass_kg", fmt(cfg.ion_mass)))
-    lines.append(header_line("charge_c", fmt(cfg.charge)))
-    lines.append(header_line("beta", fmt(spectrum.beta)))
-    cols = "mode\tfrequency_hz\t" + "\t".join(
-        "b_%d" % i for i in range(n))
-    lines.append(header_line("columns", cols))
-    for k in range(n):
-        row = [str(k), fmt(spectrum.frequencies[k] / TWO_PI, 15)]
-        row.extend(fmt(v, 15) for v in spectrum.modes[k])
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def write_spectrum(spectrum, path):
     """Write mode table: one row per mode, frequencies in plain Hz."""
-    atomic_write_text(path, spectrum_text(spectrum))
+    n = spectrum.mode_count
+    meta = trap_meta(spectrum.config) + [
+        ("beta", fmt(spectrum.beta)),
+        ("columns", "\t".join(["mode", "frequency_hz"]
+                              + ["b_%d" % i for i in range(n)]))]
+    rows = [[str(k), fmt(spectrum.frequencies[k] / TWO_PI, 15)]
+            + [fmt(v, 15) for v in spectrum.modes[k]] for k in range(n)]
+    write_rows(path, "gatelab axial spectrum", meta, rows)
 
 
 def read_spectrum(path):
     """Parse a file written by :func:`write_spectrum`."""
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
-    n = int(meta["ion_count"])
-    cfg = TrapConfig(ion_count=n,
-                     omega_r=float(meta["omega_r_rad_s"]),
-                     omega_z=float(meta["omega_z_rad_s"]),
-                     ion_mass=float(meta["ion_mass_kg"]),
-                     charge=float(meta["charge_c"]))
+    meta, rows = read_rows(path)
+    cfg = read_trap_meta(meta)
+    n = cfg.ion_count
     freqs = np.zeros(n)
     modes = np.zeros((n, n))
-    for row in rows:
-        fields = row.split("\t")
+    for fields in rows:
         k = int(fields[0])
         freqs[k] = float(fields[1]) * TWO_PI
         modes[k] = [float(v) for v in fields[2:]]

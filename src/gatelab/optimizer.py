@@ -11,18 +11,18 @@ positive-phase direction at that mu) are recorded with fidelity zero
 rather than aborting the scan.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .crystal import TrapConfig, solve_equilibrium
+from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (GateReport, PulseSchedule, drive_couplings,
                    first_order_integrals, gate_report, pair_phase_matrix,
                    thermal_fidelity, TWO_PI)
 from .modes import axial_spectrum
-from ._textio import atomic_write_text, fmt, header_line, parse_header
+from ._textio import fmt, read_rows, write_rows
 
 PHASE_TARGET = np.pi / 4.0
 
@@ -75,7 +75,8 @@ class OptimizationResult:
 
     ``fidelities`` and ``max_amplitudes`` run parallel to ``mu_grid``;
     fidelity 0 with amplitude 0 marks a grid point where no positive-phase
-    drive exists.  ``best_schedule`` is None when every point failed.
+    drive exists.  ``best_index`` is -1 (and ``best_schedule`` None) when
+    every point failed; a scan read back from file carries no schedule.
     """
 
     pair: tuple
@@ -91,7 +92,7 @@ class OptimizationResult:
 
     @property
     def feasible(self):
-        return self.best_schedule is not None
+        return self.best_index >= 0
 
     @property
     def best_mu(self):
@@ -420,31 +421,26 @@ def default_pair_list(crystal, count=10):
     return pairs
 
 
-def table_one(ion_count=127, omega_z=TWO_PI * 10e6,
-              omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
-              tau=50e-6, segments=5, nbar=0.1, pairs=None, pair_count=10,
-              mu_grid=None, max_line_searches=_LINE_SEARCH_CAP,
-              progress=None):
+def table_one(crystal, omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
+              tau=50e-6, segments=5, pair_count=10, mu_grid=None,
+              max_line_searches=_LINE_SEARCH_CAP):
     """Benchmark gate design across pair separations and radial traps.
 
     Returns a list of TableRow, ordered by radial frequency then pair rank.
-    The planar pattern is independent of the radial frequency, so the pair
-    indices are computed once and reused; separations in metres scale with
-    the trap length scale.
+    The planar pattern is independent of the radial frequency, so
+    ``crystal`` is re-dressed (exactly) for each trap and the pair indices
+    are computed once; separations in metres scale with the trap length
+    scale.  omega_z, the ion species and nbar come from ``crystal.config``.
     """
+    pairs = default_pair_list(crystal, pair_count)
     rows = []
     for omega_r in omega_r_values:
-        config = TrapConfig(ion_count, omega_r=omega_r, omega_z=omega_z,
-                            temperature_nbar=nbar)
-        crystal = solve_equilibrium(config)
-        spectrum = axial_spectrum(crystal)
-        if pairs is None:
-            pairs = default_pair_list(crystal, pair_count)
-        coords = crystal.positions * crystal.length_scale_ell
+        dressed = with_trap(crystal, replace(crystal.config, omega_r=omega_r))
+        spectrum = axial_spectrum(dressed)
+        coords = dressed.positions * dressed.length_scale_ell
         for rank, pair in enumerate(pairs, start=1):
             problem = OptimizationProblem(
-                pair=pair, tau=tau, segment_count=segments, mu_grid=mu_grid,
-                nbar=nbar)
+                pair=pair, tau=tau, segment_count=segments, mu_grid=mu_grid)
             result = detuning_scan(spectrum, problem,
                                    max_line_searches=max_line_searches)
             l, n = pair
@@ -455,37 +451,27 @@ def table_one(ion_count=127, omega_z=TWO_PI * 10e6,
                 fidelity=result.best_fidelity,
                 max_amplitude=(result.best_schedule.max_amplitude
                                if result.feasible else 0.0)))
-            if progress is not None:
-                progress(rows[-1])
     return rows
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def scan_text(result):
-    lines = ["# gatelab detuning scan"]
-    lines.append(header_line("pair", "%d,%d" % result.pair))
-    lines.append(header_line("tau_s", fmt(result.tau)))
-    lines.append(header_line("segment_count", result.segment_count))
-    lines.append(header_line("grid_points", result.mu_grid.size))
-    lines.append(header_line("best_index", result.best_index))
-    lines.append(header_line("best_fidelity", fmt(result.best_fidelity)))
-    lines.append(header_line(
-        "best_mu_hz", fmt(result.best_mu / TWO_PI if result.feasible
-                          else 0.0)))
-    lines.append(header_line("columns", "mu_hz\tfidelity\tmax_amplitude_hz"))
-    for i in range(result.mu_grid.size):
-        lines.append("%s\t%s\t%s" % (fmt(result.mu_grid[i] / TWO_PI, 15),
-                                     fmt(result.fidelities[i], 15),
-                                     fmt(result.max_amplitudes[i] / TWO_PI,
-                                         15)))
-    return "\n".join(lines) + "\n"
-
-
 def write_scan(result, path):
     """Write the scan curve (frequencies and amplitudes in plain Hz)."""
-    atomic_write_text(path, scan_text(result))
+    meta = [("pair", "%d,%d" % result.pair),
+            ("tau_s", fmt(result.tau)),
+            ("segment_count", result.segment_count),
+            ("grid_points", result.mu_grid.size),
+            ("best_index", result.best_index),
+            ("best_fidelity", fmt(result.best_fidelity)),
+            ("best_mu_hz",
+             fmt(result.best_mu / TWO_PI if result.feasible else 0.0)),
+            ("columns", "mu_hz\tfidelity\tmax_amplitude_hz")]
+    rows = [[fmt(mu / TWO_PI, 15), fmt(fid, 15), fmt(amp / TWO_PI, 15)]
+            for mu, fid, amp in zip(result.mu_grid, result.fidelities,
+                                    result.max_amplitudes)]
+    write_rows(path, "gatelab detuning scan", meta, rows)
 
 
 def read_scan(path):
@@ -494,54 +480,43 @@ def read_scan(path):
     Returns an OptimizationResult carrying the curve and best-point
     metadata; the schedule and report are stored separately.
     """
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
+    meta, rows = read_rows(path)
     l, n = meta["pair"].split(",")
     grid = np.zeros(int(meta["grid_points"]))
     fid = np.zeros(grid.size)
     amp = np.zeros(grid.size)
-    for i, row in enumerate(rows):
-        fields = row.split("\t")
+    for i, fields in enumerate(rows):
         grid[i] = float(fields[0]) * TWO_PI
         fid[i] = float(fields[1])
         amp[i] = float(fields[2]) * TWO_PI
+    best = int(meta["best_index"])
+    if best >= 0:
+        # the header keeps the best detuning to all 17 digits
+        grid[best] = float(meta["best_mu_hz"]) * TWO_PI
     return OptimizationResult(
         pair=(int(l), int(n)), tau=float(meta["tau_s"]),
         segment_count=int(meta["segment_count"]), mu_grid=grid,
-        fidelities=fid, max_amplitudes=amp,
-        best_index=int(meta["best_index"]), best_schedule=None,
-        best_fidelity=float(meta["best_fidelity"]), best_report=None)
-
-
-def table_text(rows):
-    lines = ["# gatelab benchmark table"]
-    lines.append(header_line("row_count", len(rows)))
-    lines.append(header_line(
-        "columns", "rank\tion_l\tion_n\tseparation_m\tomega_r_hz"
-        "\tmu_opt_hz\tfidelity\tmax_amplitude_hz"))
-    for row in rows:
-        lines.append("%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s" % (
-            row.rank, row.pair[0], row.pair[1], fmt(row.separation_m, 15),
-            fmt(row.omega_r / TWO_PI, 15), fmt(row.mu_opt / TWO_PI, 15),
-            fmt(row.fidelity, 15), fmt(row.max_amplitude / TWO_PI, 15)))
-    return "\n".join(lines) + "\n"
+        fidelities=fid, max_amplitudes=amp, best_index=best,
+        best_schedule=None, best_fidelity=float(meta["best_fidelity"]),
+        best_report=None)
 
 
 def write_table(rows, path):
     """Write benchmark rows (frequencies and amplitudes in plain Hz)."""
-    atomic_write_text(path, table_text(rows))
+    meta = [("row_count", len(rows)),
+            ("columns", "rank\tion_l\tion_n\tseparation_m\tomega_r_hz"
+             "\tmu_opt_hz\tfidelity\tmax_amplitude_hz")]
+    fields = [[str(row.rank), str(row.pair[0]), str(row.pair[1]),
+               fmt(row.separation_m, 15), fmt(row.omega_r / TWO_PI, 15),
+               fmt(row.mu_opt / TWO_PI, 15), fmt(row.fidelity, 15),
+               fmt(row.max_amplitude / TWO_PI, 15)] for row in rows]
+    write_rows(path, "gatelab benchmark table", meta, fields)
 
 
 def read_table(path):
     """Parse a file written by :func:`write_table`."""
-    with open(path) as fh:
-        meta, rows = parse_header(fh)
-    out = []
-    for row in rows:
-        f = row.split("\t")
-        out.append(TableRow(
-            rank=int(f[0]), pair=(int(f[1]), int(f[2])),
-            separation_m=float(f[3]), omega_r=float(f[4]) * TWO_PI,
-            mu_opt=float(f[5]) * TWO_PI, fidelity=float(f[6]),
-            max_amplitude=float(f[7]) * TWO_PI))
-    return out
+    _, rows = read_rows(path)
+    return [TableRow(rank=int(f[0]), pair=(int(f[1]), int(f[2])),
+                     separation_m=float(f[3]), omega_r=float(f[4]) * TWO_PI,
+                     mu_opt=float(f[5]) * TWO_PI, fidelity=float(f[6]),
+                     max_amplitude=float(f[7]) * TWO_PI) for f in rows]

@@ -20,6 +20,7 @@ from gatelab import crystal as cr
 from gatelab import gate as gt
 from gatelab import modes as md
 from gatelab import optimizer as op
+from gatelab._textio import read_rows
 
 BASE_CONFIG = """\
 # small crystal exercising every subcommand
@@ -96,23 +97,23 @@ class TestArtifacts:
         out = workspace["outs"]["scaling"]
         summary = load_summary(out)
         assert summary["fit_exponent"] < 0
-        meta, rows = cli.read_rows(os.path.join(out, "spacing_scan.tsv"))
+        meta, rows = read_rows(os.path.join(out, "spacing_scan.tsv"))
         assert [int(r[0]) for r in rows] == [7, 10, 19]
         u = [float(r[1]) for r in rows]
         # shrinks across closed shells; intermediate counts may dip below
         assert u[0] > u[2] > 0
         assert float(meta["fit_exponent"]) == pytest.approx(
             summary["fit_exponent"])
-        meta, rows = cli.read_rows(os.path.join(out, "required_omega_r.tsv"))
+        meta, rows = read_rows(os.path.join(out, "required_omega_r.tsv"))
         assert len(rows) == 3  # one target, three ion numbers
         assert all(float(r[2]) > 0 for r in rows)
 
     def test_required_omega_r_hits_target(self, workspace):
         out = workspace["outs"]["scaling"]
-        _, rows = cli.read_rows(os.path.join(out, "required_omega_r.tsv"))
+        _, rows = read_rows(os.path.join(out, "required_omega_r.tsv"))
         n, target, omega_hz = (int(rows[0][0]), float(rows[0][1]),
                                float(rows[0][2]))
-        _, scan_rows = cli.read_rows(os.path.join(out, "spacing_scan.tsv"))
+        _, scan_rows = read_rows(os.path.join(out, "spacing_scan.tsv"))
         u_min = float(scan_rows[0][1])
         trap = cr.TrapConfig(n, omega_r=2 * math.pi * omega_hz,
                              omega_z=2 * math.pi * 10e6)
@@ -130,11 +131,11 @@ class TestArtifacts:
         assert summary["band_low_hz"] == pytest.approx(
             low / (2 * math.pi))
         assert summary["band_high_hz"] == pytest.approx(10e6, rel=1e-9)
-        meta, rows = cli.read_rows(os.path.join(out, "critical_beta.tsv"))
+        meta, rows = read_rows(os.path.join(out, "critical_beta.tsv"))
         betas = {int(r[0]): float(r[1]) for r in rows}
         assert set(betas) == {7, 19}
         assert betas[19] > betas[7] > 0
-        meta, rows = cli.read_rows(os.path.join(out, "com_gap.tsv"))
+        meta, rows = read_rows(os.path.join(out, "com_gap.tsv"))
         gaps = {float(r[0]): float(r[1]) for r in rows}
         # the uniform-mode gap narrows as the axial trap stiffens
         assert gaps[50.0] < gaps[20.0]
@@ -199,6 +200,29 @@ class TestDeterminism:
                                shallow=False), name
             assert filecmp.cmp(reference, os.path.join(out_warm, name),
                                shallow=False), name
+
+    def test_table_reuses_the_run_crystal(self, tmp_path, monkeypatch):
+        """``optimize`` with the benchmark table solves one equilibrium;
+        the table re-dresses that crystal for each radial trap."""
+        solves = []
+        original = cr.solve_equilibrium
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        # patch every binding the package could look the solver up through
+        monkeypatch.setattr(cr, "solve_equilibrium", counting)
+        monkeypatch.setattr(op, "solve_equilibrium", counting, raising=False)
+        config = write_config(
+            tmp_path, "ion_count = 19\nomega_r_hz = 0.2e6\n"
+                      "omega_z_hz = 10e6\nsegments = 4\n"
+                      "mu_grid_points = 3\ntable = true\npair_count = 2\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["optimize", "--config", config, "--out", out]) == 0
+        assert len(solves) == 1
+        rows = op.read_table(os.path.join(out, "table.tsv"))
+        assert len(rows) == 4  # two pairs in each of the two default traps
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)
@@ -273,6 +297,21 @@ class TestConfigErrors:
         assert code == 2
         assert "schedule" in err
 
+    def test_truncated_schedule(self, tmp_path, capsys):
+        schedule = gt.PulseSchedule.uniform(
+            50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6, 0.15e6, 0.05e6]),
+            2 * math.pi * 10.04e6, target_pair=(0, 3))
+        path = tmp_path / "cut.tsv"
+        gt.write_schedule(schedule, path)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])  # a write cut off mid-table
+        config = write_config(tmp_path, BASE_CONFIG)
+        code = cli.main(["gate", "--config", config,
+                         "--out", str(tmp_path / "out"),
+                         "--schedule", str(path)])
+        assert code == 2
+        assert "malformed schedule file" in capsys.readouterr().err
+
 
 class TestEdgeCases:
     def test_single_ion_equilibrium(self, tmp_path):
@@ -311,7 +350,7 @@ class TestEdgeCases:
         summary = load_summary(out)
         assert summary["stable"] is True  # the run trap itself is fine
         assert summary["unstable_beta_values"] == [0.5]
-        _, rows = cli.read_rows(os.path.join(out, "com_gap.tsv"))
+        _, rows = read_rows(os.path.join(out, "com_gap.tsv"))
         assert [float(r[0]) for r in rows] == [50.0]
 
     def test_zero_amplitude_schedule(self, tmp_path):

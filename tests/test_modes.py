@@ -141,7 +141,11 @@ class TestComGap:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        spec = md.axial_spectrum(solve(6))
+        crystal = solve(6)
+        crystal = cr.with_trap(crystal, cr.TrapConfig(
+            6, omega_r=crystal.config.omega_r,
+            omega_z=crystal.config.omega_z, temperature_nbar=0.5))
+        spec = md.axial_spectrum(crystal)
         path = tmp_path / "spectrum.tsv"
         md.write_spectrum(spec, path)
         back = md.read_spectrum(path)
@@ -149,6 +153,8 @@ class TestSerialization:
         assert np.allclose(back.modes, spec.modes, rtol=0, atol=1e-14)
         assert back.beta == spec.beta
         assert back.config.ion_count == 6
+        # the whole trap block, thermal occupation included, comes back
+        assert back.config == spec.config
 
     def test_frequencies_stored_in_hz(self, tmp_path):
         spec = md.axial_spectrum(solve(2, beta=5.0, omega_r_hz=1e6))

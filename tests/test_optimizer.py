@@ -272,6 +272,8 @@ class TestSerialization:
         assert back.tau == pytest.approx(result.tau, rel=1e-15)
         assert back.segment_count == result.segment_count
         assert back.best_index == result.best_index
+        assert back.feasible
+        assert back.best_mu == pytest.approx(result.best_mu, rel=1e-15)
         assert back.best_fidelity == pytest.approx(result.best_fidelity,
                                                    rel=1e-15)
         # 15 significant digits in the file plus one Hz/angular round trip
@@ -305,8 +307,10 @@ class TestSerialization:
 class TestTableOne:
     def test_small_benchmark_rows(self):
         grid = np.linspace(WZ + TWO_PI * 20e3, WZ + TWO_PI * 60e3, 5)
-        rows = op.table_one(ion_count=19, omega_r_values=(TWO_PI * 0.2e6,),
-                            tau=50e-6, segments=5, nbar=0.1, pair_count=3,
+        crystal = cr.solve_equilibrium(cr.TrapConfig(
+            19, omega_r=TWO_PI * 1.0e6, omega_z=WZ, temperature_nbar=0.1))
+        rows = op.table_one(crystal, omega_r_values=(TWO_PI * 0.2e6,),
+                            tau=50e-6, segments=5, pair_count=3,
                             mu_grid=grid)
         assert len(rows) == 3
         assert [r.rank for r in rows] == [1, 2, 3]
