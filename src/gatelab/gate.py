@@ -237,7 +237,12 @@ def phase_kernels(times, mu, frequencies):
     off-diagonal pairs split the cross-segment rectangle Im[S_p conj(S_q)]
     (p later than q) evenly across (p, q) and (q, p).
     """
-    S = first_order_integrals(times, mu, frequencies)
+    return _phase_kernels(first_order_integrals(times, mu, frequencies),
+                          times, mu, frequencies)
+
+
+def _phase_kernels(S, times, mu, frequencies):
+    """:func:`phase_kernels` given the first-order integrals ``S``."""
     rect = np.imag(S[:, :, None] * np.conj(S[:, None, :]))  # [k, p, q]
     lower = np.tril(rect, k=-1)
     G = 0.5 * (lower + np.transpose(lower, (0, 2, 1)))
@@ -291,8 +296,14 @@ def entangling_phase(schedule, couplings, frequencies, pair):
 
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):
     """Quadratic-form matrix G with phi = Omega^T G Omega for one pair."""
+    return _pair_phase_matrix(first_order_integrals(times, mu, frequencies),
+                              times, mu, frequencies, couplings, pair)
+
+
+def _pair_phase_matrix(S, times, mu, frequencies, couplings, pair):
+    """:func:`pair_phase_matrix` given the first-order integrals ``S``."""
     l, n = pair
-    kernels = phase_kernels(times, mu, frequencies)
+    kernels = _phase_kernels(S, times, mu, frequencies)
     weights = 2.0 * couplings[l] * couplings[n]
     return np.einsum("k,kpq->pq", weights, kernels)
 

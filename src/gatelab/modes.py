@@ -25,21 +25,6 @@ from ._textio import fmt, read_rows, write_rows
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class CouplingMatrices:
-    """Curvature blocks of the trap-plus-Coulomb potential, units M omega_r^2.
-
-    ``xx``, ``xy``, ``yy`` are the in-plane blocks; ``zz`` the axial block at
-    anisotropy ``beta``.
-    """
-
-    xx: np.ndarray
-    xy: np.ndarray
-    yy: np.ndarray
-    zz: np.ndarray
-    beta: float
-
-
 def coulomb_laplacian(positions):
     """Graph-Laplacian-like matrix L with weights 1/d^3 (PSD, one zero mode)."""
     _, _, _, s3 = curvature_blocks(positions)
@@ -47,17 +32,16 @@ def coulomb_laplacian(positions):
 
 
 def build_matrices(crystal, beta=None):
-    """Assemble all curvature blocks for ``crystal``.
+    """Axial curvature block beta^2 I - L of ``crystal``, units M omega_r^2.
 
     ``beta`` defaults to the crystal's trap anisotropy; passing a value
     allows scanning the axial block without re-dressing the config.
     """
     if beta is None:
         beta = crystal.config.beta
-    xx, xy, yy, s3 = curvature_blocks(crystal.positions)
+    _, _, _, s3 = curvature_blocks(crystal.positions)
     n = crystal.ion_count
-    zz = beta**2 * np.eye(n) - np.diag(s3.sum(axis=1)) + s3
-    return CouplingMatrices(xx=xx, xy=xy, yy=yy, zz=zz, beta=float(beta))
+    return beta**2 * np.eye(n) - np.diag(s3.sum(axis=1)) + s3
 
 
 @dataclass(frozen=True)
@@ -96,9 +80,8 @@ def axial_spectrum(crystal, beta=None):
     """Diagonalise the axial block; raises UnstableSpectrum below beta_c."""
     if beta is None:
         beta = crystal.config.beta
-    mats = build_matrices(crystal, beta=beta)
     try:
-        evals, evecs = np.linalg.eigh(mats.zz)
+        evals, evecs = np.linalg.eigh(build_matrices(crystal, beta=beta))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("axial eigensolve failed") from exc
     if evals[0] <= 0.0:

@@ -1,14 +1,18 @@
 """Segment-amplitude design for conditional phase-flip gates.
 
 For a fixed detuning mu the conditional phase is a quadratic form
-Omega^T G Omega in the segment amplitudes and the thermally weighted
-residual-displacement cost is another quadratic form Omega^T M Omega, so
-the natural seed is the top generalized eigenvector of (G, M).  The seed
-is rescaled onto the exact phase target pi/4 and polished by golden-section
-coordinate descent on the closed-form fidelity.  A detuning scan repeats
-this over a grid of mu and keeps the best point; failed points (no
-positive-phase direction at that mu) are recorded with fidelity zero
-rather than aborting the scan.
+Omega^T G Omega in the segment amplitudes.  With |phase| locked on pi/4
+the fidelity is 1/4 (1 + sum_i c_i exp(-gamma_i)), c = (1, 1, 1/2, 1/2),
+gamma_i = (pi/4) Omega^T A_i Omega / |Omega^T G Omega| for thermally
+weighted residual-displacement forms A_i.  As exp(-x) lies above its
+tangent, weighting the A_i by c_i exp(-gamma_i) at the current drive gives
+a lower bound of the fidelity touching it there, maximized by an extremal
+generalized eigenvector of G against the reweighted form (a
+minorize-maximize step, so the fidelity never drops).  With all gamma_i = 0
+that form is the plain residual cost, so the seed is step 0.  A detuning
+scan repeats this over a grid of mu and keeps the best point;
+failed points (no positive-phase direction at that mu) are recorded with
+fidelity zero rather than aborting the scan.
 """
 
 from dataclasses import dataclass, replace
@@ -18,19 +22,21 @@ import scipy.linalg
 
 from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
-from .gate import (GateReport, PulseSchedule, drive_couplings,
-                   first_order_integrals, gate_report, pair_phase_matrix,
+from .gate import (GateReport, PulseSchedule, _pair_phase_matrix,
+                   drive_couplings, first_order_integrals, gate_report,
                    thermal_fidelity, TWO_PI)
 from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
 PHASE_TARGET = np.pi / 4.0
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_LINE_SEARCH_CAP = 200
-_GOLDEN_STEPS = 40
-_SWEEP_FTOL = 1e-13
-# eigenvalue-problem regularizer, relative to the mean diagonal of M
+# weights c_i of the four overlap factors in the locked fidelity
+_BRANCH_COEFFS = np.array([1.0, 1.0, 0.5, 0.5])
+# the ascent stops on a smaller fidelity gain or after this many steps
+_FTOL = 1e-13
+_MAX_STEPS = 100
+# eigenvalue-problem regularizer, relative to the mean diagonal of the
+# residual form
 _RIDGE = 1e-12
 
 
@@ -41,7 +47,7 @@ class OptimizationProblem:
     ``mu_grid`` (rad/s) defaults to 301 points spanning
     [omega_z - 2 pi 0.1 MHz, omega_z + 2 pi 0.2 MHz].  ``nbar`` defaults to
     the trap config occupation.  ``amplitude_bound`` (rad/s) optionally
-    caps max_p |Omega_p| during the polish.
+    caps max_p |Omega_p|: the seed and every ascent step must respect it.
     """
 
     pair: tuple
@@ -124,19 +130,20 @@ class _PairObjective:
 
     def __init__(self, spectrum, pair, times, mu, nbar, amplitude_bound):
         freqs = spectrum.frequencies
-        couplings = drive_couplings(spectrum)
+        self.couplings = drive_couplings(spectrum)
         l, n = pair
-        cl = couplings[l]
-        cn = couplings[n]
+        cl = self.couplings[l]
+        cn = self.couplings[n]
         self.S = first_order_integrals(times, mu, freqs)
-        self.G = pair_phase_matrix(times, mu, freqs, couplings, pair)
-        nbar = np.broadcast_to(np.asarray(nbar, dtype=float), freqs.shape)
-        w = 2.0 * nbar + 1.0
+        self.G = _pair_phase_matrix(self.S, times, mu, freqs, self.couplings,
+                                    pair)
+        self.nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
+                                    freqs.shape)
+        w = 2.0 * self.nbar + 1.0
         # rows: weights for |alpha_l|^2, |alpha_n|^2 and the two branch
         # combinations (c_l +/- c_n)^2; factor 2 from exp(-2 Gamma)
         self.branch_weights = 2.0 * w * np.array(
             [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
-        self.residual_weights = w * (cl ** 2 + cn ** 2)
         self.bound = amplitude_bound
 
     def phase(self, vec):
@@ -149,10 +156,15 @@ class _PairObjective:
             return None
         return np.sqrt(PHASE_TARGET / abs(q))
 
-    def seed_matrix(self):
-        """Thermally weighted residual-cost quadratic form, PSD."""
+    def exponents(self, vec, scale):
+        """Overlap exponents gamma_i of ``vec`` rescaled by ``scale``."""
+        return self.branch_weights @ (scale * scale
+                                      * np.abs(self.S @ vec) ** 2)
+
+    def residual_form(self, weights):
+        """sum_i weights[i] A_i, the reweighted residual-cost form (PSD)."""
         return np.real(self.S.conj().T
-                       * self.residual_weights[None, :] @ self.S)
+                       * (weights @ self.branch_weights)[None, :] @ self.S)
 
     def fidelity(self, vec):
         """Fidelity after phase locking; -1 flags an infeasible direction."""
@@ -161,83 +173,24 @@ class _PairObjective:
             return -1.0
         if self.bound is not None and s * np.abs(vec).max() > self.bound:
             return -1.0
-        power = s * s * np.abs(self.S @ vec) ** 2
-        gamma = self.branch_weights @ power
-        ex = np.exp(-gamma)
-        return 0.25 * (1.0 + ex[0] + ex[1] + 0.5 * (ex[2] + ex[3]))
+        return 0.25 * (1.0 + _BRANCH_COEFFS @ np.exp(-self.exponents(vec, s)))
 
 
-def _golden_line_search(f, lo, hi):
-    """Golden-section maximum of f on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _extremal_direction(objective, weights):
+    """Best extremal generalized eigenvector of (G, residual_form(weights)).
 
-
-def _polish(objective, seed, max_line_searches=_LINE_SEARCH_CAP):
-    """Monotone coordinate descent with golden-section line searches."""
-    vec = seed.copy()
-    best = objective.fidelity(vec)
-    searches = 0
-    while searches < max_line_searches:
-        sweep_gain = 0.0
-        for p in range(vec.size):
-            if searches >= max_line_searches:
-                break
-            searches += 1
-            span = 2.0 * np.abs(vec).max()
-
-            def along(x, p=p):
-                trial = vec.copy()
-                trial[p] = x
-                return objective.fidelity(trial)
-
-            x, fx = _golden_line_search(along, vec[p] - span, vec[p] + span)
-            if fx > best:
-                sweep_gain += fx - best
-                best = fx
-                vec[p] = x
-        if sweep_gain < _SWEEP_FTOL:
-            break
-    return vec, best
-
-
-def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
-                     amplitude_bound=None,
-                     max_line_searches=_LINE_SEARCH_CAP):
-    """Best phase-locked segment amplitudes at a fixed detuning.
-
-    Seeds with the extremal generalized eigenvectors of the phase form
-    against the thermally weighted residual cost.  Both signs of the
-    quadratic form are admissible (the two signs of the conditional phase
-    describe the same gate up to a local frame flip); of the available
-    signed candidates the one needing the smaller peak amplitude after
-    rescaling |phase| to pi/4 is kept, then polished monotonically on the
-    closed-form fidelity.  Returns (schedule, fidelity).  Raises
-    IndefiniteKernel when no drive direction produces any conditional
-    phase at this detuning (or none within the amplitude bound).
+    Both phase signs are admissible; the higher locked fidelity wins, ties
+    going to the smaller peak amplitude.  Returns (fidelity, sign-canonical
+    vector), or None when the form is not finite with positive trace or no
+    direction carries phase.
     """
-    if nbar is None:
-        nbar = spectrum.config.temperature_nbar
-    times = np.linspace(0.0, float(tau), int(segments) + 1)
-    objective = _PairObjective(spectrum, pair, times, float(mu), nbar,
-                               amplitude_bound)
-    M = objective.seed_matrix()
-    ridge = _RIDGE * max(np.trace(M) / M.shape[0], np.finfo(float).tiny)
+    B = objective.residual_form(weights)
+    trace = np.trace(B)
+    if not (np.all(np.isfinite(B)) and trace > 0.0):
+        return None
+    ridge = _RIDGE * trace / B.shape[0]
     evals, evecs = scipy.linalg.eigh(objective.G,
-                                     M + ridge * np.eye(M.shape[0]))
+                                     B + ridge * np.eye(B.shape[0]))
     candidates = []
     for idx in (-1, 0):  # most positive and most negative ratios
         vec = evecs[:, idx]
@@ -247,36 +200,73 @@ def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
             candidates.append((objective.fidelity(vec),
                                -scale * np.abs(vec).max(), idx, vec))
     if not candidates:
+        return None
+    fid, _, _, vec = max(candidates, key=lambda c: (c[0], c[1], c[2]))
+    return fid, _canonical_sign(vec)
+
+
+def _polish(objective, vec):
+    """Reweighted generalized-eigenvector ascent from ``vec`` (see the
+    module docstring); returns (vector, fidelity).
+
+    Stops when a step does not raise the fidelity (one past the amplitude
+    bound scores -1), gains less than _FTOL, or the reweighted form
+    vanishes because every overlap factor underflowed; at most _MAX_STEPS
+    steps.
+    """
+    fid = objective.fidelity(vec)
+    for _ in range(_MAX_STEPS):
+        gamma = objective.exponents(vec, objective.scale_for_target(vec))
+        step = _extremal_direction(objective, _BRANCH_COEFFS * np.exp(-gamma))
+        if step is None or not step[0] > fid:
+            break
+        gain = step[0] - fid
+        fid, vec = step
+        if gain < _FTOL:
+            break
+    return vec, fid
+
+
+def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
+                     amplitude_bound=None):
+    """Best phase-locked segment amplitudes at a fixed detuning.
+
+    The generalized-eigenvector seed, raised by the reweighted ascent of
+    the module docstring and rescaled so |phase| is pi/4.  Returns
+    (schedule, fidelity).  Raises IndefiniteKernel when no drive direction
+    produces any conditional phase at this detuning (or none within the
+    amplitude bound).
+    """
+    if nbar is None:
+        nbar = spectrum.config.temperature_nbar
+    times = np.linspace(0.0, float(tau), int(segments) + 1)
+    objective = _PairObjective(spectrum, pair, times, float(mu), nbar,
+                               amplitude_bound)
+    # step 0: every overlap exponent taken as zero
+    seed = _extremal_direction(objective, _BRANCH_COEFFS)
+    if seed is None:
         raise IndefiniteKernel(
             "no entangling phase achievable at mu = %.6g rad/s" % mu)
-    # best seed fidelity wins; equal-fidelity signs tie-break on the
-    # smaller peak amplitude
-    fid_seed, _, _, seed = max(candidates, key=lambda c: (c[0], c[1], c[2]))
-    if fid_seed < 0.0:
+    if seed[0] < 0.0:
         raise IndefiniteKernel(
             "no feasible drive within the amplitude bound at mu = %.6g rad/s"
             % mu)
-    seed = _canonical_sign(seed)
-    vec, _ = _polish(objective, seed, max_line_searches)
+    vec, _ = _polish(objective, seed[1])
     scale = objective.scale_for_target(vec)
-    amplitudes = _canonical_sign(scale * vec)
+    amplitudes = scale * vec
     schedule = PulseSchedule(times=times, amplitudes=amplitudes,
                              mu=float(mu), target_pair=pair)
-    couplings = drive_couplings(spectrum)
-    freqs = spectrum.frequencies
     l, n = pair
     phi = objective.phase(amplitudes)
     target = PHASE_TARGET if phi >= 0.0 else -PHASE_TARGET
-    alpha_l = 1j * couplings[l] * (objective.S @ amplitudes)
-    alpha_n = 1j * couplings[n] * (objective.S @ amplitudes)
-    fidelity = thermal_fidelity(phi, alpha_l, alpha_n,
-                                np.broadcast_to(np.asarray(nbar, dtype=float),
-                                                freqs.shape),
+    alpha_l = 1j * objective.couplings[l] * (objective.S @ amplitudes)
+    alpha_n = 1j * objective.couplings[n] * (objective.S @ amplitudes)
+    fidelity = thermal_fidelity(phi, alpha_l, alpha_n, objective.nbar,
                                 target_phase=target)
     return schedule, float(fidelity)
 
 
-def detuning_scan(spectrum, problem, max_line_searches=_LINE_SEARCH_CAP):
+def detuning_scan(spectrum, problem):
     """Solve the amplitude problem on every grid detuning, keep the best.
 
     The grid must lie in (0, 2 omega_z].  Per-point failures are recorded
@@ -298,8 +288,7 @@ def detuning_scan(spectrum, problem, max_line_searches=_LINE_SEARCH_CAP):
         try:
             sched, fid = solve_amplitudes(
                 spectrum, problem.pair, problem.tau, problem.segment_count,
-                mu, nbar=nbar, amplitude_bound=problem.amplitude_bound,
-                max_line_searches=max_line_searches)
+                mu, nbar=nbar, amplitude_bound=problem.amplitude_bound)
         except (IndefiniteKernel, scipy.linalg.LinAlgError,
                 np.linalg.LinAlgError):
             continue
@@ -422,8 +411,7 @@ def default_pair_list(crystal, count=10):
 
 
 def table_one(crystal, omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
-              tau=50e-6, segments=5, pair_count=10, mu_grid=None,
-              max_line_searches=_LINE_SEARCH_CAP):
+              tau=50e-6, segments=5, pair_count=10, mu_grid=None):
     """Benchmark gate design across pair separations and radial traps.
 
     Returns a list of TableRow, ordered by radial frequency then pair rank.
@@ -441,8 +429,7 @@ def table_one(crystal, omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
         for rank, pair in enumerate(pairs, start=1):
             problem = OptimizationProblem(
                 pair=pair, tau=tau, segment_count=segments, mu_grid=mu_grid)
-            result = detuning_scan(spectrum, problem,
-                                   max_line_searches=max_line_searches)
+            result = detuning_scan(spectrum, problem)
             l, n = pair
             sep = float(np.hypot(*(coords[l] - coords[n])))
             rows.append(TableRow(

@@ -20,21 +20,20 @@ class TestBuildMatrices:
     def test_axial_row_sums(self):
         # Uniform axial translation feels only the trap: rows sum to beta^2.
         c = solve(7, beta=10.0)
-        mats = md.build_matrices(c)
-        assert np.allclose(mats.zz.sum(axis=1), 100.0, atol=1e-10)
+        zz = md.build_matrices(c)
+        assert np.allclose(zz.sum(axis=1), 100.0, atol=1e-10)
 
     def test_two_ion_entries(self):
         # d^3 = 2, so off-diagonal 1/d^3 = 0.5, diagonal beta^2 - 0.5.
         c = solve(2, beta=3.0)
-        zz = md.build_matrices(c).zz
+        zz = md.build_matrices(c)
         assert zz[0, 1] == pytest.approx(0.5, rel=1e-10)
         assert zz[0, 0] == pytest.approx(9.0 - 0.5, rel=1e-10)
 
     def test_beta_override(self):
         c = solve(3, beta=5.0)
-        a = md.build_matrices(c, beta=7.0)
-        assert a.beta == 7.0
-        assert np.allclose(a.zz.sum(axis=1), 49.0, atol=1e-10)
+        zz = md.build_matrices(c, beta=7.0)
+        assert np.allclose(zz.sum(axis=1), 49.0, atol=1e-10)
 
     def test_laplacian_psd_with_zero_mode(self):
         c = solve(9)

@@ -2,10 +2,11 @@
 
 The segment-amplitude solver and the detuning scan are exercised on a
 7-ion crystal where every solve takes milliseconds.  Contract checks: the
-phase rescale is exact, the polish never loses fidelity against its seed,
-scans are deterministic and bounded by 1, and a larger control space
-cannot do worse on the same grid.  Selector and serialization logic gets
-synthetic inputs.
+phase rescale is exact, the polish never loses fidelity against its seed
+and ends at a stationary point of the locked fidelity (checked over a
+19-ion scan), scans are deterministic and bounded by 1, and a larger
+control space cannot do worse on the same grid.  Selector and
+serialization logic gets synthetic inputs.
 """
 
 import numpy as np
@@ -73,12 +74,44 @@ class TestSolveAmplitudes:
         assert fid == pytest.approx(report.fidelity, abs=1e-12)
         assert 0.0 <= fid <= 1.0
 
+    def objective(self, spectrum):
+        times = np.linspace(0.0, 50e-6, 6)
+        return op._PairObjective(spectrum, (0, 1), times, self.MU,
+                                 spectrum.config.temperature_nbar, None)
+
+    def test_objective_forms_match_public_kernels(self, spectrum7):
+        # the objective builds G from its own S; both stay bitwise equal to
+        # the public kernel functions
+        objective = self.objective(spectrum7)
+        times = np.linspace(0.0, 50e-6, 6)
+        freqs = spectrum7.frequencies
+        assert np.array_equal(objective.S, gt.first_order_integrals(
+            times, self.MU, freqs))
+        assert np.array_equal(objective.G, gt.pair_phase_matrix(
+            times, self.MU, freqs, gt.drive_couplings(spectrum7), (0, 1)))
+
     def test_polish_never_below_seed(self, spectrum7):
-        _, seed_fid = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
-                                          self.MU, max_line_searches=0)
+        # step 0 of the ascent takes every overlap exponent as zero
+        seed_fid, _ = op._extremal_direction(self.objective(spectrum7),
+                                             op._BRANCH_COEFFS)
         _, polished = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
                                           self.MU)
         assert polished >= seed_fid - 1e-12
+
+    def test_polish_keeps_vector_when_overlaps_underflow(self, spectrum7):
+        # balancing the most positive and most negative phase directions
+        # cancels the phase to rounding level; locking that to pi/4 drives
+        # every overlap exponent past the exp underflow, so the reweighted
+        # residual form vanishes and the ascent must stop where it is
+        objective = self.objective(spectrum7)
+        evals, evecs = np.linalg.eigh(objective.G)
+        vec = (np.sqrt(-evals[0]) * evecs[:, -1]
+               + np.sqrt(evals[-1]) * evecs[:, 0])
+        gamma = objective.exponents(vec, objective.scale_for_target(vec))
+        assert np.all(np.exp(-gamma) == 0.0)
+        out, fid = op._polish(objective, vec)
+        assert np.array_equal(out, vec)
+        assert fid == objective.fidelity(vec)
 
     def test_decoupled_pair_raises(self, spectrum7):
         # localized single-ion fake modes give the pair no shared mode, so
@@ -172,6 +205,31 @@ class TestDetuningScan:
                                              segment_count=m, mu_grid=grid)
             best[m] = op.detuning_scan(spectrum7, problem).best_fidelity
         assert best[10] >= best[5] - 1e-6
+
+
+class TestStationarity:
+    def test_scan_points_are_stationary(self):
+        # at every grid point the returned drive is a stationary point of
+        # the locked fidelity: its central-difference gradient, projected
+        # off the scale direction it is invariant along, vanishes
+        config = cr.TrapConfig(ion_count=19, omega_r=TWO_PI * 0.2e6,
+                               omega_z=WZ, temperature_nbar=0.1)
+        spectrum = md.axial_spectrum(cr.solve_equilibrium(config))
+        pair = (0, 15)
+        times = np.linspace(0.0, 50e-6, 6)
+        h = 1e-6
+        worst = 0.0
+        for mu in op.default_mu_grid(WZ):
+            sched, _ = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu)
+            objective = op._PairObjective(spectrum, pair, times, float(mu),
+                                          0.1, None)
+            vec = sched.amplitudes / np.linalg.norm(sched.amplitudes)
+            grad = np.array([(objective.fidelity(vec + h * e)
+                              - objective.fidelity(vec - h * e)) / (2 * h)
+                             for e in np.eye(vec.size)])
+            grad -= (grad @ vec) * vec
+            worst = max(worst, float(np.linalg.norm(grad)))
+        assert worst < 1e-4
 
 
 def synthetic_result(fidelities, mu_lo=1.0, mu_hi=2.0):
