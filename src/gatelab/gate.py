@@ -14,7 +14,9 @@ branch and mode is a displacement D(A) times a phase; the inter-branch
 second-order time integrals of sin(mu t) e^{i omega t} over the segments.
 Everything here evaluates those integrals in closed form, with series
 fallbacks where the closed forms lose precision, so detuning scans can hit
-exact resonances without special-casing.
+exact resonances without special-casing.  The series are evaluated only on
+the entries that select them, and the segment integrals accept an array of
+detunings, so a scan builds the kernels of its whole grid in one call.
 """
 
 from dataclasses import dataclass
@@ -146,54 +148,57 @@ def _moments(a, h, jmax):
 
     Integration by parts gives M_j = (h^j e^{iah} - j M_{j-1}) / (ia), which
     cancels badly for |a h| << 1; there a short Taylor series in (iah) is
-    exact to rounding.
+    exact to rounding.  The series is evaluated only on those entries.
+    ``a`` and ``h`` are float arrays of one shape.
     """
-    a = np.asarray(a, dtype=float)
-    h = np.asarray(h, dtype=float)
-    a, h = np.broadcast_arrays(a, h)
     small = np.abs(a * h) < _SERIES_THRESHOLD
     ia = 1j * np.where(small, 1.0, a)  # safe divisor off the small branch
-    z = 1j * a * h
     eah = np.exp(1j * a * h)
+    sel = np.nonzero(small)
+    h_sel = h[sel]
+    z = 1j * a[sel] * h_sel
 
     out = np.empty((jmax + 1,) + a.shape, dtype=complex)
     out[0] = _e0(a, h)
     hpow = np.ones_like(h)
     for j in range(1, jmax + 1):
         hpow = hpow * h
-        recur = (hpow * eah - j * out[j - 1]) / ia
+        out[j] = (hpow * eah - j * out[j - 1]) / ia
         # Taylor: M_j = h^{j+1} sum_k z^k / (k! (j+k+1))
         term = np.ones_like(z)
         series = term / (j + 1)
         for k in range(1, _TAYLOR_TERMS + 1):
             term = term * z / k
             series = series + term / (j + k + 1)
-        out[j] = np.where(small, hpow * h * series, recur)
+        out[j][sel] = hpow[sel] * h_sel * series
     return out
 
 
-def _k_kernel(a, b, h):
+def _k_kernel(a, b, h, e0_a):
     """K = integral_0^h e^{i a s2} integral_0^{s2} e^{i b s1} ds1 ds2.
 
-    Generic form [E0(a+b) - E0(a)] / (ib); for |b h| small the difference
-    cancels, so expand the inner integral in powers of (ib) instead.
+    Generic form [E0(a+b) - E0(a)] / (ib), with ``e0_a`` = E0(a) =
+    ``_e0(a, h)`` passed in so kernels sharing ``a`` compute it once.  For
+    |b h| small the difference cancels; on those entries alone the inner
+    integral is expanded in powers of (ib) instead.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    h = np.asarray(h, dtype=float)
     a, b, h = np.broadcast_arrays(a, b, h)
     small = np.abs(b * h) < _SERIES_THRESHOLD
-    b_safe = np.where(small, 1.0, b)
-    generic = (_e0(a + b, h) - _e0(a, h)) / (1j * b_safe)
+    out = _e0(a + b, h)
+    out -= e0_a
+    out /= 1j * np.where(small, 1.0, b)
 
-    moments = _moments(a, h, _SERIES_TERMS)
-    series = np.zeros_like(generic)
-    coeff = np.ones_like(b, dtype=complex)  # (ib)^{j-1} / j!
+    sel = np.nonzero(small)
+    b_sel = b[sel]
+    moments = _moments(a[sel], h[sel], _SERIES_TERMS)
+    series = np.zeros(b_sel.shape, dtype=complex)
+    coeff = np.ones(b_sel.shape, dtype=complex)  # (ib)^{j-1} / j!
     for j in range(1, _SERIES_TERMS + 1):
         coeff = coeff / j
         series = series + coeff * moments[j]
-        coeff = coeff * (1j * b)
-    return np.where(small, series, generic)
+        coeff = coeff * (1j * b_sel)
+    out[sel] = series
+    return out
 
 
 def _sin_exp_segment(omega, mu, t_start, h):
@@ -205,8 +210,13 @@ def _sin_exp_segment(omega, mu, t_start, h):
 
 
 def first_order_integrals(times, mu, frequencies):
-    """S[k, p] = integral over segment p of sin(mu t) e^{i omega_k t} dt."""
+    """S[k, p] = integral over segment p of sin(mu t) e^{i omega_k t} dt.
+
+    An array of detunings ``mu`` stacks one S per detuning: the result has
+    shape mu.shape + (K, P).
+    """
     times = np.asarray(times, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
     omega = np.asarray(frequencies, dtype=float)
     t_start = times[:-1][None, :]
     h = np.diff(times)[None, :]
@@ -215,17 +225,26 @@ def first_order_integrals(times, mu, frequencies):
 
 def _triangle_integrals(times, mu, frequencies):
     """T[k, p]: ordered double integral of sin(mu s2) sin(mu s1)
-    sin(omega_k (s2 - s1)) over the triangle t_p < s1 < s2 < t_{p+1}."""
+    sin(omega_k (s2 - s1)) over the triangle t_p < s1 < s2 < t_{p+1}.
+
+    Stacks over an array ``mu`` as :func:`first_order_integrals` does.
+    """
     times = np.asarray(times, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
     omega = np.asarray(frequencies, dtype=float)[:, None]
     ta = times[:-1][None, :]
     h = np.diff(times)[None, :]
     phase = np.exp(2j * mu * ta)
-    k1 = phase * _k_kernel(omega + mu, mu - omega, h)
-    k2 = _k_kernel(omega + mu, -mu - omega, h)
-    k3 = _k_kernel(omega - mu, mu - omega, h)
-    k4 = np.conj(phase) * _k_kernel(omega - mu, -mu - omega, h)
-    return -0.25 * np.imag(k1 - k2 - k3 + k4)
+    plus = omega + mu
+    minus = omega - mu
+    e0_plus = _e0(plus, h)
+    e0_minus = _e0(minus, h)
+    # k1 - k2 - k3 + k4, accumulated in place
+    acc = phase * _k_kernel(plus, -minus, h, e0_plus)
+    acc -= _k_kernel(plus, -plus, h, e0_plus)
+    acc -= _k_kernel(minus, -minus, h, e0_minus)
+    acc += np.conj(phase) * _k_kernel(minus, -plus, h, e0_minus)
+    return -0.25 * np.imag(acc)
 
 
 def phase_kernels(times, mu, frequencies):
@@ -238,16 +257,17 @@ def phase_kernels(times, mu, frequencies):
     (p later than q) evenly across (p, q) and (q, p).
     """
     return _phase_kernels(first_order_integrals(times, mu, frequencies),
-                          times, mu, frequencies)
+                          _triangle_integrals(times, mu, frequencies))
 
 
-def _phase_kernels(S, times, mu, frequencies):
-    """:func:`phase_kernels` given the first-order integrals ``S``."""
+def _phase_kernels(S, T):
+    """:func:`phase_kernels` from the first-order integrals ``S`` and the
+    triangle integrals ``T`` at one detuning."""
     rect = np.imag(S[:, :, None] * np.conj(S[:, None, :]))  # [k, p, q]
     lower = np.tril(rect, k=-1)
     G = 0.5 * (lower + np.transpose(lower, (0, 2, 1)))
     p_idx = np.arange(S.shape[1])
-    G[:, p_idx, p_idx] = _triangle_integrals(times, mu, frequencies)
+    G[:, p_idx, p_idx] = T
     return G
 
 
@@ -296,16 +316,25 @@ def entangling_phase(schedule, couplings, frequencies, pair):
 
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):
     """Quadratic-form matrix G with phi = Omega^T G Omega for one pair."""
-    return _pair_phase_matrix(first_order_integrals(times, mu, frequencies),
-                              times, mu, frequencies, couplings, pair)
+    return _pair_kernels(times, mu, frequencies, couplings, pair)[1]
 
 
-def _pair_phase_matrix(S, times, mu, frequencies, couplings, pair):
-    """:func:`pair_phase_matrix` given the first-order integrals ``S``."""
+def _pair_kernels(times, mu, frequencies, couplings, pair):
+    """(S, G): :func:`first_order_integrals` and :func:`pair_phase_matrix`
+    at the detunings ``mu``, built together.
+
+    S and the triangle integrals are built for every detuning at once; each
+    detuning's G is then contracted over modes on its own, in the order
+    :func:`phase_kernels` gives, and the triangle integrals are dropped.
+    """
+    S = first_order_integrals(times, mu, frequencies)
+    T = _triangle_integrals(times, mu, frequencies)
     l, n = pair
-    kernels = _phase_kernels(S, times, mu, frequencies)
     weights = 2.0 * couplings[l] * couplings[n]
-    return np.einsum("k,kpq->pq", weights, kernels)
+    G = np.empty(S.shape[:-2] + 2 * S.shape[-1:])
+    for i in np.ndindex(S.shape[:-2]):
+        G[i] = np.einsum("k,kpq->pq", weights, _phase_kernels(S[i], T[i]))
+    return S, G
 
 
 _BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))

@@ -10,7 +10,8 @@ a lower bound of the fidelity touching it there, maximized by an extremal
 generalized eigenvector of G against the reweighted form (a
 minorize-maximize step, so the fidelity never drops).  With all gamma_i = 0
 that form is the plain residual cost, so the seed is step 0.  A detuning
-scan repeats this over a grid of mu and keeps the best point;
+scan builds the segment kernels once for its whole grid of mu, repeats the
+solve at every point with that point's slice and keeps the best point;
 failed points (no positive-phase direction at that mu) are recorded with
 fidelity zero rather than aborting the scan.
 """
@@ -22,9 +23,8 @@ import scipy.linalg
 
 from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
-from .gate import (GateReport, PulseSchedule, _pair_phase_matrix,
-                   drive_couplings, first_order_integrals, gate_report,
-                   thermal_fidelity, TWO_PI)
+from .gate import (GateReport, PulseSchedule, _pair_kernels,
+                   drive_couplings, gate_report, thermal_fidelity, TWO_PI)
 from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
@@ -117,6 +117,20 @@ def _canonical_sign(vec):
     return -vec if vec[idx] < 0.0 else vec
 
 
+def _segment_times(tau, segments):
+    """Boundaries of ``segments`` equal segments spanning [0, tau]."""
+    return np.linspace(0.0, float(tau), int(segments) + 1)
+
+
+def _grid_kernels(spectrum, pair, times, grid):
+    """(couplings, S, G) for the pair at every detuning of ``grid``, built
+    in one call; S and G carry the grid axis first."""
+    couplings = drive_couplings(spectrum)
+    S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
+                         spectrum.frequencies, couplings, pair)
+    return couplings, S, G
+
+
 class _PairObjective:
     """Closed-form fidelity of the phase-locked drive direction.
 
@@ -126,19 +140,23 @@ class _PairObjective:
     inter-branch geometric terms cancel and the fidelity reduces to four
     thermally weighted Gaussian overlap factors of the residual
     displacements.  Scale-invariant in the trial vector.
+
+    ``kernels`` = (couplings, S, G) at ``mu``, sliced from
+    :func:`_grid_kernels` of a whole scan; without it the objective builds
+    them through the same call on the one-point grid [mu].
     """
 
-    def __init__(self, spectrum, pair, times, mu, nbar, amplitude_bound):
-        freqs = spectrum.frequencies
-        self.couplings = drive_couplings(spectrum)
+    def __init__(self, spectrum, pair, times, mu, nbar, amplitude_bound,
+                 kernels=None):
+        if kernels is None:
+            couplings, S, G = _grid_kernels(spectrum, pair, times, [mu])
+            kernels = couplings, S[0], G[0]
+        self.couplings, self.S, self.G = kernels
         l, n = pair
         cl = self.couplings[l]
         cn = self.couplings[n]
-        self.S = first_order_integrals(times, mu, freqs)
-        self.G = _pair_phase_matrix(self.S, times, mu, freqs, self.couplings,
-                                    pair)
         self.nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
-                                    freqs.shape)
+                                    spectrum.frequencies.shape)
         w = 2.0 * self.nbar + 1.0
         # rows: weights for |alpha_l|^2, |alpha_n|^2 and the two branch
         # combinations (c_l +/- c_n)^2; factor 2 from exp(-2 Gamma)
@@ -228,20 +246,21 @@ def _polish(objective, vec):
 
 
 def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
-                     amplitude_bound=None):
+                     amplitude_bound=None, _kernels=None):
     """Best phase-locked segment amplitudes at a fixed detuning.
 
     The generalized-eigenvector seed, raised by the reweighted ascent of
     the module docstring and rescaled so |phase| is pi/4.  Returns
     (schedule, fidelity).  Raises IndefiniteKernel when no drive direction
     produces any conditional phase at this detuning (or none within the
-    amplitude bound).
+    amplitude bound).  ``_kernels`` is the scan's private route: this
+    detuning's slice of the grid kernels (see :class:`_PairObjective`).
     """
     if nbar is None:
         nbar = spectrum.config.temperature_nbar
-    times = np.linspace(0.0, float(tau), int(segments) + 1)
+    times = _segment_times(tau, segments)
     objective = _PairObjective(spectrum, pair, times, float(mu), nbar,
-                               amplitude_bound)
+                               amplitude_bound, _kernels)
     # step 0: every overlap exponent taken as zero
     seed = _extremal_direction(objective, _BRANCH_COEFFS)
     if seed is None:
@@ -266,21 +285,20 @@ def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
     return schedule, float(fidelity)
 
 
-def detuning_scan(spectrum, problem):
-    """Solve the amplitude problem on every grid detuning, keep the best.
+def _scan_grid(spectrum, problem):
+    """The grid loop of :func:`detuning_scan`: its result without the
+    best point's report.
 
-    The grid must lie in (0, 2 omega_z].  Per-point failures are recorded
-    as fidelity 0 and do not abort the scan; if every point fails the
-    result carries no schedule.
+    The kernels are built once for the whole grid, and each point's
+    :func:`solve_amplitudes` call gets its slice.
     """
     grid = problem.mu_grid
     if grid is None:
         grid = default_mu_grid(spectrum.config.omega_z)
     if np.any(grid <= 0.0) or np.any(grid > 2.0 * spectrum.config.omega_z):
         raise ValueError("mu grid must lie in (0, 2 omega_z]")
-    nbar = problem.nbar
-    if nbar is None:
-        nbar = spectrum.config.temperature_nbar
+    times = _segment_times(problem.tau, problem.segment_count)
+    couplings, S, G = _grid_kernels(spectrum, problem.pair, times, grid)
     fidelities = np.zeros(grid.size)
     max_amps = np.zeros(grid.size)
     schedules = [None] * grid.size
@@ -288,7 +306,8 @@ def detuning_scan(spectrum, problem):
         try:
             sched, fid = solve_amplitudes(
                 spectrum, problem.pair, problem.tau, problem.segment_count,
-                mu, nbar=nbar, amplitude_bound=problem.amplitude_bound)
+                mu, nbar=problem.nbar, amplitude_bound=problem.amplitude_bound,
+                _kernels=(couplings, S[i], G[i]))
         except (IndefiniteKernel, scipy.linalg.LinAlgError,
                 np.linalg.LinAlgError):
             continue
@@ -296,20 +315,32 @@ def detuning_scan(spectrum, problem):
         max_amps[i] = sched.max_amplitude
         schedules[i] = sched
     best = int(np.argmax(fidelities))
-    if schedules[best] is None:
-        return OptimizationResult(
-            pair=problem.pair, tau=problem.tau,
-            segment_count=problem.segment_count, mu_grid=grid,
-            fidelities=fidelities, max_amplitudes=max_amps, best_index=-1,
-            best_schedule=None, best_fidelity=0.0, best_report=None)
-    report = gate_report(schedules[best], spectrum, problem.pair, nbar=nbar,
-                         include_response=True)
     return OptimizationResult(
         pair=problem.pair, tau=problem.tau,
         segment_count=problem.segment_count, mu_grid=grid,
-        fidelities=fidelities, max_amplitudes=max_amps, best_index=best,
+        fidelities=fidelities, max_amplitudes=max_amps,
+        best_index=best if schedules[best] is not None else -1,
         best_schedule=schedules[best], best_fidelity=float(fidelities[best]),
-        best_report=report)
+        best_report=None)
+
+
+def detuning_scan(spectrum, problem):
+    """Solve the amplitude problem on every grid detuning, keep the best.
+
+    The grid must lie in (0, 2 omega_z].  The segment kernels are built
+    once for the whole grid.  Per-point failures are recorded as fidelity
+    0 and do not abort the scan; if every point fails the result carries
+    no schedule.
+    """
+    result = _scan_grid(spectrum, problem)
+    if not result.feasible:
+        return result
+    nbar = problem.nbar
+    if nbar is None:
+        nbar = spectrum.config.temperature_nbar
+    report = gate_report(result.best_schedule, spectrum, problem.pair,
+                         nbar=nbar, include_response=True)
+    return replace(result, best_report=report)
 
 
 def _local_maxima(result, window):
@@ -429,7 +460,7 @@ def table_one(crystal, omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
         for rank, pair in enumerate(pairs, start=1):
             problem = OptimizationProblem(
                 pair=pair, tau=tau, segment_count=segments, mu_grid=mu_grid)
-            result = detuning_scan(spectrum, problem)
+            result = _scan_grid(spectrum, problem)
             l, n = pair
             sep = float(np.hypot(*(coords[l] - coords[n])))
             rows.append(TableRow(

@@ -224,6 +224,27 @@ class TestDeterminism:
         rows = op.read_table(os.path.join(out, "table.tsv"))
         assert len(rows) == 4  # two pairs in each of the two default traps
 
+    def test_table_builds_one_gate_report(self, tmp_path, monkeypatch):
+        """Only the main scan's best point gets a gate report; the table
+        rows read the grid loop alone."""
+        reports = []
+        original = gt.gate_report
+
+        def counting(*args, **kwargs):
+            reports.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gt, "gate_report", counting)
+        monkeypatch.setattr(op, "gate_report", counting)
+        config = write_config(
+            tmp_path, "ion_count = 19\nomega_r_hz = 0.2e6\n"
+                      "omega_z_hz = 10e6\nsegments = 4\n"
+                      "mu_grid_points = 3\ntable = true\npair_count = 2\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["optimize", "--config", config, "--out", out]) == 0
+        assert len(reports) == 1
+        assert len(op.read_table(os.path.join(out, "table.tsv"))) == 4
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)
         out = str(tmp_path / "seeded")

@@ -71,16 +71,56 @@ class TestTriangleIntegrals:
         mu = 12.0
         times = np.array([0.0, 0.7, 1.5])
         T = gt._triangle_integrals(times, mu, [omega])
+        # mu again inside an array of detunings, next to a far one
+        batched = gt._triangle_integrals(times, np.array([40.0, mu]),
+                                         [omega])[1]
         for p in range(2):
             want = quad_triangle(mu, omega, times[p], times[p + 1])
             assert T[0, p] == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert batched[0, p] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_degenerate_all_small(self):
         # omega = mu tiny makes every exponent in the kernel small at once
         mu = 1e-4
         T = gt._triangle_integrals([0.0, 1.0], mu, [mu])
+        batched = gt._triangle_integrals([0.0, 1.0], np.array([40.0, mu]),
+                                         [mu])[1]
         want = quad_triangle(mu, mu, 0.0, 1.0)
         assert T[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
+        assert batched[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
+
+
+class TestBatchedKernels:
+    def test_batched_equals_per_detuning(self):
+        # one grid holding an exact resonance mu = omega_k and detunings
+        # with |b h| = |mu - omega_k| h just below and just above the series
+        # threshold, so both branches mix inside one batch
+        times = np.array([0.0, 0.5, 1.0, 1.5])
+        omega = np.array([3.1, 12.0, 12.9])
+        edge = gt._SERIES_THRESHOLD / 0.5
+        grid = np.array([2.0, 12.0, 12.0 + edge * (1 - 1e-6),
+                         12.0 - edge * (1 + 1e-6), 12.9 - edge * (1 - 1e-6),
+                         12.9 + edge * (1 + 1e-6), 20.0])
+        bh = np.abs(grid[:, None] - omega[None, :]) * 0.5
+        small = bh < gt._SERIES_THRESHOLD
+        assert small.any() and not small.all()
+        assert np.any(np.abs(bh[small] - gt._SERIES_THRESHOLD) < 1e-8)
+        assert np.any(np.abs(bh[~small] - gt._SERIES_THRESHOLD) < 1e-8)
+
+        couplings = np.array([[0.6, -0.3, 0.2], [0.5, 0.4, -0.7]])
+        pair = (0, 1)
+        S = gt.first_order_integrals(times, grid, omega)
+        T = gt._triangle_integrals(times, grid, omega)
+        S2, G = gt._pair_kernels(times, grid, omega, couplings, pair)
+        assert S.shape == (grid.size, omega.size, times.size - 1)
+        assert np.array_equal(S2, S)
+        for i, mu in enumerate(grid):
+            assert np.array_equal(
+                S[i], gt.first_order_integrals(times, float(mu), omega))
+            assert np.array_equal(
+                T[i], gt._triangle_integrals(times, float(mu), omega))
+            assert np.array_equal(G[i], gt.pair_phase_matrix(
+                times, float(mu), omega, couplings, pair))
 
 
 class TestPhaseKernels:

@@ -207,6 +207,45 @@ class TestDetuningScan:
         assert best[10] >= best[5] - 1e-6
 
 
+class TestOneCodePath:
+    def test_scan_point_equals_one_point_solve(self, monkeypatch):
+        # the scan hands each solve its slice of the grid kernels; a
+        # one-point call builds its own, and both must agree bitwise
+        config = cr.TrapConfig(ion_count=19, omega_r=TWO_PI * 0.2e6,
+                               omega_z=WZ, temperature_nbar=0.1)
+        spectrum = md.axial_spectrum(cr.solve_equilibrium(config))
+        pair = (0, 15)
+        grid = op.default_mu_grid(WZ)
+        solved = {}
+        original = op.solve_amplitudes
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            solved[float(args[4])] = out
+            return out
+
+        monkeypatch.setattr(op, "solve_amplitudes", recording)
+        result = op.detuning_scan(spectrum, op.OptimizationProblem(
+            pair=pair, tau=50e-6, segment_count=5, mu_grid=grid))
+        monkeypatch.undo()
+        for i, mu in enumerate(grid):
+            try:
+                sched, fid = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu)
+            except IndefiniteKernel:
+                assert float(mu) not in solved
+                assert result.fidelities[i] == 0.0
+                continue
+            scanned, scanned_fid = solved[float(mu)]
+            assert np.array_equal(sched.amplitudes, scanned.amplitudes)
+            assert sched.mu == scanned.mu
+            assert fid == scanned_fid == result.fidelities[i]
+            assert sched.max_amplitude == result.max_amplitudes[i]
+        assert len(solved) == np.count_nonzero(result.fidelities)
+        best = result.best_index
+        assert np.array_equal(result.best_schedule.amplitudes,
+                              solved[float(grid[best])][0].amplitudes)
+
+
 class TestStationarity:
     def test_scan_points_are_stationary(self):
         # at every grid point the returned drive is a stationary point of
