@@ -7,7 +7,10 @@ with optional ``--out <dir>``, ``--cache <dir>`` and ``--seed <int>``
 A flat ``key = value`` config file drives every subcommand; unknown or
 malformed keys are rejected with their line number.  Every run emits tab
 separated tables with '#' header metadata plus a deterministic
-``summary.json``; identical config and seed give byte-identical files.
+``summary.json``; identical config and seed give byte-identical files at
+a fixed BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS=1``): the crystal
+solve rounds differently with another thread count, and every artifact
+downstream of it follows.
 Solved crystals can be cached (``--cache``) and are re-dressed for the
 requested trap on reuse, which is exact because the dimensionless planar
 equilibrium depends only on the ion count.
@@ -20,7 +23,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +42,10 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of one flat config file (frequencies in plain Hz)."""
+    """Typed view of one flat config file (frequencies in plain Hz).
+
+    Each field is one config key; its annotation picks the parser.
+    """
 
     ion_count: int = 0
     omega_r_hz: float = 0.0
@@ -47,11 +53,11 @@ class RunConfig:
     ion_mass_kg: float = cr.MASS_BE9
     charge_c: float = cr.ELEMENTARY_CHARGE
     nbar: float = 0.1
-    n_series: tuple = (7, 19, 37, 61, 91, 127, 169, 217)
-    stability_n_series: tuple = (7, 19, 37, 61, 91, 127)
-    beta_values: tuple = ()
-    dmin_targets_m: tuple = (5e-6, 20e-6)
-    pair: tuple = ()
+    n_series: tuple[int, ...] = (7, 19, 37, 61, 91, 127, 169, 217)
+    stability_n_series: tuple[int, ...] = (7, 19, 37, 61, 91, 127)
+    beta_values: tuple[float, ...] = ()
+    dmin_targets_m: tuple[float, ...] = (5e-6, 20e-6)
+    pair: tuple[int, ...] = ()
     tau_s: float = 50e-6
     segments: int = 5
     mu_grid_points: int = 301
@@ -60,7 +66,7 @@ class RunConfig:
     amplitude_bound_hz: float = 0.0
     table: bool = False
     pair_count: int = 10
-    omega_r_table_hz: tuple = (0.2e6, 1.0e6)
+    omega_r_table_hz: tuple[float, ...] = (0.2e6, 1.0e6)
     response_samples: int = 2000
     schedule_file: str = ""
     output_dir: str = "gatelab-out"
@@ -95,41 +101,15 @@ def _parse_list(text, item):
 
 
 _PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _parse_bool,
-    "str": lambda text: text,
-    "int_list": lambda text: _parse_list(text, _parse_int),
-    "float_list": lambda text: _parse_list(text, _parse_float),
+    int: _parse_int,
+    float: _parse_float,
+    bool: _parse_bool,
+    str: str,
+    tuple[int, ...]: lambda text: _parse_list(text, _parse_int),
+    tuple[float, ...]: lambda text: _parse_list(text, _parse_float),
 }
 
-_SCHEMA = {
-    "ion_count": "int",
-    "omega_r_hz": "float",
-    "omega_z_hz": "float",
-    "ion_mass_kg": "float",
-    "charge_c": "float",
-    "nbar": "float",
-    "n_series": "int_list",
-    "stability_n_series": "int_list",
-    "beta_values": "float_list",
-    "dmin_targets_m": "float_list",
-    "pair": "int_list",
-    "tau_s": "float",
-    "segments": "int",
-    "mu_grid_points": "int",
-    "mu_below_hz": "float",
-    "mu_above_hz": "float",
-    "amplitude_bound_hz": "float",
-    "table": "bool",
-    "pair_count": "int",
-    "omega_r_table_hz": "float_list",
-    "response_samples": "int",
-    "schedule_file": "str",
-    "output_dir": "str",
-    "cache_dir": "str",
-    "seed": "int",
-}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 _POSITIVE_KEYS = ("omega_r_hz", "omega_z_hz", "ion_mass_kg", "charge_c",
                   "tau_s", "segments", "mu_grid_points", "response_samples",
@@ -157,12 +137,12 @@ def parse_config(path):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _SCHEMA:
+        if key not in _KEY_PARSERS:
             raise ConfigError("line %d: unknown key '%s'" % (lineno, key))
         if key in values:
             raise ConfigError("line %d: duplicate key '%s'" % (lineno, key))
         try:
-            values[key] = _PARSERS[_SCHEMA[key]](text)
+            values[key] = _KEY_PARSERS[key](text)
         except ValueError as exc:
             raise ConfigError("line %d: bad value for '%s': %s"
                               % (lineno, key, exc))
@@ -505,11 +485,15 @@ def cmd_optimize(config, out_dir, cache_dir, args):
 
 
 _COMMANDS = {
-    "equilibrium": cmd_equilibrium,
-    "scaling": cmd_scaling,
-    "modes": cmd_modes,
-    "gate": cmd_gate,
-    "optimize": cmd_optimize,
+    "equilibrium": (cmd_equilibrium,
+                    "solve the planar equilibrium and emit positions"),
+    "scaling": (cmd_scaling,
+                "minimum-spacing series, power-law fit, trap targets"),
+    "modes": (cmd_modes,
+              "axial spectrum, critical anisotropy, uniform-mode gap"),
+    "gate": (cmd_gate, "evaluate a pulse schedule into a gate report"),
+    "optimize": (cmd_optimize,
+                 "scan detunings for the best segmented drive"),
 }
 
 
@@ -522,14 +506,7 @@ def build_parser():
         description="Planar ion crystals, axial modes, and segmented "
                     "phase-gate design.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "equilibrium": "solve the planar equilibrium and emit positions",
-        "scaling": "minimum-spacing series, power-law fit, trap targets",
-        "modes": "axial spectrum, critical anisotropy, uniform-mode gap",
-        "gate": "evaluate a pulse schedule into a gate report",
-        "optimize": "scan detunings for the best segmented drive",
-    }
-    for name, text in descriptions.items():
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True,
                        help="flat key=value run configuration")
@@ -558,8 +535,8 @@ def main(argv=None):
         out_dir = args.out or config.output_dir
         cache_dir = args.cache if args.cache is not None else config.cache_dir
         os.makedirs(out_dir, exist_ok=True)
-        code, summary = _COMMANDS[args.command](config, out_dir, cache_dir,
-                                                args)
+        code, summary = _COMMANDS[args.command][0](config, out_dir,
+                                                   cache_dir, args)
         summary["seed"] = config.seed
         atomic_write_json(os.path.join(out_dir, "summary.json"), summary)
         return code

@@ -13,7 +13,12 @@ The dimensionless potential of the planar configuration is
 
 and equilibria solve grad E = 0.  The solver is a damped Newton iteration on
 that gradient (the curvature blocks double as the mode-analysis matrices),
-with multi-restart seeding from an ideal triangular lattice.
+with multi-restart seeding from an ideal triangular lattice; for N = 2..9
+ring seeds take the first restart slots after the lattice.  It returns the
+lowest-energy stationary point among its restarts, which is not verified
+to be a minimum: the default N=91 and N=127 crystals are saddles.  The
+gradient tolerance, iteration cap and restart jitter are fixed module
+constants (``_TOL``, ``_MAX_ITER``, ``_JITTER_FRACTION``).
 """
 
 from dataclasses import dataclass, replace
@@ -37,6 +42,12 @@ CLOSED_SHELL_SERIES = (7, 19, 37, 61, 91, 127, 169, 217)
 # Empirical central-spacing law used only to scale the seed lattice.
 _SEED_PREFACTOR = 1.995
 _SEED_EXPONENT = 0.172
+
+# Fixed solver settings: gradient tolerance (max-abs component), iteration
+# cap per restart, and restart jitter as a fraction of the seed spacing.
+_TOL = 1e-10
+_MAX_ITER = 10000
+_JITTER_FRACTION = 0.01
 
 
 def closed_shell_count(shells):
@@ -403,26 +414,32 @@ def min_spacing(u):
     return float(d.min())
 
 
-def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0,
-                      tol=1e-10, max_iter=10000, jitter_fraction=0.01):
+def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
     """Solve the planar equilibrium for ``config``.
+
+    Each restart relaxes one seed to a stationary point of the energy;
+    the lowest-energy converged one is returned.  That point is not
+    checked to be a minimum: with the default seeds the N=91 and N=127
+    crystals come out as saddles, with negative planar Hessian
+    eigenvalues besides the rotation mode.
 
     Parameters
     ----------
     config : TrapConfig
     seed : (N, 2) array, optional
-        Starting guess.  Default is the ideal triangular lattice; restarts
-        add 1%-of-spacing uniform jitter (plus ring seeds for small N, which
-        carry the small-crystal ground states the lattice seed misses).
+        Starting guess.  Default is the ideal triangular lattice; for
+        N = 2..9 one or two ring seeds (without and, from N = 6, with a
+        centre ion) take the next restart slots, because they carry the
+        small-crystal ground states the lattice seed misses.  The
+        remaining restarts add uniform jitter of ``_JITTER_FRACTION`` of
+        the seed spacing to the first seed.
     restarts : int
-        Number of independently seeded relaxations; the lowest-energy
-        converged result is returned.
+        Number of seeded relaxations (at least one).
     rng_seed : int
         Seed for the jitter generator, for reproducible output.
-    tol : float
-        Convergence threshold on the max-abs gradient component.
-    max_iter : int
-        Iteration cap per restart.
+
+    The gradient tolerance ``_TOL`` (max-abs component) and the
+    per-restart iteration cap ``_MAX_ITER`` are fixed.
 
     Returns
     -------
@@ -433,7 +450,7 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0,
     DegenerateSeed
         If two seed positions coincide.
     NonConvergence
-        If no restart reaches ``tol`` within ``max_iter``.
+        If no restart reaches ``_TOL`` within ``_MAX_ITER`` iterations.
     """
     n = config.ion_count
     ell = length_scale(config)
@@ -443,31 +460,23 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0,
 
     spacing = seed_spacing(n)
     rng = np.random.default_rng(rng_seed)
-
-    seeds = []
     if seed is not None:
-        base = _check_seed(seed, spacing)
-        seeds.append(base.copy())
-        while len(seeds) < restarts:
-            seeds.append(base + rng.uniform(-jitter_fraction * spacing,
-                                            jitter_fraction * spacing,
-                                            size=base.shape))
+        seeds = [_check_seed(seed, spacing)]
     else:
-        base = triangular_seed(n, spacing)
-        seeds.append(base.copy())
+        seeds = [triangular_seed(n, spacing)]
         if 2 <= n <= 9:
             seeds.append(ring_seed(n, with_centre=False))
             if n >= 6:
                 seeds.append(ring_seed(n, with_centre=True))
-        while len(seeds) < restarts:
-            seeds.append(base + rng.uniform(-jitter_fraction * spacing,
-                                            jitter_fraction * spacing,
-                                            size=base.shape))
+    base = seeds[0]
+    jitter = _JITTER_FRACTION * spacing
+    while len(seeds) < restarts:
+        seeds.append(base + rng.uniform(-jitter, jitter, size=base.shape))
     seeds = seeds[:max(restarts, 1)]
 
     best = None
     for start in seeds:
-        u, gmax, ok = _relax(start, tol, max_iter)
+        u, gmax, ok = _relax(start, _TOL, _MAX_ITER)
         if not ok:
             continue
         energy = potential_energy(u)
@@ -476,14 +485,14 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0,
     if best is None:
         raise NonConvergence(
             "no restart reached gradient tolerance %.1e in %d iterations"
-            % (tol, max_iter))
+            % (_TOL, _MAX_ITER))
 
     u = canonical_orientation(best[0])
     gmax = float(np.abs(potential_gradient(u)).max())
     return Crystal(u, ell, gmax, min_spacing(u), potential_energy(u), config)
 
 
-def min_spacing_scan(n_values, crystal_provider=None, **solve_kwargs):
+def min_spacing_scan(n_values, crystal_provider=None):
     """Minimum dimensionless spacing u_min versus ion number.
 
     ``crystal_provider`` maps N -> Crystal (e.g. a cache); by default each N
@@ -497,7 +506,7 @@ def min_spacing_scan(n_values, crystal_provider=None, **solve_kwargs):
         else:
             cfg = TrapConfig(int(n), omega_r=2.0 * math.pi * 1e6,
                              omega_z=2.0 * math.pi * 1e7)
-            crystal = solve_equilibrium(cfg, **solve_kwargs)
+            crystal = solve_equilibrium(cfg)
         results.append((int(n), crystal.u_min))
     return results
 
@@ -552,7 +561,7 @@ def fit_power_law(points, shift=0.0):
 
 def omega_r_for_spacing(n_ions, d_min, ion_mass=MASS_BE9,
                         charge=ELEMENTARY_CHARGE, u_min=None,
-                        crystal_provider=None, **solve_kwargs):
+                        crystal_provider=None):
     """Radial trap frequency (rad/s) that gives minimum spacing ``d_min``.
 
     Inverts d_min = u_min(N) * ell(omega_r):
@@ -567,7 +576,7 @@ def omega_r_for_spacing(n_ions, d_min, ion_mass=MASS_BE9,
             cfg = TrapConfig(int(n_ions), omega_r=2.0 * math.pi * 1e6,
                              omega_z=2.0 * math.pi * 1e7, ion_mass=ion_mass,
                              charge=charge)
-            u_min = solve_equilibrium(cfg, **solve_kwargs).u_min
+            u_min = solve_equilibrium(cfg).u_min
     if not np.isfinite(u_min):
         raise ValueError("u_min is not finite (single ion has no spacing)")
     return math.sqrt(COULOMB_CONSTANT * charge**2 * u_min**3

@@ -101,20 +101,6 @@ class PulseSchedule:
         return np.where((t >= 0.0) & (t <= self.duration), vals, 0.0)
 
 
-def coupling_constants(spectrum, config=None):
-    """Dimensional mode couplings g[n, k] = b_k(n) sqrt(hbar / (2 M omega_k)).
-
-    Rows are ions, columns modes (same order as the spectrum); units metres.
-    g[n, k] is the zero-point excursion of ion n in mode k, the length that
-    converts the drive force into a displacement rate.
-    """
-    if config is None:
-        config = spectrum.config
-    zero_point = np.sqrt(HBAR / (2.0 * config.ion_mass
-                                 * spectrum.frequencies))
-    return spectrum.modes.T * zero_point[None, :]
-
-
 def drive_couplings(spectrum):
     """Dimensionless mode weights c[n, k] = b_k(n) sqrt(omega_z / omega_k).
 
@@ -124,11 +110,6 @@ def drive_couplings(spectrum):
     """
     ratio = np.sqrt(spectrum.config.omega_z / spectrum.frequencies)
     return spectrum.modes.T * ratio[None, :]
-
-
-def ground_state_size(config):
-    """Centre-of-mass zero-point length sqrt(hbar / (2 M omega_z)) in metres."""
-    return np.sqrt(HBAR / (2.0 * config.ion_mass * config.omega_z))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +276,6 @@ def mode_phase_integrals(schedule, frequencies):
                      schedule.amplitudes)
 
 
-def phi_integral(schedule, frequencies, pair_weights):
-    """Conditional phase 2 sum_k w_k D_k for pair weights
-    w_k = c_l^k c_n^k."""
-    D = mode_phase_integrals(schedule, frequencies)
-    return float(2.0 * np.sum(np.asarray(pair_weights) * D))
-
-
 def entangling_phase(schedule, couplings, frequencies, pair):
     """Conditional phase phi between ions ``pair = (l, n)``.
 
@@ -310,8 +284,8 @@ def entangling_phase(schedule, couplings, frequencies, pair):
     phi = 2 sum_k c_l^k c_n^k D_k.
     """
     l, n = pair
-    return phi_integral(schedule, frequencies,
-                        couplings[l] * couplings[n])
+    D = mode_phase_integrals(schedule, frequencies)
+    return float(2.0 * np.sum(couplings[l] * couplings[n] * D))
 
 
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):

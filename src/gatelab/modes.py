@@ -39,9 +39,8 @@ def build_matrices(crystal, beta=None):
     """
     if beta is None:
         beta = crystal.config.beta
-    _, _, _, s3 = curvature_blocks(crystal.positions)
-    n = crystal.ion_count
-    return beta**2 * np.eye(n) - np.diag(s3.sum(axis=1)) + s3
+    return (beta**2 * np.eye(crystal.ion_count)
+            - coulomb_laplacian(crystal.positions))
 
 
 @dataclass(frozen=True)

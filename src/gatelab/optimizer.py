@@ -335,11 +335,8 @@ def detuning_scan(spectrum, problem):
     result = _scan_grid(spectrum, problem)
     if not result.feasible:
         return result
-    nbar = problem.nbar
-    if nbar is None:
-        nbar = spectrum.config.temperature_nbar
     report = gate_report(result.best_schedule, spectrum, problem.pair,
-                         nbar=nbar, include_response=True)
+                         nbar=problem.nbar, include_response=True)
     return replace(result, best_report=report)
 
 

@@ -254,6 +254,54 @@ class TestDeterminism:
         assert load_summary(out)["seed"] == 3
 
 
+class TestConfigParsing:
+    def test_every_key_non_default(self, tmp_path):
+        text = """\
+ion_count = 0x13
+omega_r_hz = 0.25e6
+omega_z_hz = 12e6
+ion_mass_kg = 6.6e-26
+charge_c = 3.2e-19
+nbar = 0.5
+n_series = 7, 0x13
+stability_n_series = 19
+beta_values = 30, 40.5
+dmin_targets_m = 6e-6
+pair = 1, 4
+tau_s = 60e-6
+segments = 7
+mu_grid_points = 11
+mu_below_hz = 0.05e6
+mu_above_hz = 0.15e6
+amplitude_bound_hz = 1e6
+table = yes
+pair_count = 3
+omega_r_table_hz = 0.5e6
+response_samples = 500
+schedule_file = sched.tsv
+output_dir = out dir
+cache_dir = cache
+seed = 4
+"""
+        config = cli.parse_config(write_config(tmp_path, text))
+        want = cli.RunConfig(
+            ion_count=19, omega_r_hz=0.25e6, omega_z_hz=12e6,
+            ion_mass_kg=6.6e-26, charge_c=3.2e-19, nbar=0.5,
+            n_series=(7, 19), stability_n_series=(19,),
+            beta_values=(30.0, 40.5), dmin_targets_m=(6e-6,), pair=(1, 4),
+            tau_s=60e-6, segments=7, mu_grid_points=11, mu_below_hz=0.05e6,
+            mu_above_hz=0.15e6, amplitude_bound_hz=1e6, table=True,
+            pair_count=3, omega_r_table_hz=(0.5e6,), response_samples=500,
+            schedule_file="sched.tsv", output_dir="out dir",
+            cache_dir="cache", seed=4)
+        assert config == want
+        defaults = cli.RunConfig()
+        for key in vars(want):
+            assert getattr(want, key) != getattr(defaults, key), key
+        assert all(type(v) is float for v in config.beta_values)
+        assert all(type(v) is int for v in config.n_series)
+
+
 class TestConfigErrors:
     def run(self, tmp_path, capsys, text, command="equilibrium"):
         config = write_config(tmp_path, text, name="bad.cfg")
@@ -285,6 +333,11 @@ class TestConfigErrors:
         code, err = self.run(tmp_path, capsys, BASE_CONFIG + "pair = 0, x\n")
         assert code == 2
         assert "pair" in err
+        # a float in an integer list is a bad value too
+        code, err = self.run(tmp_path, capsys, BASE_CONFIG.replace(
+            "pair = 0, 3", "pair = 0, 1.5"))
+        assert code == 2
+        assert "pair" in err and "bad value" in err
 
     def test_negative_frequency(self, tmp_path, capsys):
         code, err = self.run(

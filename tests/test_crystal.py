@@ -177,6 +177,18 @@ class TestSeeds:
         with pytest.raises(DegenerateSeed):
             cr.solve_equilibrium(cfg, seed=seed)
 
+    def test_explicit_seed_restarts(self):
+        # the jittered restarts of an explicit seed are reproducible and
+        # can only lower the energy the seed alone reaches
+        cfg = make_config(12)
+        seed = cr.triangular_seed(12) * 1.05
+        one = cr.solve_equilibrium(cfg, seed=seed, restarts=1)
+        a = cr.solve_equilibrium(cfg, seed=seed, restarts=3)
+        b = cr.solve_equilibrium(cfg, seed=seed, restarts=3)
+        assert np.array_equal(a.positions, b.positions)
+        assert a.energy == b.energy
+        assert a.energy <= one.energy
+
     def test_triangular_seed_count_and_spacing(self):
         pos = cr.triangular_seed(19)
         assert pos.shape == (19, 2)

@@ -206,17 +206,6 @@ class TestCouplings:
         spec = md.axial_spectrum(cr.solve_equilibrium(cfg))
         c = gt.drive_couplings(spec)
         assert np.allclose(c[:, 0], 1 / math.sqrt(5), rtol=1e-9)
-        g = gt.coupling_constants(spec)
-        want = gt.ground_state_size(cfg) / math.sqrt(5)
-        assert np.allclose(g[:, 0], want, rtol=1e-9)
-
-    def test_dimensional_vs_dimensionless(self):
-        cfg = cr.TrapConfig(3, omega_r=2 * math.pi * 1e6,
-                            omega_z=2 * math.pi * 5e6)
-        spec = md.axial_spectrum(cr.solve_equilibrium(cfg))
-        g = gt.coupling_constants(spec)
-        c = gt.drive_couplings(spec)
-        assert np.allclose(g, c * gt.ground_state_size(cfg), rtol=1e-12)
 
     def test_scaling_below_com(self):
         # lower-frequency modes get sqrt(omega_z / omega_k) > 1 enhancement
@@ -227,12 +216,6 @@ class TestCouplings:
         ratio = np.sqrt(spec.config.omega_z / spec.frequencies)
         assert np.allclose(np.abs(c), np.abs(spec.modes.T) * ratio[None, :])
         assert np.all(ratio[1:] > 1.0)
-
-    def test_ground_state_size(self):
-        cfg = cr.TrapConfig(2, omega_r=2 * math.pi * 0.2e6,
-                            omega_z=2 * math.pi * 10e6)
-        # sqrt(hbar / (2 M omega_z)) for 9Be+ at 10 MHz: about 7.5 nm
-        assert gt.ground_state_size(cfg) == pytest.approx(7.49e-9, rel=2e-3)
 
 
 class TestThermalFidelity:
@@ -395,7 +378,7 @@ class TestStructuralInvariants:
         # phi along a random amplitude ray must be a parabola through the
         # origin; any cubic fit has to put zero weight on the extra terms
         freqs = np.array([9.2, 10.0, 11.7])
-        weights = np.array([0.4, -0.1, 0.25])
+        couplings = np.array([[0.4, -0.1, 0.25], [1.0, 1.0, 1.0]])
         rng = np.random.default_rng(11)
         direction = rng.normal(size=5)
         mu, tau = 10.4, 2.3
@@ -403,7 +386,7 @@ class TestStructuralInvariants:
         vals = []
         for s in scales:
             sched = gt.PulseSchedule.uniform(tau, s * direction, mu)
-            vals.append(gt.phi_integral(sched, freqs, weights))
+            vals.append(gt.entangling_phase(sched, couplings, freqs, (0, 1)))
         vals = np.asarray(vals)
         coeffs = np.polynomial.polynomial.polyfit(scales, vals, 3)
         scale = np.abs(vals).max()
