@@ -387,6 +387,20 @@ class TestConfigErrors:
         assert "malformed schedule file" in capsys.readouterr().err
 
 
+class TestNumericalFailure:
+    def test_nonconvergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cr, "_MAX_ITER", 1)
+        config = write_config(tmp_path, BASE_CONFIG.replace(
+            "ion_count = 7", "ion_count = 19"))
+        code = cli.main(["equilibrium", "--config", config,
+                         "--out", str(tmp_path / "out"),
+                         "--cache", str(tmp_path / "fresh-cache")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "no restart reached gradient tolerance" in err
+
+
 class TestEdgeCases:
     def test_single_ion_equilibrium(self, tmp_path):
         config = write_config(

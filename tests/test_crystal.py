@@ -205,6 +205,15 @@ class TestSeeds:
             assert np.allclose(radial, 0.0, atol=1e-12)
 
 
+class TestNonConvergence:
+    def test_iteration_cap_raises(self, monkeypatch):
+        # one iteration cannot relax N=19 from any restart
+        monkeypatch.setattr(cr, "_MAX_ITER", 1)
+        with pytest.raises(NonConvergence,
+                           match="no restart reached gradient tolerance"):
+            cr.solve_equilibrium(make_config(19))
+
+
 class TestScanAndFit:
     def test_u_min_trap_independent(self):
         n = 5

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gatelab import crystal as cr
 from gatelab import gate as gt
@@ -86,6 +87,61 @@ def closed_loop_schedule(spec, pair, segments=6, tau=6e-6):
                             mu=mu)
 
 
+def dense_magnus_step(t, dt, amp, mu, weight, omega, dim):
+    """One two-node Magnus propagator from the dense complex exponent:
+    ladder matrices, w1 + w2 and the explicit commutator, then expm."""
+    a_op = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+    a_dag = a_op.conj().T
+    w = []
+    for node in orc._GAUSS_NODES:
+        s = t + node * dt
+        phase = np.exp(1j * omega * s)
+        w.append(-amp * math.sin(mu * s) * weight
+                 * (phase * a_dag + np.conj(phase) * a_op))
+    theta = -0.5j * dt * (w[0] + w[1]) \
+        + (math.sqrt(3.0) * dt * dt / 12.0) * (w[0] @ w[1] - w[1] @ w[0])
+    herm = 1j * theta
+    return scipy.linalg.expm(-1j * herm)
+
+
+class TestMagnusKernel:
+    """The oracle's tridiagonal step against the dense exponent."""
+
+    def test_matches_dense_exponential(self, spec3):
+        rng = np.random.default_rng(41)
+        c = gt.drive_couplings(spec3)
+        freqs = spec3.frequencies
+        weights = np.array([[sl * c[0, k] + sn * c[2, k]
+                             for k in range(freqs.size)]
+                            for sl, sn in gt._BRANCH_SIGNS])  # (4, K)
+        dim = 21
+        worst = 0.0
+        for _ in range(6):
+            t = rng.uniform(0.0, 1e-6)
+            dt = rng.uniform(1e-9, 5e-8)
+            amp = 2 * math.pi * 1e6 * rng.uniform(-1.0, 1.0)
+            mu = rng.uniform(freqs[-1] - 2 * math.pi * 0.5e6,
+                             freqs[0] + 2 * math.pi * 0.5e6)
+            got = orc._magnus_step((t,), (dt,), amp, mu, weights, freqs,
+                                   dim)[0]
+            for b in range(4):
+                for k in range(freqs.size):
+                    want = dense_magnus_step(t, dt, amp, mu, weights[b, k],
+                                             freqs[k], dim)
+                    worst = max(worst, np.abs(got[b, k] - want).max())
+        assert worst < 1e-12
+
+    def test_negated_weights_are_parity_conjugates(self, spec3):
+        freqs = spec3.frequencies
+        weights = np.array([[0.3, -0.7, 1.1], [-0.2, 0.5, 0.9]])
+        args = ((2e-7, 2.5e-7), (3e-8, 1e-8), 2 * math.pi * 0.4e6,
+                freqs[0] + 2 * math.pi * 0.1e6)
+        u = orc._magnus_step(*args, weights, freqs, 21)
+        u_neg = orc._magnus_step(*args, -weights, freqs, 21)
+        parity = (-1.0) ** np.arange(21)
+        assert np.abs(u_neg - u * np.outer(parity, parity)).max() < 1e-13
+
+
 class TestThermalWeights:
     def test_geometric_distribution(self):
         w = orc.thermal_weights(0.5, 25)
@@ -118,6 +174,18 @@ class TestZeroForce:
                 assert np.allclose(u_modes[b], np.eye(u_modes.shape[-1]),
                                    atol=1e-9)
         assert orc.fidelity_from_state(st) == pytest.approx(0.5, abs=1e-9)
+
+
+class TestBranchParity:
+    def test_mirrored_branches(self, spec3):
+        rng = np.random.default_rng(43)
+        st = orc.evolve(random_schedule(rng, spec3), spec3, (0, 2),
+                        nbar=0.2)
+        parity = (-1.0) ** np.arange(st.propagators[0].shape[-1])
+        flip = np.outer(parity, parity)
+        for u_modes in st.propagators:
+            assert np.array_equal(u_modes[3], u_modes[0] * flip)
+            assert np.array_equal(u_modes[2], u_modes[1] * flip)
 
 
 class TestQubitFidelity:
@@ -270,6 +338,14 @@ class TestErrorPaths:
             2e-6, [2 * math.pi * 4e6], spec2.frequencies[1])
         with pytest.raises(CutoffInsufficient):
             orc.evolve(sched, spec2, (0, 1), nbar=0.0)
+
+    def test_overdriven_cutoff_fails_fast(self, spec2):
+        # the top level fills within the first few percent of the drive,
+        # long before a 2000-step budget runs out
+        sched = gt.PulseSchedule.uniform(
+            2e-6, [2 * math.pi * 4e6], spec2.frequencies[1])
+        with pytest.raises(CutoffInsufficient, match="of the drive"):
+            orc.evolve(sched, spec2, (0, 1), nbar=0.0, max_steps=2000)
 
     def test_step_budget(self, spec2):
         rng = np.random.default_rng(37)
