@@ -14,9 +14,14 @@ The dimensionless potential of the planar configuration is
 and equilibria solve grad E = 0.  The solver is a damped Newton iteration on
 that gradient (the curvature blocks double as the mode-analysis matrices),
 with multi-restart seeding from an ideal triangular lattice; for N = 2..9
-ring seeds take the first restart slots after the lattice.  It returns the
-lowest-energy stationary point among its restarts, which is not verified
-to be a minimum: the default N=91 and N=127 crystals are saddles.  The
+ring seeds take the first restart slots after the lattice.  Every step,
+damped or not, is one dense linear solve with the planar Hessian H: the
+Levenberg-Marquardt step solves (H^2 + mu I) s = -H g, which equals the
+eigenpair form of the damped step, and the final Newton steps solve H plus
+a rank-one lift of the rotation null direction.  It returns the
+lowest-energy stationary point among its restarts (the earliest restart
+among energies tied to 1e-12), which is not verified to be a minimum: the
+default N=91 and N=127 crystals are saddles.  The
 gradient tolerance, iteration cap and restart jitter are fixed module
 constants (``_TOL``, ``_MAX_ITER``, ``_JITTER_FRACTION``).
 """
@@ -202,16 +207,32 @@ def _planar_hessian(u):
 
 
 def _newton_step(u, grad):
-    """Least-squares Newton step for the force-balance system at ``u``.
+    """Rotation-free Newton step for the force-balance system at ``u``.
 
-    The in-plane rotation generator is a null direction of the curvature at
-    every stationary point; the rcond cutoff keeps that (near-)null component
-    out of the step instead of letting it blow up.
+    The in-plane rotation generator r = (-y, x) (normalised) is a null
+    direction of the curvature at every stationary point.  There, adding
+    c r r^T (c = tr H / 2N, the mean curvature) lifts that null eigenvalue
+    to c and leaves the rest of the spectrum alone, and the gradient is
+    orthogonal to r (the energy is rotation invariant), so one solve
+    followed by projecting r out gives the least-squares step pinv(H) (-g)
+    with the null direction cut.
     """
-    gflat = np.concatenate([grad[:, 0], grad[:, 1]])
-    step, _, _, _ = np.linalg.lstsq(_planar_hessian(u), -gflat, rcond=1e-9)
     n = u.shape[0]
+    hess = _planar_hessian(u)
+    rot = np.concatenate([-u[:, 1], u[:, 0]])
+    rot /= np.linalg.norm(rot)
+    lift = np.trace(hess) / (2 * n)
+    gflat = np.concatenate([grad[:, 0], grad[:, 1]])
+    step = np.linalg.solve(hess + lift * np.outer(rot, rot), -gflat)
+    step -= rot * (rot @ step)
     return np.column_stack([step[:n], step[n:]])
+
+
+def _damped_step(hess_sq, hess_grad, mu):
+    """Levenberg-Marquardt step -(H^2 + mu I)^-1 H g from H^2 and H g."""
+    damped = hess_sq.copy()
+    damped.flat[::damped.shape[0] + 1] += mu
+    return -np.linalg.solve(damped, hess_grad)
 
 
 def _track_root(u, tol, max_iter):
@@ -221,30 +242,34 @@ def _track_root(u, tol, max_iter):
     -sum_i lam_i/(lam_i^2 + mu) (q_i . g) q_i: heavily damped at first (large
     mu, short residual-descent steps that track the stationary configuration
     nearest the seed) and released gradually into the undamped Newton
-    endgame.  Returns (u, converged); a False flag means the residual flow
-    reached a point where no damping level shrinks the residual (the seeded
-    branch has no root there).
+    endgame.  Since H^2 + mu I has the same eigenvectors as H, that sum is
+    the solution of (H^2 + mu I) s = -H g, so each damping level costs one
+    linear solve; one eigenvalue computation at the first iteration sets the
+    starting damping lam_max^2 and its floor 1e-14 lam_max^2.  Returns
+    (u, converged); a False flag means the residual flow reached a point
+    where no damping level shrinks the residual (the seeded branch has no
+    root there).
     """
     n = u.shape[0]
     mu = None
+    grad = potential_gradient(u)
     for _ in range(max_iter):
-        grad = potential_gradient(u)
         if float(np.abs(grad).max()) < tol:
             return u, True
         gnorm = float(np.linalg.norm(grad))
-        evals, evecs = np.linalg.eigh(_planar_hessian(u))
-        ev2 = evals * evals
+        hess = _planar_hessian(u)
         if mu is None:
-            mu = float(ev2.max())
-        mu_floor = 1e-14 * float(ev2.max())
-        gflat = np.concatenate([grad[:, 0], grad[:, 1]])
-        coeff = evecs.T @ gflat
+            mu = float(np.square(np.linalg.eigvalsh(hess)).max())
+            mu_floor = 1e-14 * mu
+        hess_sq = hess @ hess
+        hess_grad = hess @ np.concatenate([grad[:, 0], grad[:, 1]])
         accepted = False
         for _attempt in range(60):
-            step = -(evecs @ (coeff * evals / (ev2 + mu)))
+            step = _damped_step(hess_sq, hess_grad, mu)
             trial = u + np.column_stack([step[:n], step[n:]])
-            if float(np.linalg.norm(potential_gradient(trial))) < gnorm:
-                u = trial
+            trial_grad = potential_gradient(trial)
+            if float(np.linalg.norm(trial_grad)) < gnorm:
+                u, grad = trial, trial_grad
                 mu = max(0.3 * mu, mu_floor)
                 accepted = True
                 break
@@ -372,14 +397,17 @@ def canonical_orientation(u):
 
     The centre of charge moves to the origin and the major principal axis of
     the second-moment tensor is aligned with x; for (near) degenerate second
-    moments an outermost ion is placed on the positive x axis instead.
+    moments an outermost ion is placed on the positive x axis instead.  Radii
+    within 1e-9 (relative) of the largest count as outermost and the lowest
+    index among them is taken, so rounding noise cannot pick another ion of
+    a symmetric shell.
     """
     u = u - u.mean(axis=0)
     n = u.shape[0]
     if n == 1:
         return u
     radii = np.hypot(u[:, 0], u[:, 1])
-    outer = int(np.argmax(radii))
+    outer = int(np.flatnonzero(radii >= radii.max() * (1.0 - 1e-9))[0])
     second = u.T @ u
     evals, evecs = np.linalg.eigh(second)
     if evals[1] - evals[0] > 1e-9 * max(np.trace(second), 1.0):
@@ -418,7 +446,8 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
     """Solve the planar equilibrium for ``config``.
 
     Each restart relaxes one seed to a stationary point of the energy;
-    the lowest-energy converged one is returned.  That point is not
+    the lowest-energy converged one is returned, the earliest restart
+    among energies equal to 1e-12 (relative).  That point is not
     checked to be a minimum: with the default seeds the N=91 and N=127
     crystals come out as saddles, with negative planar Hessian
     eigenvalues besides the rotation mode.
@@ -480,7 +509,7 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
         if not ok:
             continue
         energy = potential_energy(u)
-        if best is None or energy < best[1]:
+        if best is None or energy < best[1] - 1e-12 * abs(best[1]):
             best = (u, energy)
     if best is None:
         raise NonConvergence(

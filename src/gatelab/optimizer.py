@@ -411,13 +411,23 @@ def default_pair_list(crystal, count=10):
     The anchor is the ion nearest the crystal centre; partners are drawn
     from the distance-sorted remaining ions at evenly spaced ranks, starting
     with the nearest neighbour and ending with the farthest ion, skipping
-    ties so separations increase strictly.
+    ties so separations increase strictly.  Distances within 1e-9
+    (relative) of the first of their run tie and are ordered by ion index,
+    so rounding noise cannot reorder a symmetric shell.
     """
     u = crystal.positions
     anchor = int(np.argmin(np.hypot(u[:, 0], u[:, 1])))
     delta = u - u[anchor]
     dist = np.hypot(delta[:, 0], delta[:, 1])
-    order = sorted((dist[j], j) for j in range(u.shape[0]) if j != anchor)
+    order = []
+    for j in np.argsort(dist, kind="stable"):
+        if j == anchor:
+            continue
+        if order and dist[j] <= order[-1][0] * (1.0 + 1e-9):
+            order.append((order[-1][0], int(j)))
+        else:
+            order.append((dist[j], int(j)))
+    order.sort()
     if len(order) < count:
         raise InsufficientPoints("crystal too small for %d pairs" % count)
     ranks = np.round(np.linspace(0, len(order) - 1, count)).astype(int)

@@ -1,11 +1,13 @@
 """Equilibrium solver tests against small-N analytic results."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gatelab import crystal as cr
+from gatelab import optimizer as op
 from gatelab.errors import DegenerateSeed, InsufficientPoints, NonConvergence
 
 
@@ -168,6 +170,78 @@ class TestCanonicalisation:
         a = cr.solve_equilibrium(make_config(10))
         b = cr.solve_equilibrium(make_config(10))
         assert np.array_equal(a.positions, b.positions)
+
+
+class TestStepAlgebra:
+    def test_damped_step_matches_eigenpair_sum(self):
+        # (H^2 + mu I)^-1 H g is the eigenpair sum lam/(lam^2 + mu) (q.g) q
+        # at the tracker's starting damping, a middle one and its floor
+        rng = np.random.default_rng(3)
+        u = cr.triangular_seed(19) + rng.uniform(
+            -0.05, 0.05, size=(19, 2)) * cr.seed_spacing(19)
+        g = cr.potential_gradient(u)
+        gflat = np.concatenate([g[:, 0], g[:, 1]])
+        hess = cr._planar_hessian(u)
+        lam, q = np.linalg.eigh(hess)
+        for frac in (1.0, 1e-4, 1e-14):
+            mu = frac * float(np.max(lam * lam))
+            ref = -(q @ (lam / (lam * lam + mu) * (q.T @ gflat)))
+            step = cr._damped_step(hess @ hess, hess @ gflat, mu)
+            assert np.linalg.norm(step - ref) < 1e-10 * np.linalg.norm(ref)
+
+    def test_newton_step_matches_lstsq(self):
+        # the rotation-lifted solve is the least-squares step with the
+        # rotation null direction cut
+        u, ok = cr._track_root(cr.triangular_seed(19), cr._TOL, cr._MAX_ITER)
+        assert ok
+        g = cr.potential_gradient(u)
+        gflat = np.concatenate([g[:, 0], g[:, 1]])
+        ref, _, _, _ = np.linalg.lstsq(cr._planar_hessian(u), -gflat,
+                                       rcond=1e-9)
+        step = cr._newton_step(u, g)
+        step = np.concatenate([step[:, 0], step[:, 1]])
+        assert np.linalg.norm(ref) > 0.0
+        assert np.linalg.norm(step - ref) < 1e-10 * np.linalg.norm(ref)
+
+
+class TestTieBreaks:
+    @pytest.fixture(scope="class", params=[(19, 3), (127, 10)],
+                    ids=["N19", "N127"])
+    def solved(self, request):
+        n, pair_count = request.param
+        return cr.solve_equilibrium(make_config(n)), pair_count
+
+    def test_noise_keeps_orientation_and_pairs(self, solved):
+        # a symmetric shell ties its outer radii and its centre distances;
+        # rounding-level noise must not pick another ion of the shell
+        crystal, pair_count = solved
+        pairs = op.default_pair_list(crystal, pair_count)
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            noisy = crystal.positions + 1e-13 * rng.standard_normal(
+                crystal.positions.shape)
+            assert np.allclose(cr.canonical_orientation(noisy),
+                               crystal.positions, rtol=0, atol=1e-9)
+            again = dataclasses.replace(crystal, positions=noisy)
+            assert op.default_pair_list(again, pair_count) == pairs
+
+    def test_tied_restart_keeps_earliest(self, monkeypatch):
+        # restart 1 returns the relabelled minimum, restart 0 a point above
+        # it by ~1e-13 (relative): a tie, so restart 0 is kept
+        cfg = make_config(19)
+        best = cr.solve_equilibrium(cfg).positions
+        perm = np.roll(np.arange(19), 1)
+        above = best + 2e-6 * np.random.default_rng(1).standard_normal(
+            best.shape)
+        gap = cr.potential_energy(above) / cr.potential_energy(best) - 1.0
+        assert 1e-15 < gap < 1e-12
+        outputs = iter([above, best[perm]])
+        monkeypatch.setattr(cr, "_relax",
+                            lambda u0, tol, max_iter: (next(outputs), 0.0,
+                                                       True))
+        got = cr.solve_equilibrium(cfg, restarts=2)
+        assert np.allclose(got.positions, cr.canonical_orientation(above),
+                           rtol=0, atol=1e-12)
 
 
 class TestSeeds:
