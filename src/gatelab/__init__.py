@@ -34,9 +34,8 @@ from .modes import (AxialSpectrum, axial_spectrum, com_gap, critical_beta,
                     read_spectrum, write_spectrum)
 from .optimizer import (OptimizationProblem, OptimizationResult, TableRow,
                         band_edge_optimum, default_mu_grid, default_pair_list,
-                        detuning_scan, local_optimum_near, read_scan,
-                        read_table, solve_amplitudes, table_one, write_scan,
-                        write_table)
+                        detuning_scan, read_scan, read_table,
+                        solve_amplitudes, table_one, write_scan, write_table)
 
 __version__ = "0.1.0"
 
@@ -50,11 +49,11 @@ __all__ = [
     "axial_spectrum", "band_edge_optimum", "closed_shell_count", "com_gap",
     "critical_beta", "default_mu_grid", "default_pair_list", "detuning_scan",
     "entangling_phase", "fit_power_law", "gate_report", "length_scale",
-    "local_optimum_near", "min_spacing", "min_spacing_scan",
-    "mode_displacements", "omega_r_for_spacing", "read_crystal",
-    "read_report", "read_scan", "read_schedule", "read_spectrum",
-    "read_table", "response_profile", "ring_seed", "solve_amplitudes",
-    "solve_equilibrium", "table_one", "thermal_fidelity", "triangular_seed",
-    "with_trap", "write_crystal", "write_report", "write_scan",
-    "write_schedule", "write_spectrum", "write_table",
+    "min_spacing", "min_spacing_scan", "mode_displacements",
+    "omega_r_for_spacing", "read_crystal", "read_report", "read_scan",
+    "read_schedule", "read_spectrum", "read_table", "response_profile",
+    "ring_seed", "solve_amplitudes", "solve_equilibrium", "table_one",
+    "thermal_fidelity", "triangular_seed", "with_trap", "write_crystal",
+    "write_report", "write_scan", "write_schedule", "write_spectrum",
+    "write_table",
 ]

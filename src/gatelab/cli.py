@@ -13,7 +13,8 @@ solve rounds differently with another thread count, and every artifact
 downstream of it follows.
 Solved crystals can be cached (``--cache``) and are re-dressed for the
 requested trap on reuse, which is exact because the dimensionless planar
-equilibrium depends only on the ion count.
+equilibrium depends only on the ion count; an entry that does not read
+back whole, holds another ion count or is not at rest is solved again.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 instability flagged.
@@ -53,7 +54,7 @@ class RunConfig:
     ion_mass_kg: float = cr.MASS_BE9
     charge_c: float = cr.ELEMENTARY_CHARGE
     nbar: float = 0.1
-    n_series: tuple[int, ...] = (7, 19, 37, 61, 91, 127, 169, 217)
+    n_series: tuple[int, ...] = cr.CLOSED_SHELL_SERIES
     stability_n_series: tuple[int, ...] = (7, 19, 37, 61, 91, 127)
     beta_values: tuple[float, ...] = ()
     dmin_targets_m: tuple[float, ...] = (5e-6, 20e-6)
@@ -169,6 +170,16 @@ def _require(config, *keys):
             raise ConfigError("'%s' is required by this subcommand" % key)
 
 
+def _check_pair(pair, ion_count):
+    """``pair`` as two distinct ion indices in 0..ion_count-1; anything else
+    is a ConfigError that names 'pair'."""
+    l, n = pair
+    if l == n or min(l, n) < 0 or max(l, n) >= ion_count:
+        raise ConfigError("'pair' needs two distinct ion indices in 0..%d, "
+                          "got %d, %d" % (ion_count - 1, l, n))
+    return l, n
+
+
 def trap_config(config, ion_count=None):
     return cr.TrapConfig(
         ion_count if ion_count is not None else config.ion_count,
@@ -186,15 +197,20 @@ def cached_crystal(config, cache_dir, ion_count=None):
 
     The cache key is (ion count, seed): the dimensionless pattern depends
     on nothing else, and a cached crystal is re-dressed exactly for the
-    requested trap.
+    requested trap.  An entry that is missing, that :func:`read_crystal`
+    rejects (rows missing, header cut, positions not at rest) or that
+    holds another ion count is a miss: the crystal is solved again and
+    the entry overwritten.
     """
     trap = trap_config(config, ion_count)
     if cache_dir:
         path = os.path.join(
             cache_dir, "crystal-n%d-seed%d.tsv" % (trap.ion_count,
                                                    config.seed))
-        if os.path.exists(path):
+        try:
             return cr.with_trap(cr.read_crystal(path), trap)
+        except (OSError, KeyError, IndexError, ValueError):
+            pass  # a miss; with_trap raises ValueError on another ion count
         crystal = cr.solve_equilibrium(trap, rng_seed=config.seed)
         cr.write_crystal(crystal, path)
         return crystal
@@ -276,9 +292,8 @@ def cmd_scaling(config, out_dir, cache_dir, args):
     _require(config, "omega_r_hz", "omega_z_hz")
     if not config.n_series:
         raise ConfigError("'n_series' must not be empty")
-    points = cr.min_spacing_scan(
-        config.n_series,
-        crystal_provider=lambda n: cached_crystal(config, cache_dir, n))
+    points = [(n, cached_crystal(config, cache_dir, n).u_min)
+              for n in config.n_series]
     ell = cr.length_scale(trap_config(config, ion_count=1))
     spacing_rows = [[str(n), fmt(u, 15), fmt(u * ell, 15)]
                     for n, u in points]
@@ -333,8 +348,8 @@ def cmd_modes(config, out_dir, cache_dir, args):
         summary["band_low_hz"] = _json_float(low / TWO_PI)
         summary["band_high_hz"] = _json_float(high / TWO_PI)
         if crystal.ion_count >= 2:
-            summary["com_gap_hz"] = _json_float(
-                md.com_gap(crystal) / TWO_PI)
+            freqs = spectrum.frequencies
+            summary["com_gap_hz"] = _json_float((freqs[0] - freqs[1]) / TWO_PI)
         summary["stable"] = True
     except UnstableSpectrum as exc:
         summary["stable"] = False
@@ -403,15 +418,13 @@ def cmd_gate(config, out_dir, cache_dir, args):
     except (KeyError, ValueError, IndexError) as exc:
         raise ConfigError("malformed schedule file %s: %s"
                           % (schedule_path, exc))
-    pair = schedule.target_pair
-    if pair is None:
-        if len(config.pair) != 2:
-            raise ConfigError("schedule has no target pair; set 'pair'")
-        pair = tuple(config.pair)
+    pair = schedule.target_pair or config.pair
+    if not pair:
+        raise ConfigError("schedule has no target pair; set 'pair'")
+    pair = _check_pair(pair, config.ion_count)
     crystal = cached_crystal(config, cache_dir)
     spectrum = md.axial_spectrum(crystal)
     report = gt.gate_report(schedule, spectrum, pair, nbar=config.nbar,
-                            include_response=True,
                             samples=config.response_samples)
     gt.write_report(report, os.path.join(out_dir, "report.tsv"))
     summary = {
@@ -428,10 +441,10 @@ def cmd_gate(config, out_dir, cache_dir, args):
 
 def cmd_optimize(config, out_dir, cache_dir, args):
     _require(config, "ion_count", "omega_r_hz", "omega_z_hz")
+    pair = config.pair and _check_pair(config.pair, config.ion_count)
     crystal = cached_crystal(config, cache_dir)
     spectrum = md.axial_spectrum(crystal)
-    pair = tuple(config.pair) if config.pair else op.default_pair_list(
-        crystal, config.pair_count)[0]
+    pair = pair or op.default_pair_list(crystal, config.pair_count)[0]
     grid = op.default_mu_grid(TWO_PI * config.omega_z_hz,
                               points=config.mu_grid_points,
                               below_hz=config.mu_below_hz,

@@ -235,7 +235,7 @@ def _damped_step(hess_sq, hess_grad, mu):
     return -np.linalg.solve(damped, hess_grad)
 
 
-def _track_root(u, tol, max_iter):
+def _track_root(u):
     """Levenberg-Marquardt iteration on the force-balance residual.
 
     With curvature eigenpairs (lam_i, q_i) the damped Newton step is
@@ -245,16 +245,16 @@ def _track_root(u, tol, max_iter):
     endgame.  Since H^2 + mu I has the same eigenvectors as H, that sum is
     the solution of (H^2 + mu I) s = -H g, so each damping level costs one
     linear solve; one eigenvalue computation at the first iteration sets the
-    starting damping lam_max^2 and its floor 1e-14 lam_max^2.  Returns
-    (u, converged); a False flag means the residual flow reached a point
-    where no damping level shrinks the residual (the seeded branch has no
-    root there).
+    starting damping lam_max^2 and its floor 1e-14 lam_max^2.  Stops at
+    ``_TOL`` or after ``_MAX_ITER`` iterations.  Returns (u, converged); a
+    False flag means the residual flow reached a point where no damping
+    level shrinks the residual (the seeded branch has no root there).
     """
     n = u.shape[0]
     mu = None
     grad = potential_gradient(u)
-    for _ in range(max_iter):
-        if float(np.abs(grad).max()) < tol:
+    for _ in range(_MAX_ITER):
+        if float(np.abs(grad).max()) < _TOL:
             return u, True
         gnorm = float(np.linalg.norm(grad))
         hess = _planar_hessian(u)
@@ -279,16 +279,16 @@ def _track_root(u, tol, max_iter):
     return u, False
 
 
-def _descend_energy(u, tol, max_iter):
+def _descend_energy(u):
     """Modified-Newton energy descent (positive-definite shift plus line
-    search); returns (u, converged)."""
+    search) to ``_TOL`` within ``_MAX_ITER`` steps; returns (u, converged)."""
     n2 = u.size
     eye = np.eye(n2)
     lam = 1e-3
     energy = potential_energy(u)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         grad = potential_gradient(u)
-        if float(np.abs(grad).max()) < tol:
+        if float(np.abs(grad).max()) < _TOL:
             return u, True
         gflat = np.concatenate([grad[:, 0], grad[:, 1]])
         hess = _planar_hessian(u)
@@ -296,7 +296,7 @@ def _descend_energy(u, tol, max_iter):
         for _attempt in range(80):
             try:
                 factor = cho_factor(hess + lam * eye, lower=True)
-            except (LinAlgError, np.linalg.LinAlgError):
+            except LinAlgError:
                 lam *= 10.0
                 continue
             step = -cho_solve(factor, gflat)
@@ -314,7 +314,7 @@ def _descend_energy(u, tol, max_iter):
     return u, False
 
 
-def _relax(u0, tol, max_iter):
+def _relax(u0):
     """Damped Newton iteration on the force-balance equations; returns
     (u, gmax, converged).
 
@@ -323,16 +323,17 @@ def _relax(u0, tol, max_iter):
     branch terminates before reaching a root, phase two falls back to
     energy descent from the tracked configuration, which lands in the
     adjacent minimum while preserving the formed structure.  A short
-    undamped Newton polish takes the residual to rounding level either way.
+    undamped Newton polish takes the residual to rounding level either way;
+    converged means the final max-abs gradient is below ``_TOL``.
     """
     u = np.array(u0, dtype=float)
-    u, converged = _track_root(u, tol, max_iter)
+    u, converged = _track_root(u)
     if not converged:
-        u, _ = _descend_energy(u, tol, max_iter)
+        u, _ = _descend_energy(u)
     gmax = float(np.abs(potential_gradient(u)).max())
     u = _polish(u, gmax)
     gmax = float(np.abs(potential_gradient(u)).max())
-    return u, gmax, gmax < tol
+    return u, gmax, gmax < _TOL
 
 
 def _polish(u, gmax):
@@ -353,15 +354,14 @@ def seed_spacing(n_ions):
     return _SEED_PREFACTOR / n_ions ** _SEED_EXPONENT
 
 
-def triangular_seed(n_ions, spacing=None):
+def triangular_seed(n_ions):
     """Ideal triangular-lattice seed: the N sites closest to the origin.
 
-    Sites are r = [(j + l/2) a0, sqrt(3)/2 l a0] for integer (j, l), ordered
-    by radius (ties by angle, then lattice indices) so the choice is
-    deterministic.
+    Sites are r = [(j + l/2) a0, sqrt(3)/2 l a0] for integer (j, l) with
+    a0 = :func:`seed_spacing`, ordered by radius (ties by angle, then
+    lattice indices) so the choice is deterministic.
     """
-    if spacing is None:
-        spacing = seed_spacing(n_ions)
+    spacing = seed_spacing(n_ions)
     extent = int(math.ceil(math.sqrt(n_ions))) + 3
     j, l = np.meshgrid(np.arange(-extent, extent + 1),
                        np.arange(-extent, extent + 1), indexing="ij")
@@ -492,7 +492,7 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
     if seed is not None:
         seeds = [_check_seed(seed, spacing)]
     else:
-        seeds = [triangular_seed(n, spacing)]
+        seeds = [triangular_seed(n)]
         if 2 <= n <= 9:
             seeds.append(ring_seed(n, with_centre=False))
             if n >= 6:
@@ -505,7 +505,7 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
 
     best = None
     for start in seeds:
-        u, gmax, ok = _relax(start, _TOL, _MAX_ITER)
+        u, gmax, ok = _relax(start)
         if not ok:
             continue
         energy = potential_energy(u)
@@ -521,22 +521,17 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
     return Crystal(u, ell, gmax, min_spacing(u), potential_energy(u), config)
 
 
-def min_spacing_scan(n_values, crystal_provider=None):
+def min_spacing_scan(n_values):
     """Minimum dimensionless spacing u_min versus ion number.
 
-    ``crystal_provider`` maps N -> Crystal (e.g. a cache); by default each N
-    is solved with a generic trap (the dimensionless result is trap
+    Each N is solved with a generic trap (the dimensionless result is trap
     independent).  Returns a list of (N, u_min) tuples.
     """
     results = []
     for n in n_values:
-        if crystal_provider is not None:
-            crystal = crystal_provider(int(n))
-        else:
-            cfg = TrapConfig(int(n), omega_r=2.0 * math.pi * 1e6,
-                             omega_z=2.0 * math.pi * 1e7)
-            crystal = solve_equilibrium(cfg)
-        results.append((int(n), crystal.u_min))
+        cfg = TrapConfig(int(n), omega_r=2.0 * math.pi * 1e6,
+                         omega_z=2.0 * math.pi * 1e7)
+        results.append((int(n), solve_equilibrium(cfg).u_min))
     return results
 
 
@@ -589,23 +584,20 @@ def fit_power_law(points, shift=0.0):
 
 
 def omega_r_for_spacing(n_ions, d_min, ion_mass=MASS_BE9,
-                        charge=ELEMENTARY_CHARGE, u_min=None,
-                        crystal_provider=None):
+                        charge=ELEMENTARY_CHARGE, u_min=None):
     """Radial trap frequency (rad/s) that gives minimum spacing ``d_min``.
 
     Inverts d_min = u_min(N) * ell(omega_r):
-    omega_r = sqrt(q^2 u_min^3 / (4 pi eps0 M d_min^3)).
+    omega_r = sqrt(q^2 u_min^3 / (4 pi eps0 M d_min^3)).  Without ``u_min``
+    the N-ion equilibrium is solved for it.
     """
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
     if u_min is None:
-        if crystal_provider is not None:
-            u_min = crystal_provider(int(n_ions)).u_min
-        else:
-            cfg = TrapConfig(int(n_ions), omega_r=2.0 * math.pi * 1e6,
-                             omega_z=2.0 * math.pi * 1e7, ion_mass=ion_mass,
-                             charge=charge)
-            u_min = solve_equilibrium(cfg).u_min
+        cfg = TrapConfig(int(n_ions), omega_r=2.0 * math.pi * 1e6,
+                         omega_z=2.0 * math.pi * 1e7, ion_mass=ion_mass,
+                         charge=charge)
+        u_min = solve_equilibrium(cfg).u_min
     if not np.isfinite(u_min):
         raise ValueError("u_min is not finite (single ion has no spacing)")
     return math.sqrt(COULOMB_CONSTANT * charge**2 * u_min**3
@@ -654,12 +646,24 @@ def write_crystal(crystal, path):
 
 
 def read_crystal(path):
-    """Parse a file written by :func:`write_crystal` back into a Crystal."""
+    """Parse a file written by :func:`write_crystal` back into a Crystal.
+
+    Raises ValueError unless the rows hold indices 0..N-1 exactly once and
+    the positions are at rest: their recomputed max-abs gradient is below
+    the solver tolerance ``_TOL``.
+    """
     meta, rows = read_rows(path)
     cfg = read_trap_meta(meta)
+    index = [int(fields[0]) for fields in rows]
+    if sorted(index) != list(range(cfg.ion_count)):
+        raise ValueError("crystal rows do not cover ions 0..%d once each"
+                         % (cfg.ion_count - 1))
     positions = np.zeros((cfg.ion_count, 2))
-    for fields in rows:
-        positions[int(fields[0])] = (float(fields[1]), float(fields[2]))
+    positions[index] = [(float(f[1]), float(f[2])) for f in rows]
+    gmax = float(np.abs(potential_gradient(positions)).max())
+    if not gmax < _TOL:
+        raise ValueError("crystal is not at rest: max-abs gradient %.3e"
+                         % gmax)
     return Crystal(positions=positions,
                    length_scale_ell=float(meta["length_scale_m"]),
                    residual_gradient_norm=float(meta["residual"]),

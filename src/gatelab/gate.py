@@ -92,14 +92,6 @@ class PulseSchedule:
         """Largest segment amplitude magnitude, rad/s."""
         return float(np.abs(self.amplitudes).max())
 
-    def amplitude_at(self, t):
-        """Drive amplitude Omega(t), vectorized; zero outside [0, duration]."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                      0, self.segment_count - 1)
-        vals = self.amplitudes[idx]
-        return np.where((t >= 0.0) & (t <= self.duration), vals, 0.0)
-
 
 def drive_couplings(spectrum):
     """Dimensionless mode weights c[n, k] = b_k(n) sqrt(omega_z / omega_k).
@@ -356,6 +348,14 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     return float(total.real) / 16.0
 
 
+def gate_fidelity(phi, alpha_l, alpha_n, nbar):
+    """:func:`thermal_fidelity` against the nearer of the two locally
+    equivalent ideal gates: conditional phase +pi/4 or -pi/4 by the sign of
+    ``phi``, +pi/4 for a zero phase."""
+    target = np.pi / 4.0 if phi >= 0.0 else -np.pi / 4.0
+    return thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=target)
+
+
 # ---------------------------------------------------------------------------
 # time-resolved response
 
@@ -368,11 +368,8 @@ class ResponseProfile:
     targets.
     """
 
-    times: np.ndarray
-    displacement: np.ndarray
     peak: np.ndarray
     normalized: np.ndarray
-    pair: tuple
 
 
 def partial_drive_integrals(schedule, frequencies, sample_times):
@@ -420,8 +417,7 @@ def response_profile(schedule, spectrum, pair, samples=2000):
     peak = np.abs(q).max(axis=0)
     ref = max(peak[l], peak[n])
     normalized = peak / ref if ref > 0.0 else np.zeros_like(peak)
-    return ResponseProfile(times=ts, displacement=q, peak=peak,
-                           normalized=normalized, pair=(int(l), int(n)))
+    return ResponseProfile(peak=peak, normalized=normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +466,9 @@ class GateReport:
 
     ``alpha_l`` / ``alpha_n`` are the per-mode displacements left by driving
     each target ion alone; the branch displacements are their signed sums.
-    ``response_peak`` / ``response_normalized`` (optional) hold each ion's
-    peak axial excursion under the fully driven branch, in metres and
-    relative to the larger target-ion peak.
+    ``response_peak`` / ``response_normalized`` hold each ion's peak axial
+    excursion under the fully driven branch, in metres and relative to the
+    larger target-ion peak (see :func:`response_profile`).
     """
 
     pair: tuple
@@ -483,8 +479,8 @@ class GateReport:
     alpha_n: np.ndarray
     mode_frequencies: np.ndarray
     nbar: np.ndarray
-    response_peak: np.ndarray = None
-    response_normalized: np.ndarray = None
+    response_peak: np.ndarray
+    response_normalized: np.ndarray
 
     @property
     def max_amplitude(self):
@@ -502,14 +498,13 @@ class GateReport:
                              + np.sum(np.abs(self.alpha_n) ** 2)))
 
 
-def gate_report(schedule, spectrum, pair, nbar=None, include_response=False,
-                samples=2000):
-    """Evaluate a schedule on a spectrum: phase, displacements, fidelity.
+def gate_report(schedule, spectrum, pair, nbar=None, samples=2000):
+    """Evaluate a schedule on a spectrum: phase, displacements, fidelity
+    and the per-ion response profile (``samples`` uniform time samples).
 
     ``nbar`` defaults to the per-mode occupations of the trap config.  The
-    fidelity is taken against the nearer of the two locally equivalent
-    ideal gates (conditional phase +pi/4 or -pi/4), matching the sign of
-    the achieved phase; a zero-phase schedule scores against +pi/4.
+    fidelity is :func:`gate_fidelity`, against the ideal gate whose phase
+    sign matches the achieved one.
     """
     couplings = drive_couplings(spectrum)
     freqs = spectrum.frequencies
@@ -521,18 +516,13 @@ def gate_report(schedule, spectrum, pair, nbar=None, include_response=False,
     alpha_l = mode_displacements(schedule, couplings, freqs, l)
     alpha_n = mode_displacements(schedule, couplings, freqs, n)
     phi = entangling_phase(schedule, couplings, freqs, pair)
-    target = np.pi / 4.0 if phi >= 0.0 else -np.pi / 4.0
-    fidelity = thermal_fidelity(phi, alpha_l, alpha_n, nbar,
-                                target_phase=target)
-    peak = normalized = None
-    if include_response:
-        profile = response_profile(schedule, spectrum, pair, samples=samples)
-        peak = profile.peak
-        normalized = profile.normalized
+    profile = response_profile(schedule, spectrum, pair, samples=samples)
     return GateReport(pair=(int(l), int(n)), schedule=schedule, phi=phi,
-                      fidelity=fidelity, alpha_l=alpha_l, alpha_n=alpha_n,
+                      fidelity=gate_fidelity(phi, alpha_l, alpha_n, nbar),
+                      alpha_l=alpha_l, alpha_n=alpha_n,
                       mode_frequencies=freqs.copy(), nbar=nbar,
-                      response_peak=peak, response_normalized=normalized)
+                      response_peak=profile.peak,
+                      response_normalized=profile.normalized)
 
 
 def write_report(report, path):
@@ -557,10 +547,9 @@ def write_report(report, path):
              fmt(report.alpha_l[k].real), fmt(report.alpha_l[k].imag),
              fmt(report.alpha_n[k].real), fmt(report.alpha_n[k].imag)]
             for k in range(report.mode_frequencies.size)]
-    if report.response_peak is not None:
-        rows += [["ion", str(j), fmt(report.response_peak[j]),
-                  fmt(report.response_normalized[j])]
-                 for j in range(report.response_peak.size)]
+    rows += [["ion", str(j), fmt(report.response_peak[j]),
+              fmt(report.response_normalized[j])]
+             for j in range(report.response_peak.size)]
     write_rows(path, "gatelab gate report", meta, rows)
 
 
@@ -590,15 +579,11 @@ def read_report(path):
     freqs = modes[:, 0] * TWO_PI
     alpha_l = modes[:, 1] + 1j * modes[:, 2]
     alpha_n = modes[:, 3] + 1j * modes[:, 4]
-    peak = normalized = None
-    if ions:
-        ions = np.asarray(ions)
-        peak = ions[:, 0]
-        normalized = ions[:, 1]
+    ions = np.asarray(ions)
     return GateReport(pair=pair, schedule=schedule,
                       phi=float(meta["phi_rad"]),
                       fidelity=float(meta["fidelity"]),
                       alpha_l=alpha_l, alpha_n=alpha_n,
                       mode_frequencies=freqs,
                       nbar=np.zeros(freqs.size),
-                      response_peak=peak, response_normalized=normalized)
+                      response_peak=ions[:, 0], response_normalized=ions[:, 1])

@@ -24,7 +24,7 @@ import scipy.linalg
 from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (GateReport, PulseSchedule, _pair_kernels,
-                   drive_couplings, gate_report, thermal_fidelity, TWO_PI)
+                   drive_couplings, gate_fidelity, gate_report, TWO_PI)
 from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
@@ -253,11 +253,13 @@ def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
     the module docstring and rescaled so |phase| is pi/4.  Returns
     (schedule, fidelity).  Raises IndefiniteKernel when no drive direction
     produces any conditional phase at this detuning (or none within the
-    amplitude bound).  ``_kernels`` is the scan's private route: this
-    detuning's slice of the grid kernels (see :class:`_PairObjective`).
+    amplitude bound).  ``nbar`` defaults to the per-mode occupations of the
+    trap config, and the fidelity is :func:`gate.gate_fidelity`, as in
+    :func:`gate.gate_report`.  ``_kernels`` is the scan's private route:
+    this detuning's slice of the grid kernels (see :class:`_PairObjective`).
     """
     if nbar is None:
-        nbar = spectrum.config.temperature_nbar
+        nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
     times = _segment_times(tau, segments)
     objective = _PairObjective(spectrum, pair, times, float(mu), nbar,
                                amplitude_bound, _kernels)
@@ -277,12 +279,9 @@ def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
                              mu=float(mu), target_pair=pair)
     l, n = pair
     phi = objective.phase(amplitudes)
-    target = PHASE_TARGET if phi >= 0.0 else -PHASE_TARGET
     alpha_l = 1j * objective.couplings[l] * (objective.S @ amplitudes)
     alpha_n = 1j * objective.couplings[n] * (objective.S @ amplitudes)
-    fidelity = thermal_fidelity(phi, alpha_l, alpha_n, objective.nbar,
-                                target_phase=target)
-    return schedule, float(fidelity)
+    return schedule, gate_fidelity(phi, alpha_l, alpha_n, objective.nbar)
 
 
 def _scan_grid(spectrum, problem):
@@ -308,8 +307,7 @@ def _scan_grid(spectrum, problem):
                 spectrum, problem.pair, problem.tau, problem.segment_count,
                 mu, nbar=problem.nbar, amplitude_bound=problem.amplitude_bound,
                 _kernels=(couplings, S[i], G[i]))
-        except (IndefiniteKernel, scipy.linalg.LinAlgError,
-                np.linalg.LinAlgError):
+        except (IndefiniteKernel, scipy.linalg.LinAlgError):
             continue
         fidelities[i] = fid
         max_amps[i] = sched.max_amplitude
@@ -336,37 +334,8 @@ def detuning_scan(spectrum, problem):
     if not result.feasible:
         return result
     report = gate_report(result.best_schedule, spectrum, problem.pair,
-                         nbar=problem.nbar, include_response=True)
+                         nbar=problem.nbar)
     return replace(result, best_report=report)
-
-
-def _local_maxima(result, window):
-    """Indices whose positive fidelity tops every point within ``window``."""
-    fid = result.fidelities
-    out = []
-    for i in range(fid.size):
-        if fid[i] <= 0.0:
-            continue
-        lo = max(0, i - window)
-        hi = min(fid.size, i + window + 1)
-        if fid[i] >= fid[lo:hi].max():
-            out.append(i)
-    return out
-
-
-def local_optimum_near(result, omega, window=2):
-    """Index of the scan's local fidelity maximum nearest ``omega``.
-
-    A point counts as a local maximum when its fidelity is positive and not
-    exceeded anywhere within ``window`` grid steps.  Ties on distance go to
-    the smaller detuning; with no local maximum at all (empty feasible set)
-    the scan's best index is returned.
-    """
-    candidates = _local_maxima(result, window)
-    if not candidates:
-        return result.best_index
-    grid = result.mu_grid
-    return min(candidates, key=lambda i: (abs(grid[i] - omega), grid[i]))
 
 
 def band_edge_optimum(result, band_top, window=2):
@@ -377,13 +346,17 @@ def band_edge_optimum(result, band_top, window=2):
     between resonances.  Just beyond the band edge the curve is smooth and
     the drive power is lowest, so the first local maximum there is the
     natural operating point to quote for a gate working close to the
-    uniform mode.  ``band_top`` is the highest mode frequency in rad/s.
-    Falls back to the scan's best index when no local maximum lies above
-    the band.
+    uniform mode.  ``band_top`` is the highest mode frequency in rad/s.  A
+    point is a local maximum when its fidelity is positive and not exceeded
+    within ``window`` grid steps; the one with the smallest detuning above
+    ``band_top`` is taken (the grid need not be ascending).  Falls back to
+    the scan's best index when no local maximum lies above the band.
     """
     grid = result.mu_grid
-    candidates = [i for i in _local_maxima(result, window)
-                  if grid[i] > band_top]
+    fid = result.fidelities
+    candidates = [i for i in range(fid.size)
+                  if grid[i] > band_top and fid[i] > 0.0
+                  and fid[i] >= fid[max(0, i - window):i + window + 1].max()]
     if not candidates:
         return result.best_index
     return min(candidates, key=lambda i: grid[i])

@@ -37,6 +37,8 @@ _TOP_POPULATION_LIMIT = 1e-8
 # run is stopped early only a hundredfold above it.
 _TOP_POPULATION_ABORT = 1e-6
 _NORM_DRIFT_LIMIT = 1e-9
+# conditional phase of the ideal gate the fidelity is taken against
+_PHI_TARGET = math.pi / 4.0
 
 _GAUSS_NODES = ((3.0 - math.sqrt(3.0)) / 6.0, (3.0 + math.sqrt(3.0)) / 6.0)
 
@@ -272,14 +274,15 @@ def reduced_qubit_state(state, nbar=None):
     return rho
 
 
-def qubit_fidelity(rho, phi_target=math.pi / 4.0):
+def qubit_fidelity(rho):
     """<Psi_f| rho |Psi_f> with |Psi_f> the ideal conditional-phase image
-    of the equal superposition: amplitudes exp(i phi_target s_l s_n) / 2."""
+    of the equal superposition: amplitudes exp(i _PHI_TARGET s_l s_n) / 2."""
     parity = np.array([sl * sn for sl, sn in _BRANCH_SIGNS])
-    target = 0.5 * np.exp(1j * phi_target * parity)
+    target = 0.5 * np.exp(1j * _PHI_TARGET * parity)
     return float(np.real(np.conj(target) @ rho @ target))
 
 
-def fidelity_from_state(state, nbar=None, phi_target=math.pi / 4.0):
-    """Gate fidelity by direct trace over the evolved truncated state."""
-    return qubit_fidelity(reduced_qubit_state(state, nbar=nbar), phi_target)
+def fidelity_from_state(state, nbar=None):
+    """Gate fidelity against the pi/4 conditional phase, by direct trace
+    over the evolved truncated state."""
+    return qubit_fidelity(reduced_qubit_state(state, nbar=nbar))

@@ -4,6 +4,7 @@ Everything runs on small crystals through ``cli.main`` so the exit codes
 and emitted files are exercised exactly as a shell user would see them.
 """
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -172,15 +173,23 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, workspace):
         """Same config and seed give byte-identical artifacts."""
         root = workspace["root"]
-        out2 = str(root / "optimize-again")
-        code = cli.main(["optimize", "--config", workspace["config"],
-                         "--out", out2, "--cache", workspace["cache"]])
-        assert code == 0
-        first = workspace["outs"]["optimize"]
-        for name in ("scan.tsv", "best_schedule.tsv", "best_report.tsv",
-                     "summary.json"):
-            assert filecmp.cmp(os.path.join(first, name),
-                               os.path.join(out2, name), shallow=False), name
+        schedule = os.path.join(workspace["outs"]["optimize"],
+                                "best_schedule.tsv")
+        for command in ("scaling", "modes", "optimize", "gate"):
+            out2 = str(root / (command + "-again"))
+            extra = ["--schedule", schedule] if command == "gate" else []
+            code = cli.main([command, "--config", workspace["config"],
+                             "--out", out2, "--cache", workspace["cache"]]
+                            + extra)
+            assert code == 0, command
+            first = workspace["outs"][command]
+            names = sorted(os.listdir(first))
+            assert names == sorted(os.listdir(out2)), command
+            assert "summary.json" in names and len(names) >= 2, command
+            for name in names:
+                assert filecmp.cmp(os.path.join(first, name),
+                                   os.path.join(out2, name),
+                                   shallow=False), (command, name)
 
     def test_cache_coherence(self, workspace):
         """Cache hits and fresh solves produce identical artifacts."""
@@ -252,6 +261,100 @@ class TestDeterminism:
                          "--seed", "3"])
         assert code == 0
         assert load_summary(out)["seed"] == 3
+
+
+def _drop_last_rows(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]))
+
+
+def _cut_header(path):
+    path.write_bytes(path.read_bytes()[:300])
+
+
+def _perturb_positions(path):
+    crystal = cr.read_crystal(path)
+    moved = crystal.positions.copy()
+    moved[2, 0] += 1e-3
+    cr.write_crystal(dataclasses.replace(crystal, positions=moved), path)
+
+
+def _other_ion_count(path):
+    trap = cr.TrapConfig(8, omega_r=2 * math.pi * 0.2e6,
+                         omega_z=2 * math.pi * 10e6)
+    cr.write_crystal(cr.solve_equilibrium(trap), path)
+
+
+class TestCacheValidation:
+    """A cache entry is trusted only if it reads back whole, holds the
+    right ion count and is at rest; otherwise it is solved again."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fresh")
+        config = write_config(root)
+        cache = str(root / "cache")
+        out = str(root / "out")
+        assert cli.main(["equilibrium", "--config", config, "--out", out,
+                         "--cache", cache]) == 0
+        return config, out, os.path.join(cache, "crystal-n7-seed0.tsv")
+
+    @pytest.mark.parametrize("corrupt", [_drop_last_rows, _cut_header,
+                                         _perturb_positions,
+                                         _other_ion_count],
+                             ids=["missing-rows", "cut-header",
+                                  "perturbed-positions", "ion-count"])
+    def test_corrupt_entry_is_solved_again(self, fresh, tmp_path, corrupt):
+        config, fresh_out, fresh_entry = fresh
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / "crystal-n7-seed0.tsv"
+        shutil.copyfile(fresh_entry, entry)
+        corrupt(entry)
+        assert not filecmp.cmp(fresh_entry, entry, shallow=False)
+        out = str(tmp_path / "out")
+        assert cli.main(["equilibrium", "--config", config, "--out", out,
+                         "--cache", str(cache)]) == 0
+        for name in ("crystal.tsv", "positions.tsv", "summary.json"):
+            assert filecmp.cmp(os.path.join(fresh_out, name),
+                               os.path.join(out, name), shallow=False), name
+        # the entry is overwritten with the fresh solve
+        assert filecmp.cmp(fresh_entry, entry, shallow=False)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drop_last_rows, "cover ions"), (_perturb_positions, "not at rest")],
+        ids=["missing-rows", "perturbed-positions"])
+    def test_read_crystal_rejects(self, fresh, tmp_path, corrupt, message):
+        path = tmp_path / "crystal.tsv"
+        shutil.copyfile(fresh[2], path)
+        corrupt(path)
+        with pytest.raises(ValueError, match=message):
+            cr.read_crystal(path)
+
+
+class TestPairValidation:
+    @pytest.mark.parametrize("command, pair, target_pair", [
+        ("optimize", "0, 9", None), ("optimize", "2, 2", None),
+        ("optimize", "0, -1", None), ("gate", "0, 3", (0, 9)),
+        ("gate", "0, 3", (0, -1)), ("gate", "7, 1", None)],
+        ids=["optimize-out-of-range", "optimize-same-ion",
+             "optimize-negative", "gate-schedule-out-of-range",
+             "gate-schedule-negative", "gate-config-out-of-range"])
+    def test_bad_pair_is_config_error(self, tmp_path, capsys, command, pair,
+                                      target_pair):
+        config = write_config(tmp_path, BASE_CONFIG.replace(
+            "pair = 0, 3", "pair = " + pair))
+        schedule = gt.PulseSchedule.uniform(
+            50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6]),
+            2 * math.pi * 10.04e6, target_pair=target_pair)
+        path = str(tmp_path / "schedule.tsv")
+        gt.write_schedule(schedule, path)
+        extra = ["--schedule", path] if command == "gate" else []
+        code = cli.main([command, "--config", config,
+                         "--out", str(tmp_path / "out")] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'pair'" in err
 
 
 class TestConfigParsing:

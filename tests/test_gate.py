@@ -191,13 +191,6 @@ class TestSchedule:
             gt.PulseSchedule(times=np.array([0.0, 1.0]),
                              amplitudes=np.array([1.0]), mu=-2.0)
 
-    def test_amplitude_at(self):
-        s = gt.PulseSchedule.uniform(1.0, [1.0, 2.0], 5.0)
-        assert np.allclose(s.amplitude_at([0.0, 0.25, 0.5, 0.75, 1.0]),
-                           [1.0, 1.0, 2.0, 2.0, 2.0])
-        assert s.amplitude_at(1.5) == 0.0
-        assert s.amplitude_at(-0.1) == 0.0
-
 
 class TestCouplings:
     def test_com_row(self):
@@ -332,6 +325,19 @@ class TestResponseProfile:
         prof = gt.response_profile(sched, spec, (0, 1))
         assert prof.normalized[0] == pytest.approx(prof.normalized[1],
                                                    rel=1e-9)
+
+    def test_gate_report_defaults_carry_response(self):
+        # a report built with every default still holds one response entry
+        # per ion, the profile of response_profile at its default samples
+        spec = self.make_spec(5)
+        sched = gt.PulseSchedule.uniform(
+            20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
+        report = gt.gate_report(sched, spec, (0, 1))
+        assert report.response_peak.shape == (5,)
+        assert report.response_normalized.shape == (5,)
+        prof = gt.response_profile(sched, spec, (0, 1))
+        assert np.array_equal(report.response_peak, prof.peak)
+        assert np.array_equal(report.response_normalized, prof.normalized)
 
 
 class TestScheduleSerialization:

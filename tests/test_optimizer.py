@@ -282,26 +282,11 @@ def synthetic_result(fidelities, mu_lo=1.0, mu_hi=2.0):
 
 
 class TestSelectors:
-    def test_nearest_local_maximum(self):
-        res = synthetic_result([0.1, 0.6, 0.2, 0.1, 0.8, 0.3])
-        grid = res.mu_grid
-        assert op.local_optimum_near(res, grid[1]) == 1
-        assert op.local_optimum_near(res, grid[4]) == 4
-        # from in between, the closer peak wins
-        assert op.local_optimum_near(res, 0.6 * grid[1] + 0.4 * grid[4]) == 1
-
-    def test_distance_tie_prefers_smaller_mu(self):
-        res = synthetic_result([0.1, 0.6, 0.2, 0.6, 0.1])
-        mid = 0.5 * (res.mu_grid[1] + res.mu_grid[3])
-        assert op.local_optimum_near(res, mid) == 1
-
     def test_zero_fidelity_points_ignored(self):
+        # a failed point (fidelity 0) is never a local maximum, even where
+        # nothing within the window exceeds it
         res = synthetic_result([0.0, 0.0, 0.5, 0.1, 0.0])
-        assert op.local_optimum_near(res, res.mu_grid[0]) == 2
-
-    def test_no_candidates_falls_back_to_best(self):
-        res = synthetic_result([0.0, 0.0, 0.0])
-        assert op.local_optimum_near(res, 1.5) == res.best_index
+        assert op.band_edge_optimum(res, 0.0, window=1) == 2
 
     def test_band_edge_first_maximum_above(self):
         res = synthetic_result([0.9, 0.2, 0.5, 0.3, 0.8, 0.1])
@@ -318,6 +303,13 @@ class TestSelectors:
         # equal neighbours both qualify; first-above picks the lower mu
         res = synthetic_result([0.1, 0.5, 0.5, 0.1])
         assert op.band_edge_optimum(res, 0.0) == 1
+
+    def test_band_edge_on_descending_grid(self):
+        # the pick is the smallest detuning above the band, not the first
+        # index: on a descending grid that is the last local maximum
+        res = synthetic_result([0.1, 0.6, 0.2, 0.7, 0.1], mu_lo=2.0,
+                               mu_hi=1.0)
+        assert op.band_edge_optimum(res, 0.0, window=1) == 3
 
 
 class TestDefaultPairList:
