@@ -13,7 +13,7 @@ import numpy as np
 
 from gatelab import (TrapConfig, OptimizationProblem, axial_spectrum,
                      band_edge_optimum, default_mu_grid, default_pair_list,
-                     detuning_scan, solve_equilibrium)
+                     detuning_scan, gate_report, solve_equilibrium)
 
 trap = TrapConfig(127, omega_r=2 * math.pi * 0.2e6,
                   omega_z=2 * math.pi * 10e6, temperature_nbar=0.1)
@@ -44,7 +44,8 @@ for label, idx in (("first window above the band", edge),
              result.fidelities[idx],
              result.max_amplitudes[idx] / (2 * math.pi) / 1e6))
 
-report = result.best_report
+report = gate_report(result.best_schedule, spectrum, pair,
+                     nbar=problem.nbar)
 print("\nwinning schedule:")
 print("  segment amplitudes (MHz):",
       np.round(result.best_schedule.amplitudes / (2 * math.pi) / 1e6, 4))

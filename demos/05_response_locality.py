@@ -13,7 +13,7 @@ import numpy as np
 
 from gatelab import (TrapConfig, OptimizationProblem, axial_spectrum,
                      default_mu_grid, default_pair_list, detuning_scan,
-                     solve_equilibrium)
+                     gate_report, solve_equilibrium)
 
 trap = TrapConfig(127, omega_r=2 * math.pi * 0.2e6,
                   omega_z=2 * math.pi * 10e6, temperature_nbar=0.1)
@@ -25,7 +25,8 @@ problem = OptimizationProblem(pair=pair, tau=50e-6, segment_count=5,
                               mu_grid=default_mu_grid(trap.omega_z),
                               nbar=0.1)
 result = detuning_scan(spectrum, problem)
-report = result.best_report
+report = gate_report(result.best_schedule, spectrum, pair,
+                     nbar=problem.nbar)
 print("pair %s, best F = %.6f at mu/2pi = %.4f MHz"
       % (pair, result.best_fidelity, result.best_mu / (2 * math.pi) / 1e6))
 

@@ -13,8 +13,9 @@ solve rounds differently with another thread count, and every artifact
 downstream of it follows.
 Solved crystals can be cached (``--cache``) and are re-dressed for the
 requested trap on reuse, which is exact because the dimensionless planar
-equilibrium depends only on the ion count; an entry that does not read
-back whole, holds another ion count or is not at rest is solved again.
+equilibrium depends only on the ion count.  Only an entry's positions and
+trap block are read back; an entry that does not read back whole, holds
+another ion count or is not at rest is solved again.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 instability flagged.
@@ -32,7 +33,8 @@ from . import crystal as cr
 from . import gate as gt
 from . import modes as md
 from . import optimizer as op
-from .errors import ConfigError, GatelabError, UnstableSpectrum
+from .errors import (ConfigError, GatelabError, InsufficientPoints,
+                     UnstableSpectrum)
 from ._textio import atomic_write_json, fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * math.pi
@@ -444,7 +446,13 @@ def cmd_optimize(config, out_dir, cache_dir, args):
     pair = config.pair and _check_pair(config.pair, config.ion_count)
     crystal = cached_crystal(config, cache_dir)
     spectrum = md.axial_spectrum(crystal)
-    pair = pair or op.default_pair_list(crystal, config.pair_count)[0]
+    try:  # every pair the run needs, picked before any output
+        pairs = op.default_pair_list(
+            crystal, config.pair_count if config.table else 1)
+    except InsufficientPoints as exc:
+        raise ConfigError("'pair_count': %s at ion_count = %d"
+                          % (exc, config.ion_count))
+    pair = pair or pairs[0]
     grid = op.default_mu_grid(TWO_PI * config.omega_z_hz,
                               points=config.mu_grid_points,
                               below_hz=config.mu_below_hz,
@@ -468,8 +476,10 @@ def cmd_optimize(config, out_dir, cache_dir, args):
     if result.feasible:
         gt.write_schedule(result.best_schedule,
                           os.path.join(out_dir, "best_schedule.tsv"))
-        gt.write_report(result.best_report,
-                        os.path.join(out_dir, "best_report.tsv"))
+        report = gt.gate_report(result.best_schedule, spectrum, pair,
+                                nbar=config.nbar,
+                                samples=config.response_samples)
+        gt.write_report(report, os.path.join(out_dir, "best_report.tsv"))
         files += ["best_schedule.tsv", "best_report.tsv"]
         edge = op.band_edge_optimum(result, spectrum.frequencies.max())
         summary.update({
@@ -486,11 +496,10 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         code = 3
     if config.table:
         rows = op.table_one(
-            crystal,
+            crystal, pairs,
             omega_r_values=tuple(TWO_PI * v
                                  for v in config.omega_r_table_hz),
-            tau=config.tau_s, segments=config.segments,
-            pair_count=config.pair_count, mu_grid=grid)
+            tau=config.tau_s, segments=config.segments, mu_grid=grid)
         op.write_table(rows, os.path.join(out_dir, "table.tsv"))
         files.append("table.tsv")
     summary["files"] = files

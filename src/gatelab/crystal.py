@@ -112,24 +112,37 @@ def length_scale(config):
 
 @dataclass(frozen=True)
 class Crystal:
-    """A converged planar equilibrium configuration.
+    """A converged planar equilibrium configuration in a trap.
 
     ``positions`` are dimensionless (N, 2) coordinates, recentred and in the
-    canonical orientation.  ``u_min`` is the minimum pair distance (inf for a
+    canonical orientation, dressed with the trap ``config``; the rest is
+    computed from them.  ``u_min`` is the minimum pair distance (inf for a
     single ion) and ``residual_gradient_norm`` the max-abs component of the
-    dimensionless gradient at the solution.
+    dimensionless gradient.
     """
 
     positions: np.ndarray
-    length_scale_ell: float
-    residual_gradient_norm: float
-    u_min: float
-    energy: float
     config: TrapConfig
 
     @property
     def ion_count(self):
         return self.positions.shape[0]
+
+    @property
+    def length_scale_ell(self):
+        return length_scale(self.config)
+
+    @property
+    def u_min(self):
+        return min_spacing(self.positions)
+
+    @property
+    def energy(self):
+        return potential_energy(self.positions)
+
+    @property
+    def residual_gradient_norm(self):
+        return float(np.abs(potential_gradient(self.positions)).max())
 
     def spacing_metres(self):
         """Minimum pair distance in metres."""
@@ -144,8 +157,7 @@ def with_trap(crystal, config):
     """
     if config.ion_count != crystal.ion_count:
         raise ValueError("ion_count mismatch")
-    return replace(crystal, config=config,
-                   length_scale_ell=length_scale(config))
+    return replace(crystal, config=config)
 
 
 def _pair_vectors(u):
@@ -482,10 +494,8 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
         If no restart reaches ``_TOL`` within ``_MAX_ITER`` iterations.
     """
     n = config.ion_count
-    ell = length_scale(config)
     if n == 1:
-        pos = np.zeros((1, 2))
-        return Crystal(pos, ell, 0.0, math.inf, 0.0, config)
+        return Crystal(np.zeros((1, 2)), config)
 
     spacing = seed_spacing(n)
     rng = np.random.default_rng(rng_seed)
@@ -516,9 +526,7 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
             "no restart reached gradient tolerance %.1e in %d iterations"
             % (_TOL, _MAX_ITER))
 
-    u = canonical_orientation(best[0])
-    gmax = float(np.abs(potential_gradient(u)).max())
-    return Crystal(u, ell, gmax, min_spacing(u), potential_energy(u), config)
+    return Crystal(canonical_orientation(best[0]), config)
 
 
 def min_spacing_scan(n_values):
@@ -631,7 +639,8 @@ def read_trap_meta(meta):
 
 
 def write_crystal(crystal, path):
-    """Write the crystal table (positions round-trip exactly)."""
+    """Write the crystal table (positions round-trip exactly; the derived
+    header values are for people and are never read back)."""
     meta = trap_meta(crystal.config) + [
         ("beta", fmt(crystal.config.beta)),
         ("length_scale_m", fmt(crystal.length_scale_ell)),
@@ -648,9 +657,10 @@ def write_crystal(crystal, path):
 def read_crystal(path):
     """Parse a file written by :func:`write_crystal` back into a Crystal.
 
-    Raises ValueError unless the rows hold indices 0..N-1 exactly once and
-    the positions are at rest: their recomputed max-abs gradient is below
-    the solver tolerance ``_TOL``.
+    Only the trap block and the position rows are read.  Raises ValueError
+    unless the rows hold indices 0..N-1 exactly once and the positions are
+    at rest: their recomputed max-abs gradient is below the solver
+    tolerance ``_TOL``.
     """
     meta, rows = read_rows(path)
     cfg = read_trap_meta(meta)
@@ -660,13 +670,8 @@ def read_crystal(path):
                          % (cfg.ion_count - 1))
     positions = np.zeros((cfg.ion_count, 2))
     positions[index] = [(float(f[1]), float(f[2])) for f in rows]
-    gmax = float(np.abs(potential_gradient(positions)).max())
-    if not gmax < _TOL:
+    crystal = Crystal(positions, cfg)
+    if not crystal.residual_gradient_norm < _TOL:
         raise ValueError("crystal is not at rest: max-abs gradient %.3e"
-                         % gmax)
-    return Crystal(positions=positions,
-                   length_scale_ell=float(meta["length_scale_m"]),
-                   residual_gradient_norm=float(meta["residual"]),
-                   u_min=float(meta["u_min"]),
-                   energy=float(meta["energy"]),
-                   config=cfg)
+                         % crystal.residual_gradient_norm)
+    return crystal

@@ -478,7 +478,6 @@ class GateReport:
     alpha_l: np.ndarray
     alpha_n: np.ndarray
     mode_frequencies: np.ndarray
-    nbar: np.ndarray
     response_peak: np.ndarray
     response_normalized: np.ndarray
 
@@ -511,8 +510,6 @@ def gate_report(schedule, spectrum, pair, nbar=None, samples=2000):
     l, n = pair
     if nbar is None:
         nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
-    nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
-                           freqs.shape).copy()
     alpha_l = mode_displacements(schedule, couplings, freqs, l)
     alpha_n = mode_displacements(schedule, couplings, freqs, n)
     phi = entangling_phase(schedule, couplings, freqs, pair)
@@ -520,7 +517,7 @@ def gate_report(schedule, spectrum, pair, nbar=None, samples=2000):
     return GateReport(pair=(int(l), int(n)), schedule=schedule, phi=phi,
                       fidelity=gate_fidelity(phi, alpha_l, alpha_n, nbar),
                       alpha_l=alpha_l, alpha_n=alpha_n,
-                      mode_frequencies=freqs.copy(), nbar=nbar,
+                      mode_frequencies=freqs.copy(),
                       response_peak=profile.peak,
                       response_normalized=profile.normalized)
 
@@ -554,11 +551,8 @@ def write_report(report, path):
 
 
 def read_report(path):
-    """Parse a file written by :func:`write_report`.
-
-    ``nbar`` is not stored per mode in the file; the returned report carries
-    zeros there, with the quoted fidelity taken from the header.
-    """
+    """Parse a file written by :func:`write_report`; the fidelity is the
+    one quoted in the header."""
     meta, rows = read_rows(path)
     l, n = meta["pair"].split(",")
     pair = (int(l), int(n))
@@ -585,5 +579,4 @@ def read_report(path):
                       fidelity=float(meta["fidelity"]),
                       alpha_l=alpha_l, alpha_n=alpha_n,
                       mode_frequencies=freqs,
-                      nbar=np.zeros(freqs.size),
                       response_peak=ions[:, 0], response_normalized=ions[:, 1])

@@ -23,8 +23,8 @@ import scipy.linalg
 
 from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
-from .gate import (GateReport, PulseSchedule, _pair_kernels,
-                   drive_couplings, gate_fidelity, gate_report, TWO_PI)
+from .gate import (PulseSchedule, _pair_kernels, drive_couplings,
+                   gate_fidelity, TWO_PI)
 from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
@@ -83,6 +83,7 @@ class OptimizationResult:
     fidelity 0 with amplitude 0 marks a grid point where no positive-phase
     drive exists.  ``best_index`` is -1 (and ``best_schedule`` None) when
     every point failed; a scan read back from file carries no schedule.
+    ``best_fidelity`` is the curve at ``best_index`` (0 when infeasible).
     """
 
     pair: tuple
@@ -93,12 +94,15 @@ class OptimizationResult:
     max_amplitudes: np.ndarray
     best_index: int
     best_schedule: PulseSchedule
-    best_fidelity: float
-    best_report: GateReport
 
     @property
     def feasible(self):
         return self.best_index >= 0
+
+    @property
+    def best_fidelity(self):
+        return (float(self.fidelities[self.best_index]) if self.feasible
+                else 0.0)
 
     @property
     def best_mu(self):
@@ -284,12 +288,15 @@ def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
     return schedule, gate_fidelity(phi, alpha_l, alpha_n, objective.nbar)
 
 
-def _scan_grid(spectrum, problem):
-    """The grid loop of :func:`detuning_scan`: its result without the
-    best point's report.
+def detuning_scan(spectrum, problem):
+    """Solve the amplitude problem on every grid detuning, keep the best.
 
-    The kernels are built once for the whole grid, and each point's
-    :func:`solve_amplitudes` call gets its slice.
+    The grid must lie in (0, 2 omega_z].  The segment kernels are built
+    once for the whole grid, and each point's :func:`solve_amplitudes`
+    call gets its slice.  Per-point failures are recorded as fidelity 0
+    and do not abort the scan; if every point fails the result carries no
+    schedule.  The result holds no gate report: pass ``best_schedule`` to
+    :func:`gate.gate_report` for one.
     """
     grid = problem.mu_grid
     if grid is None:
@@ -318,24 +325,7 @@ def _scan_grid(spectrum, problem):
         segment_count=problem.segment_count, mu_grid=grid,
         fidelities=fidelities, max_amplitudes=max_amps,
         best_index=best if schedules[best] is not None else -1,
-        best_schedule=schedules[best], best_fidelity=float(fidelities[best]),
-        best_report=None)
-
-
-def detuning_scan(spectrum, problem):
-    """Solve the amplitude problem on every grid detuning, keep the best.
-
-    The grid must lie in (0, 2 omega_z].  The segment kernels are built
-    once for the whole grid.  Per-point failures are recorded as fidelity
-    0 and do not abort the scan; if every point fails the result carries
-    no schedule.
-    """
-    result = _scan_grid(spectrum, problem)
-    if not result.feasible:
-        return result
-    report = gate_report(result.best_schedule, spectrum, problem.pair,
-                         nbar=problem.nbar)
-    return replace(result, best_report=report)
+        best_schedule=schedules[best])
 
 
 def band_edge_optimum(result, band_top, window=2):
@@ -421,17 +411,17 @@ def default_pair_list(crystal, count=10):
     return pairs
 
 
-def table_one(crystal, omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
-              tau=50e-6, segments=5, pair_count=10, mu_grid=None):
+def table_one(crystal, pairs,
+              omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6), tau=50e-6,
+              segments=5, mu_grid=None):
     """Benchmark gate design across pair separations and radial traps.
 
-    Returns a list of TableRow, ordered by radial frequency then pair rank.
-    The planar pattern is independent of the radial frequency, so
-    ``crystal`` is re-dressed (exactly) for each trap and the pair indices
-    are computed once; separations in metres scale with the trap length
-    scale.  omega_z, the ion species and nbar come from ``crystal.config``.
+    Returns a list of TableRow, ordered by radial frequency then the order
+    of ``pairs``.  The planar pattern is independent of the radial
+    frequency, so ``crystal`` is re-dressed (exactly) for each trap;
+    separations in metres scale with the trap length scale.  omega_z, the
+    ion species and nbar come from ``crystal.config``.
     """
-    pairs = default_pair_list(crystal, pair_count)
     rows = []
     for omega_r in omega_r_values:
         dressed = with_trap(crystal, replace(crystal.config, omega_r=omega_r))
@@ -440,7 +430,7 @@ def table_one(crystal, omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6),
         for rank, pair in enumerate(pairs, start=1):
             problem = OptimizationProblem(
                 pair=pair, tau=tau, segment_count=segments, mu_grid=mu_grid)
-            result = _scan_grid(spectrum, problem)
+            result = detuning_scan(spectrum, problem)
             l, n = pair
             sep = float(np.hypot(*(coords[l] - coords[n])))
             rows.append(TableRow(
@@ -476,7 +466,8 @@ def read_scan(path):
     """Parse a file written by :func:`write_scan`.
 
     Returns an OptimizationResult carrying the curve and best-point
-    metadata; the schedule and report are stored separately.
+    metadata (the best detuning and fidelity to the header's 17 digits);
+    the schedule and report are stored separately.
     """
     meta, rows = read_rows(path)
     l, n = meta["pair"].split(",")
@@ -489,14 +480,13 @@ def read_scan(path):
         amp[i] = float(fields[2]) * TWO_PI
     best = int(meta["best_index"])
     if best >= 0:
-        # the header keeps the best detuning to all 17 digits
         grid[best] = float(meta["best_mu_hz"]) * TWO_PI
+        fid[best] = float(meta["best_fidelity"])
     return OptimizationResult(
         pair=(int(l), int(n)), tau=float(meta["tau_s"]),
         segment_count=int(meta["segment_count"]), mu_grid=grid,
         fidelities=fid, max_amplitudes=amp, best_index=best,
-        best_schedule=None, best_fidelity=float(meta["best_fidelity"]),
-        best_report=None)
+        best_schedule=None)
 
 
 def write_table(rows, path):

@@ -361,11 +361,13 @@ def test_09_benchmark_trends(scan_for, pairs):
     assert ok
 
 
-def test_10_response_locality(scan_for, pairs, shell_crystals):
+def test_10_response_locality(scan_for, pairs, shell_crystals,
+                              spectrum_low):
     crystal = shell_crystals[127]
     pair = pairs[8]
     result = scan_for(pair, "low")
-    response = result.best_report.response_normalized
+    response = gt.gate_report(result.best_schedule, spectrum_low, pair,
+                              nbar=NBAR).response_normalized
     positions = crystal.positions * crystal.length_scale_ell
     d_min = crystal.spacing_metres()
     dist = np.minimum(

@@ -234,8 +234,8 @@ class TestDeterminism:
         assert len(rows) == 4  # two pairs in each of the two default traps
 
     def test_table_builds_one_gate_report(self, tmp_path, monkeypatch):
-        """Only the main scan's best point gets a gate report; the table
-        rows read the grid loop alone."""
+        """Only the main scan's best point gets a gate report; the table's
+        scans build none."""
         reports = []
         original = gt.gate_report
 
@@ -244,7 +244,6 @@ class TestDeterminism:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gt, "gate_report", counting)
-        monkeypatch.setattr(op, "gate_report", counting)
         config = write_config(
             tmp_path, "ion_count = 19\nomega_r_hz = 0.2e6\n"
                       "omega_z_hz = 10e6\nsegments = 4\n"
@@ -277,6 +276,16 @@ def _perturb_positions(path):
     moved = crystal.positions.copy()
     moved[2, 0] += 1e-3
     cr.write_crystal(dataclasses.replace(crystal, positions=moved), path)
+
+
+def _edit_derived_header(path):
+    edited = {"u_min": "0.5", "energy": "1.0", "residual": "0.0"}
+    lines = []
+    for line in path.read_text().splitlines(keepends=True):
+        key = line[2:].split("\t")[0] if line.startswith("# ") else None
+        lines.append("# %s\t%s\n" % (key, edited[key])
+                     if key in edited else line)
+    path.write_text("".join(lines))
 
 
 def _other_ion_count(path):
@@ -321,6 +330,31 @@ class TestCacheValidation:
         # the entry is overwritten with the fresh solve
         assert filecmp.cmp(fresh_entry, entry, shallow=False)
 
+    def test_derived_header_values_are_not_read(self, fresh, tmp_path):
+        """u_min, energy and residual in an entry's header are there for
+        people; a run recomputes them from the positions and the trap."""
+        config, fresh_out, fresh_entry = fresh
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / "crystal-n7-seed0.tsv"
+        shutil.copyfile(fresh_entry, entry)
+        _edit_derived_header(entry)
+        assert not filecmp.cmp(fresh_entry, entry, shallow=False)
+        expected = {"equilibrium": fresh_out,
+                    "scaling": str(tmp_path / "scaling-fresh")}
+        assert cli.main(["scaling", "--config", config,
+                         "--out", expected["scaling"]]) == 0
+        for command, reference in expected.items():
+            out = str(tmp_path / command)
+            assert cli.main([command, "--config", config, "--out", out,
+                             "--cache", str(cache)]) == 0
+            names = sorted(os.listdir(reference))
+            assert sorted(os.listdir(out)) == names
+            for name in names:
+                assert filecmp.cmp(os.path.join(reference, name),
+                                   os.path.join(out, name),
+                                   shallow=False), (command, name)
+
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_last_rows, "cover ions"), (_perturb_positions, "not at rest")],
         ids=["missing-rows", "perturbed-positions"])
@@ -355,6 +389,49 @@ class TestPairValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'pair'" in err
+
+
+class TestOptimizePairs:
+    """optimize picks every pair it needs before it writes anything."""
+
+    def test_default_pair_needs_one_separation(self, tmp_path):
+        # N=37 has fewer than 10 distinct centre separations; without the
+        # table only the nearest-neighbour pair is needed
+        config = write_config(tmp_path, BASE_CONFIG.replace(
+            "ion_count = 7", "ion_count = 37").replace("pair = 0, 3\n", ""))
+        out = str(tmp_path / "out")
+        assert cli.main(["optimize", "--config", config, "--out", out]) == 0
+        crystal = cli.cached_crystal(cli.parse_config(config), "")
+        expected = op.default_pair_list(crystal, 1)[0]
+        assert tuple(load_summary(out)["pair"]) == expected
+
+    def test_table_pairs_checked_before_any_output(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIG.replace(
+            "ion_count = 7", "ion_count = 37").replace(
+            "pair = 0, 3", "pair = 0, 1\ntable = true"))
+        out = tmp_path / "out"
+        code = cli.main(["optimize", "--config", config, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'pair_count'" in err
+        assert os.listdir(out) == []
+
+    def test_report_uses_response_samples(self, tmp_path):
+        config = write_config(tmp_path,
+                              BASE_CONFIG + "response_samples = 500\n")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", config,
+                         "--out", str(out)]) == 0
+        run = cli.parse_config(config)
+        spectrum = md.axial_spectrum(cli.cached_crystal(run, ""))
+        # the schedule file keeps 15 digits, so compare to a tolerance
+        schedule = gt.read_schedule(out / "best_schedule.tsv")
+        peak = gt.read_report(out / "best_report.tsv").response_peak
+        for samples, same in ((500, True), (2000, False)):
+            report = gt.gate_report(schedule, spectrum, run.pair,
+                                    nbar=run.nbar, samples=samples)
+            assert np.allclose(peak, report.response_peak, rtol=1e-9,
+                               atol=0.0) == same, samples
 
 
 class TestConfigParsing:

@@ -185,11 +185,23 @@ class TestDetuningScan:
         assert result.best_fidelity == 0.0
         assert np.all(result.fidelities == 0.0)
 
-    def test_report_attached_with_response(self, spectrum7):
+    def test_scan_builds_no_report(self, spectrum7, monkeypatch):
+        """The scan returns the curve and the winning schedule; the caller
+        builds the winner's report, which matches the scan's fidelity."""
+        reports = []
+        original = gt.gate_report
+
+        def counting(*args, **kwargs):
+            reports.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gt, "gate_report", counting)
+        monkeypatch.setattr(op, "gate_report", counting, raising=False)
         problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
                                          mu_grid=small_grid())
         result = op.detuning_scan(spectrum7, problem)
-        report = result.best_report
+        assert reports == []
+        report = original(result.best_schedule, spectrum7, (0, 1))
         assert report.fidelity == pytest.approx(result.best_fidelity,
                                                 abs=1e-12)
         assert report.response_normalized is not None
@@ -278,7 +290,7 @@ def synthetic_result(fidelities, mu_lo=1.0, mu_hi=2.0):
     return op.OptimizationResult(
         pair=(0, 1), tau=1.0, segment_count=1, mu_grid=grid,
         fidelities=fid, max_amplitudes=np.zeros(fid.size), best_index=best,
-        best_schedule=None, best_fidelity=float(fid[best]), best_report=None)
+        best_schedule=None)
 
 
 class TestSelectors:
@@ -365,6 +377,7 @@ class TestSerialization:
         assert back.best_mu == pytest.approx(result.best_mu, rel=1e-15)
         assert back.best_fidelity == pytest.approx(result.best_fidelity,
                                                    rel=1e-15)
+        assert back.fidelities[back.best_index] == back.best_fidelity
         # 15 significant digits in the file plus one Hz/angular round trip
         np.testing.assert_allclose(back.mu_grid, result.mu_grid, rtol=1e-12)
         np.testing.assert_allclose(back.fidelities, result.fidelities,
@@ -398,9 +411,9 @@ class TestTableOne:
         grid = np.linspace(WZ + TWO_PI * 20e3, WZ + TWO_PI * 60e3, 5)
         crystal = cr.solve_equilibrium(cr.TrapConfig(
             19, omega_r=TWO_PI * 1.0e6, omega_z=WZ, temperature_nbar=0.1))
-        rows = op.table_one(crystal, omega_r_values=(TWO_PI * 0.2e6,),
-                            tau=50e-6, segments=5, pair_count=3,
-                            mu_grid=grid)
+        rows = op.table_one(crystal, op.default_pair_list(crystal, 3),
+                            omega_r_values=(TWO_PI * 0.2e6,),
+                            tau=50e-6, segments=5, mu_grid=grid)
         assert len(rows) == 3
         assert [r.rank for r in rows] == [1, 2, 3]
         seps = [r.separation_m for r in rows]
