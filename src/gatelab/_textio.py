@@ -5,6 +5,9 @@ of them names the ``columns``), then one tab-separated row per record.
 :func:`write_rows` and :func:`read_rows` are the only writer and reader of
 that format; each artifact module just maps its objects to metadata pairs
 and string rows and back.
+
+Every float goes through :func:`fmt`, the one float format: a column in
+its in-memory unit reads back bitwise, a rad/s column stored in Hz to 1 ulp.
 """
 
 import json
@@ -33,9 +36,9 @@ def atomic_write_json(path, record):
     atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def fmt(value, sig=17):
-    """Format a float with ``sig`` significant digits."""
-    return "%.*g" % (sig, float(value))
+def fmt(value):
+    """17 significant digits: any binary64 value reads back bitwise."""
+    return "%.17g" % float(value)
 
 
 def write_rows(path, title, meta, rows):

@@ -159,8 +159,12 @@ def parse_config(path):
         raise ConfigError("'amplitude_bound_hz' must be non-negative")
     if config.pair and len(config.pair) != 2:
         raise ConfigError("'pair' needs exactly two ion indices")
-    if any(n < 1 for n in config.n_series + config.stability_n_series):
-        raise ConfigError("ion numbers in series must be positive")
+    for key, low in (("n_series", 2), ("stability_n_series", 1)):
+        if any(n < low for n in getattr(config, key)):
+            raise ConfigError("'%s' needs ion numbers >= %d" % (key, low))
+    for key in ("beta_values", "dmin_targets_m", "omega_r_table_hz"):
+        if not all(v > 0 for v in getattr(config, key)):
+            raise ConfigError("every element of '%s' must be positive" % key)
     if config.seed < 0:
         raise ConfigError("'seed' must be non-negative")
     return config
@@ -248,8 +252,8 @@ def write_positions(crystal, path):
     rows = []
     for j in range(crystal.ion_count):
         x, y = crystal.positions[j]
-        rows.append([str(j), fmt(x * ell, 15), fmt(y * ell, 15),
-                     fmt(x, 15), fmt(y, 15), fmt(deviation[j], 15)])
+        rows.append([str(j), fmt(x * ell), fmt(y * ell),
+                     fmt(x), fmt(y), fmt(deviation[j])])
     write_rows(path, "gatelab ion positions", meta, rows)
 
 
@@ -297,8 +301,7 @@ def cmd_scaling(config, out_dir, cache_dir, args):
     points = [(n, cached_crystal(config, cache_dir, n).u_min)
               for n in config.n_series]
     ell = cr.length_scale(trap_config(config, ion_count=1))
-    spacing_rows = [[str(n), fmt(u, 15), fmt(u * ell, 15)]
-                    for n, u in points]
+    spacing_rows = [[str(n), fmt(u), fmt(u * ell)] for n, u in points]
     meta = [("omega_r_hz", fmt(config.omega_r_hz))]
     fit = None
     if len(points) >= 3:
@@ -317,8 +320,7 @@ def cmd_scaling(config, out_dir, cache_dir, args):
             omega = cr.omega_r_for_spacing(
                 n, target, ion_mass=config.ion_mass_kg,
                 charge=config.charge_c, u_min=u_by_n[n])
-            required_rows.append([str(n), fmt(target, 15),
-                                  fmt(omega / TWO_PI, 15)])
+            required_rows.append([str(n), fmt(target), fmt(omega / TWO_PI)])
     write_rows(os.path.join(out_dir, "required_omega_r.tsv"),
                "gatelab radial frequency for target spacing",
                [("targets_m", ",".join(fmt(t) for t in config.dmin_targets_m)),
@@ -364,7 +366,7 @@ def cmd_modes(config, out_dir, cache_dir, args):
         for n in config.stability_n_series:
             shell = cached_crystal(config, cache_dir, n)
             beta_c = md.critical_beta(shell)
-            rows.append([str(n), fmt(beta_c, 15), fmt(beta_c ** 2, 15)])
+            rows.append([str(n), fmt(beta_c), fmt(beta_c ** 2)])
             if n > 2:
                 points.append((n, beta_c ** 2))
         meta = []
@@ -390,8 +392,7 @@ def cmd_modes(config, out_dir, cache_dir, args):
                 skipped.append(beta)
                 continue
             omega_z_hz = beta * config.omega_r_hz
-            rows.append([fmt(beta, 15), fmt(gap / TWO_PI, 15),
-                         fmt(omega_z_hz, 15)])
+            rows.append([fmt(beta), fmt(gap / TWO_PI), fmt(omega_z_hz)])
         write_rows(os.path.join(out_dir, "com_gap.tsv"),
                    "gatelab uniform-mode gap versus anisotropy",
                    [("ion_count", config.ion_count),
@@ -444,6 +445,13 @@ def cmd_gate(config, out_dir, cache_dir, args):
 def cmd_optimize(config, out_dir, cache_dir, args):
     _require(config, "ion_count", "omega_r_hz", "omega_z_hz")
     pair = config.pair and _check_pair(config.pair, config.ion_count)
+    omega_z = TWO_PI * config.omega_z_hz
+    grid = op.default_mu_grid(omega_z, points=config.mu_grid_points,
+                              below_hz=config.mu_below_hz,
+                              above_hz=config.mu_above_hz)
+    if grid.min() <= 0.0 or grid.max() > 2.0 * omega_z:
+        raise ConfigError("'mu_below_hz' and 'mu_above_hz' must keep the "
+                          "detuning grid in (0, 2 * omega_z_hz]")
     crystal = cached_crystal(config, cache_dir)
     spectrum = md.axial_spectrum(crystal)
     try:  # every pair the run needs, picked before any output
@@ -453,10 +461,6 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         raise ConfigError("'pair_count': %s at ion_count = %d"
                           % (exc, config.ion_count))
     pair = pair or pairs[0]
-    grid = op.default_mu_grid(TWO_PI * config.omega_z_hz,
-                              points=config.mu_grid_points,
-                              below_hz=config.mu_below_hz,
-                              above_hz=config.mu_above_hz)
     bound = (TWO_PI * config.amplitude_bound_hz
              if config.amplitude_bound_hz > 0 else None)
     problem = op.OptimizationProblem(
@@ -474,10 +478,11 @@ def cmd_optimize(config, out_dir, cache_dir, args):
     }
     code = 0
     if result.feasible:
-        gt.write_schedule(result.best_schedule,
-                          os.path.join(out_dir, "best_schedule.tsv"))
-        report = gt.gate_report(result.best_schedule, spectrum, pair,
-                                nbar=config.nbar,
+        # report the schedule as shipped, so `gate --schedule` reproduces it
+        schedule_path = os.path.join(out_dir, "best_schedule.tsv")
+        gt.write_schedule(result.best_schedule, schedule_path)
+        report = gt.gate_report(gt.read_schedule(schedule_path), spectrum,
+                                pair, nbar=config.nbar,
                                 samples=config.response_samples)
         gt.write_report(report, os.path.join(out_dir, "best_report.tsv"))
         files += ["best_schedule.tsv", "best_report.tsv"]

@@ -648,7 +648,6 @@ def write_crystal(crystal, path):
         ("energy", fmt(crystal.energy)),
         ("residual", fmt(crystal.residual_gradient_norm)),
         ("columns", "index\tu_x\tu_y")]
-    # full 17 digits so a read-back reproduces the floats exactly
     rows = [[str(i), fmt(x), fmt(y)]
             for i, (x, y) in enumerate(crystal.positions)]
     write_rows(path, "gatelab crystal", meta, rows)

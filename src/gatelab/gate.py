@@ -431,9 +431,8 @@ def write_schedule(schedule, path):
     if schedule.target_pair is not None:
         meta.append(("target_pair", "%d,%d" % schedule.target_pair))
     meta.append(("columns", "segment\tt_start_s\tt_end_s\tamplitude_hz"))
-    rows = [[str(p), fmt(schedule.times[p], 15),
-             fmt(schedule.times[p + 1], 15),
-             fmt(schedule.amplitudes[p] / TWO_PI, 15)]
+    rows = [[str(p), fmt(schedule.times[p]), fmt(schedule.times[p + 1]),
+             fmt(schedule.amplitudes[p] / TWO_PI)]
             for p in range(schedule.segment_count)]
     write_rows(path, "gatelab pulse schedule", meta, rows)
 

@@ -128,8 +128,8 @@ def write_spectrum(spectrum, path):
         ("beta", fmt(spectrum.beta)),
         ("columns", "\t".join(["mode", "frequency_hz"]
                               + ["b_%d" % i for i in range(n)]))]
-    rows = [[str(k), fmt(spectrum.frequencies[k] / TWO_PI, 15)]
-            + [fmt(v, 15) for v in spectrum.modes[k]] for k in range(n)]
+    rows = [[str(k), fmt(spectrum.frequencies[k] / TWO_PI)]
+            + [fmt(v) for v in spectrum.modes[k]] for k in range(n)]
     write_rows(path, "gatelab axial spectrum", meta, rows)
 
 

@@ -456,7 +456,7 @@ def write_scan(result, path):
             ("best_mu_hz",
              fmt(result.best_mu / TWO_PI if result.feasible else 0.0)),
             ("columns", "mu_hz\tfidelity\tmax_amplitude_hz")]
-    rows = [[fmt(mu / TWO_PI, 15), fmt(fid, 15), fmt(amp / TWO_PI, 15)]
+    rows = [[fmt(mu / TWO_PI), fmt(fid), fmt(amp / TWO_PI)]
             for mu, fid, amp in zip(result.mu_grid, result.fidelities,
                                     result.max_amplitudes)]
     write_rows(path, "gatelab detuning scan", meta, rows)
@@ -465,9 +465,10 @@ def write_scan(result, path):
 def read_scan(path):
     """Parse a file written by :func:`write_scan`.
 
-    Returns an OptimizationResult carrying the curve and best-point
-    metadata (the best detuning and fidelity to the header's 17 digits);
-    the schedule and report are stored separately.
+    Returns an OptimizationResult carrying the curve; the schedule and
+    report are stored separately.  The ``best_*`` header lines are for
+    people: the best index is the curve's first maximum, or -1 when that
+    is 0, the file's mark of a failed point.
     """
     meta, rows = read_rows(path)
     l, n = meta["pair"].split(",")
@@ -478,14 +479,12 @@ def read_scan(path):
         grid[i] = float(fields[0]) * TWO_PI
         fid[i] = float(fields[1])
         amp[i] = float(fields[2]) * TWO_PI
-    best = int(meta["best_index"])
-    if best >= 0:
-        grid[best] = float(meta["best_mu_hz"]) * TWO_PI
-        fid[best] = float(meta["best_fidelity"])
+    best = int(np.argmax(fid))
     return OptimizationResult(
         pair=(int(l), int(n)), tau=float(meta["tau_s"]),
         segment_count=int(meta["segment_count"]), mu_grid=grid,
-        fidelities=fid, max_amplitudes=amp, best_index=best,
+        fidelities=fid, max_amplitudes=amp,
+        best_index=best if fid[best] > 0.0 else -1,
         best_schedule=None)
 
 
@@ -495,9 +494,9 @@ def write_table(rows, path):
             ("columns", "rank\tion_l\tion_n\tseparation_m\tomega_r_hz"
              "\tmu_opt_hz\tfidelity\tmax_amplitude_hz")]
     fields = [[str(row.rank), str(row.pair[0]), str(row.pair[1]),
-               fmt(row.separation_m, 15), fmt(row.omega_r / TWO_PI, 15),
-               fmt(row.mu_opt / TWO_PI, 15), fmt(row.fidelity, 15),
-               fmt(row.max_amplitude / TWO_PI, 15)] for row in rows]
+               fmt(row.separation_m), fmt(row.omega_r / TWO_PI),
+               fmt(row.mu_opt / TWO_PI), fmt(row.fidelity),
+               fmt(row.max_amplitude / TWO_PI)] for row in rows]
     write_rows(path, "gatelab benchmark table", meta, fields)
 
 

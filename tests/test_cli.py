@@ -168,6 +168,14 @@ class TestArtifacts:
         assert abs(summary["entangling_phase_rad"]) == pytest.approx(
             math.pi / 4, rel=1e-9)
 
+    def test_gate_reproduces_best_report(self, workspace):
+        """optimize reports the schedule file it ships, so evaluating that
+        file rebuilds its report byte for byte."""
+        outs = workspace["outs"]
+        assert filecmp.cmp(os.path.join(outs["optimize"], "best_report.tsv"),
+                           os.path.join(outs["gate"], "report.tsv"),
+                           shallow=False)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, workspace):
@@ -417,14 +425,20 @@ class TestOptimizePairs:
         assert os.listdir(out) == []
 
     def test_report_uses_response_samples(self, tmp_path):
-        config = write_config(tmp_path,
-                              BASE_CONFIG + "response_samples = 500\n")
+        # at N=19 a report built from the in-memory winner, not the file
+        # as written, differs in the last digits
+        config = write_config(tmp_path, BASE_CONFIG.replace(
+            "ion_count = 7", "ion_count = 19") + "response_samples = 500\n")
         out = tmp_path / "out"
         assert cli.main(["optimize", "--config", config,
                          "--out", str(out)]) == 0
+        gate_out = tmp_path / "gate"
+        assert cli.main(["gate", "--config", config, "--out", str(gate_out),
+                         "--schedule", str(out / "best_schedule.tsv")]) == 0
+        assert ((gate_out / "report.tsv").read_bytes()
+                == (out / "best_report.tsv").read_bytes())
         run = cli.parse_config(config)
         spectrum = md.axial_spectrum(cli.cached_crystal(run, ""))
-        # the schedule file keeps 15 digits, so compare to a tolerance
         schedule = gt.read_schedule(out / "best_schedule.tsv")
         peak = gt.read_report(out / "best_report.tsv").response_peak
         for samples, same in ((500, True), (2000, False)):
@@ -538,6 +552,23 @@ class TestConfigErrors:
                              "n_series =\n", command="scaling")
         assert code == 2
         assert "n_series" in err
+
+    @pytest.mark.parametrize("command, line, key", [
+        ("scaling", "dmin_targets_m = -5e-6", "dmin_targets_m"),
+        ("scaling", "n_series = 1, 7, 19", "n_series"),
+        ("optimize", "omega_r_table_hz = -1", "omega_r_table_hz"),
+        ("optimize", "mu_above_hz = 20e6", "mu_above_hz"),
+        ("modes", "beta_values = -3", "beta_values")],
+        ids=["negative-dmin-target", "one-ion-series", "negative-table-trap",
+             "window-past-2-omega-z", "negative-beta"])
+    def test_out_of_range_value(self, tmp_path, capsys, command, line, key):
+        text = "".join(row + "\n" for row in BASE_CONFIG.splitlines()
+                       if row.partition("=")[0].strip() != key) + line + "\n"
+        code, err = self.run(tmp_path, capsys, text, command=command)
+        assert code == 2
+        assert "config error" in err and ("'%s'" % key) in err
+        out = tmp_path / "out"
+        assert not out.exists() or os.listdir(out) == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["equilibrium",

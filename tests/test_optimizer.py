@@ -378,7 +378,9 @@ class TestSerialization:
         assert back.best_fidelity == pytest.approx(result.best_fidelity,
                                                    rel=1e-15)
         assert back.fidelities[back.best_index] == back.best_fidelity
-        # 15 significant digits in the file plus one Hz/angular round trip
+        assert back.fidelities.tobytes() == result.fidelities.tobytes()
+        # 17 significant digits in the file; the Hz columns add one
+        # Hz/angular round trip
         np.testing.assert_allclose(back.mu_grid, result.mu_grid, rtol=1e-12)
         np.testing.assert_allclose(back.fidelities, result.fidelities,
                                    rtol=1e-12)
