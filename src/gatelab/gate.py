@@ -147,18 +147,18 @@ def _moments(a, h, jmax):
     return out
 
 
-def _k_kernel(a, b, h, e0_a):
+def _k_kernel(a, b, h, e0_a, e0_ab):
     """K = integral_0^h e^{i a s2} integral_0^{s2} e^{i b s1} ds1 ds2.
 
     Generic form [E0(a+b) - E0(a)] / (ib), with ``e0_a`` = E0(a) =
-    ``_e0(a, h)`` passed in so kernels sharing ``a`` compute it once.  For
-    |b h| small the difference cancels; on those entries alone the inner
-    integral is expanded in powers of (ib) instead.
+    ``_e0(a, h)`` and ``e0_ab`` = E0(a+b) passed in, so kernels sharing
+    ``a`` compute E0(a) once and b = -a passes E0(0) = h.  For |b h| small
+    the difference cancels; on those entries alone the inner integral is
+    expanded in powers of (ib) instead.
     """
     a, b, h = np.broadcast_arrays(a, b, h)
     small = np.abs(b * h) < _SERIES_THRESHOLD
-    out = _e0(a + b, h)
-    out -= e0_a
+    out = e0_ab - e0_a
     out /= 1j * np.where(small, 1.0, b)
 
     sel = np.nonzero(small)
@@ -212,11 +212,13 @@ def _triangle_integrals(times, mu, frequencies):
     minus = omega - mu
     e0_plus = _e0(plus, h)
     e0_minus = _e0(minus, h)
-    # k1 - k2 - k3 + k4, accumulated in place
-    acc = phase * _k_kernel(plus, -minus, h, e0_plus)
-    acc -= _k_kernel(plus, -plus, h, e0_plus)
-    acc -= _k_kernel(minus, -minus, h, e0_minus)
-    acc += np.conj(phase) * _k_kernel(minus, -plus, h, e0_minus)
+    # k1 - k2 - k3 + k4, accumulated in place; k2 and k3 have a + b = 0
+    # exactly, where E0 is h exactly
+    acc = phase * _k_kernel(plus, -minus, h, e0_plus, _e0(plus - minus, h))
+    acc -= _k_kernel(plus, -plus, h, e0_plus, h)
+    acc -= _k_kernel(minus, -minus, h, e0_minus, h)
+    acc += np.conj(phase) * _k_kernel(minus, -plus, h, e0_minus,
+                                      _e0(minus - plus, h))
     return -0.25 * np.imag(acc)
 
 
@@ -311,13 +313,13 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
 
     Parameters
     ----------
-    phi : float
+    phi : float or (M,)
         Conditional phase (target pi/4 modulo pi).
-    alpha_l, alpha_n : (K,) complex
+    alpha_l, alpha_n : (K,) or (M, K) complex
         Single-ion mode displacements i c[ion, k] * alpha_integral.
     nbar : (K,) or scalar
         Mean thermal occupation per mode.
-    target_phase : float
+    target_phase : float or (M,)
         Conditional phase of the ideal gate compared against; the default
         pi/4 and its mirror -pi/4 describe the same gate up to a local
         frame flip on one qubit.
@@ -326,33 +328,39 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     s_n alpha_n^k and pick up conditional phase s_l s_n phi.  Tracing the
     thermal motion leaves, per branch pair, a geometric-phase factor and a
     Gaussian overlap penalty exp(-(2 nbar + 1)|A^b - A^b'|^2 / 2).
+
+    Stacked inputs score M gates at once, row by row (the 16 branch pairs
+    are looped over, never held together) and return an (M,) array; one
+    gate returns a float.
     """
     alpha_l = np.asarray(alpha_l, dtype=complex)
     alpha_n = np.asarray(alpha_n, dtype=complex)
     nbar = np.broadcast_to(np.asarray(nbar, dtype=float), alpha_l.shape)
     if np.any(nbar < 0.0):
         raise NegativeOccupation("nbar must be >= 0")
-    branch = np.array([sl * alpha_l + sn * alpha_n
-                       for sl, sn in _BRANCH_SIGNS])
-    parity = np.array([sl * sn for sl, sn in _BRANCH_SIGNS])
-    delta = phi - target_phase
+    weight = 2.0 * nbar + 1.0
+    branch = [sl * alpha_l + sn * alpha_n for sl, sn in _BRANCH_SIGNS]
+    parity = [sl * sn for sl, sn in _BRANCH_SIGNS]
+    delta = np.asarray(phi) - target_phase
     total = 0.0j
     for b in range(4):
         for bp in range(4):
             cross = np.conj(branch[bp]) * branch[b]
-            geometric = np.sum(np.imag(cross))
-            decay = 0.5 * np.sum((2.0 * nbar + 1.0)
-                                 * np.abs(branch[b] - branch[bp]) ** 2)
+            geometric = np.sum(np.imag(cross), axis=-1)
+            decay = 0.5 * np.sum(weight * np.abs(branch[b] - branch[bp]) ** 2,
+                                 axis=-1)
             total += np.exp(1j * (delta * (parity[b] - parity[bp])
                                   + geometric) - decay)
-    return float(total.real) / 16.0
+    fidelity = total.real / 16.0
+    return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
 def gate_fidelity(phi, alpha_l, alpha_n, nbar):
     """:func:`thermal_fidelity` against the nearer of the two locally
     equivalent ideal gates: conditional phase +pi/4 or -pi/4 by the sign of
-    ``phi``, +pi/4 for a zero phase."""
-    target = np.pi / 4.0 if phi >= 0.0 else -np.pi / 4.0
+    ``phi``, +pi/4 for a zero phase.  Stacks as :func:`thermal_fidelity`
+    does."""
+    target = np.where(np.asarray(phi) >= 0.0, np.pi / 4.0, -np.pi / 4.0)
     return thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=target)
 
 

@@ -9,17 +9,26 @@ tangent, weighting the A_i by c_i exp(-gamma_i) at the current drive gives
 a lower bound of the fidelity touching it there, maximized by an extremal
 generalized eigenvector of G against the reweighted form (a
 minorize-maximize step, so the fidelity never drops).  With all gamma_i = 0
-that form is the plain residual cost, so the seed is step 0.  A detuning
-scan builds the segment kernels once for its whole grid of mu, repeats the
-solve at every point with that point's slice and keeps the best point;
-failed points (no positive-phase direction at that mu) are recorded with
-fidelity zero rather than aborting the scan.
+that form is the plain residual cost, so the seed is step 0.
+
+The solve runs on a whole detuning grid at once.  The segment kernels of
+every grid point are built in one call, and the ascent runs in lockstep:
+each step reduces the pencils of all points still rising with one batched
+Cholesky factorization and solves them with one batched symmetric
+eigensolve (Golub & Van Loan, Matrix Computations, 8.7), and a point drops
+out when its own stopping rule fires.  One fidelity call then scores every
+point.  Every operation acts on each point alone, so a point's result does
+not depend on the grid around it: :func:`solve_amplitudes` is the
+one-point grid, bitwise equal to that point of a scan.  A detuning scan
+keeps the best point; failed points (no positive-phase direction at that
+mu, none within the amplitude bound, or a residual form that is not
+positive definite) are recorded with fidelity zero rather than aborting
+the scan.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
@@ -38,6 +47,14 @@ _MAX_STEPS = 100
 # eigenvalue-problem regularizer, relative to the mean diagonal of the
 # residual form
 _RIDGE = 1e-12
+# status of a failed grid point -> (exception, message) of its one-point
+# solve; a solved point has status "ok"
+_FAILURES = {
+    "no-phase": (IndefiniteKernel, "no entangling phase achievable"),
+    "over-bound": (IndefiniteKernel,
+                   "no feasible drive within the amplitude bound"),
+    "linalg": (np.linalg.LinAlgError, "residual form not positive definite"),
+}
 
 
 @dataclass(frozen=True)
@@ -115,185 +132,267 @@ def default_mu_grid(omega_z, points=301, below_hz=0.1e6, above_hz=0.2e6):
                        omega_z + TWO_PI * above_hz, points)
 
 
-def _canonical_sign(vec):
-    """Flip so the largest-magnitude component is positive (ties: first)."""
-    idx = int(np.argmax(np.abs(vec)))
-    return -vec if vec[idx] < 0.0 else vec
-
-
 def _segment_times(tau, segments):
     """Boundaries of ``segments`` equal segments spanning [0, tau]."""
     return np.linspace(0.0, float(tau), int(segments) + 1)
 
 
-def _grid_kernels(spectrum, pair, times, grid):
-    """(couplings, S, G) for the pair at every detuning of ``grid``, built
-    in one call; S and G carry the grid axis first."""
+@dataclass(frozen=True)
+class _Forms:
+    """The pair's amplitude problem at every detuning of a grid.
+
+    ``X`` (M, 2K, P) stacks Re S over Im S of the first-order integrals, so
+    |S v|^2 and Re(S^H diag(d) S) are real products; ``G`` (M, P, P) is the
+    phase form.  Shared by every point: ``weights`` (4, K), per overlap
+    factor the thermal weights of |alpha_l|^2, |alpha_n|^2 and
+    |alpha_l +/- alpha_n|^2 (the factor 2 of exp(-2 Gamma) included);
+    ``drive`` (2, K), the pair's rows of the mode couplings; ``nbar`` (K,);
+    and the amplitude ``bound`` (None for no bound).
+    """
+
+    X: np.ndarray
+    G: np.ndarray
+    weights: np.ndarray
+    drive: np.ndarray
+    nbar: np.ndarray
+    bound: float
+
+    def take(self, rows):
+        """The forms at the grid points ``rows``, an index array."""
+        return replace(self, X=self.X[rows], G=self.G[rows])
+
+
+def _grid_forms(spectrum, pair, times, grid, nbar, bound):
+    """:class:`_Forms` of ``pair`` on ``grid``, its kernels built in one
+    call; ``nbar`` None takes the per-mode occupations of the trap
+    config."""
+    if nbar is None:
+        nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
     couplings = drive_couplings(spectrum)
     S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
                          spectrum.frequencies, couplings, pair)
-    return couplings, S, G
+    l, n = pair
+    cl = couplings[l]
+    cn = couplings[n]
+    nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
+                           spectrum.frequencies.shape)
+    weights = 2.0 * (2.0 * nbar + 1.0) * np.array(
+        [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
+    return _Forms(X=np.concatenate([S.real, S.imag], axis=1), G=G,
+                  weights=weights, drive=np.array([cl, cn]), nbar=nbar,
+                  bound=bound)
 
 
-class _PairObjective:
-    """Closed-form fidelity of the phase-locked drive direction.
+def _phase(G, vec):
+    """Conditional phase vec^T G vec of each row of ``vec``."""
+    return (vec[:, None, :] @ G @ vec[:, :, None])[:, 0, 0]
 
-    Every trial vector is rescaled so the conditional phase magnitude hits
-    the target exactly; both phase signs describe the same gate up to a
-    local frame flip, so the rescale uses |phase|.  On the locked shell the
-    inter-branch geometric terms cancel and the fidelity reduces to four
-    thermally weighted Gaussian overlap factors of the residual
-    displacements.  Scale-invariant in the trial vector.
 
-    ``kernels`` = (couplings, S, G) at ``mu``, sliced from
-    :func:`_grid_kernels` of a whole scan; without it the objective builds
-    them through the same call on the one-point grid [mu].
+def _residuals(X, vec):
+    """(Re, Im) of S vec for each row of ``vec``, each (M, K)."""
+    y = (X @ vec[:, :, None])[:, :, 0]
+    k = y.shape[1] // 2
+    return y[:, :k], y[:, k:]
+
+
+def _locked(forms, vec):
+    """Fidelity of one drive direction per grid point, phase locked.
+
+    Row i of ``vec`` (M, P) is rescaled so |phase| at point i hits the
+    target exactly; both phase signs describe the same gate up to a local
+    frame flip.  On the locked shell the inter-branch geometric terms
+    cancel and the fidelity reduces to four thermally weighted Gaussian
+    overlap factors of the residual displacements.  Returns
+    (fidelity, peak, gamma): the locked peak amplitude is NaN for a
+    direction that carries no phase, the fidelity -1 for that direction or
+    one past the amplitude bound, and gamma (M, 4) holds the overlap
+    exponents.  Scale-invariant in each row.
     """
-
-    def __init__(self, spectrum, pair, times, mu, nbar, amplitude_bound,
-                 kernels=None):
-        if kernels is None:
-            couplings, S, G = _grid_kernels(spectrum, pair, times, [mu])
-            kernels = couplings, S[0], G[0]
-        self.couplings, self.S, self.G = kernels
-        l, n = pair
-        cl = self.couplings[l]
-        cn = self.couplings[n]
-        self.nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
-                                    spectrum.frequencies.shape)
-        w = 2.0 * self.nbar + 1.0
-        # rows: weights for |alpha_l|^2, |alpha_n|^2 and the two branch
-        # combinations (c_l +/- c_n)^2; factor 2 from exp(-2 Gamma)
-        self.branch_weights = 2.0 * w * np.array(
-            [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
-        self.bound = amplitude_bound
-
-    def phase(self, vec):
-        return float(vec @ self.G @ vec)
-
-    def scale_for_target(self, vec):
-        """Positive factor putting |phase| on target, None if degenerate."""
-        q = self.phase(vec)
-        if q == 0.0 or not np.isfinite(q):
-            return None
-        return np.sqrt(PHASE_TARGET / abs(q))
-
-    def exponents(self, vec, scale):
-        """Overlap exponents gamma_i of ``vec`` rescaled by ``scale``."""
-        return self.branch_weights @ (scale * scale
-                                      * np.abs(self.S @ vec) ** 2)
-
-    def residual_form(self, weights):
-        """sum_i weights[i] A_i, the reweighted residual-cost form (PSD)."""
-        return np.real(self.S.conj().T
-                       * (weights @ self.branch_weights)[None, :] @ self.S)
-
-    def fidelity(self, vec):
-        """Fidelity after phase locking; -1 flags an infeasible direction."""
-        s = self.scale_for_target(vec)
-        if s is None:
-            return -1.0
-        if self.bound is not None and s * np.abs(vec).max() > self.bound:
-            return -1.0
-        return 0.25 * (1.0 + _BRANCH_COEFFS @ np.exp(-self.exponents(vec, s)))
+    q = _phase(forms.G, vec)
+    live = (q != 0.0) & np.isfinite(q)
+    scale = np.sqrt(PHASE_TARGET / np.abs(np.where(live, q, np.nan)))
+    re, im = _residuals(forms.X, vec)
+    power = scale[:, None] ** 2 * (re ** 2 + im ** 2)
+    gamma = (power[:, None, :] @ forms.weights.T)[:, 0, :]
+    peak = scale * np.abs(vec).max(axis=1)
+    fid = 0.25 * (1.0 + (np.exp(-gamma) * _BRANCH_COEFFS).sum(axis=1))
+    infeasible = ~live
+    if forms.bound is not None:
+        infeasible |= peak > forms.bound
+    return np.where(infeasible, -1.0, fid), peak, gamma
 
 
-def _extremal_direction(objective, weights):
-    """Best extremal generalized eigenvector of (G, residual_form(weights)).
+def _cholesky(A):
+    """Lower Cholesky factors of the stack ``A`` and a mask of the
+    matrices that are not positive definite (their factor is the identity).
 
-    Both phase signs are admissible; the higher locked fidelity wins, ties
-    going to the smaller peak amplitude.  Returns (fidelity, sign-canonical
-    vector), or None when the form is not finite with positive trace or no
-    direction carries phase.
+    Only when the batched factorization raises is the stack factored one
+    matrix at a time; numpy runs the same LAPACK call per matrix either
+    way, so a factor never depends on its neighbours.
     """
-    B = objective.residual_form(weights)
-    trace = np.trace(B)
-    if not (np.all(np.isfinite(B)) and trace > 0.0):
-        return None
-    ridge = _RIDGE * trace / B.shape[0]
-    evals, evecs = scipy.linalg.eigh(objective.G,
-                                     B + ridge * np.eye(B.shape[0]))
-    candidates = []
-    for idx in (-1, 0):  # most positive and most negative ratios
-        vec = evecs[:, idx]
-        scale = objective.scale_for_target(vec)
-        if ((idx == -1 and evals[idx] > 0.0)
-                or (idx == 0 and evals[idx] < 0.0)) and scale is not None:
-            candidates.append((objective.fidelity(vec),
-                               -scale * np.abs(vec).max(), idx, vec))
-    if not candidates:
-        return None
-    fid, _, _, vec = max(candidates, key=lambda c: (c[0], c[1], c[2]))
-    return fid, _canonical_sign(vec)
+    try:
+        return np.linalg.cholesky(A), np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.empty_like(A)
+    broken = np.zeros(len(A), dtype=bool)
+    for i, a in enumerate(A):
+        try:
+            L[i] = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            L[i] = np.eye(len(a))
+            broken[i] = True
+    return L, broken
 
 
-def _polish(objective, vec):
-    """Reweighted generalized-eigenvector ascent from ``vec`` (see the
-    module docstring); returns (vector, fidelity).
+def _extremal(forms, coeffs):
+    """Best extremal generalized eigenvector of (G, sum_i coeffs_i A_i) at
+    every grid point, ``coeffs`` (M, 4).
 
-    Stops when a step does not raise the fidelity (one past the amplitude
-    bound scores -1), gains less than _FTOL, or the reweighted form
-    vanishes because every overlap factor underflowed; at most _MAX_STEPS
-    steps.
+    Both phase signs are admissible: of the most positive and the most
+    negative ratio, the higher locked fidelity wins, ties going to the
+    smaller peak amplitude, then to the negative ratio.  The pencils are
+    reduced with one batched Cholesky factorization B = L L^T, L^-1 G L^-T
+    goes to one batched symmetric eigensolve, and v = L^-T y.  Returns
+    (found, broken, fidelity, vector, gamma) as from :func:`_locked`, with
+    sign-canonical vectors (largest-magnitude component positive, ties:
+    first).  ``found`` is False where the form is not finite with positive
+    trace, or no direction carries phase; ``broken`` marks the forms that
+    are not positive definite.
     """
-    fid = objective.fidelity(vec)
+    d = (coeffs[:, None, :] @ forms.weights)[:, 0, :]
+    d = np.concatenate([d, d], axis=1)
+    B = (forms.X.transpose(0, 2, 1) * d[:, None, :]) @ forms.X
+    trace = np.trace(B, axis1=1, axis2=2)
+    usable = np.all(np.isfinite(B), axis=(1, 2)) & (trace > 0.0)
+    p = B.shape[1]
+    diag = np.arange(p)
+    B[:, diag, diag] += (_RIDGE * trace / p)[:, None]
+    B[~usable] = np.eye(p)
+    L, broken = _cholesky(B)
+    L_inv = np.linalg.inv(L)
+    L_inv_t = L_inv.transpose(0, 2, 1)
+    evals, Y = np.linalg.eigh(L_inv @ forms.G @ L_inv_t)
+    V = L_inv_t @ Y
+    hi = V[:, :, -1]
+    lo = V[:, :, 0]
+    fid_hi, peak_hi, gamma_hi = _locked(forms, hi)
+    fid_lo, peak_lo, gamma_lo = _locked(forms, lo)
+    ok_hi = (evals[:, -1] > 0.0) & ~np.isnan(peak_hi)
+    ok_lo = (evals[:, 0] < 0.0) & ~np.isnan(peak_lo)
+    lo_wins = (fid_lo > fid_hi) | ((fid_lo == fid_hi) & (peak_lo <= peak_hi))
+    pick = (ok_lo & (~ok_hi | lo_wins))[:, None]
+    vec = np.where(pick, lo, hi)
+    top = np.abs(vec).argmax(axis=1)
+    flip = vec[np.arange(len(vec)), top] < 0.0
+    vec = np.where(flip[:, None], -vec, vec)
+    found = usable & ~broken & (ok_hi | ok_lo)
+    return (found, broken, np.where(pick[:, 0], fid_lo, fid_hi), vec,
+            np.where(pick, gamma_lo, gamma_hi))
+
+
+def _ascend(forms, vec):
+    """Reweighted generalized-eigenvector ascent (see the module
+    docstring) from row i of ``vec`` at grid point i, all points in
+    lockstep.
+
+    A point stops when a step does not raise its fidelity (one past the
+    amplitude bound scores -1), gains less than _FTOL, or its reweighted
+    form vanishes because every overlap factor underflowed; at most
+    _MAX_STEPS steps.  Returns (vector, fidelity, steps, broken), with
+    ``broken`` marking the points whose form stopped being positive
+    definite.
+    """
+    vec = vec.copy()
+    fid, _, gamma = _locked(forms, vec)
+    steps = np.zeros(len(vec), dtype=int)
+    broken = np.zeros(len(vec), dtype=bool)
+    active = np.arange(len(vec))
     for _ in range(_MAX_STEPS):
-        gamma = objective.exponents(vec, objective.scale_for_target(vec))
-        step = _extremal_direction(objective, _BRANCH_COEFFS * np.exp(-gamma))
-        if step is None or not step[0] > fid:
+        if not active.size:
             break
-        gain = step[0] - fid
-        fid, vec = step
-        if gain < _FTOL:
-            break
-    return vec, fid
+        found, failed, new_fid, new_vec, new_gamma = _extremal(
+            forms.take(active), _BRANCH_COEFFS * np.exp(-gamma[active]))
+        broken[active[failed]] = True
+        rise = found & (new_fid > fid[active])
+        moved = active[rise]
+        gain = new_fid[rise] - fid[moved]
+        fid[moved] = new_fid[rise]
+        vec[moved] = new_vec[rise]
+        gamma[moved] = new_gamma[rise]
+        steps[moved] += 1
+        active = moved[~(gain < _FTOL)]
+    return vec, fid, steps, broken
+
+
+def _solve_grid(forms):
+    """Seed and ascent at every grid point of ``forms``, then one fidelity
+    call for all points.
+
+    Returns (amplitudes, fidelities, steps, status): amplitudes (M, P)
+    rescaled so |phase| is pi/4, fidelities from :func:`gate.gate_fidelity`
+    as in :func:`gate.gate_report`, the ascent steps taken, and per point
+    "ok" or the failure its one-point solve raises (see _FAILURES).  A
+    failed point holds zero amplitudes and fidelity 0.
+    """
+    m = len(forms.G)
+    status = np.full(m, "ok", dtype=object)
+    # step 0: every overlap exponent taken as zero
+    found, broken, fid, vec, _ = _extremal(
+        forms, np.broadcast_to(_BRANCH_COEFFS, (m, 4)))
+    status[~found] = "no-phase"
+    status[found & (fid < 0.0)] = "over-bound"
+    status[broken] = "linalg"
+    rows = np.flatnonzero(status == "ok")
+    vec, _, steps_taken, broken = _ascend(forms.take(rows), vec[rows])
+    status[rows[broken]] = "linalg"
+    steps = np.zeros(m, dtype=int)
+    steps[rows] = steps_taken
+    rows = rows[~broken]
+    solved = forms.take(rows)
+    vec = vec[~broken]
+    vec = np.sqrt(PHASE_TARGET / np.abs(_phase(solved.G, vec)))[:, None] * vec
+    re, im = _residuals(solved.X, vec)
+    disp = re + 1j * im
+    amplitudes = np.zeros((m, vec.shape[1]))
+    amplitudes[rows] = vec
+    fidelities = np.zeros(m)
+    fidelities[rows] = gate_fidelity(
+        _phase(solved.G, vec), 1j * solved.drive[0] * disp,
+        1j * solved.drive[1] * disp, solved.nbar)
+    return amplitudes, fidelities, steps, status
 
 
 def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
-                     amplitude_bound=None, _kernels=None):
+                     amplitude_bound=None):
     """Best phase-locked segment amplitudes at a fixed detuning.
 
     The generalized-eigenvector seed, raised by the reweighted ascent of
-    the module docstring and rescaled so |phase| is pi/4.  Returns
-    (schedule, fidelity).  Raises IndefiniteKernel when no drive direction
-    produces any conditional phase at this detuning (or none within the
-    amplitude bound).  ``nbar`` defaults to the per-mode occupations of the
-    trap config, and the fidelity is :func:`gate.gate_fidelity`, as in
-    :func:`gate.gate_report`.  ``_kernels`` is the scan's private route:
-    this detuning's slice of the grid kernels (see :class:`_PairObjective`).
+    the module docstring and rescaled so |phase| is pi/4: the one-point
+    grid of :func:`detuning_scan`.  Returns (schedule, fidelity).  Raises
+    IndefiniteKernel when no drive direction produces any conditional phase
+    at this detuning (or none within the amplitude bound), and LinAlgError
+    when the residual form is not positive definite.  ``nbar`` defaults to
+    the per-mode occupations of the trap config, and the fidelity is
+    :func:`gate.gate_fidelity`, as in :func:`gate.gate_report`.
     """
-    if nbar is None:
-        nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
     times = _segment_times(tau, segments)
-    objective = _PairObjective(spectrum, pair, times, float(mu), nbar,
-                               amplitude_bound, _kernels)
-    # step 0: every overlap exponent taken as zero
-    seed = _extremal_direction(objective, _BRANCH_COEFFS)
-    if seed is None:
-        raise IndefiniteKernel(
-            "no entangling phase achievable at mu = %.6g rad/s" % mu)
-    if seed[0] < 0.0:
-        raise IndefiniteKernel(
-            "no feasible drive within the amplitude bound at mu = %.6g rad/s"
-            % mu)
-    vec, _ = _polish(objective, seed[1])
-    scale = objective.scale_for_target(vec)
-    amplitudes = scale * vec
-    schedule = PulseSchedule(times=times, amplitudes=amplitudes,
+    amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
+        spectrum, pair, times, [float(mu)], nbar, amplitude_bound))
+    if status[0] != "ok":
+        kind, message = _FAILURES[status[0]]
+        raise kind("%s at mu = %.6g rad/s" % (message, mu))
+    schedule = PulseSchedule(times=times, amplitudes=amplitudes[0],
                              mu=float(mu), target_pair=pair)
-    l, n = pair
-    phi = objective.phase(amplitudes)
-    alpha_l = 1j * objective.couplings[l] * (objective.S @ amplitudes)
-    alpha_n = 1j * objective.couplings[n] * (objective.S @ amplitudes)
-    return schedule, gate_fidelity(phi, alpha_l, alpha_n, objective.nbar)
+    return schedule, float(fidelities[0])
 
 
 def detuning_scan(spectrum, problem):
     """Solve the amplitude problem on every grid detuning, keep the best.
 
-    The grid must lie in (0, 2 omega_z].  The segment kernels are built
-    once for the whole grid, and each point's :func:`solve_amplitudes`
-    call gets its slice.  Per-point failures are recorded as fidelity 0
+    The grid must lie in (0, 2 omega_z].  The whole grid is solved at once
+    (see the module docstring), every point as :func:`solve_amplitudes`
+    would solve it alone.  Per-point failures are recorded as fidelity 0
     and do not abort the scan; if every point fails the result carries no
     schedule.  The result holds no gate report: pass ``best_schedule`` to
     :func:`gate.gate_report` for one.
@@ -304,28 +403,21 @@ def detuning_scan(spectrum, problem):
     if np.any(grid <= 0.0) or np.any(grid > 2.0 * spectrum.config.omega_z):
         raise ValueError("mu grid must lie in (0, 2 omega_z]")
     times = _segment_times(problem.tau, problem.segment_count)
-    couplings, S, G = _grid_kernels(spectrum, problem.pair, times, grid)
-    fidelities = np.zeros(grid.size)
-    max_amps = np.zeros(grid.size)
-    schedules = [None] * grid.size
-    for i, mu in enumerate(grid):
-        try:
-            sched, fid = solve_amplitudes(
-                spectrum, problem.pair, problem.tau, problem.segment_count,
-                mu, nbar=problem.nbar, amplitude_bound=problem.amplitude_bound,
-                _kernels=(couplings, S[i], G[i]))
-        except (IndefiniteKernel, scipy.linalg.LinAlgError):
-            continue
-        fidelities[i] = fid
-        max_amps[i] = sched.max_amplitude
-        schedules[i] = sched
+    amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
+        spectrum, problem.pair, times, grid, problem.nbar,
+        problem.amplitude_bound))
     best = int(np.argmax(fidelities))
+    feasible = status[best] == "ok"
     return OptimizationResult(
         pair=problem.pair, tau=problem.tau,
         segment_count=problem.segment_count, mu_grid=grid,
-        fidelities=fidelities, max_amplitudes=max_amps,
-        best_index=best if schedules[best] is not None else -1,
-        best_schedule=schedules[best])
+        fidelities=fidelities,
+        max_amplitudes=np.abs(amplitudes).max(axis=1),
+        best_index=best if feasible else -1,
+        best_schedule=(PulseSchedule(times=times, amplitudes=amplitudes[best],
+                                     mu=float(grid[best]),
+                                     target_pair=problem.pair)
+                       if feasible else None))
 
 
 def band_edge_optimum(result, band_top, window=2):

@@ -270,6 +270,31 @@ class TestThermalFidelity:
         assert high < mixed < low
 
 
+    @pytest.mark.parametrize("modes", [3, 127, 300])
+    def test_stacked_equals_row_by_row(self, modes):
+        # (M, K) displacements with an (M,) phase score each row exactly
+        # as the one-gate call on that row does, bitwise; one gate still
+        # returns a Python float
+        rng = np.random.default_rng(modes)
+        rows = 6
+        al = 0.2 * (rng.normal(size=(rows, modes))
+                    + 1j * rng.normal(size=(rows, modes)))
+        an = 0.2 * (rng.normal(size=(rows, modes))
+                    + 1j * rng.normal(size=(rows, modes)))
+        phi = rng.uniform(-1.0, 1.0, rows)
+        phi[0] = 0.0
+        for nbar in (0.3, rng.uniform(0.0, 1.0, modes)):
+            thermal = gt.thermal_fidelity(phi, al, an, nbar)
+            gated = gt.gate_fidelity(phi, al, an, nbar)
+            assert thermal.shape == gated.shape == (rows,)
+            for i in range(rows):
+                one = gt.thermal_fidelity(phi[i], al[i], an[i], nbar)
+                one_gated = gt.gate_fidelity(phi[i], al[i], an[i], nbar)
+                assert type(one) is float and type(one_gated) is float
+                assert thermal[i] == one
+                assert gated[i] == one_gated
+
+
 class TestPartialIntegrals:
     def test_matches_cumulative_sum_at_boundaries(self):
         sched = gt.PulseSchedule.uniform(2.0, [1.0, -0.7, 0.4], 9.0)

@@ -4,10 +4,13 @@ The segment-amplitude solver and the detuning scan are exercised on a
 7-ion crystal where every solve takes milliseconds.  Contract checks: the
 phase rescale is exact, the polish never loses fidelity against its seed
 and ends at a stationary point of the locked fidelity (checked over a
-19-ion scan), scans are deterministic and bounded by 1, and a larger
-control space cannot do worse on the same grid.  Selector and
+19-ion scan), every point of a lockstep grid solve equals its one-point
+solve, scans are deterministic and bounded by 1, and a larger control
+space cannot do worse on the same grid.  Selector and
 serialization logic gets synthetic inputs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,44 +77,46 @@ class TestSolveAmplitudes:
         assert fid == pytest.approx(report.fidelity, abs=1e-12)
         assert 0.0 <= fid <= 1.0
 
-    def objective(self, spectrum):
+    def forms(self, spectrum):
         times = np.linspace(0.0, 50e-6, 6)
-        return op._PairObjective(spectrum, (0, 1), times, self.MU,
-                                 spectrum.config.temperature_nbar, None)
+        return op._grid_forms(spectrum, (0, 1), times, [self.MU],
+                              spectrum.config.temperature_nbar, None)
 
     def test_objective_forms_match_public_kernels(self, spectrum7):
-        # the objective builds G from its own S; both stay bitwise equal to
-        # the public kernel functions
-        objective = self.objective(spectrum7)
+        # the forms stack Re S over Im S and hold the G built from that S;
+        # both stay bitwise equal to the public kernel functions
+        forms = self.forms(spectrum7)
         times = np.linspace(0.0, 50e-6, 6)
         freqs = spectrum7.frequencies
-        assert np.array_equal(objective.S, gt.first_order_integrals(
-            times, self.MU, freqs))
-        assert np.array_equal(objective.G, gt.pair_phase_matrix(
+        S = gt.first_order_integrals(times, self.MU, freqs)
+        assert np.array_equal(forms.X[0], np.concatenate([S.real, S.imag]))
+        assert np.array_equal(forms.G[0], gt.pair_phase_matrix(
             times, self.MU, freqs, gt.drive_couplings(spectrum7), (0, 1)))
 
     def test_polish_never_below_seed(self, spectrum7):
         # step 0 of the ascent takes every overlap exponent as zero
-        seed_fid, _ = op._extremal_direction(self.objective(spectrum7),
-                                             op._BRANCH_COEFFS)
+        found, _, seed_fid, _, _ = op._extremal(
+            self.forms(spectrum7), op._BRANCH_COEFFS[None, :])
+        assert found[0]
         _, polished = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
                                           self.MU)
-        assert polished >= seed_fid - 1e-12
+        assert polished >= seed_fid[0] - 1e-12
 
     def test_polish_keeps_vector_when_overlaps_underflow(self, spectrum7):
         # balancing the most positive and most negative phase directions
         # cancels the phase to rounding level; locking that to pi/4 drives
         # every overlap exponent past the exp underflow, so the reweighted
         # residual form vanishes and the ascent must stop where it is
-        objective = self.objective(spectrum7)
-        evals, evecs = np.linalg.eigh(objective.G)
+        forms = self.forms(spectrum7)
+        evals, evecs = np.linalg.eigh(forms.G[0])
         vec = (np.sqrt(-evals[0]) * evecs[:, -1]
-               + np.sqrt(evals[-1]) * evecs[:, 0])
-        gamma = objective.exponents(vec, objective.scale_for_target(vec))
+               + np.sqrt(evals[-1]) * evecs[:, 0])[None, :]
+        fid, _, gamma = op._locked(forms, vec)
         assert np.all(np.exp(-gamma) == 0.0)
-        out, fid = op._polish(objective, vec)
+        out, out_fid, steps, broken = op._ascend(forms, vec)
         assert np.array_equal(out, vec)
-        assert fid == objective.fidelity(vec)
+        assert out_fid[0] == fid[0]
+        assert steps[0] == 0 and not broken[0]
 
     def test_decoupled_pair_raises(self, spectrum7):
         # localized single-ion fake modes give the pair no shared mode, so
@@ -219,43 +224,112 @@ class TestDetuningScan:
         assert best[10] >= best[5] - 1e-6
 
 
+def spectrum19():
+    config = cr.TrapConfig(ion_count=19, omega_r=TWO_PI * 0.2e6,
+                           omega_z=WZ, temperature_nbar=0.1)
+    return md.axial_spectrum(cr.solve_equilibrium(config))
+
+
 class TestOneCodePath:
-    def test_scan_point_equals_one_point_solve(self, monkeypatch):
-        # the scan hands each solve its slice of the grid kernels; a
-        # one-point call builds its own, and both must agree bitwise
-        config = cr.TrapConfig(ion_count=19, omega_r=TWO_PI * 0.2e6,
-                               omega_z=WZ, temperature_nbar=0.1)
-        spectrum = md.axial_spectrum(cr.solve_equilibrium(config))
+    def test_scan_point_equals_one_point_solve(self):
+        # the scan solves its whole grid in lockstep; a one-point call
+        # solves the grid [mu], and both must agree bitwise
+        spectrum = spectrum19()
         pair = (0, 15)
         grid = op.default_mu_grid(WZ)
-        solved = {}
-        original = op.solve_amplitudes
-
-        def recording(*args, **kwargs):
-            out = original(*args, **kwargs)
-            solved[float(args[4])] = out
-            return out
-
-        monkeypatch.setattr(op, "solve_amplitudes", recording)
         result = op.detuning_scan(spectrum, op.OptimizationProblem(
             pair=pair, tau=50e-6, segment_count=5, mu_grid=grid))
-        monkeypatch.undo()
+        amplitudes, fidelities, _, status = op._solve_grid(op._grid_forms(
+            spectrum, pair, np.linspace(0.0, 50e-6, 6), grid, None, None))
+        assert np.array_equal(fidelities, result.fidelities)
+        solved = 0
         for i, mu in enumerate(grid):
             try:
                 sched, fid = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu)
             except IndefiniteKernel:
-                assert float(mu) not in solved
+                assert status[i] in ("no-phase", "over-bound")
                 assert result.fidelities[i] == 0.0
                 continue
-            scanned, scanned_fid = solved[float(mu)]
-            assert np.array_equal(sched.amplitudes, scanned.amplitudes)
-            assert sched.mu == scanned.mu
-            assert fid == scanned_fid == result.fidelities[i]
+            solved += 1
+            assert status[i] == "ok"
+            assert np.array_equal(sched.amplitudes, amplitudes[i])
+            assert sched.mu == grid[i]
+            assert fid == result.fidelities[i]
             assert sched.max_amplitude == result.max_amplitudes[i]
-        assert len(solved) == np.count_nonzero(result.fidelities)
+        assert solved == np.count_nonzero(result.fidelities)
         best = result.best_index
+        assert result.best_schedule.mu == grid[best]
+        best_sched, _ = op.solve_amplitudes(spectrum, pair, 50e-6, 5,
+                                            grid[best])
         assert np.array_equal(result.best_schedule.amplitudes,
-                              solved[float(grid[best])][0].amplitudes)
+                              best_sched.amplitudes)
+
+
+class TestLockstep:
+    def test_each_point_equals_its_own_solve(self):
+        # one grid on which points stop after different step counts, a
+        # binding amplitude bound fails some points and cuts the ascent of
+        # others short, and one forged point cannot factor its residual
+        # form; each point must equal its own one-point solve, or hold
+        # fidelity 0 where that solve raises
+        spectrum = spectrum19()
+        pair = (0, 15)
+        times = np.linspace(0.0, 50e-6, 6)
+        grid = op.default_mu_grid(WZ)[::10]
+        free_amps, _, free_steps, _ = op._solve_grid(op._grid_forms(
+            spectrum, pair, times, grid, None, None))
+        bound = float(np.median(np.abs(free_amps).max(axis=1)))
+        forms = op._grid_forms(spectrum, pair, times, grid, None, bound)
+        # one tiny column: the ridge underflows to zero, so the residual
+        # form is singular
+        forged_point = 3
+        X = forms.X.copy()
+        X[forged_point] = 0.0
+        X[forged_point, :, 0] = 1e-160
+        forged = replace(forms, X=X)
+        amplitudes, fidelities, steps, status = op._solve_grid(forged)
+
+        assert status[forged_point] == "linalg"
+        assert len(set(free_steps)) > 2
+        assert "over-bound" in status
+        solved = np.flatnonzero(status == "ok")
+        assert any(not np.array_equal(amplitudes[i], free_amps[i])
+                   for i in solved)
+        for i, mu in enumerate(grid):
+            one = op._solve_grid(forged.take(np.array([i])))
+            assert status[i] == one[3][0]
+            if status[i] == "ok":
+                assert np.array_equal(amplitudes[i], one[0][0])
+                assert fidelities[i] == one[1][0]
+                assert steps[i] == one[2][0]
+            else:
+                assert fidelities[i] == 0.0
+                assert not amplitudes[i].any()
+            if i == forged_point:
+                continue
+            try:
+                sched, fid = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu,
+                                                 amplitude_bound=bound)
+            except IndefiniteKernel as exc:
+                assert "amplitude bound" in str(exc)
+                assert status[i] == "over-bound"
+                continue
+            assert np.array_equal(sched.amplitudes, amplitudes[i])
+            assert fid == fidelities[i]
+
+    def test_ascent_never_below_seed(self):
+        # the minorize-maximize ascent is monotone at every grid point
+        spectrum = spectrum19()
+        forms = op._grid_forms(
+            spectrum, (0, 15), np.linspace(0.0, 50e-6, 6),
+            op.default_mu_grid(WZ), 0.1, None)
+        found, _, seed_fid, seed, _ = op._extremal(
+            forms, np.broadcast_to(op._BRANCH_COEFFS, (len(forms.G), 4)))
+        assert found.all()
+        _, fid, steps, broken = op._ascend(forms, seed)
+        assert not broken.any()
+        assert np.all(fid >= seed_fid)
+        assert np.all(fid[steps > 0] > seed_fid[steps > 0])
 
 
 class TestStationarity:
@@ -263,21 +337,18 @@ class TestStationarity:
         # at every grid point the returned drive is a stationary point of
         # the locked fidelity: its central-difference gradient, projected
         # off the scale direction it is invariant along, vanishes
-        config = cr.TrapConfig(ion_count=19, omega_r=TWO_PI * 0.2e6,
-                               omega_z=WZ, temperature_nbar=0.1)
-        spectrum = md.axial_spectrum(cr.solve_equilibrium(config))
+        spectrum = spectrum19()
         pair = (0, 15)
         times = np.linspace(0.0, 50e-6, 6)
         h = 1e-6
         worst = 0.0
         for mu in op.default_mu_grid(WZ):
             sched, _ = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu)
-            objective = op._PairObjective(spectrum, pair, times, float(mu),
-                                          0.1, None)
+            forms = op._grid_forms(spectrum, pair, times, [mu], 0.1, None)
             vec = sched.amplitudes / np.linalg.norm(sched.amplitudes)
-            grad = np.array([(objective.fidelity(vec + h * e)
-                              - objective.fidelity(vec - h * e)) / (2 * h)
-                             for e in np.eye(vec.size)])
+            shifts = h * np.eye(vec.size)
+            grad = (op._locked(forms, vec + shifts)[0]
+                    - op._locked(forms, vec - shifts)[0]) / (2 * h)
             grad -= (grad @ vec) * vec
             worst = max(worst, float(np.linalg.norm(grad)))
         assert worst < 1e-4
