@@ -16,7 +16,11 @@ Everything here evaluates those integrals in closed form, with series
 fallbacks where the closed forms lose precision, so detuning scans can hit
 exact resonances without special-casing.  The series are evaluated only on
 the entries that select them, and the segment integrals accept an array of
-detunings, so a scan builds the kernels of its whole grid in one call.
+detunings, so a scan builds the kernels of its whole grid in one call.  The
+thermal fidelity is the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) +
+e^{-G_n} cos 2(d + g) + e^{-G_+} / 2 + e^{-G_-} / 2] (see
+:func:`thermal_fidelity`), and :func:`gate_report` and the optimizer score
+a drive with one function, :func:`_evaluate`.
 """
 
 from dataclasses import dataclass
@@ -231,18 +235,20 @@ def phase_kernels(times, mu, frequencies):
     off-diagonal pairs split the cross-segment rectangle Im[S_p conj(S_q)]
     (p later than q) evenly across (p, q) and (q, p).
     """
-    return _phase_kernels(first_order_integrals(times, mu, frequencies),
-                          _triangle_integrals(times, mu, frequencies))
+    S = first_order_integrals(times, mu, frequencies)
+    T = _triangle_integrals(times, mu, frequencies)
+    return _phase_form(S[..., None, :], T[..., None, :], np.ones(1))
 
 
-def _phase_kernels(S, T):
-    """:func:`phase_kernels` from the first-order integrals ``S`` and the
-    triangle integrals ``T`` at one detuning."""
-    rect = np.imag(S[:, :, None] * np.conj(S[:, None, :]))  # [k, p, q]
+def _phase_form(S, T, weights):
+    """sum_k weights_k G_k (see :func:`phase_kernels`) from ``S`` and the
+    triangle integrals ``T``, both (..., K, P): the antisymmetric rectangle
+    Im(S^T diag(weights) conj(S)) in one contraction over modes."""
+    rect = np.imag(np.swapaxes(S, -1, -2) @ (weights[:, None] * np.conj(S)))
     lower = np.tril(rect, k=-1)
-    G = 0.5 * (lower + np.transpose(lower, (0, 2, 1)))
-    p_idx = np.arange(S.shape[1])
-    G[:, p_idx, p_idx] = T
+    G = 0.5 * (lower + np.swapaxes(lower, -1, -2))
+    p_idx = np.arange(S.shape[-1])
+    G[..., p_idx, p_idx] = weights @ T
     return G
 
 
@@ -275,11 +281,11 @@ def entangling_phase(schedule, couplings, frequencies, pair):
 
     The second-order Magnus term gives each branch the phase +C_b^2 D
     summed over modes; its coefficient of s_l s_n is
-    phi = 2 sum_k c_l^k c_n^k D_k.
+    phi = 2 sum_k c_l^k c_n^k D_k = Omega^T G Omega.
     """
-    l, n = pair
-    D = mode_phase_integrals(schedule, frequencies)
-    return float(2.0 * np.sum(couplings[l] * couplings[n] * D))
+    G = pair_phase_matrix(schedule.times, schedule.mu, frequencies,
+                          couplings, pair)
+    return float(schedule.amplitudes @ G @ schedule.amplitudes)
 
 
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):
@@ -289,23 +295,13 @@ def pair_phase_matrix(times, mu, frequencies, couplings, pair):
 
 def _pair_kernels(times, mu, frequencies, couplings, pair):
     """(S, G): :func:`first_order_integrals` and :func:`pair_phase_matrix`
-    at the detunings ``mu``, built together.
-
-    S and the triangle integrals are built for every detuning at once; each
-    detuning's G is then contracted over modes on its own, in the order
-    :func:`phase_kernels` gives, and the triangle integrals are dropped.
-    """
+    at the detunings ``mu``, built together in one :func:`_phase_form`
+    call for every detuning."""
     S = first_order_integrals(times, mu, frequencies)
-    T = _triangle_integrals(times, mu, frequencies)
     l, n = pair
-    weights = 2.0 * couplings[l] * couplings[n]
-    G = np.empty(S.shape[:-2] + 2 * S.shape[-1:])
-    for i in np.ndindex(S.shape[:-2]):
-        G[i] = np.einsum("k,kpq->pq", weights, _phase_kernels(S[i], T[i]))
+    G = _phase_form(S, _triangle_integrals(times, mu, frequencies),
+                    2.0 * couplings[l] * couplings[n])
     return S, G
-
-
-_BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
@@ -327,31 +323,27 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     The four spin branches displace mode k by A_k^b = s_l alpha_l^k +
     s_n alpha_n^k and pick up conditional phase s_l s_n phi.  Tracing the
     thermal motion leaves, per branch pair, a geometric-phase factor and a
-    Gaussian overlap penalty exp(-(2 nbar + 1)|A^b - A^b'|^2 / 2).
-
-    Stacked inputs score M gates at once, row by row (the 16 branch pairs
-    are looped over, never held together) and return an (M,) array; one
-    gate returns a float.
+    Gaussian overlap penalty exp(-(2 nbar + 1)|A^b - A^b'|^2 / 2).  The 16
+    pairs sum to F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g)
+    + e^{-G_+} / 2 + e^{-G_-} / 2], with d = phi - target_phase,
+    g = sum_k Im(conj(alpha_l) alpha_n) and G_x = 2 sum_k (2 nbar + 1)|x|^2
+    for x = alpha_l, alpha_n, alpha_l +/- alpha_n.  Stacked inputs score M
+    gates at once, row by row, and return an (M,) array; one gate returns a
+    float.
     """
     alpha_l = np.asarray(alpha_l, dtype=complex)
     alpha_n = np.asarray(alpha_n, dtype=complex)
     nbar = np.broadcast_to(np.asarray(nbar, dtype=float), alpha_l.shape)
-    if np.any(nbar < 0.0):
+    if not np.all(nbar >= 0.0):
         raise NegativeOccupation("nbar must be >= 0")
-    weight = 2.0 * nbar + 1.0
-    branch = [sl * alpha_l + sn * alpha_n for sl, sn in _BRANCH_SIGNS]
-    parity = [sl * sn for sl, sn in _BRANCH_SIGNS]
+    weight = 2.0 * (2.0 * nbar + 1.0)
+    decay = [np.exp(-np.sum(weight * np.abs(x) ** 2, axis=-1))
+             for x in (alpha_l, alpha_n, alpha_l + alpha_n, alpha_l - alpha_n)]
     delta = np.asarray(phi) - target_phase
-    total = 0.0j
-    for b in range(4):
-        for bp in range(4):
-            cross = np.conj(branch[bp]) * branch[b]
-            geometric = np.sum(np.imag(cross), axis=-1)
-            decay = 0.5 * np.sum(weight * np.abs(branch[b] - branch[bp]) ** 2,
-                                 axis=-1)
-            total += np.exp(1j * (delta * (parity[b] - parity[bp])
-                                  + geometric) - decay)
-    fidelity = total.real / 16.0
+    g = np.sum(np.imag(np.conj(alpha_l) * alpha_n), axis=-1)
+    fidelity = 0.25 * (1.0 + decay[0] * np.cos(2.0 * (delta - g))
+                       + decay[1] * np.cos(2.0 * (delta + g))
+                       + 0.5 * decay[2] + 0.5 * decay[3])
     return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
@@ -362,6 +354,21 @@ def gate_fidelity(phi, alpha_l, alpha_n, nbar):
     does."""
     target = np.where(np.asarray(phi) >= 0.0, np.pi / 4.0, -np.pi / 4.0)
     return thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=target)
+
+
+def _phase(G, vec):
+    """Conditional phase vec^T G vec of each row of ``vec``."""
+    return (vec[:, None, :] @ G @ vec[:, :, None])[:, 0, 0]
+
+
+def _evaluate(S, G, amplitudes, drive, nbar):
+    """(phi, alpha_l, alpha_n, :func:`gate_fidelity`) of the drives
+    ``amplitudes`` (M, P) on the pair kernels S (M, K, P), G (M, P, P);
+    ``drive`` (2, K) holds the pair's coupling rows."""
+    phi = _phase(G, amplitudes)
+    disp = (S @ amplitudes[:, :, None])[:, :, 0]
+    alpha_l, alpha_n = 1j * drive[:, None, :] * disp
+    return phi, alpha_l, alpha_n, gate_fidelity(phi, alpha_l, alpha_n, nbar)
 
 
 # ---------------------------------------------------------------------------
@@ -510,20 +517,22 @@ def gate_report(schedule, spectrum, pair, nbar=None, samples=2000):
 
     ``nbar`` defaults to the per-mode occupations of the trap config.  The
     fidelity is :func:`gate_fidelity`, against the ideal gate whose phase
-    sign matches the achieved one.
+    sign matches the achieved one, scored as the optimizer scores the grid
+    [mu]: a scan point's report carries its phase and fidelity bit for bit.
     """
     couplings = drive_couplings(spectrum)
     freqs = spectrum.frequencies
     l, n = pair
     if nbar is None:
         nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
-    alpha_l = mode_displacements(schedule, couplings, freqs, l)
-    alpha_n = mode_displacements(schedule, couplings, freqs, n)
-    phi = entangling_phase(schedule, couplings, freqs, pair)
+    S, G = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
+                         couplings, pair)
+    phi, alpha_l, alpha_n, fidelity = _evaluate(
+        S, G, schedule.amplitudes[None, :], couplings[[l, n]], nbar)
     profile = response_profile(schedule, spectrum, pair, samples=samples)
-    return GateReport(pair=(int(l), int(n)), schedule=schedule, phi=phi,
-                      fidelity=gate_fidelity(phi, alpha_l, alpha_n, nbar),
-                      alpha_l=alpha_l, alpha_n=alpha_n,
+    return GateReport(pair=(int(l), int(n)), schedule=schedule,
+                      phi=float(phi[0]), fidelity=float(fidelity[0]),
+                      alpha_l=alpha_l[0], alpha_n=alpha_n[0],
                       mode_frequencies=freqs.copy(),
                       response_peak=profile.peak,
                       response_normalized=profile.normalized)

@@ -16,10 +16,11 @@ every grid point are built in one call, and the ascent runs in lockstep:
 each step reduces the pencils of all points still rising with one batched
 Cholesky factorization and solves them with one batched symmetric
 eigensolve (Golub & Van Loan, Matrix Computations, 8.7), and a point drops
-out when its own stopping rule fires.  One fidelity call then scores every
-point.  Every operation acts on each point alone, so a point's result does
-not depend on the grid around it: :func:`solve_amplitudes` is the
-one-point grid, bitwise equal to that point of a scan.  A detuning scan
+out when its own stopping rule fires.  The forms hold S once, and one call
+of the scorer of :func:`gate.gate_report` scores every point, bit for bit
+as that report would.  Every operation acts on each point alone, so a
+point's result does not depend on the grid around it:
+:func:`solve_amplitudes` is the one-point grid.  A detuning scan
 keeps the best point; failed points (no positive-phase direction at that
 mu, none within the amplitude bound, or a residual form that is not
 positive definite) are recorded with fidelity zero rather than aborting
@@ -31,9 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crystal import with_trap
-from .errors import IndefiniteKernel, InsufficientPoints
-from .gate import (PulseSchedule, _pair_kernels, drive_couplings,
-                   gate_fidelity, TWO_PI)
+from .errors import IndefiniteKernel, InsufficientPoints, NegativeOccupation
+from .gate import (PulseSchedule, _evaluate, _pair_kernels, _phase,
+                   drive_couplings, TWO_PI)
 from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
@@ -141,16 +142,16 @@ def _segment_times(tau, segments):
 class _Forms:
     """The pair's amplitude problem at every detuning of a grid.
 
-    ``X`` (M, 2K, P) stacks Re S over Im S of the first-order integrals, so
-    |S v|^2 and Re(S^H diag(d) S) are real products; ``G`` (M, P, P) is the
-    phase form.  Shared by every point: ``weights`` (4, K), per overlap
-    factor the thermal weights of |alpha_l|^2, |alpha_n|^2 and
-    |alpha_l +/- alpha_n|^2 (the factor 2 of exp(-2 Gamma) included);
-    ``drive`` (2, K), the pair's rows of the mode couplings; ``nbar`` (K,);
-    and the amplitude ``bound`` (None for no bound).
+    ``S`` (M, K, P) holds the first-order integrals once, and ``G``
+    (M, P, P) the phase form; residuals, residual forms and scores (shared
+    with :func:`gate.gate_report`) are all taken from them.  Shared by
+    every point: ``weights`` (4, K), per overlap factor the thermal
+    weights of |alpha_l|^2, |alpha_n|^2 and |alpha_l +/- alpha_n|^2 (the
+    factor 2 of exp(-2 Gamma) included); ``drive`` (2, K), the pair's rows
+    of the mode couplings; ``nbar`` (K,); and the ``bound`` (or None).
     """
 
-    X: np.ndarray
+    S: np.ndarray
     G: np.ndarray
     weights: np.ndarray
     drive: np.ndarray
@@ -159,40 +160,30 @@ class _Forms:
 
     def take(self, rows):
         """The forms at the grid points ``rows``, an index array."""
-        return replace(self, X=self.X[rows], G=self.G[rows])
+        return replace(self, S=self.S[rows], G=self.G[rows])
 
 
 def _grid_forms(spectrum, pair, times, grid, nbar, bound):
     """:class:`_Forms` of ``pair`` on ``grid``, its kernels built in one
     call; ``nbar`` None takes the per-mode occupations of the trap
-    config."""
+    config.  Raises NegativeOccupation, before any kernel is built, when an
+    occupation is negative or not finite."""
     if nbar is None:
         nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
+    nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
+                           spectrum.frequencies.shape)
+    if not np.all(np.isfinite(nbar) & (nbar >= 0.0)):
+        raise NegativeOccupation("nbar must be finite and >= 0")
     couplings = drive_couplings(spectrum)
     S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
                          spectrum.frequencies, couplings, pair)
     l, n = pair
     cl = couplings[l]
     cn = couplings[n]
-    nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
-                           spectrum.frequencies.shape)
     weights = 2.0 * (2.0 * nbar + 1.0) * np.array(
         [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
-    return _Forms(X=np.concatenate([S.real, S.imag], axis=1), G=G,
-                  weights=weights, drive=np.array([cl, cn]), nbar=nbar,
-                  bound=bound)
-
-
-def _phase(G, vec):
-    """Conditional phase vec^T G vec of each row of ``vec``."""
-    return (vec[:, None, :] @ G @ vec[:, :, None])[:, 0, 0]
-
-
-def _residuals(X, vec):
-    """(Re, Im) of S vec for each row of ``vec``, each (M, K)."""
-    y = (X @ vec[:, :, None])[:, :, 0]
-    k = y.shape[1] // 2
-    return y[:, :k], y[:, k:]
+    return _Forms(S=S, G=G, weights=weights, drive=np.array([cl, cn]),
+                  nbar=nbar, bound=bound)
 
 
 def _locked(forms, vec):
@@ -211,8 +202,8 @@ def _locked(forms, vec):
     q = _phase(forms.G, vec)
     live = (q != 0.0) & np.isfinite(q)
     scale = np.sqrt(PHASE_TARGET / np.abs(np.where(live, q, np.nan)))
-    re, im = _residuals(forms.X, vec)
-    power = scale[:, None] ** 2 * (re ** 2 + im ** 2)
+    disp = (forms.S @ vec[:, :, None])[:, :, 0]
+    power = scale[:, None] ** 2 * (disp.real ** 2 + disp.imag ** 2)
     gamma = (power[:, None, :] @ forms.weights.T)[:, 0, :]
     peak = scale * np.abs(vec).max(axis=1)
     fid = 0.25 * (1.0 + (np.exp(-gamma) * _BRANCH_COEFFS).sum(axis=1))
@@ -261,8 +252,8 @@ def _extremal(forms, coeffs):
     are not positive definite.
     """
     d = (coeffs[:, None, :] @ forms.weights)[:, 0, :]
-    d = np.concatenate([d, d], axis=1)
-    B = (forms.X.transpose(0, 2, 1) * d[:, None, :]) @ forms.X
+    B = np.real((np.conj(forms.S).transpose(0, 2, 1) * d[:, None, :])
+                @ forms.S)
     trace = np.trace(B, axis1=1, axis2=2)
     usable = np.all(np.isfinite(B), axis=(1, 2)) & (trace > 0.0)
     p = B.shape[1]
@@ -326,14 +317,14 @@ def _ascend(forms, vec):
 
 
 def _solve_grid(forms):
-    """Seed and ascent at every grid point of ``forms``, then one fidelity
+    """Seed and ascent at every grid point of ``forms``, then one scoring
     call for all points.
 
     Returns (amplitudes, fidelities, steps, status): amplitudes (M, P)
-    rescaled so |phase| is pi/4, fidelities from :func:`gate.gate_fidelity`
-    as in :func:`gate.gate_report`, the ascent steps taken, and per point
-    "ok" or the failure its one-point solve raises (see _FAILURES).  A
-    failed point holds zero amplitudes and fidelity 0.
+    rescaled so |phase| is pi/4, fidelities from :func:`gate._evaluate`,
+    the scorer of :func:`gate.gate_report`, the ascent steps taken, and
+    per point "ok" or the failure its one-point solve raises (see
+    _FAILURES).  A failed point holds zero amplitudes and fidelity 0.
     """
     m = len(forms.G)
     status = np.full(m, "ok", dtype=object)
@@ -352,14 +343,11 @@ def _solve_grid(forms):
     solved = forms.take(rows)
     vec = vec[~broken]
     vec = np.sqrt(PHASE_TARGET / np.abs(_phase(solved.G, vec)))[:, None] * vec
-    re, im = _residuals(solved.X, vec)
-    disp = re + 1j * im
     amplitudes = np.zeros((m, vec.shape[1]))
     amplitudes[rows] = vec
     fidelities = np.zeros(m)
-    fidelities[rows] = gate_fidelity(
-        _phase(solved.G, vec), 1j * solved.drive[0] * disp,
-        1j * solved.drive[1] * disp, solved.nbar)
+    fidelities[rows] = _evaluate(solved.S, solved.G, vec, solved.drive,
+                                 solved.nbar)[3]
     return amplitudes, fidelities, steps, status
 
 

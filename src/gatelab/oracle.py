@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import CutoffInsufficient, StepFailure
-from .gate import _BRANCH_SIGNS, drive_couplings
+from .gate import drive_couplings
 
 MAX_IONS = 4
 MAX_CUTOFF = 20      # highest tracked Fock level per mode
@@ -39,6 +39,8 @@ _TOP_POPULATION_ABORT = 1e-6
 _NORM_DRIFT_LIMIT = 1e-9
 # conditional phase of the ideal gate the fidelity is taken against
 _PHI_TARGET = math.pi / 4.0
+# spin eigenvalues (s_l, s_n) of the four branches, in propagator order
+_BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _GAUSS_NODES = ((3.0 - math.sqrt(3.0)) / 6.0, (3.0 + math.sqrt(3.0)) / 6.0)
 
@@ -255,7 +257,7 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
         step_count=steps)
 
 
-def reduced_qubit_state(state, nbar=None):
+def _reduced_qubit_state(state, nbar=None):
     """4x4 spin density matrix after tracing the thermal motion.
 
     rho[b, b'] = 1/4 prod_k sum_n p_n (U_{b',k}^dag U_{b,k})[n, n].
@@ -274,7 +276,7 @@ def reduced_qubit_state(state, nbar=None):
     return rho
 
 
-def qubit_fidelity(rho):
+def _qubit_fidelity(rho):
     """<Psi_f| rho |Psi_f> with |Psi_f> the ideal conditional-phase image
     of the equal superposition: amplitudes exp(i _PHI_TARGET s_l s_n) / 2."""
     parity = np.array([sl * sn for sl, sn in _BRANCH_SIGNS])
@@ -285,4 +287,4 @@ def qubit_fidelity(rho):
 def fidelity_from_state(state, nbar=None):
     """Gate fidelity against the pi/4 conditional phase, by direct trace
     over the evolved truncated state."""
-    return qubit_fidelity(reduced_qubit_state(state, nbar=nbar))
+    return _qubit_fidelity(_reduced_qubit_state(state, nbar=nbar))

@@ -3,8 +3,9 @@
 The closed-form segment integrals are checked against adaptive quadrature
 on the same integrands (scipy.integrate), including exact and near
 resonance where the closed forms switch to series.  The thermal fidelity is
-checked against its zero-force limits and symmetries; the full dynamical
-check against direct propagation lives in the oracle tests.
+checked against its zero-force limits, its symmetries and the 16-branch-pair
+sum its closed form is reduced from; the full dynamical check against direct
+propagation lives in the oracle tests.
 """
 
 import math
@@ -259,6 +260,9 @@ class TestThermalFidelity:
         z = np.zeros(2, dtype=complex)
         with pytest.raises(NegativeOccupation):
             gt.thermal_fidelity(0.5, z, z, -0.2)
+        # a NaN occupation is no occupation; it must not score NaN
+        with pytest.raises(NegativeOccupation):
+            gt.thermal_fidelity(0.5, z, z, [0.1, np.nan])
 
     def test_per_mode_nbar(self):
         rng = np.random.default_rng(9)
@@ -269,6 +273,45 @@ class TestThermalFidelity:
         high = gt.thermal_fidelity(0.7, al, an, 1.0)
         assert high < mixed < low
 
+    def test_closed_form_equals_branch_pair_sum(self):
+        # the four-term closed form against the sum over all 16 ordered
+        # spin-branch pairs it is reduced from, on scalar and stacked
+        # inputs with scalar and per-mode occupations
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+        def reference(phi, al, an, nbar, target):
+            weight = 2.0 * np.broadcast_to(nbar, al.shape) + 1.0
+            branch = [sl * al + sn * an for sl, sn in signs]
+            parity = [sl * sn for sl, sn in signs]
+            total = 0.0j
+            for b in range(4):
+                for bp in range(4):
+                    cross = np.conj(branch[bp]) * branch[b]
+                    geometric = np.sum(np.imag(cross), axis=-1)
+                    decay = 0.5 * np.sum(
+                        weight * np.abs(branch[b] - branch[bp]) ** 2, axis=-1)
+                    total += np.exp(1j * ((phi - target)
+                                          * (parity[b] - parity[bp])
+                                          + geometric) - decay)
+            return total.real / 16.0
+
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for draw in range(1000):
+            modes = int(rng.integers(1, 8))
+            shape = (modes,) if draw % 2 else (5, modes)
+            scale = rng.uniform(0.0, 1.0)
+            al = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            an = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            phi = rng.uniform(-4.0, 4.0, shape[:-1])
+            target = rng.uniform(-1.0, 1.0)
+            for nbar in (rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0, modes)):
+                got = gt.thermal_fidelity(phi, al, an, nbar,
+                                          target_phase=target)
+                want = reference(phi, al, an, nbar, target)
+                assert np.shape(got) == np.shape(want)
+                worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst <= 1e-15
 
     @pytest.mark.parametrize("modes", [3, 127, 300])
     def test_stacked_equals_row_by_row(self, modes):

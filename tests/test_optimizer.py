@@ -19,7 +19,8 @@ from gatelab import crystal as cr
 from gatelab import gate as gt
 from gatelab import modes as md
 from gatelab import optimizer as op
-from gatelab.errors import IndefiniteKernel, InsufficientPoints
+from gatelab.errors import (IndefiniteKernel, InsufficientPoints,
+                            NegativeOccupation)
 
 TWO_PI = 2 * np.pi
 WZ = TWO_PI * 10e6
@@ -74,7 +75,7 @@ class TestSolveAmplitudes:
         sched, fid = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
                                          self.MU)
         report = gt.gate_report(sched, spectrum7, (0, 1), nbar=0.1)
-        assert fid == pytest.approx(report.fidelity, abs=1e-12)
+        assert fid == report.fidelity
         assert 0.0 <= fid <= 1.0
 
     def forms(self, spectrum):
@@ -83,13 +84,13 @@ class TestSolveAmplitudes:
                               spectrum.config.temperature_nbar, None)
 
     def test_objective_forms_match_public_kernels(self, spectrum7):
-        # the forms stack Re S over Im S and hold the G built from that S;
-        # both stay bitwise equal to the public kernel functions
+        # the forms hold S and the G built from that S; both stay bitwise
+        # equal to the public kernel functions
         forms = self.forms(spectrum7)
         times = np.linspace(0.0, 50e-6, 6)
         freqs = spectrum7.frequencies
         S = gt.first_order_integrals(times, self.MU, freqs)
-        assert np.array_equal(forms.X[0], np.concatenate([S.real, S.imag]))
+        assert np.array_equal(forms.S[0], S)
         assert np.array_equal(forms.G[0], gt.pair_phase_matrix(
             times, self.MU, freqs, gt.drive_couplings(spectrum7), (0, 1)))
 
@@ -132,6 +133,23 @@ class TestSolveAmplitudes:
         with pytest.raises(IndefiniteKernel):
             op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU,
                                 amplitude_bound=1e-30)
+
+    @pytest.mark.parametrize("nbar", [-1.0, -0.4, np.nan])
+    def test_bad_nbar_rejected_before_kernels(self, spectrum7, monkeypatch,
+                                              nbar):
+        # both entry points check the occupation before any kernel is
+        # built or any ascent step is taken
+        def no_kernels(*args):
+            raise AssertionError("kernels built for a bad nbar")
+
+        monkeypatch.setattr(op, "_pair_kernels", no_kernels)
+        with pytest.raises(NegativeOccupation):
+            op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU,
+                                nbar=nbar)
+        problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
+                                         mu_grid=small_grid(11), nbar=nbar)
+        with pytest.raises(NegativeOccupation):
+            op.detuning_scan(spectrum7, problem)
 
     def test_bound_respected_when_loose(self, spectrum7):
         sched, _ = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU)
@@ -207,8 +225,7 @@ class TestDetuningScan:
         result = op.detuning_scan(spectrum7, problem)
         assert reports == []
         report = original(result.best_schedule, spectrum7, (0, 1))
-        assert report.fidelity == pytest.approx(result.best_fidelity,
-                                                abs=1e-12)
+        assert report.fidelity == result.best_fidelity
         assert report.response_normalized is not None
         assert report.response_normalized.size == spectrum7.mode_count
 
@@ -256,6 +273,10 @@ class TestOneCodePath:
             assert sched.mu == grid[i]
             assert fid == result.fidelities[i]
             assert sched.max_amplitude == result.max_amplitudes[i]
+            # the report of a point's own schedule is scored as the scan
+            # scores it, bit for bit
+            report = gt.gate_report(sched, spectrum, pair, samples=2)
+            assert report.fidelity == fid
         assert solved == np.count_nonzero(result.fidelities)
         best = result.best_index
         assert result.best_schedule.mu == grid[best]
@@ -283,10 +304,10 @@ class TestLockstep:
         # one tiny column: the ridge underflows to zero, so the residual
         # form is singular
         forged_point = 3
-        X = forms.X.copy()
-        X[forged_point] = 0.0
-        X[forged_point, :, 0] = 1e-160
-        forged = replace(forms, X=X)
+        S = forms.S.copy()
+        S[forged_point] = 0.0
+        S[forged_point, :, 0] = 1e-160 + 1e-160j
+        forged = replace(forms, S=S)
         amplitudes, fidelities, steps, status = op._solve_grid(forged)
 
         assert status[forged_point] == "linalg"
@@ -316,6 +337,11 @@ class TestLockstep:
                 continue
             assert np.array_equal(sched.amplitudes, amplitudes[i])
             assert fid == fidelities[i]
+            # the report of the point's own schedule: the scan's phase and
+            # fidelity, bit for bit
+            report = gt.gate_report(sched, spectrum, pair, samples=2)
+            assert report.phi == op._phase(forged.G[[i]], amplitudes[[i]])[0]
+            assert report.fidelity == fidelities[i]
 
     def test_ascent_never_below_seed(self):
         # the minorize-maximize ascent is monotone at every grid point

@@ -113,7 +113,7 @@ class TestMagnusKernel:
         freqs = spec3.frequencies
         weights = np.array([[sl * c[0, k] + sn * c[2, k]
                              for k in range(freqs.size)]
-                            for sl, sn in gt._BRANCH_SIGNS])  # (4, K)
+                            for sl, sn in orc._BRANCH_SIGNS])  # (4, K)
         dim = 21
         worst = 0.0
         for _ in range(6):
@@ -190,13 +190,13 @@ class TestBranchParity:
 
 class TestQubitFidelity:
     def test_dephased_mixture(self):
-        assert orc.qubit_fidelity(np.eye(4) / 4.0) == pytest.approx(0.25)
+        assert orc._qubit_fidelity(np.eye(4) / 4.0) == pytest.approx(0.25)
 
     def test_ideal_state(self):
         parity = np.array([1, -1, -1, 1])
         target = 0.5 * np.exp(1j * math.pi / 4.0 * parity)
         rho = np.outer(target, np.conj(target))
-        assert orc.qubit_fidelity(rho) == pytest.approx(1.0, abs=1e-12)
+        assert orc._qubit_fidelity(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClosedLoop:
@@ -228,7 +228,7 @@ class TestOracleEquivalence:
         dim = st.propagators[0].shape[-1]
         a_op = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
         for k in range(2):
-            for b, (sl, sn) in enumerate(gt._BRANCH_SIGNS):
+            for b, (sl, sn) in enumerate(orc._BRANCH_SIGNS):
                 want = (sl * c[0, k] + sn * c[1, k]) * alpha[k]
                 vac = np.zeros(dim, dtype=complex)
                 vac[0] = 1.0
@@ -243,7 +243,7 @@ class TestOracleEquivalence:
         c = gt.drive_couplings(spec2)
         D = gt.mode_phase_integrals(sched, spec2.frequencies)
         for k in range(2):
-            for b, (sl, sn) in enumerate(gt._BRANCH_SIGNS):
+            for b, (sl, sn) in enumerate(orc._BRANCH_SIGNS):
                 weight = sl * c[0, k] + sn * c[1, k]
                 psi0 = st.propagators[k][b][0, 0]
                 assert np.angle(psi0) == pytest.approx(weight ** 2 * D[k],
@@ -306,7 +306,7 @@ class TestInvariants:
         rng = np.random.default_rng(29)
         sched = random_schedule(rng, spec3)
         st = orc.evolve(sched, spec3, (1, 2), nbar=0.2)
-        rho = orc.reduced_qubit_state(st)
+        rho = orc._reduced_qubit_state(st)
         assert np.allclose(rho, np.conj(rho.T), atol=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         evals = np.linalg.eigvalsh(rho)
