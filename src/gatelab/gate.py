@@ -16,7 +16,11 @@ Everything here evaluates those integrals in closed form, with series
 fallbacks where the closed forms lose precision, so detuning scans can hit
 exact resonances without special-casing.  The series are evaluated only on
 the entries that select them, and the segment integrals accept an array of
-detunings, so a scan builds the kernels of its whole grid in one call.  The
+detunings, so a scan builds the kernels of its whole grid in one call.
+Every segment integral reads one primitive, E0(x) = integral_0^h e^{i x s}
+ds, made from one sine and one cosine pass; the first-order integrals and
+the triangles share E0(omega +/- mu), and each start phase is a product of
+e^{i omega t_p} and e^{i mu t_p} (see :func:`_segment_kernels`).  The
 thermal fidelity is the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) +
 e^{-G_n} cos 2(d + g) + e^{-G_+} / 2 + e^{-G_-} / 2] (see
 :func:`thermal_fidelity`), and :func:`gate_report` and the optimizer score
@@ -111,13 +115,30 @@ def drive_couplings(spectrum):
 # ---------------------------------------------------------------------------
 # primitive integrals
 
+def _unit(angle):
+    """e^{i angle}, from one cos and one sin pass."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _e0(x, h):
     """integral_0^h e^{i x s} ds, exact for all x including 0.
 
-    The midpoint form h e^{i x h / 2} sinc(x h / (2 pi)) has no removable
-    singularity, so no branch switch is needed.
+    The midpoint form h (cos theta + i sin theta) sin(theta) / theta with
+    theta = x h / 2 takes one sin and one cos pass; its removable
+    singularity is filled with the limit h, so E0(0) = h and
+    E0(-x) = conj(E0(x)) hold exactly.
     """
-    return h * np.exp(0.5j * x * h) * np.sinc(x * h / TWO_PI)
+    theta = 0.5 * x * h
+    out = _unit(theta)
+    amp = np.divide(out.imag, theta, out=np.ones_like(theta),
+                    where=theta != 0.0)
+    amp *= h
+    out.real *= amp
+    out.imag *= amp
+    return out
 
 
 def _moments(a, h, jmax):
@@ -130,7 +151,7 @@ def _moments(a, h, jmax):
     """
     small = np.abs(a * h) < _SERIES_THRESHOLD
     ia = 1j * np.where(small, 1.0, a)  # safe divisor off the small branch
-    eah = np.exp(1j * a * h)
+    eah = _unit(a * h)
     sel = np.nonzero(small)
     h_sel = h[sel]
     z = 1j * a[sel] * h_sel
@@ -151,39 +172,86 @@ def _moments(a, h, jmax):
     return out
 
 
-def _k_kernel(a, b, h, e0_a, e0_ab):
-    """K = integral_0^h e^{i a s2} integral_0^{s2} e^{i b s1} ds1 ds2.
-
-    Generic form [E0(a+b) - E0(a)] / (ib), with ``e0_a`` = E0(a) =
-    ``_e0(a, h)`` and ``e0_ab`` = E0(a+b) passed in, so kernels sharing
-    ``a`` compute E0(a) once and b = -a passes E0(0) = h.  For |b h| small
-    the difference cancels; on those entries alone the inner integral is
-    expanded in powers of (ib) instead.
-    """
-    a, b, h = np.broadcast_arrays(a, b, h)
-    small = np.abs(b * h) < _SERIES_THRESHOLD
-    out = e0_ab - e0_a
-    out /= 1j * np.where(small, 1.0, b)
-
-    sel = np.nonzero(small)
-    b_sel = b[sel]
-    moments = _moments(a[sel], h[sel], _SERIES_TERMS)
-    series = np.zeros(b_sel.shape, dtype=complex)
-    coeff = np.ones(b_sel.shape, dtype=complex)  # (ib)^{j-1} / j!
+def _k_series(a, b, h):
+    """K = integral_0^h e^{i a s2} integral_0^{s2} e^{i b s1} ds1 ds2 for
+    |b h| small, the inner integral expanded in powers of (ib); ``a``,
+    ``b`` and ``h`` are float arrays of one shape."""
+    moments = _moments(a, h, _SERIES_TERMS)
+    series = np.zeros(b.shape, dtype=complex)
+    coeff = np.ones(b.shape, dtype=complex)  # (ib)^{j-1} / j!
     for j in range(1, _SERIES_TERMS + 1):
         coeff = coeff / j
         series = series + coeff * moments[j]
-        coeff = coeff * (1j * b_sel)
-    out[sel] = series
+        coeff = coeff * (1j * b)
+    return series
+
+
+def _first_order(start, turn, e_plus, e_minus):
+    """integral of sin(mu t) e^{i omega t} over segments [t0, t0 + h]:
+    -i/2 e^{i omega t0} [e^{i mu t0} E0(omega + mu) - e^{-i mu t0}
+    E0(omega - mu)], from ``start`` = e^{i omega t0}, ``turn`` =
+    e^{i mu t0} and the two E0 arrays, which it overwrites."""
+    e_plus *= turn
+    e_minus *= np.conj(turn)
+    e_plus -= e_minus
+    e_plus *= -0.5j * start
+    return e_plus
+
+
+def _triangle_pair(x, y, e_x, e_y, lag, rest, h):
+    """Im(lag K(y, -x) - K(x, -x)), the two triangle kernels that share
+    b = -x, with K as in :func:`_k_series`.
+
+    The generic form K(a, b) = [E0(a + b) - E0(a)] / (ib) puts both over
+    the real divisor x: [Re(lag E0(y - x)) - h + Re E0(x)
+    - Re(lag E0(y))] / x, where ``rest`` = Re(lag E0(y - x)) - h.  Where
+    |x h| is small the quotient cancels; on those entries alone both
+    kernels are series.
+    """
+    out = e_x.real + rest
+    out -= lag.real * e_y.real
+    out += lag.imag * e_y.imag
+    small = np.abs(x) * h < _SERIES_THRESHOLD
+    out /= np.where(small, 1.0, x)
+    sel = np.nonzero(small)
+    x_s, y_s, h_s, lag_s = (np.broadcast_to(v, out.shape)[sel]
+                            for v in (x, y, h, lag))
+    out[sel] = np.imag(lag_s * _k_series(y_s, -x_s, h_s)
+                       - _k_series(x_s, -x_s, h_s))
     return out
 
 
-def _sin_exp_segment(omega, mu, t_start, h):
-    """integral over [t_start, t_start + h] of sin(mu t) e^{i omega t} dt."""
+def _segment_kernels(times, mu, frequencies):
+    """(S, T) at the detunings ``mu``, each of shape mu.shape + (K, P).
+
+    S[k, p] is the integral over segment p of sin(mu t) e^{i omega_k t}
+    dt, and T[k, p] the ordered double integral of sin(mu s2) sin(mu s1)
+    sin(omega_k (s2 - s1)) over the triangle t_p < s1 < s2 < t_{p+1}.
+    Both read one E0(omega + mu) and one E0(omega - mu).  The start
+    phases e^{i (omega +/- mu) t_p} are products of e^{i omega t_p} and
+    e^{+/-i mu t_p}.  T = -Im(lag k1 - k2 - k3 + conj(lag) k4) / 4, with
+    lag = e^{2 i mu t_p} and the kernels k1 = K(p, -m), k2 = K(p, -p),
+    k3 = K(m, -m) and k4 = K(m, -p), where p, m = omega +/- mu.  Their
+    E0(a + b) are E0(2 mu), h, h and E0(-2 mu) = conj E0(2 mu), taken at
+    the exact 2 mu.
+    """
+    times = np.asarray(times, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    omega = np.asarray(frequencies, dtype=float)[:, None]
+    t0 = times[:-1]
+    h = np.diff(times)
     plus = omega + mu
     minus = omega - mu
-    return -0.5j * (np.exp(1j * plus * t_start) * _e0(plus, h)
-                    - np.exp(1j * minus * t_start) * _e0(minus, h))
+    e_plus = _e0(plus, h)
+    e_minus = _e0(minus, h)
+    turn = _unit(mu * t0)
+    lag = turn * turn
+    rest = np.real(lag * _e0(2.0 * mu, h)) - h
+    T = _triangle_pair(minus, plus, e_minus, e_plus, lag, rest, h)
+    T += _triangle_pair(plus, minus, e_plus, e_minus, np.conj(lag), rest, h)
+    T *= -0.25
+    S = _first_order(_unit(omega * t0), turn, e_plus, e_minus)
+    return S, T
 
 
 def first_order_integrals(times, mu, frequencies):
@@ -192,12 +260,7 @@ def first_order_integrals(times, mu, frequencies):
     An array of detunings ``mu`` stacks one S per detuning: the result has
     shape mu.shape + (K, P).
     """
-    times = np.asarray(times, dtype=float)
-    mu = np.asarray(mu, dtype=float)[..., None, None]
-    omega = np.asarray(frequencies, dtype=float)
-    t_start = times[:-1][None, :]
-    h = np.diff(times)[None, :]
-    return _sin_exp_segment(omega[:, None], mu, t_start, h)
+    return _segment_kernels(times, mu, frequencies)[0]
 
 
 def _triangle_integrals(times, mu, frequencies):
@@ -206,24 +269,7 @@ def _triangle_integrals(times, mu, frequencies):
 
     Stacks over an array ``mu`` as :func:`first_order_integrals` does.
     """
-    times = np.asarray(times, dtype=float)
-    mu = np.asarray(mu, dtype=float)[..., None, None]
-    omega = np.asarray(frequencies, dtype=float)[:, None]
-    ta = times[:-1][None, :]
-    h = np.diff(times)[None, :]
-    phase = np.exp(2j * mu * ta)
-    plus = omega + mu
-    minus = omega - mu
-    e0_plus = _e0(plus, h)
-    e0_minus = _e0(minus, h)
-    # k1 - k2 - k3 + k4, accumulated in place; k2 and k3 have a + b = 0
-    # exactly, where E0 is h exactly
-    acc = phase * _k_kernel(plus, -minus, h, e0_plus, _e0(plus - minus, h))
-    acc -= _k_kernel(plus, -plus, h, e0_plus, h)
-    acc -= _k_kernel(minus, -minus, h, e0_minus, h)
-    acc += np.conj(phase) * _k_kernel(minus, -plus, h, e0_minus,
-                                      _e0(minus - plus, h))
-    return -0.25 * np.imag(acc)
+    return _segment_kernels(times, mu, frequencies)[1]
 
 
 def phase_kernels(times, mu, frequencies):
@@ -235,8 +281,7 @@ def phase_kernels(times, mu, frequencies):
     off-diagonal pairs split the cross-segment rectangle Im[S_p conj(S_q)]
     (p later than q) evenly across (p, q) and (q, p).
     """
-    S = first_order_integrals(times, mu, frequencies)
-    T = _triangle_integrals(times, mu, frequencies)
+    S, T = _segment_kernels(times, mu, frequencies)
     return _phase_form(S[..., None, :], T[..., None, :], np.ones(1))
 
 
@@ -297,11 +342,9 @@ def _pair_kernels(times, mu, frequencies, couplings, pair):
     """(S, G): :func:`first_order_integrals` and :func:`pair_phase_matrix`
     at the detunings ``mu``, built together in one :func:`_phase_form`
     call for every detuning."""
-    S = first_order_integrals(times, mu, frequencies)
+    S, T = _segment_kernels(times, mu, frequencies)
     l, n = pair
-    G = _phase_form(S, _triangle_integrals(times, mu, frequencies),
-                    2.0 * couplings[l] * couplings[n])
-    return S, G
+    return S, _phase_form(S, T, 2.0 * couplings[l] * couplings[n])
 
 
 def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
@@ -391,22 +434,27 @@ def partial_drive_integrals(schedule, frequencies, sample_times):
     """integral_0^t Omega sin(mu s) e^{i omega_k s} ds at each sample time.
 
     Shape (T, K): completed segments via the closed-form segment integrals,
-    plus a partial segment up to t.
+    plus a partial segment up to t.  The drive is off outside [0, tau]: a
+    time before 0 gives 0 and a time past tau the full integral.
     """
     times = schedule.times
     amps = schedule.amplitudes
+    mu = schedule.mu
     omega = np.asarray(frequencies, dtype=float)
     ts = np.asarray(sample_times, dtype=float)
-    S = first_order_integrals(times, schedule.mu, omega)  # (K, P)
+    S = first_order_integrals(times, mu, omega)  # (K, P)
     done = np.concatenate([np.zeros((omega.size, 1), dtype=complex),
                            np.cumsum(S * amps[None, :], axis=1)], axis=1)
     idx = np.clip(np.searchsorted(times, ts, side="right") - 1,
                   0, schedule.segment_count - 1)
-    t_start = times[idx]
-    h = np.clip(ts - t_start, 0.0, None)
-    part = _sin_exp_segment(omega[None, :], schedule.mu,
-                            t_start[:, None], h[:, None])  # (T, K)
-    return done[:, idx].T + amps[idx][:, None] * part
+    t_start = times[idx][:, None]
+    h = np.clip(ts[:, None] - t_start, 0.0, np.diff(times)[idx][:, None])
+    start = _unit(omega * times[:-1, None])[idx]  # one row per segment
+    part = _first_order(start, _unit(mu * t_start),
+                        _e0(omega + mu, h), _e0(omega - mu, h))  # (T, K)
+    part *= amps[idx][:, None]
+    part += done[:, idx].T
+    return part
 
 
 def response_profile(schedule, spectrum, pair, samples=2000):
@@ -415,20 +463,26 @@ def response_profile(schedule, spectrum, pair, samples=2000):
     Samples the coherent mode amplitudes on a uniform grid (plus the segment
     boundaries), reconstructs the physical displacements
     q_j(t) = sum_k b_j^k sqrt(2 hbar / M omega_k) Re[A_k(t) e^{-i omega_k t}],
-    and records each ion's peak excursion.
+    and records each ion's peak excursion.  With A_k = i d_k I_k, d the
+    pair's summed couplings and I :func:`partial_drive_integrals`,
+    Re[A_k e^{-i omega_k t}] = d_k (Re I_k sin omega_k t
+    - Im I_k cos omega_k t).
     """
     couplings = drive_couplings(spectrum)
     l, n = pair
-    drive = couplings[l] + couplings[n]
     freqs = spectrum.frequencies
     ts = np.union1d(np.linspace(0.0, schedule.duration, samples),
                     schedule.times)
     raw = partial_drive_integrals(schedule, freqs, ts)  # (T, K)
-    amp = 1j * drive[None, :] * raw
-    zero_point = np.sqrt(2.0 * HBAR
-                         / (spectrum.config.ion_mass * freqs))
-    real_part = np.real(amp * np.exp(-1j * freqs[None, :] * ts[:, None]))
-    q = (real_part * zero_point[None, :]) @ spectrum.modes  # (T, N)
+    angle = freqs[None, :] * ts[:, None]
+    real_part = np.sin(angle)
+    real_part *= raw.real
+    cos = np.cos(angle, out=angle)
+    cos *= raw.imag
+    real_part -= cos
+    real_part *= (couplings[l] + couplings[n]) * np.sqrt(
+        2.0 * HBAR / (spectrum.config.ion_mass * freqs))
+    q = real_part @ spectrum.modes  # (T, N)
     peak = np.abs(q).max(axis=0)
     ref = max(peak[l], peak[n])
     normalized = peak / ref if ref > 0.0 else np.zeros_like(peak)

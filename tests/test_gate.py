@@ -37,6 +37,110 @@ def quad_triangle(mu, omega, ta, tb):
     return val
 
 
+# The segment kernels as first written: a complex exp and an np.sinc per
+# E0, each start phase its own complex exp, and E0(omega +/- mu) built
+# apart for S and for T.  Kept as a reference for the one-trig-pass build.
+
+def ref_e0(x, h):
+    return h * np.exp(0.5j * x * h) * np.sinc(x * h / (2.0 * np.pi))
+
+
+def ref_moments(a, h, jmax):
+    small = np.abs(a * h) < gt._SERIES_THRESHOLD
+    ia = 1j * np.where(small, 1.0, a)
+    eah = np.exp(1j * a * h)
+    sel = np.nonzero(small)
+    h_sel = h[sel]
+    z = 1j * a[sel] * h_sel
+    out = np.empty((jmax + 1,) + a.shape, dtype=complex)
+    out[0] = ref_e0(a, h)
+    hpow = np.ones_like(h)
+    for j in range(1, jmax + 1):
+        hpow = hpow * h
+        out[j] = (hpow * eah - j * out[j - 1]) / ia
+        term = np.ones_like(z)
+        series = term / (j + 1)
+        for k in range(1, gt._TAYLOR_TERMS + 1):
+            term = term * z / k
+            series = series + term / (j + k + 1)
+        out[j][sel] = hpow[sel] * h_sel * series
+    return out
+
+
+def ref_k_kernel(a, b, h, e0_a, e0_ab):
+    a, b, h = np.broadcast_arrays(a, b, h)
+    small = np.abs(b * h) < gt._SERIES_THRESHOLD
+    out = e0_ab - e0_a
+    out /= 1j * np.where(small, 1.0, b)
+    sel = np.nonzero(small)
+    b_sel = b[sel]
+    moments = ref_moments(a[sel], h[sel], gt._SERIES_TERMS)
+    series = np.zeros(b_sel.shape, dtype=complex)
+    coeff = np.ones(b_sel.shape, dtype=complex)
+    for j in range(1, gt._SERIES_TERMS + 1):
+        coeff = coeff / j
+        series = series + coeff * moments[j]
+        coeff = coeff * (1j * b_sel)
+    out[sel] = series
+    return out
+
+
+def ref_first_order(times, mu, frequencies):
+    times = np.asarray(times, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    omega = np.asarray(frequencies, dtype=float)[:, None]
+    t_start = times[:-1][None, :]
+    h = np.diff(times)[None, :]
+    plus = omega + mu
+    minus = omega - mu
+    return -0.5j * (np.exp(1j * plus * t_start) * ref_e0(plus, h)
+                    - np.exp(1j * minus * t_start) * ref_e0(minus, h))
+
+
+def ref_triangle(times, mu, frequencies):
+    times = np.asarray(times, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    omega = np.asarray(frequencies, dtype=float)[:, None]
+    ta = times[:-1][None, :]
+    h = np.diff(times)[None, :]
+    phase = np.exp(2j * mu * ta)
+    plus = omega + mu
+    minus = omega - mu
+    e0_plus = ref_e0(plus, h)
+    e0_minus = ref_e0(minus, h)
+    acc = phase * ref_k_kernel(plus, -minus, h, e0_plus,
+                               ref_e0(plus - minus, h))
+    acc -= ref_k_kernel(plus, -plus, h, e0_plus, h)
+    acc -= ref_k_kernel(minus, -minus, h, e0_minus, h)
+    acc += np.conj(phase) * ref_k_kernel(minus, -plus, h, e0_minus,
+                                         ref_e0(minus - plus, h))
+    return -0.25 * np.imag(acc)
+
+
+def longdouble_first_order(times, mu, omega):
+    """S[k, p] from the antiderivatives of e^{i (omega +/- mu) t} in
+    np.longdouble, for one detuning ``mu``."""
+    ld = np.longdouble
+    t = np.asarray(times, dtype=ld)
+    out = np.empty((len(omega), t.size - 1), dtype=complex)
+    for k, w in enumerate(omega):
+        s_re = np.zeros(t.size - 1, dtype=ld)
+        s_im = np.zeros(t.size - 1, dtype=ld)
+        for sign in (1, -1):
+            x = ld(w) + sign * ld(mu)
+            # re + i im = (e^{i x t_{p+1}} - e^{i x t_p}) / (i x)
+            if x == 0:
+                re, im = t[1:] - t[:-1], 0
+            else:
+                re = (np.sin(x * t[1:]) - np.sin(x * t[:-1])) / x
+                im = -(np.cos(x * t[1:]) - np.cos(x * t[:-1])) / x
+            # S = [integral(omega + mu) - integral(omega - mu)] / (2i)
+            s_re += sign * im / 2
+            s_im -= sign * re / 2
+        out[k] = s_re.astype(float) + 1j * s_im.astype(float)
+    return out
+
+
 class TestFirstOrderIntegrals:
     @pytest.mark.parametrize("omega", [0.0, 3.7, 12.0, 11.999997, 12.000003,
                                        60.0])
@@ -91,25 +195,40 @@ class TestTriangleIntegrals:
         assert batched[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
 
 
+def mixed_branch_grid():
+    """(times, omega, grid, couplings, pair): a grid holding an exact
+    resonance mu = omega_k and detunings with |b h| = |mu - omega_k| h just
+    below and just above the series threshold, so both branches mix inside
+    one batch."""
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    omega = np.array([3.1, 12.0, 12.9])
+    edge = gt._SERIES_THRESHOLD / 0.5
+    grid = np.array([2.0, 12.0, 12.0 + edge * (1 - 1e-6),
+                     12.0 - edge * (1 + 1e-6), 12.9 - edge * (1 - 1e-6),
+                     12.9 + edge * (1 + 1e-6), 20.0])
+    bh = np.abs(grid[:, None] - omega[None, :]) * 0.5
+    small = bh < gt._SERIES_THRESHOLD
+    assert small.any() and not small.all()
+    assert np.any(np.abs(bh[small] - gt._SERIES_THRESHOLD) < 1e-8)
+    assert np.any(np.abs(bh[~small] - gt._SERIES_THRESHOLD) < 1e-8)
+    couplings = np.array([[0.6, -0.3, 0.2], [0.5, 0.4, -0.7]])
+    return times, omega, grid, couplings, (0, 1)
+
+
+def scan_scale_grid():
+    """(times, omega, grid, couplings, pair) at the scale of a 127-ion
+    scan: the default 301-point grid, 127 modes in 9.5-10 MHz and five
+    10 us segments."""
+    rng = np.random.default_rng(14)
+    times = np.linspace(0.0, 50e-6, 6)
+    omega = 2 * math.pi * np.linspace(9.5e6, 10e6, 127)
+    grid = 2 * math.pi * np.linspace(9.9e6, 10.2e6, 301)
+    return times, omega, grid, rng.normal(size=(2, 127)), (0, 1)
+
+
 class TestBatchedKernels:
     def test_batched_equals_per_detuning(self):
-        # one grid holding an exact resonance mu = omega_k and detunings
-        # with |b h| = |mu - omega_k| h just below and just above the series
-        # threshold, so both branches mix inside one batch
-        times = np.array([0.0, 0.5, 1.0, 1.5])
-        omega = np.array([3.1, 12.0, 12.9])
-        edge = gt._SERIES_THRESHOLD / 0.5
-        grid = np.array([2.0, 12.0, 12.0 + edge * (1 - 1e-6),
-                         12.0 - edge * (1 + 1e-6), 12.9 - edge * (1 - 1e-6),
-                         12.9 + edge * (1 + 1e-6), 20.0])
-        bh = np.abs(grid[:, None] - omega[None, :]) * 0.5
-        small = bh < gt._SERIES_THRESHOLD
-        assert small.any() and not small.all()
-        assert np.any(np.abs(bh[small] - gt._SERIES_THRESHOLD) < 1e-8)
-        assert np.any(np.abs(bh[~small] - gt._SERIES_THRESHOLD) < 1e-8)
-
-        couplings = np.array([[0.6, -0.3, 0.2], [0.5, 0.4, -0.7]])
-        pair = (0, 1)
+        times, omega, grid, couplings, pair = mixed_branch_grid()
         S = gt.first_order_integrals(times, grid, omega)
         T = gt._triangle_integrals(times, grid, omega)
         S2, G = gt._pair_kernels(times, grid, omega, couplings, pair)
@@ -122,6 +241,55 @@ class TestBatchedKernels:
                 T[i], gt._triangle_integrals(times, float(mu), omega))
             assert np.array_equal(G[i], gt.pair_phase_matrix(
                 times, float(mu), omega, couplings, pair))
+
+
+class TestOneTrigPass:
+    def test_e0_identities(self):
+        # E0(0) = h and E0(-x) = conj E0(x) hold bitwise
+        rng = np.random.default_rng(2)
+        x = np.concatenate([[0.0, -0.0, 1e-300, 3e-3], rng.normal(size=50),
+                            1e8 * rng.normal(size=50)])
+        for h in (1e-5, 0.37, 2.0):
+            assert gt._e0(0.0, h) == h
+            assert np.array_equal(gt._e0(-x, h), np.conj(gt._e0(x, h)))
+            assert np.array_equal(gt._e0(np.zeros(3), h), np.full(3, h + 0j))
+
+    @pytest.mark.parametrize("make", [mixed_branch_grid, scan_scale_grid])
+    def test_agrees_with_first_kernels(self, make):
+        # S, T and the pair form G against the complex-exp/np.sinc build
+        times, omega, grid, couplings, pair = make()
+        S, T = gt._segment_kernels(times, grid, omega)
+        S2, G = gt._pair_kernels(times, grid, omega, couplings, pair)
+        S_ref = ref_first_order(times, grid, omega)
+        T_ref = ref_triangle(times, grid, omega)
+        l, n = pair
+        G_ref = gt._phase_form(S_ref, T_ref, 2.0 * couplings[l] * couplings[n])
+        assert np.array_equal(S2, S)
+        for got, want in ((S, S_ref), (T, T_ref), (G, G_ref)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_first_order_extended_precision(self):
+        # omega / 2 pi ~ 10 MHz over tau = 50 us: an exact resonance and
+        # detunings whose |omega - mu| h sits just below and just above the
+        # series threshold, against antiderivatives in np.longdouble
+        times = np.linspace(0.0, 50e-6, 6)
+        h = 10e-6
+        omega = 2 * math.pi * np.array([9.7e6, 9.95e6, 10e6, 10.02e6])
+        edge = gt._SERIES_THRESHOLD / h
+        mus = [omega[2], omega[2] + edge * (1 - 1e-6),
+               omega[2] - edge * (1 + 1e-6), omega[1] - edge * (1 - 1e-6),
+               omega[3] + edge * (1 + 1e-6), 2 * math.pi * 10.05e6,
+               2 * math.pi * 9.9e6]
+        bh = np.abs(np.subtract.outer(mus, omega)) * h
+        edge_ratio = bh / gt._SERIES_THRESHOLD
+        assert np.any(bh == 0.0)
+        assert np.any((edge_ratio < 1.0) & (edge_ratio > 0.99))
+        assert np.any((edge_ratio > 1.0) & (edge_ratio < 1.01))
+        S = gt.first_order_integrals(times, np.array(mus), omega)
+        for i, mu in enumerate(mus):
+            want = longdouble_first_order(times, mu, omega)
+            assert np.max(np.abs(S[i] - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestPhaseKernels:
@@ -364,6 +532,19 @@ class TestPartialIntegrals:
         want = (quad_first_order(7.0, omega, 0.0, 1.0) * 1.0
                 + quad_first_order(7.0, omega, 1.0, t) * -0.5)
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_drive_off_outside_schedule(self):
+        # before t = 0 nothing has been driven; past tau the last segment
+        # stops at its end and the full integral stays
+        sched = gt.PulseSchedule.uniform(1.0, [1.0, -0.7, 0.4], 9.0)
+        freqs = np.array([8.5, 9.0, 11.0])
+        full = sched.amplitudes @ gt.first_order_integrals(
+            sched.times, sched.mu, freqs).T
+        partial = gt.partial_drive_integrals(sched, freqs,
+                                             [-0.3, 1.0, 1.5, 7.0])
+        assert np.array_equal(partial[0], np.zeros(3, dtype=complex))
+        for row in partial[1:]:
+            assert np.allclose(row, full, rtol=1e-12, atol=1e-15)
 
 
 class TestResponseProfile:
