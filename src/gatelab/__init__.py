@@ -26,10 +26,10 @@ from .errors import (ConfigError, CutoffInsufficient, DegenerateSeed,
                      EigenFailure, GatelabError, IndefiniteKernel,
                      InsufficientPoints, NegativeOccupation, NonConvergence,
                      StepFailure, UnstableSpectrum)
-from .gate import (GateReport, PulseSchedule, ResponseProfile,
-                   entangling_phase, gate_report, mode_displacements,
-                   read_report, read_schedule, response_profile,
-                   thermal_fidelity, write_report, write_schedule)
+from .gate import (GateReport, PulseSchedule, entangling_phase, gate_report,
+                   mode_displacements, read_report, read_schedule,
+                   response_profile, thermal_fidelity, write_report,
+                   write_schedule)
 from .modes import (AxialSpectrum, axial_spectrum, com_gap, critical_beta,
                     read_spectrum, write_spectrum)
 from .optimizer import (OptimizationProblem, OptimizationResult, TableRow,
@@ -44,7 +44,7 @@ __all__ = [
     "DegenerateSeed", "EigenFailure", "GateReport", "GatelabError",
     "IndefiniteKernel", "InsufficientPoints", "NegativeOccupation",
     "NonConvergence", "OptimizationProblem", "OptimizationResult",
-    "PowerLawFit", "PulseSchedule", "ResponseProfile", "StepFailure",
+    "PowerLawFit", "PulseSchedule", "StepFailure",
     "TableRow", "TrapConfig", "UnstableSpectrum",
     "axial_spectrum", "band_edge_optimum", "closed_shell_count", "com_gap",
     "critical_beta", "default_mu_grid", "default_pair_list", "detuning_scan",

@@ -501,10 +501,9 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         code = 3
     if config.table:
         rows = op.table_one(
-            crystal, pairs,
+            crystal, problem, pairs,
             omega_r_values=tuple(TWO_PI * v
-                                 for v in config.omega_r_table_hz),
-            tau=config.tau_s, segments=config.segments, mu_grid=grid)
+                                 for v in config.omega_r_table_hz))
         op.write_table(rows, os.path.join(out_dir, "table.tsv"))
         files.append("table.tsv")
     summary["files"] = files

@@ -69,6 +69,8 @@ class PulseSchedule:
             raise ValueError("schedule must start at t = 0")
         if amps.shape != (times.size - 1,):
             raise ValueError("need one amplitude per segment")
+        if not all(np.all(np.isfinite(v)) for v in (times, amps, self.mu)):
+            raise ValueError("times, amplitudes and mu must be finite")
         if not (self.mu > 0.0):
             raise ValueError("mu must be positive")
         object.__setattr__(self, "times", times)
@@ -417,19 +419,6 @@ def _evaluate(S, G, amplitudes, drive, nbar):
 # ---------------------------------------------------------------------------
 # time-resolved response
 
-@dataclass(frozen=True)
-class ResponseProfile:
-    """Peak axial excursion per ion under the fully driven spin branch.
-
-    ``peak`` is in metres; ``normalized`` divides by the larger of the two
-    target-ion peaks, so locality shows up as normalized << 1 away from the
-    targets.
-    """
-
-    peak: np.ndarray
-    normalized: np.ndarray
-
-
 def partial_drive_integrals(schedule, frequencies, sample_times):
     """integral_0^t Omega sin(mu s) e^{i omega_k s} ds at each sample time.
 
@@ -458,12 +447,12 @@ def partial_drive_integrals(schedule, frequencies, sample_times):
 
 
 def response_profile(schedule, spectrum, pair, samples=2000):
-    """Axial displacement envelope of every ion, fully driven branch.
+    """Peak axial excursion (metres) of every ion, fully driven branch.
 
     Samples the coherent mode amplitudes on a uniform grid (plus the segment
     boundaries), reconstructs the physical displacements
     q_j(t) = sum_k b_j^k sqrt(2 hbar / M omega_k) Re[A_k(t) e^{-i omega_k t}],
-    and records each ion's peak excursion.  With A_k = i d_k I_k, d the
+    and returns each ion's peak excursion.  With A_k = i d_k I_k, d the
     pair's summed couplings and I :func:`partial_drive_integrals`,
     Re[A_k e^{-i omega_k t}] = d_k (Re I_k sin omega_k t
     - Im I_k cos omega_k t).
@@ -483,10 +472,7 @@ def response_profile(schedule, spectrum, pair, samples=2000):
     real_part *= (couplings[l] + couplings[n]) * np.sqrt(
         2.0 * HBAR / (spectrum.config.ion_mass * freqs))
     q = real_part @ spectrum.modes  # (T, N)
-    peak = np.abs(q).max(axis=0)
-    ref = max(peak[l], peak[n])
-    normalized = peak / ref if ref > 0.0 else np.zeros_like(peak)
-    return ResponseProfile(peak=peak, normalized=normalized)
+    return np.abs(q).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +520,8 @@ class GateReport:
 
     ``alpha_l`` / ``alpha_n`` are the per-mode displacements left by driving
     each target ion alone; the branch displacements are their signed sums.
-    ``response_peak`` / ``response_normalized`` hold each ion's peak axial
-    excursion under the fully driven branch, in metres and relative to the
-    larger target-ion peak (see :func:`response_profile`).
+    ``response_peak`` holds each ion's peak axial excursion (metres) under
+    the fully driven branch (see :func:`response_profile`).
     """
 
     pair: tuple
@@ -547,7 +532,13 @@ class GateReport:
     alpha_n: np.ndarray
     mode_frequencies: np.ndarray
     response_peak: np.ndarray
-    response_normalized: np.ndarray
+
+    @property
+    def response_normalized(self):
+        """Peaks over the larger target-ion peak (zeros if that is 0)."""
+        peak = self.response_peak
+        ref = max(peak[list(self.pair)])
+        return peak / ref if ref > 0.0 else np.zeros_like(peak)
 
     @property
     def max_amplitude(self):
@@ -583,13 +574,12 @@ def gate_report(schedule, spectrum, pair, nbar=None, samples=2000):
                          couplings, pair)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
         S, G, schedule.amplitudes[None, :], couplings[[l, n]], nbar)
-    profile = response_profile(schedule, spectrum, pair, samples=samples)
     return GateReport(pair=(int(l), int(n)), schedule=schedule,
                       phi=float(phi[0]), fidelity=float(fidelity[0]),
                       alpha_l=alpha_l[0], alpha_n=alpha_n[0],
                       mode_frequencies=freqs.copy(),
-                      response_peak=profile.peak,
-                      response_normalized=profile.normalized)
+                      response_peak=response_profile(schedule, spectrum, pair,
+                                                     samples=samples))
 
 
 def write_report(report, path):
@@ -622,7 +612,7 @@ def write_report(report, path):
 
 def read_report(path):
     """Parse a file written by :func:`write_report`; the fidelity is the
-    one quoted in the header."""
+    one quoted in the header, the normalized response is derived."""
     meta, rows = read_rows(path)
     l, n = meta["pair"].split(",")
     pair = (int(l), int(n))
@@ -638,15 +628,13 @@ def read_report(path):
         if fields[0] == "mode":
             modes.append([float(v) for v in fields[2:7]])
         elif fields[0] == "ion":
-            ions.append([float(v) for v in fields[2:4]])
+            ions.append(float(fields[2]))
     modes = np.asarray(modes)
     freqs = modes[:, 0] * TWO_PI
     alpha_l = modes[:, 1] + 1j * modes[:, 2]
     alpha_n = modes[:, 3] + 1j * modes[:, 4]
-    ions = np.asarray(ions)
     return GateReport(pair=pair, schedule=schedule,
                       phi=float(meta["phi_rad"]),
                       fidelity=float(meta["fidelity"]),
                       alpha_l=alpha_l, alpha_n=alpha_n,
-                      mode_frequencies=freqs,
-                      response_peak=ions[:, 0], response_normalized=ions[:, 1])
+                      mode_frequencies=freqs, response_peak=np.asarray(ions))

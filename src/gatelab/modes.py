@@ -11,14 +11,16 @@ lambda_k of A^zz as omega_k = omega_r sqrt(lambda_k); the uniform vector is
 always an eigenvector with lambda = beta^2, i.e. the centre-of-mass mode sits
 exactly at omega_z.  The crystal is axially stable when every lambda_k > 0,
 which fails below a critical anisotropy beta_c set by the largest eigenvalue
-of L.
+of L.  beta is always the trap's omega_z / omega_r: another anisotropy means
+a crystal re-dressed by :func:`crystal.with_trap`, never a loose override.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crystal import TrapConfig, curvature_blocks, read_trap_meta, trap_meta
+from .crystal import (TrapConfig, curvature_blocks, read_trap_meta, trap_meta,
+                      with_trap)
 from .errors import EigenFailure, UnstableSpectrum
 from ._textio import fmt, read_rows, write_rows
 
@@ -31,15 +33,10 @@ def coulomb_laplacian(positions):
     return np.diag(s3.sum(axis=1)) - s3
 
 
-def build_matrices(crystal, beta=None):
-    """Axial curvature block beta^2 I - L of ``crystal``, units M omega_r^2.
-
-    ``beta`` defaults to the crystal's trap anisotropy; passing a value
-    allows scanning the axial block without re-dressing the config.
-    """
-    if beta is None:
-        beta = crystal.config.beta
-    return (beta**2 * np.eye(crystal.ion_count)
+def build_matrices(crystal):
+    """Axial curvature block beta^2 I - L of ``crystal``, units M omega_r^2,
+    at the anisotropy beta of its trap."""
+    return (crystal.config.beta**2 * np.eye(crystal.ion_count)
             - coulomb_laplacian(crystal.positions))
 
 
@@ -55,8 +52,12 @@ class AxialSpectrum:
 
     frequencies: np.ndarray
     modes: np.ndarray
-    beta: float
     config: TrapConfig
+
+    @property
+    def beta(self):
+        """Trap anisotropy omega_z / omega_r of ``config``."""
+        return self.config.beta
 
     @property
     def mode_count(self):
@@ -75,24 +76,22 @@ def _canonical_mode_signs(vectors):
     return vectors * signs
 
 
-def axial_spectrum(crystal, beta=None):
+def axial_spectrum(crystal):
     """Diagonalise the axial block; raises UnstableSpectrum below beta_c."""
-    if beta is None:
-        beta = crystal.config.beta
     try:
-        evals, evecs = np.linalg.eigh(build_matrices(crystal, beta=beta))
+        evals, evecs = np.linalg.eigh(build_matrices(crystal))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("axial eigensolve failed") from exc
     if evals[0] <= 0.0:
         raise UnstableSpectrum(
             "axial branch unstable at beta=%.6g (min eigenvalue %.3e); "
             "critical anisotropy is beta_c=%.6g"
-            % (beta, evals[0], critical_beta(crystal)))
+            % (crystal.config.beta, evals[0], critical_beta(crystal)))
     order = np.argsort(evals)[::-1]
     evecs = _canonical_mode_signs(evecs[:, order])
     freqs = crystal.config.omega_r * np.sqrt(evals[order])
     return AxialSpectrum(frequencies=freqs, modes=evecs.T.copy(),
-                         beta=float(beta), config=crystal.config)
+                         config=crystal.config)
 
 
 def critical_beta(crystal):
@@ -111,8 +110,12 @@ def critical_beta(crystal):
 
 def com_gap(crystal, beta=None):
     """Frequency gap (rad/s) between the centre-of-mass mode and its nearest
-    axial neighbour.  Shrinks monotonically as beta grows."""
-    spec = axial_spectrum(crystal, beta=beta)
+    axial neighbour.  Shrinks monotonically as beta grows.  A ``beta``
+    re-dresses the trap with omega_z = beta omega_r first."""
+    if beta is not None:
+        crystal = with_trap(crystal, replace(
+            crystal.config, omega_z=beta * crystal.config.omega_r))
+    spec = axial_spectrum(crystal)
     if spec.mode_count < 2:
         raise ValueError("gap needs at least two ions")
     return float(spec.frequencies[0] - spec.frequencies[1])
@@ -134,7 +137,7 @@ def write_spectrum(spectrum, path):
 
 
 def read_spectrum(path):
-    """Parse a file written by :func:`write_spectrum`."""
+    """Parse a file written by :func:`write_spectrum` (beta: the trap's)."""
     meta, rows = read_rows(path)
     cfg = read_trap_meta(meta)
     n = cfg.ion_count
@@ -144,5 +147,4 @@ def read_spectrum(path):
         k = int(fields[0])
         freqs[k] = float(fields[1]) * TWO_PI
         modes[k] = [float(v) for v in fields[2:]]
-    return AxialSpectrum(frequencies=freqs, modes=modes,
-                         beta=float(meta["beta"]), config=cfg)
+    return AxialSpectrum(frequencies=freqs, modes=modes, config=cfg)

@@ -62,7 +62,8 @@ _FAILURES = {
 class OptimizationProblem:
     """One gate-design task: which pair, how long, how many segments.
 
-    ``mu_grid`` (rad/s) defaults to 301 points spanning
+    ``tau`` is positive and finite.  ``mu_grid`` (rad/s) holds finite
+    detunings and defaults to 301 points spanning
     [omega_z - 2 pi 0.1 MHz, omega_z + 2 pi 0.2 MHz].  ``nbar`` defaults to
     the trap config occupation.  ``amplitude_bound`` (rad/s) optionally
     caps max_p |Omega_p|: the seed and every ascent step must respect it.
@@ -80,17 +81,22 @@ class OptimizationProblem:
         if int(l) == int(n):
             raise ValueError("pair must be two distinct ions")
         object.__setattr__(self, "pair", (int(l), int(n)))
-        if not (self.tau > 0.0):
-            raise ValueError("tau must be positive")
+        if not (0.0 < self.tau < np.inf):
+            raise ValueError("tau must be positive and finite")
         if self.segment_count < 1:
             raise ValueError("need at least one segment")
         if self.mu_grid is not None:
             grid = np.asarray(self.mu_grid, dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise ValueError("mu_grid must be a non-empty 1-d array")
+            if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all()):
+                raise ValueError("mu_grid must be non-empty, 1-d and finite")
             object.__setattr__(self, "mu_grid", grid)
         if self.amplitude_bound is not None and not (self.amplitude_bound > 0):
             raise ValueError("amplitude_bound must be positive")
+
+    @property
+    def times(self):
+        """Boundaries of ``segment_count`` equal segments spanning [0, tau]."""
+        return np.linspace(0.0, float(self.tau), int(self.segment_count) + 1)
 
 
 @dataclass(frozen=True)
@@ -131,11 +137,6 @@ def default_mu_grid(omega_z, points=301, below_hz=0.1e6, above_hz=0.2e6):
     """Detuning grid bracketing the axial band edge at omega_z."""
     return np.linspace(omega_z - TWO_PI * below_hz,
                        omega_z + TWO_PI * above_hz, points)
-
-
-def _segment_times(tau, segments):
-    """Boundaries of ``segments`` equal segments spanning [0, tau]."""
-    return np.linspace(0.0, float(tau), int(segments) + 1)
 
 
 @dataclass(frozen=True)
@@ -351,61 +352,71 @@ def _solve_grid(forms):
     return amplitudes, fidelities, steps, status
 
 
+def _scan(spectrum, problem):
+    """(OptimizationResult, per-point status) of ``problem``: the one solve
+    path of a point and a scan.  Raises ValueError, before any kernel is
+    built, unless the grid (or the default) lies in (0, 2 omega_z] and the
+    pair indexes ions of the crystal."""
+    config = spectrum.config
+    grid = problem.mu_grid
+    if grid is None:
+        grid = default_mu_grid(config.omega_z)
+    if np.any(grid <= 0.0) or np.any(grid > 2.0 * config.omega_z):
+        raise ValueError("mu grid must lie in (0, 2 omega_z]")
+    if not 0 <= min(problem.pair) <= max(problem.pair) < config.ion_count:
+        raise ValueError("pair needs ion indices in 0..%d"
+                         % (config.ion_count - 1))
+    amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
+        spectrum, problem.pair, problem.times, grid, problem.nbar,
+        problem.amplitude_bound))
+    best = int(np.argmax(fidelities))
+    feasible = status[best] == "ok"
+    schedule = (PulseSchedule(times=problem.times, amplitudes=amplitudes[best],
+                              mu=float(grid[best]), target_pair=problem.pair)
+                if feasible else None)
+    return OptimizationResult(
+        pair=problem.pair, tau=problem.tau,
+        segment_count=problem.segment_count, mu_grid=grid,
+        fidelities=fidelities,
+        max_amplitudes=np.abs(amplitudes).max(axis=1),
+        best_index=best if feasible else -1, best_schedule=schedule), status
+
+
 def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
                      amplitude_bound=None):
     """Best phase-locked segment amplitudes at a fixed detuning.
 
     The generalized-eigenvector seed, raised by the reweighted ascent of
     the module docstring and rescaled so |phase| is pi/4: the one-point
-    grid of :func:`detuning_scan`.  Returns (schedule, fidelity).  Raises
+    scan of a checked :class:`OptimizationProblem`, on the path of
+    :func:`detuning_scan`.  Returns (schedule, fidelity).  Raises
+    ValueError, before any kernel is built, for a problem a scan rejects;
     IndefiniteKernel when no drive direction produces any conditional phase
     at this detuning (or none within the amplitude bound), and LinAlgError
     when the residual form is not positive definite.  ``nbar`` defaults to
     the per-mode occupations of the trap config, and the fidelity is
     :func:`gate.gate_fidelity`, as in :func:`gate.gate_report`.
     """
-    times = _segment_times(tau, segments)
-    amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
-        spectrum, pair, times, [float(mu)], nbar, amplitude_bound))
-    if status[0] != "ok":
+    result, status = _scan(spectrum, OptimizationProblem(
+        pair=pair, tau=tau, segment_count=segments, mu_grid=[mu], nbar=nbar,
+        amplitude_bound=amplitude_bound))
+    if not result.feasible:
         kind, message = _FAILURES[status[0]]
         raise kind("%s at mu = %.6g rad/s" % (message, mu))
-    schedule = PulseSchedule(times=times, amplitudes=amplitudes[0],
-                             mu=float(mu), target_pair=pair)
-    return schedule, float(fidelities[0])
+    return result.best_schedule, result.best_fidelity
 
 
 def detuning_scan(spectrum, problem):
     """Solve the amplitude problem on every grid detuning, keep the best.
 
-    The grid must lie in (0, 2 omega_z].  The whole grid is solved at once
-    (see the module docstring), every point as :func:`solve_amplitudes`
-    would solve it alone.  Per-point failures are recorded as fidelity 0
-    and do not abort the scan; if every point fails the result carries no
-    schedule.  The result holds no gate report: pass ``best_schedule`` to
-    :func:`gate.gate_report` for one.
+    The grid must lie in (0, 2 omega_z] and the pair in the crystal.  The
+    whole grid is solved at once (see the module docstring), every point
+    as :func:`solve_amplitudes` would solve it alone.  Per-point failures
+    are recorded as fidelity 0 and do not abort the scan; if every point
+    fails the result carries no schedule.  The result holds no gate
+    report: pass ``best_schedule`` to :func:`gate.gate_report` for one.
     """
-    grid = problem.mu_grid
-    if grid is None:
-        grid = default_mu_grid(spectrum.config.omega_z)
-    if np.any(grid <= 0.0) or np.any(grid > 2.0 * spectrum.config.omega_z):
-        raise ValueError("mu grid must lie in (0, 2 omega_z]")
-    times = _segment_times(problem.tau, problem.segment_count)
-    amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
-        spectrum, problem.pair, times, grid, problem.nbar,
-        problem.amplitude_bound))
-    best = int(np.argmax(fidelities))
-    feasible = status[best] == "ok"
-    return OptimizationResult(
-        pair=problem.pair, tau=problem.tau,
-        segment_count=problem.segment_count, mu_grid=grid,
-        fidelities=fidelities,
-        max_amplitudes=np.abs(amplitudes).max(axis=1),
-        best_index=best if feasible else -1,
-        best_schedule=(PulseSchedule(times=times, amplitudes=amplitudes[best],
-                                     mu=float(grid[best]),
-                                     target_pair=problem.pair)
-                       if feasible else None))
+    return _scan(spectrum, problem)[0]
 
 
 def band_edge_optimum(result, band_top, window=2):
@@ -491,16 +502,17 @@ def default_pair_list(crystal, count=10):
     return pairs
 
 
-def table_one(crystal, pairs,
-              omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6), tau=50e-6,
-              segments=5, mu_grid=None):
+def table_one(crystal, problem, pairs,
+              omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6)):
     """Benchmark gate design across pair separations and radial traps.
 
-    Returns a list of TableRow, ordered by radial frequency then the order
-    of ``pairs``.  The planar pattern is independent of the radial
-    frequency, so ``crystal`` is re-dressed (exactly) for each trap;
-    separations in metres scale with the trap length scale.  omega_z, the
-    ion species and nbar come from ``crystal.config``.
+    Each entry scans ``problem`` (duration, segments, grid, nbar, bound)
+    with its pair replaced by one of ``pairs``.  Returns a list of
+    TableRow, ordered by radial frequency then the order of ``pairs``.  The
+    planar pattern is independent of the radial frequency, so ``crystal``
+    is re-dressed (exactly) for each trap; separations in metres scale with
+    the trap length scale.  omega_z and the ion species come from
+    ``crystal.config``.
     """
     rows = []
     for omega_r in omega_r_values:
@@ -508,9 +520,7 @@ def table_one(crystal, pairs,
         spectrum = axial_spectrum(dressed)
         coords = dressed.positions * dressed.length_scale_ell
         for rank, pair in enumerate(pairs, start=1):
-            problem = OptimizationProblem(
-                pair=pair, tau=tau, segment_count=segments, mu_grid=mu_grid)
-            result = detuning_scan(spectrum, problem)
+            result = detuning_scan(spectrum, replace(problem, pair=pair))
             l, n = pair
             sep = float(np.hypot(*(coords[l] - coords[n])))
             rows.append(TableRow(

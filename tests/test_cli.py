@@ -424,6 +424,29 @@ class TestOptimizePairs:
         assert "config error" in err and "'pair_count'" in err
         assert os.listdir(out) == []
 
+    def test_table_runs_the_run_problem(self, tmp_path):
+        # the table scans the problem of the run, amplitude bound and nbar
+        # included; its row of the run's own pair and trap is the scan
+        config = write_config(
+            tmp_path, "ion_count = 19\nomega_r_hz = 1e6\n"
+                      "omega_z_hz = 10e6\nmu_grid_points = 11\n"
+                      "mu_below_hz = 0\nmu_above_hz = 0.1e6\nnbar = 0.3\n"
+                      "table = true\npair_count = 3\n"
+                      "amplitude_bound_hz = 100e3\n")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", config,
+                         "--out", str(out)]) == 0
+        _, rows = read_rows(out / "table.tsv")
+        assert len(rows) == 6
+        assert all(float(row[7]) <= 100e3 for row in rows)
+        summary = load_summary(out)
+        own = [row for row in op.read_table(out / "table.tsv")
+               if row.rank == 1
+               and row.omega_r == pytest.approx(2 * math.pi * 1e6)]
+        assert len(own) == 1
+        assert list(own[0].pair) == summary["pair"]
+        assert own[0].fidelity == summary["best_fidelity"]
+
     def test_report_uses_response_samples(self, tmp_path):
         # at N=19 a report built from the in-memory winner, not the file
         # as written, differs in the last digits
@@ -596,6 +619,25 @@ class TestConfigErrors:
                          "--schedule", str(path)])
         assert code == 2
         assert "malformed schedule file" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_schedule(self, tmp_path, capsys, value):
+        schedule = gt.PulseSchedule.uniform(
+            50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6, 0.15e6, 0.05e6]),
+            2 * math.pi * 10.04e6, target_pair=(0, 3))
+        path = tmp_path / "bad.tsv"
+        gt.write_schedule(schedule, path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\t" + value
+        path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        code = cli.main(["gate", "--config", config, "--out", str(out),
+                         "--schedule", str(path)])
+        assert code == 2
+        assert "malformed schedule file" in capsys.readouterr().err
+        assert not (out / "report.tsv").exists()
 
 
 class TestNumericalFailure:

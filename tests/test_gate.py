@@ -360,6 +360,19 @@ class TestSchedule:
             gt.PulseSchedule(times=np.array([0.0, 1.0]),
                              amplitudes=np.array([1.0]), mu=-2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["times", "amplitudes", "mu"])
+    def test_non_finite_rejected(self, field, value):
+        # a nan or inf anywhere would score as a NaN report
+        parts = {"times": np.array([0.0, 0.5, 1.0]),
+                 "amplitudes": np.array([1.0, 2.0]), "mu": 3.0}
+        if field == "mu":
+            parts["mu"] = value
+        else:
+            parts[field][-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            gt.PulseSchedule(**parts)
+
 
 class TestCouplings:
     def test_com_row(self):
@@ -557,12 +570,13 @@ class TestResponseProfile:
         spec = self.make_spec(5)
         sched = gt.PulseSchedule.uniform(
             20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
-        prof = gt.response_profile(sched, spec, (0, 1))
-        assert prof.normalized.max() >= 1.0 - 1e-12
-        assert max(prof.normalized[0], prof.normalized[1]) == pytest.approx(
+        peak = gt.response_profile(sched, spec, (0, 1))
+        normalized = gt.gate_report(sched, spec, (0, 1)).response_normalized
+        assert normalized.max() >= 1.0 - 1e-12
+        assert max(normalized[0], normalized[1]) == pytest.approx(
             1.0, abs=1e-12)
-        assert prof.peak.shape == (5,)
-        assert np.all(prof.peak >= 0.0)
+        assert peak.shape == (5,)
+        assert np.all(peak >= 0.0)
 
     def test_com_only_drive_is_uniform(self):
         # two ions driven symmetrically couple only to the centre-of-mass
@@ -571,9 +585,8 @@ class TestResponseProfile:
         sched = gt.PulseSchedule.uniform(
             10e-6, 2 * math.pi * 50e3 * np.ones(3),
             spec.config.omega_z + 2 * math.pi * 20e3)
-        prof = gt.response_profile(sched, spec, (0, 1))
-        assert prof.normalized[0] == pytest.approx(prof.normalized[1],
-                                                   rel=1e-9)
+        normalized = gt.gate_report(sched, spec, (0, 1)).response_normalized
+        assert normalized[0] == pytest.approx(normalized[1], rel=1e-9)
 
     def test_gate_report_defaults_carry_response(self):
         # a report built with every default still holds one response entry
@@ -584,9 +597,33 @@ class TestResponseProfile:
         report = gt.gate_report(sched, spec, (0, 1))
         assert report.response_peak.shape == (5,)
         assert report.response_normalized.shape == (5,)
-        prof = gt.response_profile(sched, spec, (0, 1))
-        assert np.array_equal(report.response_peak, prof.peak)
-        assert np.array_equal(report.response_normalized, prof.normalized)
+        peak = gt.response_profile(sched, spec, (0, 1))
+        assert np.array_equal(report.response_peak, peak)
+        assert np.array_equal(report.response_normalized,
+                              peak / max(peak[0], peak[1]))
+
+    def test_read_report_derives_normalized(self, tmp_path):
+        # the normalized column is for people; a report read back derives
+        # it from the peaks
+        spec = self.make_spec(5)
+        sched = gt.PulseSchedule.uniform(
+            20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
+        report = gt.gate_report(sched, spec, (1, 3))
+        path = tmp_path / "report.tsv"
+        gt.write_report(report, path)
+        lines = []
+        for line in path.read_text().splitlines():
+            if line.startswith("ion\t"):
+                line = line.rsplit("\t", 1)[0] + "\t0.5"
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        back = gt.read_report(path)
+        peak = back.response_peak
+        assert np.array_equal(peak, report.response_peak)
+        assert np.array_equal(back.response_normalized,
+                              peak / max(peak[1], peak[3]))
+        assert np.array_equal(back.response_normalized,
+                              report.response_normalized)
 
 
 class TestScheduleSerialization:
@@ -710,7 +747,7 @@ class TestStructuralInvariants:
         modes2 = spec.modes.copy()
         modes2[1:3] = rot @ modes2[1:3]
         spec2 = md.AxialSpectrum(frequencies=freqs, modes=modes2,
-                                 beta=spec.beta, config=spec.config)
+                                 config=spec.config)
         sched = gt.PulseSchedule.uniform(
             25e-6, 2 * math.pi * np.array([0.12e6, -0.07e6, 0.2e6, 0.05e6]),
             spec.config.omega_z + 2 * math.pi * 40e3)

@@ -1,6 +1,7 @@
 """Axial mode tests against the two-ion analytic spectrum and invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ def solve(n, beta=50.0, omega_r_hz=0.2e6):
     cfg = cr.TrapConfig(n, omega_r=2 * math.pi * omega_r_hz,
                         omega_z=2 * math.pi * omega_r_hz * beta)
     return cr.solve_equilibrium(cfg)
+
+
+def at_beta(crystal, beta):
+    """``crystal`` re-dressed with omega_z = beta omega_r."""
+    return cr.with_trap(crystal, replace(
+        crystal.config, omega_z=beta * crystal.config.omega_r))
 
 
 class TestBuildMatrices:
@@ -32,7 +39,7 @@ class TestBuildMatrices:
 
     def test_beta_override(self):
         c = solve(3, beta=5.0)
-        zz = md.build_matrices(c, beta=7.0)
+        zz = md.build_matrices(at_beta(c, 7.0))
         assert np.allclose(zz.sum(axis=1), 49.0, atol=1e-10)
 
     def test_laplacian_psd_with_zero_mode(self):
@@ -78,7 +85,7 @@ class TestSpectrum:
         c = solve(7, beta=50.0)
         bc = md.critical_beta(c)
         with pytest.raises(UnstableSpectrum):
-            md.axial_spectrum(c, beta=0.9 * bc)
+            md.axial_spectrum(at_beta(c, 0.9 * bc))
 
     def test_matches_laplacian_eigenvalues(self):
         # omega_k^2 / omega_r^2 = beta^2 - lambda_k(L), checked independently
@@ -109,9 +116,9 @@ class TestCriticalBeta:
     def test_boundary_behaviour(self):
         c = solve(9)
         bc = md.critical_beta(c)
-        md.axial_spectrum(c, beta=bc + 1e-3)  # just stable
+        md.axial_spectrum(at_beta(c, bc + 1e-3))  # just stable
         with pytest.raises(UnstableSpectrum):
-            md.axial_spectrum(c, beta=bc - 1e-3)
+            md.axial_spectrum(at_beta(c, bc - 1e-3))
 
     def test_grows_with_n(self):
         values = [md.critical_beta(solve(n)) for n in (3, 7, 19)]
@@ -131,6 +138,33 @@ class TestComGap:
         betas = np.linspace(4.0, 60.0, 12)
         gaps = [md.com_gap(c, beta=b) for b in betas]
         assert np.all(np.diff(gaps) < 0.0)
+
+    def test_gap_at_beta_redresses_the_trap(self, tmp_path, monkeypatch):
+        # every spectrum, com_gap's re-dressed ones and one read back from
+        # file included, carries the beta of its own trap, and its uniform
+        # mode sits at that trap's omega_z
+        built = []
+        original = md.axial_spectrum
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(md, "axial_spectrum", recording)
+        c = solve(7)
+        betas = (20.0, 30.0, 77.7)
+        gaps = [md.com_gap(c, beta=b) for b in betas]
+        assert gaps == [md.com_gap(at_beta(c, b)) for b in betas]
+        md.com_gap(c)
+        assert len(built) == 2 * len(betas) + 1
+        path = tmp_path / "spectrum.tsv"
+        md.write_spectrum(built[0], path)
+        for spec in built + [md.read_spectrum(path)]:
+            assert spec.beta == spec.config.beta
+            assert spec.frequencies[0] == pytest.approx(spec.config.omega_z,
+                                                        rel=1e-12)
+        assert [s.beta for s in built[:len(betas)]] == pytest.approx(
+            betas, rel=1e-15)
 
     def test_single_mode_rejected(self):
         c = cr.solve_equilibrium(cr.TrapConfig(1, omega_r=1.0, omega_z=2.0))
@@ -153,6 +187,21 @@ class TestSerialization:
         assert back.beta == spec.beta
         assert back.config.ion_count == 6
         # the whole trap block, thermal occupation included, comes back
+        assert back.config == spec.config
+
+    def test_derived_beta_is_not_read(self, tmp_path):
+        # the beta header line is for people; the spectrum's beta is the
+        # anisotropy of the trap block
+        spec = md.axial_spectrum(solve(6))
+        path = tmp_path / "spectrum.tsv"
+        md.write_spectrum(spec, path)
+        text = path.read_text()
+        edited = "\n".join("# beta\t20" if line.startswith("# beta\t")
+                           else line for line in text.splitlines()) + "\n"
+        assert edited != text
+        path.write_text(edited)
+        back = md.read_spectrum(path)
+        assert back.beta == spec.config.beta == spec.beta
         assert back.config == spec.config
 
     def test_frequencies_stored_in_hz(self, tmp_path):

@@ -37,6 +37,15 @@ def small_grid(points=21, below=0.05e6, above=0.06e6):
     return np.linspace(WZ - TWO_PI * below, WZ + TWO_PI * above, points)
 
 
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """Fail the test if a segment kernel is built."""
+    def refuse(*args):
+        raise AssertionError("kernels built for a bad problem")
+
+    monkeypatch.setattr(op, "_pair_kernels", refuse)
+
+
 class TestOptimizationProblem:
     def test_rejects_identical_ions(self):
         with pytest.raises(ValueError):
@@ -124,8 +133,7 @@ class TestSolveAmplitudes:
         # no drive direction produces a conditional phase
         n = spectrum7.mode_count
         forged = md.AxialSpectrum(frequencies=spectrum7.frequencies,
-                                  modes=np.eye(n), beta=spectrum7.beta,
-                                  config=spectrum7.config)
+                                  modes=np.eye(n), config=spectrum7.config)
         with pytest.raises(IndefiniteKernel):
             op.solve_amplitudes(forged, (0, 1), 50e-6, 5, self.MU)
 
@@ -151,6 +159,20 @@ class TestSolveAmplitudes:
         with pytest.raises(NegativeOccupation):
             op.detuning_scan(spectrum7, problem)
 
+    @pytest.mark.parametrize("pair, tau, segments, mu", [
+        ((0, 1), 50e-6, 5, 2.5 * WZ), ((0, 1), 50e-6, 0, MU),
+        ((0, 1), 0.0, 5, MU), ((0, 1), -50e-6, 5, MU),
+        ((0, 1), np.inf, 5, MU), ((2, 2), 50e-6, 5, MU),
+        ((0, 7), 50e-6, 5, MU), ((0, -1), 50e-6, 5, MU)],
+        ids=["mu-past-2-omega-z", "no-segments", "zero-tau", "negative-tau",
+             "infinite-tau", "equal-pair", "pair-past-ion-count",
+             "negative-index"])
+    def test_bad_problem_rejected_before_kernels(self, spectrum7, no_kernels,
+                                                 pair, tau, segments, mu):
+        # the one-point solve checks its problem as a scan does
+        with pytest.raises(ValueError):
+            op.solve_amplitudes(spectrum7, pair, tau, segments, mu)
+
     def test_bound_respected_when_loose(self, spectrum7):
         sched, _ = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU)
         bound = 2.0 * sched.max_amplitude
@@ -169,6 +191,17 @@ class TestDetuningScan:
                                           mu_grid=np.array([2.5 * WZ]))
         with pytest.raises(ValueError):
             op.detuning_scan(spectrum7, bad_high)
+
+    @pytest.mark.parametrize("changes", [
+        {"mu_grid": np.append(small_grid(5), np.nan)}, {"tau": np.inf},
+        {"pair": (0, 9)}], ids=["nan-grid-point", "infinite-tau",
+                                "pair-past-ion-count"])
+    def test_bad_problem_rejected_before_kernels(self, spectrum7, no_kernels,
+                                                 changes):
+        fields = {"pair": (0, 1), "tau": 50e-6, "mu_grid": small_grid(5)}
+        fields.update(changes)
+        with pytest.raises(ValueError):
+            op.detuning_scan(spectrum7, op.OptimizationProblem(**fields))
 
     def test_best_is_grid_argmax(self, spectrum7):
         problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
@@ -510,9 +543,11 @@ class TestTableOne:
         grid = np.linspace(WZ + TWO_PI * 20e3, WZ + TWO_PI * 60e3, 5)
         crystal = cr.solve_equilibrium(cr.TrapConfig(
             19, omega_r=TWO_PI * 1.0e6, omega_z=WZ, temperature_nbar=0.1))
-        rows = op.table_one(crystal, op.default_pair_list(crystal, 3),
-                            omega_r_values=(TWO_PI * 0.2e6,),
-                            tau=50e-6, segments=5, mu_grid=grid)
+        problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
+                                         segment_count=5, mu_grid=grid)
+        rows = op.table_one(crystal, problem,
+                            op.default_pair_list(crystal, 3),
+                            omega_r_values=(TWO_PI * 0.2e6,))
         assert len(rows) == 3
         assert [r.rank for r in rows] == [1, 2, 3]
         seps = [r.separation_m for r in rows]
