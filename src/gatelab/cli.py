@@ -177,13 +177,12 @@ def _require(config, *keys):
 
 
 def _check_pair(pair, ion_count):
-    """``pair`` as two distinct ion indices in 0..ion_count-1; anything else
-    is a ConfigError that names 'pair'."""
-    l, n = pair
-    if l == n or min(l, n) < 0 or max(l, n) >= ion_count:
-        raise ConfigError("'pair' needs two distinct ion indices in 0..%d, "
-                          "got %d, %d" % (ion_count - 1, l, n))
-    return l, n
+    """``pair`` checked by :func:`gate.check_pair`; a bad one is a
+    ConfigError that names 'pair'."""
+    try:
+        return gt.check_pair(pair, ion_count, name="'pair'")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def trap_config(config, ion_count=None):

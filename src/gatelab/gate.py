@@ -43,6 +43,18 @@ _SERIES_TERMS = 6
 _TAYLOR_TERMS = 8
 
 
+def check_pair(pair, ion_count=None, name="pair"):
+    """``pair`` as two distinct int ion indices, also in 0..ion_count-1
+    when ``ion_count`` is given: the one statement of a valid pair.  Raises
+    ValueError, its message led by ``name``, for anything else."""
+    l, n = (int(i) for i in pair)
+    span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
+    if l == n or span and not 0 <= min(l, n) <= max(l, n) < ion_count:
+        raise ValueError("%s needs two distinct ion indices%s, got %d, %d"
+                         % (name, span, l, n))
+    return l, n
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Piecewise-constant drive: ``amplitudes[p]`` (rad/s) on
@@ -76,10 +88,9 @@ class PulseSchedule:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
         if self.target_pair is not None:
-            l, n = self.target_pair
-            if int(l) == int(n):
-                raise ValueError("target pair must be two distinct ions")
-            object.__setattr__(self, "target_pair", (int(l), int(n)))
+            object.__setattr__(self, "target_pair",
+                               check_pair(self.target_pair,
+                                          name="target pair"))
 
     @classmethod
     def uniform(cls, duration, amplitudes, mu, target_pair=None):
@@ -455,10 +466,11 @@ def response_profile(schedule, spectrum, pair, samples=2000):
     and returns each ion's peak excursion.  With A_k = i d_k I_k, d the
     pair's summed couplings and I :func:`partial_drive_integrals`,
     Re[A_k e^{-i omega_k t}] = d_k (Re I_k sin omega_k t
-    - Im I_k cos omega_k t).
+    - Im I_k cos omega_k t).  Raises ValueError unless ``pair`` is two
+    distinct ions of the crystal.
     """
+    l, n = check_pair(pair, spectrum.config.ion_count)
     couplings = drive_couplings(spectrum)
-    l, n = pair
     freqs = spectrum.frequencies
     ts = np.union1d(np.linspace(0.0, schedule.duration, samples),
                     schedule.times)
@@ -564,17 +576,18 @@ def gate_report(schedule, spectrum, pair, nbar=None, samples=2000):
     fidelity is :func:`gate_fidelity`, against the ideal gate whose phase
     sign matches the achieved one, scored as the optimizer scores the grid
     [mu]: a scan point's report carries its phase and fidelity bit for bit.
+    Raises ValueError unless ``pair`` is two distinct ions of the crystal.
     """
+    l, n = pair = check_pair(pair, spectrum.config.ion_count)
     couplings = drive_couplings(spectrum)
     freqs = spectrum.frequencies
-    l, n = pair
     if nbar is None:
         nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
     S, G = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
                          couplings, pair)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
         S, G, schedule.amplitudes[None, :], couplings[[l, n]], nbar)
-    return GateReport(pair=(int(l), int(n)), schedule=schedule,
+    return GateReport(pair=pair, schedule=schedule,
                       phi=float(phi[0]), fidelity=float(fidelity[0]),
                       alpha_l=alpha_l[0], alpha_n=alpha_n[0],
                       mode_frequencies=freqs.copy(),

@@ -34,7 +34,7 @@ import numpy as np
 from .crystal import with_trap
 from .errors import IndefiniteKernel, InsufficientPoints, NegativeOccupation
 from .gate import (PulseSchedule, _evaluate, _pair_kernels, _phase,
-                   drive_couplings, TWO_PI)
+                   check_pair, drive_couplings, TWO_PI)
 from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
@@ -77,10 +77,7 @@ class OptimizationProblem:
     amplitude_bound: float = None
 
     def __post_init__(self):
-        l, n = self.pair
-        if int(l) == int(n):
-            raise ValueError("pair must be two distinct ions")
-        object.__setattr__(self, "pair", (int(l), int(n)))
+        object.__setattr__(self, "pair", check_pair(self.pair))
         if not (0.0 < self.tau < np.inf):
             raise ValueError("tau must be positive and finite")
         if self.segment_count < 1:
@@ -363,9 +360,7 @@ def _scan(spectrum, problem):
         grid = default_mu_grid(config.omega_z)
     if np.any(grid <= 0.0) or np.any(grid > 2.0 * config.omega_z):
         raise ValueError("mu grid must lie in (0, 2 omega_z]")
-    if not 0 <= min(problem.pair) <= max(problem.pair) < config.ion_count:
-        raise ValueError("pair needs ion indices in 0..%d"
-                         % (config.ion_count - 1))
+    check_pair(problem.pair, config.ion_count)
     amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
         spectrum, problem.pair, problem.times, grid, problem.nbar,
         problem.amplitude_bound))

@@ -17,7 +17,9 @@ displacement closed form.  Branch parity: the -+ and -- branches carry the
 negated weights of +- and ++, and the Fock parity P = diag((-1)^n) maps
 U(w) to U(-w), so only two branches are integrated.  Ladder algebra: each
 step's Magnus exponent is a phase similarity of a real symmetric tridiagonal
-matrix, which one batched real eigensolve exponentiates.
+matrix R, and exp(-i R) = cos R - i sin R is one batched Taylor series in
+real matmuls, its degree and squarings set by the batch's largest 1-norm so
+that the remainder stays below the unit roundoff.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import CutoffInsufficient, StepFailure
-from .gate import drive_couplings
+from .gate import check_pair, drive_couplings
 
 MAX_IONS = 4
 MAX_CUTOFF = 20      # highest tracked Fock level per mode
@@ -37,6 +39,7 @@ _TOP_POPULATION_LIMIT = 1e-8
 # run is stopped early only a hundredfold above it.
 _TOP_POPULATION_ABORT = 1e-6
 _NORM_DRIFT_LIMIT = 1e-9
+_UNIT_ROUNDOFF = 2.0 ** -53
 # conditional phase of the ideal gate the fidelity is taken against
 _PHI_TARGET = math.pi / 4.0
 # spin eigenvalues (s_l, s_n) of the four branches, in propagator order
@@ -76,6 +79,9 @@ class TruncatedState:
     ``propagators[k]`` has shape (4, dim, dim): the four spin-branch
     propagators of mode k, columns indexed by initial number state.  The
     branch order matches the closed-form route: (++, +-, -+, --).
+    ``top_population`` is the thermally weighted population of the top Fock
+    level at the end, ``peak_top_population`` its largest value after any
+    accepted step, and ``step_count`` counts attempted steps.
     """
 
     propagators: tuple
@@ -84,6 +90,7 @@ class TruncatedState:
     pair: tuple
     norm_drift: float
     top_population: float
+    peak_top_population: float
     step_count: int
 
     @property
@@ -105,7 +112,8 @@ def _magnus_step(starts, widths, amp, mu, branch_weights, freqs, dim):
     with z = f1 p1 + f2 p2, and [w1, w2] = 2i f1 f2 bw^2 Im(conj(p1) p2)
     [a, a^+], where the truncated [a, a^+] is diag(1, ..., 1, -n_max).  So
     i theta = D R D^* with D = diag(exp(i n arg z)) and R real symmetric
-    tridiagonal, and exp(-i theta) = D V exp(-i Lambda) V^T D^*.
+    tridiagonal, and exp(-i theta) = D exp(-i R) D^* (see
+    :func:`_exp_minus_i`).
     """
     widths = np.asarray(widths, dtype=float)
     nodes = np.asarray(starts, dtype=float)[:, None] \
@@ -121,15 +129,54 @@ def _magnus_step(starts, widths, amp, mu, branch_weights, freqs, dim):
     level = np.arange(dim)
     commutator = np.ones(dim)
     commutator[-1] = -(dim - 1.0)
-    r = np.zeros(hop.shape + (dim, dim))
-    r[..., level, level] = shift[..., None] * commutator
-    r[..., level[1:], level[:-1]] = hop[..., None] * np.sqrt(level[1:])
-    r[..., level[:-1], level[1:]] = r[..., level[1:], level[:-1]]
-    evals, evecs = np.linalg.eigh(r)
-    u = (evecs * np.exp(-1j * evals)[..., None, :]) \
-        @ np.swapaxes(evecs, -1, -2)
+    # diagonal, then sub- and superdiagonal, of the flattened dim x dim R
+    r = np.zeros(hop.shape + (dim * dim,))
+    r[..., ::dim + 1] = shift[..., None] * commutator
+    r[..., dim::dim + 1] = hop[..., None] * np.sqrt(level[1:])
+    r[..., 1::dim + 1] = r[..., dim::dim + 1]
+    u = _exp_minus_i(r.reshape(hop.shape + (dim, dim)))
     d = np.exp(1j * level * np.angle(z)[..., None])[:, None]  # (S, 1, K, dim)
-    return d[..., :, None] * u * np.conj(d)[..., None, :]
+    u *= d[..., :, None] * np.conj(d)[..., None, :]
+    return u
+
+
+def _exp_minus_i(r):
+    """exp(-i r) = cos r - i sin r for a batch of real symmetric r.
+
+    Truncated Taylor series in real matmuls, with scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  With theta the
+    batch's largest 1-norm after s halvings (theta <= 1), the degree m is
+    the least m >= 3 with remainder theta^(m+1) / (m+1)! / (1 - theta /
+    (m+2)) <= 2^-53.  cos is even in r and sin odd, so both are sums of the
+    powers of q = r^2 up to m // 2; the s squarings are complex.  A Magnus
+    step of the oracle has theta <= 0.02: m = 6 or 7, s = 0, four real
+    matmuls.
+    """
+    dim = r.shape[-1]
+    theta = float(np.abs(r).sum(-1).max())  # row sums: r is symmetric
+    squarings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+    r = np.ldexp(r, -squarings)
+    theta = math.ldexp(theta, -squarings)
+    degree, term = 3, theta ** 4 / 24.0  # term = theta^(m+1) / (m+1)!
+    while term > _UNIT_ROUNDOFF * (1.0 - theta / (degree + 2)):
+        degree += 1
+        term *= theta / (degree + 1)
+    # cos r - 1 and sin r / r - 1 as sums of the powers of q
+    q = power = r @ r
+    cos = q * -0.5
+    sinc = q * (-1.0 / 6.0)
+    for k in range(2, degree // 2 + 1):
+        power = power @ q
+        cos += power * ((-1) ** k / math.factorial(2 * k))
+        if 2 * k + 1 <= degree:
+            sinc += power * ((-1) ** k / math.factorial(2 * k + 1))
+    cos.reshape(-1, dim * dim)[:, ::dim + 1] += 1.0
+    u = np.empty(r.shape, dtype=complex)
+    u.real = cos
+    u.imag = -(r + r @ sinc)
+    for _ in range(squarings):
+        u = u @ u
+    return u
 
 
 def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
@@ -144,7 +191,8 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
     spectrum : AxialSpectrum
         All axial modes participate; ion count is capped at 4.
     pair : (l, n)
-        Target ions.
+        Target ions: two distinct indices in 0..N-1 (see
+        :func:`gate.check_pair`).
     nbar : scalar or (K,)
         Thermal occupations, used for cutoff sizing and the stored
         diagnostics (the propagators themselves are temperature free).
@@ -155,6 +203,8 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
 
     Raises
     ------
+    ValueError
+        More than 4 ions, a bad pair, a cutoff above 20 or a negative nbar.
     CutoffInsufficient
         Thermal weight target unreachable, or the thermally weighted
         population of the top level reaches 1e-6 after any accepted step or
@@ -165,6 +215,7 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
     n_ions = spectrum.config.ion_count
     if n_ions > MAX_IONS:
         raise ValueError("oracle is restricted to %d ions" % MAX_IONS)
+    l, n = pair = check_pair(pair, n_ions)
     if n_max > MAX_CUTOFF:
         raise ValueError("per-mode cutoff capped at %d" % MAX_CUTOFF)
     freqs = spectrum.frequencies
@@ -178,7 +229,6 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
         _levels_for_weight(nb, dim)
 
     couplings = drive_couplings(spectrum)
-    l, n = pair
     # -+ and -- carry the negated weights of +- and ++; P a P = -a with
     # P = diag((-1)^n) makes their propagators P U P of those two.
     branch_weights = np.array(
@@ -198,6 +248,7 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
     t = 0.0
     steps = 0
     seg = 0
+    peak_top_population = 0.0
     while t < tau * (1.0 - 1e-15):
         if steps >= max_steps:
             raise StepFailure("step count exceeded %d" % max_steps)
@@ -221,6 +272,7 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
             # thermally weighted population of the top Fock level
             top_population = float(
                 (np.abs(props[..., -1, :]) ** 2 * weights).sum(-1).max())
+            peak_top_population = max(peak_top_population, top_population)
             if top_population >= _TOP_POPULATION_ABORT:
                 raise CutoffInsufficient(
                     "top-level population %.2e exceeds %.0e at t=%.3e "
@@ -252,9 +304,9 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
 
     return TruncatedState(
         propagators=tuple(props[:, k].copy() for k in range(n_modes)),
-        frequencies=freqs.copy(), nbar=nbar_arr, pair=(int(l), int(n)),
+        frequencies=freqs.copy(), nbar=nbar_arr, pair=pair,
         norm_drift=norm_drift, top_population=top_population,
-        step_count=steps)
+        peak_top_population=peak_top_population, step_count=steps)
 
 
 def _reduced_qubit_state(state, nbar=None):

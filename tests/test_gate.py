@@ -560,6 +560,46 @@ class TestPartialIntegrals:
             assert np.allclose(row, full, rtol=1e-12, atol=1e-15)
 
 
+class TestPairCheck:
+    """gate.check_pair is the one statement of a valid pair."""
+
+    def test_returns_int_pair(self):
+        assert gt.check_pair((np.int64(2), 0), 3) == (2, 0)
+        assert type(gt.check_pair((np.int64(2), 0))[0]) is int
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (-1, 3)])
+    def test_rejects_bad_pair(self, pair):
+        with pytest.raises(ValueError, match=r"^pair needs two distinct "
+                                             r"ion indices in 0\.\.2"):
+            gt.check_pair(pair, 3)
+
+    def test_without_ion_count_checks_distinctness(self):
+        assert gt.check_pair((0, -1)) == (0, -1)
+        with pytest.raises(ValueError, match="^target pair needs"):
+            gt.check_pair((4, 4), name="target pair")
+        with pytest.raises(ValueError, match="target pair"):
+            gt.PulseSchedule.uniform(1.0, [1.0], 1.0, target_pair=(2, 2))
+
+    @pytest.mark.parametrize("entry", ["gate_report", "response_profile"])
+    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3)],
+                             ids=["same-ion", "negative", "past-ion-count"])
+    def test_entry_points_reject_bad_pair(self, monkeypatch, entry, pair):
+        cfg = cr.TrapConfig(3, omega_r=2 * math.pi * 1e6,
+                            omega_z=2 * math.pi * 5e6)
+        spec = md.axial_spectrum(cr.solve_equilibrium(cfg))
+        sched = gt.PulseSchedule.uniform(
+            0.4e-6, 2 * math.pi * 0.25e6 * np.array([1.0, -1.0]),
+            spec.frequencies[0])
+
+        def refuse(*args):
+            raise AssertionError("integrals built for a bad pair")
+
+        monkeypatch.setattr(gt, "_pair_kernels", refuse)
+        monkeypatch.setattr(gt, "partial_drive_integrals", refuse)
+        with pytest.raises(ValueError, match="pair needs two distinct"):
+            getattr(gt, entry)(sched, spec, pair)
+
+
 class TestResponseProfile:
     def make_spec(self, n):
         cfg = cr.TrapConfig(n, omega_r=2 * math.pi * 0.2e6,

@@ -104,6 +104,58 @@ def dense_magnus_step(t, dt, amp, mu, weight, omega, dim):
     return scipy.linalg.expm(-1j * herm)
 
 
+def eigh_exp_minus_i(r):
+    """exp(-i r) of real symmetric r from its eigendecomposition: the
+    oracle's step exponential as first written, kept as a reference."""
+    evals, evecs = np.linalg.eigh(r)
+    return (evecs * np.exp(-1j * evals)[..., None, :]) \
+        @ np.swapaxes(evecs, -1, -2)
+
+
+def random_tridiagonal(rng, norm, batch=(3, 2, 3), dim=21):
+    """Real symmetric tridiagonal batch whose largest 1-norm is ``norm``."""
+    r = np.zeros(batch + (dim, dim))
+    level = np.arange(dim)
+    r[..., level, level] = rng.normal(size=batch + (dim,))
+    r[..., level[1:], level[:-1]] = rng.normal(size=batch + (dim - 1,))
+    r[..., level[:-1], level[1:]] = r[..., level[1:], level[:-1]]
+    return r * (norm / np.abs(r).sum(-2).max())
+
+
+class TestExpMinusI:
+    """The series exponential against the eigendecomposition formula."""
+
+    # 1-norms from the oracle's steps (~0.02) through the squaring branch
+    NORMS = (1e-6, 0.012, 0.018, 0.3, 0.99, 1.0, 1.5, 3.7, 10.0)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_matches_eigendecomposition(self, norm):
+        rng = np.random.default_rng(int(norm * 1e6))
+        r = random_tridiagonal(rng, norm)
+        u = orc._exp_minus_i(r)
+        assert np.abs(u - eigh_exp_minus_i(r)).max() < 1e-13
+        eye = np.eye(r.shape[-1])
+        gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+        assert np.abs(gram - eye).max() < 1e-13
+
+    def test_mixed_norms_in_one_batch(self):
+        # the batch's largest norm sets the degree and squarings for all
+        rng = np.random.default_rng(5)
+        r = np.stack([random_tridiagonal(rng, x, batch=())
+                      for x in (0.0, 0.01, 0.5, 6.0)])
+        assert np.abs(orc._exp_minus_i(r) - eigh_exp_minus_i(r)).max() < 1e-13
+
+    def test_zero_is_identity(self):
+        u = orc._exp_minus_i(np.zeros((2, 5, 5)))
+        assert np.array_equal(u, np.broadcast_to(np.eye(5), (2, 5, 5)))
+
+    def test_input_unchanged(self):
+        r = random_tridiagonal(np.random.default_rng(3), 4.0)
+        kept = r.copy()
+        orc._exp_minus_i(r)
+        assert np.array_equal(r, kept)
+
+
 class TestMagnusKernel:
     """The oracle's tridiagonal step against the dense exponent."""
 
@@ -206,6 +258,10 @@ class TestClosedLoop:
         for nb in (0.0, 0.3):
             assert orc.fidelity_from_state(st, nbar=nb) == pytest.approx(
                 1.0, abs=1e-6)
+        # the loop passes the end-of-run limit on the way and returns below
+        # it; the state records both
+        assert st.peak_top_population > 1e-8 > st.top_population
+        assert st.peak_top_population < orc._TOP_POPULATION_ABORT
 
     def test_closure_is_real(self, spec2_wide):
         # sanity on the construction itself
@@ -321,6 +377,20 @@ class TestErrorPaths:
         sched = gt.PulseSchedule.uniform(1e-7, [0.0], spec.frequencies[0])
         with pytest.raises(ValueError):
             orc.evolve(sched, spec, (0, 1))
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3)],
+                             ids=["same-ion", "negative", "past-ion-count"])
+    def test_bad_pair(self, spec3, monkeypatch, pair):
+        sched = gt.PulseSchedule.uniform(
+            0.4e-6, 2 * math.pi * 0.25e6 * np.array([1.0, -1.0]),
+            spec3.frequencies[0])
+
+        def refuse(*args):
+            raise AssertionError("stepped with a bad pair")
+
+        monkeypatch.setattr(orc, "_magnus_step", refuse)
+        with pytest.raises(ValueError, match="pair needs two distinct"):
+            orc.evolve(sched, spec3, pair)
 
     def test_cutoff_cap(self, spec2):
         sched = gt.PulseSchedule.uniform(1e-7, [0.0], spec2.frequencies[0])
