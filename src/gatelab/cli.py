@@ -445,12 +445,12 @@ def cmd_optimize(config, out_dir, cache_dir, args):
     _require(config, "ion_count", "omega_r_hz", "omega_z_hz")
     pair = config.pair and _check_pair(config.pair, config.ion_count)
     omega_z = TWO_PI * config.omega_z_hz
-    grid = op.default_mu_grid(omega_z, points=config.mu_grid_points,
-                              below_hz=config.mu_below_hz,
-                              above_hz=config.mu_above_hz)
-    if grid.min() <= 0.0 or grid.max() > 2.0 * omega_z:
-        raise ConfigError("'mu_below_hz' and 'mu_above_hz' must keep the "
-                          "detuning grid in (0, 2 * omega_z_hz]")
+    try:
+        grid = op.check_mu_grid(op.default_mu_grid(
+            omega_z, config.mu_grid_points, config.mu_below_hz,
+            config.mu_above_hz), omega_z)
+    except ValueError as exc:
+        raise ConfigError("'mu_below_hz' and 'mu_above_hz': %s" % exc)
     crystal = cached_crystal(config, cache_dir)
     spectrum = md.axial_spectrum(crystal)
     try:  # every pair the run needs, picked before any output

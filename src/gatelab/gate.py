@@ -28,6 +28,7 @@ a drive with one function, :func:`_evaluate`.
 """
 
 from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -45,13 +46,18 @@ _TAYLOR_TERMS = 8
 
 def check_pair(pair, ion_count=None, name="pair"):
     """``pair`` as two distinct int ion indices, also in 0..ion_count-1
-    when ``ion_count`` is given: the one statement of a valid pair.  Raises
+    when ``ion_count`` is given: the one statement of a valid pair.  An
+    index is an integer (numpy integers included), never a float.  Raises
     ValueError, its message led by ``name``, for anything else."""
-    l, n = (int(i) for i in pair)
     span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
-    if l == n or span and not 0 <= min(l, n) <= max(l, n) < ion_count:
-        raise ValueError("%s needs two distinct ion indices%s, got %d, %d"
-                         % (name, span, l, n))
+    try:
+        l, n = (operator.index(i) for i in pair)
+    except TypeError:
+        l = n = None
+    if (l is None or l == n
+            or span and not 0 <= min(l, n) <= max(l, n) < ion_count):
+        raise ValueError("%s needs two distinct ion indices%s, got %s, %s"
+                         % ((name, span) + tuple(pair)))
     return l, n
 
 
@@ -274,15 +280,6 @@ def first_order_integrals(times, mu, frequencies):
     shape mu.shape + (K, P).
     """
     return _segment_kernels(times, mu, frequencies)[0]
-
-
-def _triangle_integrals(times, mu, frequencies):
-    """T[k, p]: ordered double integral of sin(mu s2) sin(mu s1)
-    sin(omega_k (s2 - s1)) over the triangle t_p < s1 < s2 < t_{p+1}.
-
-    Stacks over an array ``mu`` as :func:`first_order_integrals` does.
-    """
-    return _segment_kernels(times, mu, frequencies)[1]
 
 
 def phase_kernels(times, mu, frequencies):

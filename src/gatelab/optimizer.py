@@ -12,19 +12,20 @@ minorize-maximize step, so the fidelity never drops).  With all gamma_i = 0
 that form is the plain residual cost, so the seed is step 0.
 
 The solve runs on a whole detuning grid at once.  The segment kernels of
-every grid point are built in one call, and the ascent runs in lockstep:
-each step reduces the pencils of all points still rising with one batched
-Cholesky factorization and solves them with one batched symmetric
-eigensolve (Golub & Van Loan, Matrix Computations, 8.7), and a point drops
-out when its own stopping rule fires.  The forms hold S once, and one call
-of the scorer of :func:`gate.gate_report` scores every point, bit for bit
-as that report would.  Every operation acts on each point alone, so a
-point's result does not depend on the grid around it:
-:func:`solve_amplitudes` is the one-point grid.  A detuning scan
-keeps the best point; failed points (no positive-phase direction at that
-mu, none within the amplitude bound, or a residual form that is not
-positive definite) are recorded with fidelity zero rather than aborting
-the scan.
+every grid point are built in one call, and from the first-order integrals
+S the four P x P forms A_i = Re(S^H diag(w_i) S): past that build an
+ascent step reads only G and the A_i, so its cost does not depend on the
+mode count.  The ascent runs in lockstep: each step reduces the pencils of
+all points still rising with one batched Cholesky factorization and solves
+them with one batched symmetric eigensolve (Golub & Van Loan, Matrix
+Computations, 8.7), and a point drops out when its own stopping rule fires.
+One call of the scorer of :func:`gate.gate_report` scores every point from
+S, bit for bit as that report would.  Every operation acts on each point
+alone, so a point's result does not depend on the grid around it:
+:func:`solve_amplitudes` is the one-point grid.  A detuning scan keeps the
+best point; failed points (no positive-phase direction at that mu, none
+within the amplitude bound, or a residual form that is not positive
+definite) are recorded with fidelity zero rather than aborting the scan.
 """
 
 from dataclasses import dataclass, replace
@@ -136,29 +137,39 @@ def default_mu_grid(omega_z, points=301, below_hz=0.1e6, above_hz=0.2e6):
                        omega_z + TWO_PI * above_hz, points)
 
 
+def check_mu_grid(grid, omega_z):
+    """``grid`` (None: :func:`default_mu_grid`) if it lies in (0, 2 omega_z],
+    the one statement of a valid detuning window; else ValueError."""
+    if grid is None:
+        grid = default_mu_grid(omega_z)
+    if np.any(grid <= 0.0) or np.any(grid > 2.0 * omega_z):
+        raise ValueError("mu grid must lie in (0, 2 omega_z]")
+    return grid
+
+
 @dataclass(frozen=True)
 class _Forms:
     """The pair's amplitude problem at every detuning of a grid.
 
-    ``S`` (M, K, P) holds the first-order integrals once, and ``G``
-    (M, P, P) the phase form; residuals, residual forms and scores (shared
-    with :func:`gate.gate_report`) are all taken from them.  Shared by
-    every point: ``weights`` (4, K), per overlap factor the thermal
+    The ascent reads the phase form ``G`` (M, P, P), the residual forms
+    ``A`` (M, 4, P, P), A_i = Re(S^H diag(w_i) S) with w_i the thermal
     weights of |alpha_l|^2, |alpha_n|^2 and |alpha_l +/- alpha_n|^2 (the
-    factor 2 of exp(-2 Gamma) included); ``drive`` (2, K), the pair's rows
-    of the mode couplings; ``nbar`` (K,); and the ``bound`` (or None).
+    factor 2 of exp(-2 Gamma) included), and the ``bound`` (or None).
+    Only the final score, shared with :func:`gate.gate_report`, reads the
+    first-order integrals ``S`` (M, K, P), the pair's coupling rows
+    ``drive`` (2, K) and ``nbar`` (K,).
     """
 
     S: np.ndarray
     G: np.ndarray
-    weights: np.ndarray
+    A: np.ndarray
     drive: np.ndarray
     nbar: np.ndarray
     bound: float
 
     def take(self, rows):
-        """The forms at the grid points ``rows``, an index array."""
-        return replace(self, S=self.S[rows], G=self.G[rows])
+        """The ascent's forms, without S, at the index array ``rows``."""
+        return replace(self, S=None, G=self.G[rows], A=self.A[rows])
 
 
 def _grid_forms(spectrum, pair, times, grid, nbar, bound):
@@ -175,13 +186,13 @@ def _grid_forms(spectrum, pair, times, grid, nbar, bound):
     couplings = drive_couplings(spectrum)
     S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
                          spectrum.frequencies, couplings, pair)
-    l, n = pair
-    cl = couplings[l]
-    cn = couplings[n]
+    cl, cn = drive = couplings[list(pair)]
     weights = 2.0 * (2.0 * nbar + 1.0) * np.array(
         [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
-    return _Forms(S=S, G=G, weights=weights, drive=np.array([cl, cn]),
-                  nbar=nbar, bound=bound)
+    R = np.concatenate([S.real, S.imag], axis=1)  # Re(S^H w S) = R^T w R
+    A = np.stack([(R.transpose(0, 2, 1) * w) @ R
+                  for w in np.tile(weights, 2)], axis=1)
+    return _Forms(S=S, G=G, A=A, drive=drive, nbar=nbar, bound=bound)
 
 
 def _locked(forms, vec):
@@ -195,14 +206,13 @@ def _locked(forms, vec):
     (fidelity, peak, gamma): the locked peak amplitude is NaN for a
     direction that carries no phase, the fidelity -1 for that direction or
     one past the amplitude bound, and gamma (M, 4) holds the overlap
-    exponents.  Scale-invariant in each row.
+    exponents scale^2 vec^T A_i vec.  Scale-invariant in each row.
     """
     q = _phase(forms.G, vec)
     live = (q != 0.0) & np.isfinite(q)
     scale = np.sqrt(PHASE_TARGET / np.abs(np.where(live, q, np.nan)))
-    disp = (forms.S @ vec[:, :, None])[:, :, 0]
-    power = scale[:, None] ** 2 * (disp.real ** 2 + disp.imag ** 2)
-    gamma = (power[:, None, :] @ forms.weights.T)[:, 0, :]
+    gamma = scale[:, None] ** 2 * (vec[:, None, None, :] @ forms.A
+                                   @ vec[:, None, :, None])[:, :, 0, 0]
     peak = scale * np.abs(vec).max(axis=1)
     fid = 0.25 * (1.0 + (np.exp(-gamma) * _BRANCH_COEFFS).sum(axis=1))
     infeasible = ~live
@@ -249,22 +259,20 @@ def _extremal(forms, coeffs):
     trace, or no direction carries phase; ``broken`` marks the forms that
     are not positive definite.
     """
-    d = (coeffs[:, None, :] @ forms.weights)[:, 0, :]
-    B = np.real((np.conj(forms.S).transpose(0, 2, 1) * d[:, None, :])
-                @ forms.S)
+    m, _, p, _ = forms.A.shape
+    B = (coeffs[:, None, :] @ forms.A.reshape(m, 4, p * p)).reshape(m, p, p)
     trace = np.trace(B, axis1=1, axis2=2)
     usable = np.all(np.isfinite(B), axis=(1, 2)) & (trace > 0.0)
-    p = B.shape[1]
     diag = np.arange(p)
     B[:, diag, diag] += (_RIDGE * trace / p)[:, None]
     B[~usable] = np.eye(p)
     L, broken = _cholesky(B)
     L_inv = np.linalg.inv(L)
-    L_inv_t = L_inv.transpose(0, 2, 1)
-    evals, Y = np.linalg.eigh(L_inv @ forms.G @ L_inv_t)
-    V = L_inv_t @ Y
-    hi = V[:, :, -1]
-    lo = V[:, :, 0]
+    evals, Y = np.linalg.eigh(L_inv @ forms.G @ L_inv.transpose(0, 2, 1))
+    # rows v_j^T = y_j^T L^-1: matmul rounds a strided vector differently
+    V = Y.transpose(0, 2, 1) @ L_inv
+    hi = V[:, -1]
+    lo = V[:, 0]
     fid_hi, peak_hi, gamma_hi = _locked(forms, hi)
     fid_lo, peak_lo, gamma_lo = _locked(forms, lo)
     ok_hi = (evals[:, -1] > 0.0) & ~np.isnan(peak_hi)
@@ -338,28 +346,23 @@ def _solve_grid(forms):
     steps = np.zeros(m, dtype=int)
     steps[rows] = steps_taken
     rows = rows[~broken]
-    solved = forms.take(rows)
+    G = forms.G[rows]
     vec = vec[~broken]
-    vec = np.sqrt(PHASE_TARGET / np.abs(_phase(solved.G, vec)))[:, None] * vec
+    vec = np.sqrt(PHASE_TARGET / np.abs(_phase(G, vec)))[:, None] * vec
     amplitudes = np.zeros((m, vec.shape[1]))
     amplitudes[rows] = vec
     fidelities = np.zeros(m)
-    fidelities[rows] = _evaluate(solved.S, solved.G, vec, solved.drive,
-                                 solved.nbar)[3]
+    fidelities[rows] = _evaluate(forms.S[rows], G, vec, forms.drive,
+                                 forms.nbar)[3]
     return amplitudes, fidelities, steps, status
 
 
 def _scan(spectrum, problem):
     """(OptimizationResult, per-point status) of ``problem``: the one solve
     path of a point and a scan.  Raises ValueError, before any kernel is
-    built, unless the grid (or the default) lies in (0, 2 omega_z] and the
-    pair indexes ions of the crystal."""
+    built, from :func:`check_mu_grid` or :func:`gate.check_pair`."""
     config = spectrum.config
-    grid = problem.mu_grid
-    if grid is None:
-        grid = default_mu_grid(config.omega_z)
-    if np.any(grid <= 0.0) or np.any(grid > 2.0 * config.omega_z):
-        raise ValueError("mu grid must lie in (0, 2 omega_z]")
+    grid = check_mu_grid(problem.mu_grid, config.omega_z)
     check_pair(problem.pair, config.ion_count)
     amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
         spectrum, problem.pair, problem.times, grid, problem.nbar,

@@ -593,6 +593,20 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert not out.exists() or os.listdir(out) == []
 
+    def test_window_rule_is_the_optimizers(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the CLI states no window rule of its own: it asks the optimizer's,
+        # before any crystal is solved
+        def refuse(grid, omega_z):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli.op, "check_mu_grid", refuse)
+        monkeypatch.setattr(cli, "cached_crystal", refuse)
+        code, err = self.run(tmp_path, capsys, BASE_CONFIG,
+                             command="optimize")
+        assert code == 2
+        assert "'mu_below_hz' and 'mu_above_hz': refused" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["equilibrium",
                          "--config", str(tmp_path / "absent.cfg"),

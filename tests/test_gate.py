@@ -175,10 +175,10 @@ class TestTriangleIntegrals:
     def test_against_quadrature(self, omega):
         mu = 12.0
         times = np.array([0.0, 0.7, 1.5])
-        T = gt._triangle_integrals(times, mu, [omega])
+        T = gt._segment_kernels(times, mu, [omega])[1]
         # mu again inside an array of detunings, next to a far one
-        batched = gt._triangle_integrals(times, np.array([40.0, mu]),
-                                         [omega])[1]
+        batched = gt._segment_kernels(times, np.array([40.0, mu]),
+                                      [omega])[1][1]
         for p in range(2):
             want = quad_triangle(mu, omega, times[p], times[p + 1])
             assert T[0, p] == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -187,9 +187,9 @@ class TestTriangleIntegrals:
     def test_degenerate_all_small(self):
         # omega = mu tiny makes every exponent in the kernel small at once
         mu = 1e-4
-        T = gt._triangle_integrals([0.0, 1.0], mu, [mu])
-        batched = gt._triangle_integrals([0.0, 1.0], np.array([40.0, mu]),
-                                         [mu])[1]
+        T = gt._segment_kernels([0.0, 1.0], mu, [mu])[1]
+        batched = gt._segment_kernels([0.0, 1.0], np.array([40.0, mu]),
+                                      [mu])[1][1]
         want = quad_triangle(mu, mu, 0.0, 1.0)
         assert T[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
         assert batched[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
@@ -230,7 +230,7 @@ class TestBatchedKernels:
     def test_batched_equals_per_detuning(self):
         times, omega, grid, couplings, pair = mixed_branch_grid()
         S = gt.first_order_integrals(times, grid, omega)
-        T = gt._triangle_integrals(times, grid, omega)
+        T = gt._segment_kernels(times, grid, omega)[1]
         S2, G = gt._pair_kernels(times, grid, omega, couplings, pair)
         assert S.shape == (grid.size, omega.size, times.size - 1)
         assert np.array_equal(S2, S)
@@ -238,7 +238,7 @@ class TestBatchedKernels:
             assert np.array_equal(
                 S[i], gt.first_order_integrals(times, float(mu), omega))
             assert np.array_equal(
-                T[i], gt._triangle_integrals(times, float(mu), omega))
+                T[i], gt._segment_kernels(times, float(mu), omega)[1])
             assert np.array_equal(G[i], gt.pair_phase_matrix(
                 times, float(mu), omega, couplings, pair))
 
@@ -567,7 +567,8 @@ class TestPairCheck:
         assert gt.check_pair((np.int64(2), 0), 3) == (2, 0)
         assert type(gt.check_pair((np.int64(2), 0))[0]) is int
 
-    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (-1, 3)])
+    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (-1, 3),
+                                      (0, 1.7), (0, 1.0), (np.float64(2), 0)])
     def test_rejects_bad_pair(self, pair):
         with pytest.raises(ValueError, match=r"^pair needs two distinct "
                                              r"ion indices in 0\.\.2"):
@@ -575,14 +576,17 @@ class TestPairCheck:
 
     def test_without_ion_count_checks_distinctness(self):
         assert gt.check_pair((0, -1)) == (0, -1)
+        with pytest.raises(ValueError, match="^pair needs .*, got 0, 1.7$"):
+            gt.check_pair((0, 1.7))
         with pytest.raises(ValueError, match="^target pair needs"):
             gt.check_pair((4, 4), name="target pair")
         with pytest.raises(ValueError, match="target pair"):
             gt.PulseSchedule.uniform(1.0, [1.0], 1.0, target_pair=(2, 2))
 
     @pytest.mark.parametrize("entry", ["gate_report", "response_profile"])
-    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3)],
-                             ids=["same-ion", "negative", "past-ion-count"])
+    @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (0, 1.7)],
+                             ids=["same-ion", "negative", "past-ion-count",
+                                  "non-integer"])
     def test_entry_points_reject_bad_pair(self, monkeypatch, entry, pair):
         cfg = cr.TrapConfig(3, omega_r=2 * math.pi * 1e6,
                             omega_z=2 * math.pi * 5e6)

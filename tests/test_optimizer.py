@@ -55,6 +55,12 @@ class TestOptimizationProblem:
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=0.0)
 
+    @pytest.mark.parametrize("pair", [(0, 1.7), (0.0, 1), (0, "1")])
+    def test_rejects_non_integer_index(self, pair):
+        # an index is never truncated to an int
+        with pytest.raises(ValueError, match="pair needs two distinct"):
+            op.OptimizationProblem(pair=pair, tau=1e-5)
+
     def test_rejects_zero_segments(self):
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=1e-5, segment_count=0)
@@ -191,6 +197,16 @@ class TestDetuningScan:
                                           mu_grid=np.array([2.5 * WZ]))
         with pytest.raises(ValueError):
             op.detuning_scan(spectrum7, bad_high)
+
+    def test_window_rule(self):
+        # (0, 2 omega_z]: the top edge is in, zero is out; None is the
+        # default grid
+        assert op.check_mu_grid(np.array([2.0 * WZ]), WZ)[0] == 2.0 * WZ
+        assert np.array_equal(op.check_mu_grid(None, WZ),
+                              op.default_mu_grid(WZ))
+        for grid in ([0.0, WZ], [WZ, 2.0 * WZ * (1 + 1e-15)]):
+            with pytest.raises(ValueError, match=r"\(0, 2 omega_z\]"):
+                op.check_mu_grid(np.array(grid), WZ)
 
     @pytest.mark.parametrize("changes", [
         {"mu_grid": np.append(small_grid(5), np.nan)}, {"tau": np.inf},
@@ -334,13 +350,13 @@ class TestLockstep:
             spectrum, pair, times, grid, None, None))
         bound = float(np.median(np.abs(free_amps).max(axis=1)))
         forms = op._grid_forms(spectrum, pair, times, grid, None, bound)
-        # one tiny column: the ridge underflows to zero, so the residual
-        # form is singular
+        # one tiny entry in each residual form: the ridge underflows to
+        # zero, so the reweighted form is singular
         forged_point = 3
-        S = forms.S.copy()
-        S[forged_point] = 0.0
-        S[forged_point, :, 0] = 1e-160 + 1e-160j
-        forged = replace(forms, S=S)
+        A = forms.A.copy()
+        A[forged_point] = 0.0
+        A[forged_point, :, 0, 0] = 1e-320
+        forged = replace(forms, A=A)
         amplitudes, fidelities, steps, status = op._solve_grid(forged)
 
         assert status[forged_point] == "linalg"
@@ -350,7 +366,9 @@ class TestLockstep:
         assert any(not np.array_equal(amplitudes[i], free_amps[i])
                    for i in solved)
         for i, mu in enumerate(grid):
-            one = op._solve_grid(forged.take(np.array([i])))
+            point = np.array([i])
+            one = op._solve_grid(replace(forged.take(point),
+                                         S=forged.S[point]))
             assert status[i] == one[3][0]
             if status[i] == "ok":
                 assert np.array_equal(amplitudes[i], one[0][0])
@@ -389,6 +407,60 @@ class TestLockstep:
         assert not broken.any()
         assert np.all(fid >= seed_fid)
         assert np.all(fid[steps > 0] > seed_fid[steps > 0])
+
+
+class TestResidualForms:
+    """The ascent reads the four P x P residual forms A_i built once per
+    grid, never the first-order integrals S."""
+
+    def grid_forms(self):
+        return op._grid_forms(spectrum19(), (0, 15),
+                              np.linspace(0.0, 50e-6, 6),
+                              op.default_mu_grid(WZ), None, None)
+
+    def seed(self, forms):
+        return op._extremal(
+            forms, np.broadcast_to(op._BRANCH_COEFFS, (len(forms.G), 4)))[3]
+
+    def test_forms_equal_the_per_step_algebra_on_S(self):
+        # reference: the per-step algebra the forms replace, at the seed
+        # and at the ascended drive of every grid point.  vec^T A_i vec
+        # cancels where the residual is small, so gamma is compared with
+        # the size the sum would have without cancellation,
+        # scale^2 sum_k w_ik (|S| |v|)_k^2; B with its largest entry.
+        forms = self.grid_forms()
+        cl, cn = forms.drive
+        weights = 2.0 * (2.0 * forms.nbar + 1.0) * np.array(
+            [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
+        seed = self.seed(forms)
+        for vec in (seed, op._ascend(forms, seed)[0]):
+            _, _, gamma = op._locked(forms, vec)
+            phase = np.einsum("mp,mpq,mq->m", vec, forms.G, vec)
+            scale2 = (np.pi / 4 / np.abs(phase))[:, None]
+            disp = np.einsum("mkp,mp->mk", forms.S, vec)
+            want = scale2 * (np.abs(disp) ** 2 @ weights.T)
+            size = scale2 * (np.einsum("mkp,mp->mk", np.abs(forms.S),
+                                       np.abs(vec)) ** 2 @ weights.T)
+            assert np.all(np.abs(gamma - want) <= 1e-12 * size)
+
+            coeffs = op._BRANCH_COEFFS * np.exp(-gamma)
+            d = coeffs @ weights
+            want_B = np.real(np.einsum("mkp,mk,mkq->mpq", np.conj(forms.S),
+                                       d, forms.S))
+            B = np.einsum("mi,mipq->mpq", coeffs, forms.A)
+            assert np.all(np.abs(B - want_B).max(axis=(1, 2))
+                          <= 1e-12 * np.abs(want_B).max(axis=(1, 2)))
+
+    def test_ascent_never_reads_S(self):
+        # without S, the couplings and nbar the ascent returns the same
+        # vectors, fidelities, steps and broken flags, bit for bit
+        forms = self.grid_forms()
+        seed = self.seed(forms)
+        bare = replace(forms, S=None, drive=None, nbar=None)
+        want = op._ascend(forms, seed)
+        assert want[2].any()
+        for got, expected in zip(op._ascend(bare, seed), want):
+            assert np.array_equal(got, expected)
 
 
 class TestStationarity:
