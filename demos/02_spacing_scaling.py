@@ -11,16 +11,18 @@ import math
 
 import numpy as np
 
-from gatelab import (TrapConfig, fit_power_law, length_scale,
-                     min_spacing_scan, omega_r_for_spacing)
+from gatelab import (TrapConfig, fit_power_law, omega_r_for_spacing,
+                     solve_equilibrium)
 
 series = [7, 19, 37, 61, 91, 127, 169, 217]
-points = min_spacing_scan(series)
+crystals = {n: solve_equilibrium(TrapConfig(n, omega_r=2 * math.pi * 0.2e6,
+                                            omega_z=2 * math.pi * 10e6))
+            for n in series}
+points = [(n, crystals[n].u_min) for n in series]
 fit = fit_power_law(points)
 
 print("closed-shell series at omega_r/2pi = 0.2 MHz, omega_z/2pi = 10 MHz")
-ell = length_scale(TrapConfig(1, omega_r=2 * math.pi * 0.2e6,
-                              omega_z=2 * math.pi * 10e6))
+ell = crystals[series[0]].length_scale_ell
 print("%6s %10s %12s %12s" % ("N", "u_min", "d_min (um)", "fit (um)"))
 for n, u in points:
     print("%6d %10.5f %12.3f %12.3f"
@@ -30,10 +32,9 @@ print("\npower law: u_min = %.4f N^(%.4f), rms log residual %.1e"
 
 print("\nradial confinement needed to hold a spacing target:")
 print("%6s %14s %18s" % ("N", "target (um)", "omega_r/2pi (MHz)"))
-u_by_n = dict(points)
 for n in (37, 127, 217):
     for target in (5e-6, 20e-6):
-        omega = omega_r_for_spacing(n, target, u_min=u_by_n[n])
+        omega = omega_r_for_spacing(crystals[n], target)
         print("%6d %14.1f %18.4f"
               % (n, target * 1e6, omega / (2 * math.pi) / 1e6))
 print("\nLoosening the trap by the cube of the spacing ratio buys room: "

@@ -19,13 +19,13 @@ Every artifact is one tab-separated table with '# key<TAB>value' headers;
 
 from .crystal import (Crystal, PowerLawFit, TrapConfig, closed_shell_count,
                       fit_power_law, length_scale, min_spacing,
-                      min_spacing_scan, omega_r_for_spacing, read_crystal,
-                      ring_seed, solve_equilibrium, triangular_seed,
-                      with_trap, write_crystal)
-from .errors import (ConfigError, CutoffInsufficient, DegenerateSeed,
-                     EigenFailure, GatelabError, IndefiniteKernel,
-                     InsufficientPoints, NegativeOccupation, NonConvergence,
-                     StepFailure, UnstableSpectrum)
+                      omega_r_for_spacing, read_crystal, ring_seed,
+                      solve_equilibrium, triangular_seed, with_trap,
+                      write_crystal)
+from .errors import (ConfigError, CutoffInsufficient, EigenFailure,
+                     GatelabError, IndefiniteKernel, InsufficientPoints,
+                     NegativeOccupation, NonConvergence, StepFailure,
+                     UnstableSpectrum)
 from .gate import (GateReport, PulseSchedule, entangling_phase, gate_report,
                    mode_displacements, read_report, read_schedule,
                    response_profile, thermal_fidelity, write_report,
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxialSpectrum", "ConfigError", "Crystal", "CutoffInsufficient",
-    "DegenerateSeed", "EigenFailure", "GateReport", "GatelabError",
+    "EigenFailure", "GateReport", "GatelabError",
     "IndefiniteKernel", "InsufficientPoints", "NegativeOccupation",
     "NonConvergence", "OptimizationProblem", "OptimizationResult",
     "PowerLawFit", "PulseSchedule", "StepFailure",
@@ -49,7 +49,7 @@ __all__ = [
     "axial_spectrum", "band_edge_optimum", "closed_shell_count", "com_gap",
     "critical_beta", "default_mu_grid", "default_pair_list", "detuning_scan",
     "entangling_phase", "fit_power_law", "gate_report", "length_scale",
-    "min_spacing", "min_spacing_scan", "mode_displacements",
+    "min_spacing", "mode_displacements",
     "omega_r_for_spacing", "read_crystal", "read_report", "read_scan",
     "read_schedule", "read_spectrum", "read_table", "response_profile",
     "ring_seed", "solve_amplitudes", "solve_equilibrium", "table_one",

@@ -1,8 +1,10 @@
 """Command-line front end: one subcommand per study artifact.
 
 ``gatelab <equilibrium|scaling|modes|gate|optimize> --config <path>``
-with optional ``--out <dir>``, ``--cache <dir>`` and ``--seed <int>``
-(the gate subcommand also takes ``--schedule <path>``).
+with optional ``--out <dir>`` (default ``gatelab-out``), ``--cache <dir>``
+(no cache without it) and ``--seed <int>``; the gate subcommand also needs
+``--schedule <path>``.  Where a run reads and writes is set by these flags
+alone.
 
 A flat ``key = value`` config file drives every subcommand; unknown or
 malformed keys are rejected with their line number.  Every run emits tab
@@ -71,9 +73,6 @@ class RunConfig:
     pair_count: int = 10
     omega_r_table_hz: tuple[float, ...] = (0.2e6, 1.0e6)
     response_samples: int = 2000
-    schedule_file: str = ""
-    output_dir: str = "gatelab-out"
-    cache_dir: str = ""
     seed: int = 0
 
 
@@ -107,7 +106,6 @@ _PARSERS = {
     int: _parse_int,
     float: _parse_float,
     bool: _parse_bool,
-    str: str,
     tuple[int, ...]: lambda text: _parse_list(text, _parse_int),
     tuple[float, ...]: lambda text: _parse_list(text, _parse_float),
 }
@@ -297,8 +295,9 @@ def cmd_scaling(config, out_dir, cache_dir, args):
     _require(config, "omega_r_hz", "omega_z_hz")
     if not config.n_series:
         raise ConfigError("'n_series' must not be empty")
-    points = [(n, cached_crystal(config, cache_dir, n).u_min)
-              for n in config.n_series]
+    crystals = {n: cached_crystal(config, cache_dir, n)
+                for n in config.n_series}
+    points = [(n, crystals[n].u_min) for n in config.n_series]
     ell = cr.length_scale(trap_config(config, ion_count=1))
     spacing_rows = [[str(n), fmt(u), fmt(u * ell)] for n, u in points]
     meta = [("omega_r_hz", fmt(config.omega_r_hz))]
@@ -313,12 +312,9 @@ def cmd_scaling(config, out_dir, cache_dir, args):
                "gatelab minimum-spacing scan", meta, spacing_rows)
 
     required_rows = []
-    u_by_n = dict(points)
     for n in config.n_series:
         for target in config.dmin_targets_m:
-            omega = cr.omega_r_for_spacing(
-                n, target, ion_mass=config.ion_mass_kg,
-                charge=config.charge_c, u_min=u_by_n[n])
+            omega = cr.omega_r_for_spacing(crystals[n], target)
             required_rows.append([str(n), fmt(target), fmt(omega / TWO_PI)])
     write_rows(os.path.join(out_dir, "required_omega_r.tsv"),
                "gatelab radial frequency for target spacing",
@@ -409,17 +405,15 @@ def cmd_modes(config, out_dir, cache_dir, args):
 
 def cmd_gate(config, out_dir, cache_dir, args):
     _require(config, "ion_count", "omega_r_hz", "omega_z_hz")
-    schedule_path = getattr(args, "schedule", None) or config.schedule_file
-    if not schedule_path:
-        raise ConfigError("gate needs a schedule: pass --schedule or set "
-                          "'schedule_file'")
+    if not args.schedule:
+        raise ConfigError("gate needs a schedule: pass --schedule")
     try:
-        schedule = gt.read_schedule(schedule_path)
+        schedule = gt.read_schedule(args.schedule)
     except OSError as exc:
         raise ConfigError("cannot read schedule file: %s" % exc)
     except (KeyError, ValueError, IndexError) as exc:
         raise ConfigError("malformed schedule file %s: %s"
-                          % (schedule_path, exc))
+                          % (args.schedule, exc))
     pair = schedule.target_pair or config.pair
     if not pair:
         raise ConfigError("schedule has no target pair; set 'pair'")
@@ -505,6 +499,10 @@ def cmd_optimize(config, out_dir, cache_dir, args):
                                  for v in config.omega_r_table_hz))
         op.write_table(rows, os.path.join(out_dir, "table.tsv"))
         files.append("table.tsv")
+        summary["diagnostics"] = {"table": {"infeasible_rows": [
+            {"rank": row.rank, "pair": list(row.pair),
+             "omega_r_hz": _json_float(row.omega_r / TWO_PI)}
+            for row in rows if not row.mu_opt]}}
     summary["files"] = files
     return code, summary
 
@@ -535,17 +533,16 @@ def build_parser():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True,
                        help="flat key=value run configuration")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config output_dir)")
-        p.add_argument("--cache", default=None,
-                       help="crystal cache directory (default: config "
-                            "cache_dir; unset disables caching)")
+        p.add_argument("--out", default="gatelab-out",
+                       help="output directory (default: gatelab-out)")
+        p.add_argument("--cache", default="",
+                       help="crystal cache directory (unset disables "
+                            "caching)")
         p.add_argument("--seed", type=int, default=None,
                        help="solver restart seed (overrides config)")
         if name == "gate":
-            p.add_argument("--schedule", default=None,
-                           help="pulse schedule file (overrides config "
-                                "schedule_file)")
+            p.add_argument("--schedule", default="",
+                           help="pulse schedule file")
     return parser
 
 
@@ -557,13 +554,14 @@ def main(argv=None):
             if args.seed < 0:
                 raise ConfigError("'--seed' must be non-negative")
             config = replace(config, seed=args.seed)
-        out_dir = args.out or config.output_dir
-        cache_dir = args.cache if args.cache is not None else config.cache_dir
-        os.makedirs(out_dir, exist_ok=True)
-        code, summary = _COMMANDS[args.command][0](config, out_dir,
-                                                   cache_dir, args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot create '--out' directory: %s" % exc)
+        code, summary = _COMMANDS[args.command][0](config, args.out,
+                                                   args.cache, args)
         summary["seed"] = config.seed
-        atomic_write_json(os.path.join(out_dir, "summary.json"), summary)
+        atomic_write_json(os.path.join(args.out, "summary.json"), summary)
         return code
     except ConfigError as exc:
         print("gatelab: config error: %s" % exc, file=sys.stderr)

@@ -13,33 +13,35 @@ The dimensionless potential of the planar configuration is
 
 and equilibria solve grad E = 0.  The solver is a damped Newton iteration on
 that gradient (the curvature blocks double as the mode-analysis matrices),
-with multi-restart seeding from an ideal triangular lattice; for N = 2..9
-ring seeds take the first restart slots after the lattice.  Every step,
-damped or not, is one dense linear solve with the planar Hessian H: the
+with ``_RESTARTS`` restarts seeded from an ideal triangular lattice; for
+N = 2..9 ring seeds take the first restart slots after the lattice.  Each
+step, damped or not, is one dense linear solve with the planar Hessian H: the
 Levenberg-Marquardt step solves (H^2 + mu I) s = -H g, which equals the
 eigenpair form of the damped step, and the final Newton steps solve H plus
 a rank-one lift of the rotation null direction.  It returns the
 lowest-energy stationary point among its restarts (the earliest restart
 among energies tied to 1e-12), which is not verified to be a minimum: the
-default N=91 and N=127 crystals are saddles.  The
-gradient tolerance, iteration cap and restart jitter are fixed module
-constants (``_TOL``, ``_MAX_ITER``, ``_JITTER_FRACTION``).
+default N=91 and N=127 crystals are saddles.  The gradient tolerance,
+iteration cap, restart count and restart jitter are fixed module constants
+(``_TOL``, ``_MAX_ITER``, ``_RESTARTS``, ``_JITTER_FRACTION``).
 """
 
 from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-import scipy.constants as const
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .errors import DegenerateSeed, InsufficientPoints, NonConvergence
+from .errors import InsufficientPoints, NonConvergence
 from ._textio import fmt, read_rows, write_rows
 
-ELEMENTARY_CHARGE = const.e          # C
-COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * const.epsilon_0)  # N m^2 / C^2
-HBAR = const.hbar                    # J s
-MASS_BE9 = 1.4965e-26                # kg, 9Be+ (default ion)
+# Stated here rather than read from scipy.constants, whose CODATA set
+# follows the installed scipy: e and h are exact in SI, eps0 is CODATA 2022.
+ELEMENTARY_CHARGE = 1.602176634e-19      # C
+HBAR = 6.62607015e-34 / (2.0 * math.pi)  # J s
+VACUUM_PERMITTIVITY = 8.8541878188e-12   # F / m
+COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * VACUUM_PERMITTIVITY)  # N m^2 / C^2
+MASS_BE9 = 1.4965e-26                    # kg, 9Be+ (default ion)
 
 # Centred hexagonal ("closed shell") ion numbers: 1 + 3 k (k + 1).
 CLOSED_SHELL_SERIES = (7, 19, 37, 61, 91, 127, 169, 217)
@@ -49,9 +51,11 @@ _SEED_PREFACTOR = 1.995
 _SEED_EXPONENT = 0.172
 
 # Fixed solver settings: gradient tolerance (max-abs component), iteration
-# cap per restart, and restart jitter as a fraction of the seed spacing.
+# cap per restart, number of restarts, and restart jitter as a fraction of
+# the seed spacing.
 _TOL = 1e-10
 _MAX_ITER = 10000
+_RESTARTS = 5
 _JITTER_FRACTION = 0.01
 
 
@@ -435,17 +439,6 @@ def canonical_orientation(u):
     return u
 
 
-def _check_seed(seed, scale):
-    seed = np.asarray(seed, dtype=float)
-    if seed.ndim != 2 or seed.shape[1] != 2:
-        raise ValueError("seed must have shape (N, 2)")
-    if seed.shape[0] > 1:
-        _, _, d = _pair_vectors(seed)
-        if d.min() < 1e-8 * max(scale, 1.0):
-            raise DegenerateSeed("two seed positions coincide")
-    return seed
-
-
 def min_spacing(u):
     """Minimum pair distance of a configuration (inf for a single ion)."""
     if u.shape[0] < 2:
@@ -454,33 +447,24 @@ def min_spacing(u):
     return float(d.min())
 
 
-def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
+def solve_equilibrium(config, *, rng_seed=0):
     """Solve the planar equilibrium for ``config``.
 
-    Each restart relaxes one seed to a stationary point of the energy;
-    the lowest-energy converged one is returned, the earliest restart
-    among energies equal to 1e-12 (relative).  That point is not
-    checked to be a minimum: with the default seeds the N=91 and N=127
-    crystals come out as saddles, with negative planar Hessian
-    eigenvalues besides the rotation mode.
+    Each of ``_RESTARTS`` restarts relaxes one seed to a stationary point
+    of the energy; the lowest-energy converged one is returned, the
+    earliest restart among energies equal to 1e-12 (relative).  That point
+    is not checked to be a minimum: the N=91 and N=127 crystals come out
+    as saddles, with negative planar Hessian eigenvalues besides the
+    rotation mode.
 
-    Parameters
-    ----------
-    config : TrapConfig
-    seed : (N, 2) array, optional
-        Starting guess.  Default is the ideal triangular lattice; for
-        N = 2..9 one or two ring seeds (without and, from N = 6, with a
-        centre ion) take the next restart slots, because they carry the
-        small-crystal ground states the lattice seed misses.  The
-        remaining restarts add uniform jitter of ``_JITTER_FRACTION`` of
-        the seed spacing to the first seed.
-    restarts : int
-        Number of seeded relaxations (at least one).
-    rng_seed : int
-        Seed for the jitter generator, for reproducible output.
-
-    The gradient tolerance ``_TOL`` (max-abs component) and the
-    per-restart iteration cap ``_MAX_ITER`` are fixed.
+    The first seed is the ideal triangular lattice; for N = 2..9 one or
+    two ring seeds (without and, from N = 6, with a centre ion) take the
+    next restart slots, because they carry the small-crystal ground states
+    the lattice seed misses.  The remaining restarts add uniform jitter of
+    ``_JITTER_FRACTION`` of the seed spacing to the lattice seed, drawn
+    from a generator seeded with ``rng_seed``.  The gradient tolerance
+    ``_TOL`` (max-abs component) and the per-restart iteration cap
+    ``_MAX_ITER`` are fixed.
 
     Returns
     -------
@@ -488,8 +472,6 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
 
     Raises
     ------
-    DegenerateSeed
-        If two seed positions coincide.
     NonConvergence
         If no restart reaches ``_TOL`` within ``_MAX_ITER`` iterations.
     """
@@ -497,21 +479,16 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
     if n == 1:
         return Crystal(np.zeros((1, 2)), config)
 
-    spacing = seed_spacing(n)
     rng = np.random.default_rng(rng_seed)
-    if seed is not None:
-        seeds = [_check_seed(seed, spacing)]
-    else:
-        seeds = [triangular_seed(n)]
-        if 2 <= n <= 9:
-            seeds.append(ring_seed(n, with_centre=False))
-            if n >= 6:
-                seeds.append(ring_seed(n, with_centre=True))
-    base = seeds[0]
-    jitter = _JITTER_FRACTION * spacing
-    while len(seeds) < restarts:
+    base = triangular_seed(n)
+    seeds = [base]
+    if 2 <= n <= 9:
+        seeds.append(ring_seed(n, with_centre=False))
+        if n >= 6:
+            seeds.append(ring_seed(n, with_centre=True))
+    jitter = _JITTER_FRACTION * seed_spacing(n)
+    while len(seeds) < _RESTARTS:
         seeds.append(base + rng.uniform(-jitter, jitter, size=base.shape))
-    seeds = seeds[:max(restarts, 1)]
 
     best = None
     for start in seeds:
@@ -527,20 +504,6 @@ def solve_equilibrium(config, seed=None, *, restarts=5, rng_seed=0):
             % (_TOL, _MAX_ITER))
 
     return Crystal(canonical_orientation(best[0]), config)
-
-
-def min_spacing_scan(n_values):
-    """Minimum dimensionless spacing u_min versus ion number.
-
-    Each N is solved with a generic trap (the dimensionless result is trap
-    independent).  Returns a list of (N, u_min) tuples.
-    """
-    results = []
-    for n in n_values:
-        cfg = TrapConfig(int(n), omega_r=2.0 * math.pi * 1e6,
-                         omega_z=2.0 * math.pi * 1e7)
-        results.append((int(n), solve_equilibrium(cfg).u_min))
-    return results
 
 
 @dataclass(frozen=True)
@@ -591,25 +554,24 @@ def fit_power_law(points, shift=0.0):
                        rms_log_residual=rms, shift=float(shift))
 
 
-def omega_r_for_spacing(n_ions, d_min, ion_mass=MASS_BE9,
-                        charge=ELEMENTARY_CHARGE, u_min=None):
-    """Radial trap frequency (rad/s) that gives minimum spacing ``d_min``.
+def omega_r_for_spacing(crystal, d_min):
+    """Radial trap frequency (rad/s) that gives ``crystal`` the minimum
+    spacing ``d_min`` (metres).
 
-    Inverts d_min = u_min(N) * ell(omega_r):
-    omega_r = sqrt(q^2 u_min^3 / (4 pi eps0 M d_min^3)).  Without ``u_min``
-    the N-ion equilibrium is solved for it.
+    Inverts d_min = u_min * ell(omega_r) with the crystal's u_min and its
+    trap's ion mass and charge:
+    omega_r = sqrt(q^2 u_min^3 / (4 pi eps0 M d_min^3)).  Raises
+    ValueError for a non-positive target or a single ion, which has no
+    spacing.
     """
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
-    if u_min is None:
-        cfg = TrapConfig(int(n_ions), omega_r=2.0 * math.pi * 1e6,
-                         omega_z=2.0 * math.pi * 1e7, ion_mass=ion_mass,
-                         charge=charge)
-        u_min = solve_equilibrium(cfg).u_min
+    u_min = crystal.u_min
     if not np.isfinite(u_min):
         raise ValueError("u_min is not finite (single ion has no spacing)")
-    return math.sqrt(COULOMB_CONSTANT * charge**2 * u_min**3
-                     / (ion_mass * d_min**3))
+    config = crystal.config
+    return math.sqrt(COULOMB_CONSTANT * config.charge**2 * u_min**3
+                     / (config.ion_mass * d_min**3))
 
 
 # ---------------------------------------------------------------------------

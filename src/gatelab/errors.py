@@ -13,10 +13,6 @@ class NonConvergence(GatelabError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class DegenerateSeed(GatelabError):
-    """Two seed positions coincide; the Coulomb term is singular there."""
-
-
 class InsufficientPoints(GatelabError):
     """Not enough (or invalid) data points for a fit."""
 

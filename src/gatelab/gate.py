@@ -50,14 +50,16 @@ def check_pair(pair, ion_count=None, name="pair"):
     index is an integer (numpy integers included), never a float.  Raises
     ValueError, its message led by ``name``, for anything else."""
     span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
+    got = pair
     try:
-        l, n = (operator.index(i) for i in pair)
-    except TypeError:
+        got = ", ".join(map(str, pair))
+        l, n = map(operator.index, pair)
+    except (TypeError, ValueError):  # not iterable, not two, not integers
         l = n = None
     if (l is None or l == n
             or span and not 0 <= min(l, n) <= max(l, n) < ion_count):
-        raise ValueError("%s needs two distinct ion indices%s, got %s, %s"
-                         % ((name, span) + tuple(pair)))
+        raise ValueError("%s needs two distinct ion indices%s, got %s"
+                         % (name, span, got))
     return l, n
 
 

@@ -446,7 +446,11 @@ def band_edge_optimum(result, band_top, window=2):
 
 @dataclass(frozen=True)
 class TableRow:
-    """One benchmark entry: a target pair in a given radial trap."""
+    """One benchmark entry: a target pair in a given radial trap.
+
+    ``mu_opt`` and ``max_amplitude`` are 0 when the scan of the entry has
+    no feasible point.
+    """
 
     rank: int
     pair: tuple

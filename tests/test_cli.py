@@ -259,7 +259,12 @@ class TestDeterminism:
         out = str(tmp_path / "out")
         assert cli.main(["optimize", "--config", config, "--out", out]) == 0
         assert len(reports) == 1
-        assert len(op.read_table(os.path.join(out, "table.tsv"))) == 4
+        rows = op.read_table(os.path.join(out, "table.tsv"))
+        assert len(rows) == 4
+        # every row has a feasible point, so none is reported
+        assert all(row.mu_opt > 0 for row in rows)
+        assert load_summary(out)["diagnostics"] == {
+            "table": {"infeasible_rows": []}}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)
@@ -446,6 +451,14 @@ class TestOptimizePairs:
         assert len(own) == 1
         assert list(own[0].pair) == summary["pair"]
         assert own[0].fidelity == summary["best_fidelity"]
+        # the bound leaves two rows at 0.2 MHz with no feasible point; the
+        # summary names them
+        infeasible = [(row.rank, list(row.pair)) for row in op.read_table(
+            out / "table.tsv") if row.mu_opt == 0]
+        assert infeasible == [(2, [0, 9]), (3, [0, 18])]
+        assert summary["diagnostics"]["table"]["infeasible_rows"] == [
+            {"rank": rank, "pair": pair, "omega_r_hz": 200000.0}
+            for rank, pair in infeasible]
 
     def test_report_uses_response_samples(self, tmp_path):
         # at N=19 a report built from the in-memory winner, not the file
@@ -495,9 +508,6 @@ table = yes
 pair_count = 3
 omega_r_table_hz = 0.5e6
 response_samples = 500
-schedule_file = sched.tsv
-output_dir = out dir
-cache_dir = cache
 seed = 4
 """
         config = cli.parse_config(write_config(tmp_path, text))
@@ -509,8 +519,7 @@ seed = 4
             tau_s=60e-6, segments=7, mu_grid_points=11, mu_below_hz=0.05e6,
             mu_above_hz=0.15e6, amplitude_bound_hz=1e6, table=True,
             pair_count=3, omega_r_table_hz=(0.5e6,), response_samples=500,
-            schedule_file="sched.tsv", output_dir="out dir",
-            cache_dir="cache", seed=4)
+            seed=4)
         assert config == want
         defaults = cli.RunConfig()
         for key in vars(want):
@@ -533,6 +542,26 @@ class TestConfigErrors:
         assert code == 2
         assert ("line %d" % lineno) in err
         assert "omega_rr_hz" in err
+
+    @pytest.mark.parametrize("key", ["output_dir", "cache_dir",
+                                     "schedule_file"])
+    def test_run_location_key_is_unknown(self, tmp_path, capsys, key):
+        # where a run reads and writes is set by --out, --cache and
+        # --schedule alone
+        text = BASE_CONFIG + "%s = somewhere\n" % key
+        code, err = self.run(tmp_path, capsys, text)
+        assert code == 2
+        assert ("line %d: unknown key '%s'" % (text.count("\n"), key)) in err
+
+    @pytest.mark.parametrize("out", ["", "a-file"])
+    def test_unusable_out_directory(self, tmp_path, capsys, out):
+        # an empty --out, or one naming a file, is a config error
+        (tmp_path / "a-file").write_text("")
+        config = write_config(tmp_path)
+        code = cli.main(["equilibrium", "--config", config, "--out",
+                         out and str(tmp_path / out)])
+        assert code == 2
+        assert "cannot create '--out' directory" in capsys.readouterr().err
 
     def test_missing_separator_line_number(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys,

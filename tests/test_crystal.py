@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gatelab import crystal as cr
 from gatelab import optimizer as op
-from gatelab.errors import DegenerateSeed, InsufficientPoints, NonConvergence
+from gatelab.errors import InsufficientPoints, NonConvergence
 
 
 def make_config(n, omega_r_hz=1e6, omega_z_hz=1e7, **kw):
@@ -61,6 +64,19 @@ class TestLengthScale:
         a = cr.length_scale(make_config(2, omega_r_hz=1e6))
         b = cr.length_scale(make_config(2, omega_r_hz=8e6))
         assert a / b == pytest.approx(8.0 ** (2 / 3), rel=1e-12)
+
+
+class TestConstants:
+    def test_import_leaves_scipy_constants_out(self):
+        # the package states e, h and eps0 itself, so no artifact follows
+        # the CODATA set of the installed scipy
+        src = os.path.dirname(os.path.dirname(cr.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gatelab; "
+             "sys.exit('scipy.constants' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSmallCrystals:
@@ -150,17 +166,19 @@ class TestCurvatureBlocks:
 
 class TestCanonicalisation:
     def test_rotation_invariance(self):
-        # Solving from a rotated seed must land on the same canonical frame.
+        # Relaxing from a rotated, shifted crystal must land on the same
+        # canonical frame.
         cfg = make_config(5)
         base = cr.solve_equilibrium(cfg)
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        seed = base.positions @ rot.T + 0.01
-        again = cr.solve_equilibrium(cfg, seed=seed, restarts=1)
-        assert np.allclose(np.sort(np.hypot(*again.positions.T)),
+        u, _, ok = cr._relax(base.positions @ rot.T + 0.01)
+        assert ok
+        again = cr.canonical_orientation(u)
+        assert np.allclose(np.sort(np.hypot(*again.T)),
                            np.sort(np.hypot(*base.positions.T)), atol=1e-8)
-        assert np.allclose(again.positions.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(again.mean(axis=0), 0.0, atol=1e-12)
 
     def test_centre_of_charge_at_origin(self):
         c = cr.solve_equilibrium(make_config(12))
@@ -226,8 +244,8 @@ class TestTieBreaks:
             assert op.default_pair_list(again, pair_count) == pairs
 
     def test_tied_restart_keeps_earliest(self, monkeypatch):
-        # restart 1 returns the relabelled minimum, restart 0 a point above
-        # it by ~1e-13 (relative): a tie, so restart 0 is kept
+        # restarts 1-4 return the relabelled minimum, restart 0 a point
+        # above it by ~1e-13 (relative): a tie, so restart 0 is kept
         cfg = make_config(19)
         best = cr.solve_equilibrium(cfg).positions
         perm = np.roll(np.arange(19), 1)
@@ -235,32 +253,22 @@ class TestTieBreaks:
             best.shape)
         gap = cr.potential_energy(above) / cr.potential_energy(best) - 1.0
         assert 1e-15 < gap < 1e-12
-        outputs = iter([above, best[perm]])
+        outputs = iter([above] + [best[perm]] * (cr._RESTARTS - 1))
         monkeypatch.setattr(cr, "_relax",
                             lambda u0: (next(outputs), 0.0, True))
-        got = cr.solve_equilibrium(cfg, restarts=2)
+        got = cr.solve_equilibrium(cfg)
+        assert next(outputs, None) is None  # every restart was relaxed
         assert np.allclose(got.positions, cr.canonical_orientation(above),
                            rtol=0, atol=1e-12)
 
 
 class TestSeeds:
-    def test_coincident_seed_rejected(self):
-        cfg = make_config(3)
-        seed = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DegenerateSeed):
-            cr.solve_equilibrium(cfg, seed=seed)
-
-    def test_explicit_seed_restarts(self):
-        # the jittered restarts of an explicit seed are reproducible and
-        # can only lower the energy the seed alone reaches
-        cfg = make_config(12)
-        seed = cr.triangular_seed(12) * 1.05
-        one = cr.solve_equilibrium(cfg, seed=seed, restarts=1)
-        a = cr.solve_equilibrium(cfg, seed=seed, restarts=3)
-        b = cr.solve_equilibrium(cfg, seed=seed, restarts=3)
-        assert np.array_equal(a.positions, b.positions)
-        assert a.energy == b.energy
-        assert a.energy <= one.energy
+    def test_restarts_never_raise_energy(self):
+        # the restarts can only lower the energy the first seed reaches,
+        # both compared in the canonical frame the solver returns
+        first, _, _ = cr._relax(cr.triangular_seed(12))
+        assert (cr.solve_equilibrium(make_config(12)).energy
+                <= cr.potential_energy(cr.canonical_orientation(first)))
 
     def test_triangular_seed_count_and_spacing(self):
         pos = cr.triangular_seed(19)
@@ -317,7 +325,8 @@ class TestScanAndFit:
             cr.fit_power_law([(1, 1.0), (19, 0.9), (37, 0.8)], shift=2.0)
 
     def test_min_spacing_scan(self):
-        out = cr.min_spacing_scan([2, 3])
+        out = [(n, cr.solve_equilibrium(make_config(n)).u_min)
+               for n in (2, 3)]
         assert out[0] == (2, pytest.approx(2.0 ** (1 / 3), rel=1e-10))
         assert out[1][1] == pytest.approx(3.0 ** (1 / 3), rel=1e-10)
 
@@ -327,14 +336,21 @@ class TestSpacingInversion:
         # Pick omega_r for a target d_min, then check the solved crystal.
         n = 7
         target = 20e-6
-        omega_r = cr.omega_r_for_spacing(n, target)
+        omega_r = cr.omega_r_for_spacing(cr.solve_equilibrium(make_config(n)),
+                                         target)
         cfg = cr.TrapConfig(n, omega_r=omega_r, omega_z=2 * math.pi * 1e7)
         c = cr.solve_equilibrium(cfg)
         assert c.spacing_metres() == pytest.approx(target, rel=1e-9)
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            cr.omega_r_for_spacing(7, -1e-6)
+            cr.omega_r_for_spacing(cr.solve_equilibrium(make_config(7)),
+                                   -1e-6)
+
+    def test_rejects_single_ion(self):
+        with pytest.raises(ValueError, match="single ion"):
+            cr.omega_r_for_spacing(cr.solve_equilibrium(make_config(1)),
+                                   20e-6)
 
 
 class TestSerialization:

@@ -568,7 +568,8 @@ class TestPairCheck:
         assert type(gt.check_pair((np.int64(2), 0))[0]) is int
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (-1, 3),
-                                      (0, 1.7), (0, 1.0), (np.float64(2), 0)])
+                                      (0, 1.7), (0, 1.0), (np.float64(2), 0),
+                                      (0, 1, 2), (0,), 5, None])
     def test_rejects_bad_pair(self, pair):
         with pytest.raises(ValueError, match=r"^pair needs two distinct "
                                              r"ion indices in 0\.\.2"):

@@ -61,6 +61,10 @@ class TestOptimizationProblem:
         with pytest.raises(ValueError, match="pair needs two distinct"):
             op.OptimizationProblem(pair=pair, tau=1e-5)
 
+    def test_rejects_malformed_pair(self):
+        with pytest.raises(ValueError, match="^pair needs two distinct"):
+            op.OptimizationProblem(pair=5, tau=1e-5)
+
     def test_rejects_zero_segments(self):
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=1e-5, segment_count=0)
