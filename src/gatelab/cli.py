@@ -1,18 +1,19 @@
 """Command-line front end: one subcommand per study artifact.
 
 ``gatelab <equilibrium|scaling|modes|gate|optimize> --config <path>``
-with optional ``--out <dir>`` (default ``gatelab-out``), ``--cache <dir>``
-(no cache without it) and ``--seed <int>``; the gate subcommand also needs
-``--schedule <path>``.  Where a run reads and writes is set by these flags
-alone.
+with optional ``--out <dir>`` (default ``gatelab-out``) and ``--cache
+<dir>`` (no cache without it); ``gate`` also needs ``--schedule <path>``,
+whose target pair a ``pair`` key may repeat but not contradict.  These
+flags alone set where a run reads and writes; the config alone sets its
+numbers, the restart ``seed`` included.
 
 A flat ``key = value`` config file drives every subcommand; unknown or
-malformed keys are rejected with their line number.  Every run emits tab
-separated tables with '#' header metadata plus a deterministic
-``summary.json``; identical config and seed give byte-identical files at
-a fixed BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS=1``): the crystal
-solve rounds differently with another thread count, and every artifact
-downstream of it follows.
+malformed keys are rejected with their line number, and a design key
+left out takes the library's default.  Every run emits tab separated
+tables with '#' header metadata plus a deterministic ``summary.json``;
+an identical config gives byte-identical files at a fixed BLAS thread
+count (e.g. ``OPENBLAS_NUM_THREADS=1``): the crystal solve rounds
+differently at another, and every artifact downstream of it follows.
 Solved crystals can be cached (``--cache``) and are re-dressed for the
 requested trap on reuse, which is exact because the dimensionless planar
 equilibrium depends only on the ion count.  Only an entry's positions and
@@ -27,7 +28,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,22 +58,22 @@ class RunConfig:
     omega_z_hz: float = 0.0
     ion_mass_kg: float = cr.MASS_BE9
     charge_c: float = cr.ELEMENTARY_CHARGE
-    nbar: float = 0.1
+    nbar: float = cr.NBAR
     n_series: tuple[int, ...] = cr.CLOSED_SHELL_SERIES
     stability_n_series: tuple[int, ...] = (7, 19, 37, 61, 91, 127)
     beta_values: tuple[float, ...] = ()
     dmin_targets_m: tuple[float, ...] = (5e-6, 20e-6)
     pair: tuple[int, ...] = ()
     tau_s: float = 50e-6
-    segments: int = 5
-    mu_grid_points: int = 301
-    mu_below_hz: float = 0.1e6
-    mu_above_hz: float = 0.2e6
+    segments: int = op.SEGMENT_COUNT
+    mu_grid_points: int = op.MU_GRID_POINTS
+    mu_below_hz: float = op.MU_BELOW_HZ
+    mu_above_hz: float = op.MU_ABOVE_HZ
     amplitude_bound_hz: float = 0.0
     table: bool = False
-    pair_count: int = 10
+    pair_count: int = op.PAIR_COUNT
     omega_r_table_hz: tuple[float, ...] = (0.2e6, 1.0e6)
-    response_samples: int = 2000
+    response_samples: int = gt.RESPONSE_SAMPLES
     seed: int = 0
 
 
@@ -183,19 +184,17 @@ def _check_pair(pair, ion_count):
         raise ConfigError(str(exc))
 
 
-def trap_config(config, ion_count=None):
+def trap_config(config, ion_count):
     return cr.TrapConfig(
-        ion_count if ion_count is not None else config.ion_count,
-        omega_r=TWO_PI * config.omega_r_hz,
-        omega_z=TWO_PI * config.omega_z_hz,
-        ion_mass=config.ion_mass_kg, charge=config.charge_c,
-        temperature_nbar=config.nbar)
+        ion_count, omega_r=TWO_PI * config.omega_r_hz,
+        omega_z=TWO_PI * config.omega_z_hz, ion_mass=config.ion_mass_kg,
+        charge=config.charge_c, temperature_nbar=config.nbar)
 
 
 # ---------------------------------------------------------------------------
 # crystal cache
 
-def cached_crystal(config, cache_dir, ion_count=None):
+def cached_crystal(config, cache_dir, ion_count):
     """Solve (or reload) the equilibrium for ``ion_count`` ions.
 
     The cache key is (ion count, seed): the dimensionless pattern depends
@@ -208,8 +207,7 @@ def cached_crystal(config, cache_dir, ion_count=None):
     trap = trap_config(config, ion_count)
     if cache_dir:
         path = os.path.join(
-            cache_dir, "crystal-n%d-seed%d.tsv" % (trap.ion_count,
-                                                   config.seed))
+            cache_dir, "crystal-n%d-seed%d.tsv" % (ion_count, config.seed))
         try:
             return cr.with_trap(cr.read_crystal(path), trap)
         except (OSError, KeyError, IndexError, ValueError):
@@ -272,7 +270,7 @@ def read_positions(path):
 
 def cmd_equilibrium(config, out_dir, cache_dir, args):
     _require(config, "ion_count", "omega_r_hz", "omega_z_hz")
-    crystal = cached_crystal(config, cache_dir)
+    crystal = cached_crystal(config, cache_dir, config.ion_count)
     crystal_path = os.path.join(out_dir, "crystal.tsv")
     positions_path = os.path.join(out_dir, "positions.tsv")
     cr.write_crystal(crystal, crystal_path)
@@ -298,7 +296,7 @@ def cmd_scaling(config, out_dir, cache_dir, args):
     crystals = {n: cached_crystal(config, cache_dir, n)
                 for n in config.n_series}
     points = [(n, crystals[n].u_min) for n in config.n_series]
-    ell = cr.length_scale(trap_config(config, ion_count=1))
+    ell = cr.length_scale(trap_config(config, 1))
     spacing_rows = [[str(n), fmt(u), fmt(u * ell)] for n, u in points]
     meta = [("omega_r_hz", fmt(config.omega_r_hz))]
     fit = None
@@ -338,7 +336,7 @@ def cmd_modes(config, out_dir, cache_dir, args):
     flagged = []
     files = []
     summary = {"command": "modes", "ion_count": config.ion_count}
-    crystal = cached_crystal(config, cache_dir)
+    crystal = cached_crystal(config, cache_dir, config.ion_count)
     try:
         spectrum = md.axial_spectrum(crystal)
         md.write_spectrum(spectrum, os.path.join(out_dir, "spectrum.tsv"))
@@ -417,10 +415,13 @@ def cmd_gate(config, out_dir, cache_dir, args):
     pair = schedule.target_pair or config.pair
     if not pair:
         raise ConfigError("schedule has no target pair; set 'pair'")
+    if config.pair and pair != config.pair:
+        raise ConfigError("'pair' = %d, %d conflicts with the schedule's "
+                          "target pair %d, %d" % (config.pair + pair))
     pair = _check_pair(pair, config.ion_count)
-    crystal = cached_crystal(config, cache_dir)
+    crystal = cached_crystal(config, cache_dir, config.ion_count)
     spectrum = md.axial_spectrum(crystal)
-    report = gt.gate_report(schedule, spectrum, pair, nbar=config.nbar,
+    report = gt.gate_report(schedule, spectrum, pair,
                             samples=config.response_samples)
     gt.write_report(report, os.path.join(out_dir, "report.tsv"))
     summary = {
@@ -445,7 +446,7 @@ def cmd_optimize(config, out_dir, cache_dir, args):
             config.mu_above_hz), omega_z)
     except ValueError as exc:
         raise ConfigError("'mu_below_hz' and 'mu_above_hz': %s" % exc)
-    crystal = cached_crystal(config, cache_dir)
+    crystal = cached_crystal(config, cache_dir, config.ion_count)
     spectrum = md.axial_spectrum(crystal)
     try:  # every pair the run needs, picked before any output
         pairs = op.default_pair_list(
@@ -458,7 +459,7 @@ def cmd_optimize(config, out_dir, cache_dir, args):
              if config.amplitude_bound_hz > 0 else None)
     problem = op.OptimizationProblem(
         pair=pair, tau=config.tau_s, segment_count=config.segments,
-        mu_grid=grid, nbar=config.nbar, amplitude_bound=bound)
+        mu_grid=grid, amplitude_bound=bound)
     result = op.detuning_scan(spectrum, problem)
     op.write_scan(result, os.path.join(out_dir, "scan.tsv"))
     files = ["scan.tsv"]
@@ -475,8 +476,7 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         schedule_path = os.path.join(out_dir, "best_schedule.tsv")
         gt.write_schedule(result.best_schedule, schedule_path)
         report = gt.gate_report(gt.read_schedule(schedule_path), spectrum,
-                                pair, nbar=config.nbar,
-                                samples=config.response_samples)
+                                pair, samples=config.response_samples)
         gt.write_report(report, os.path.join(out_dir, "best_report.tsv"))
         files += ["best_schedule.tsv", "best_report.tsv"]
         edge = op.band_edge_optimum(result, spectrum.frequencies.max())
@@ -493,10 +493,8 @@ def cmd_optimize(config, out_dir, cache_dir, args):
     else:
         code = 3
     if config.table:
-        rows = op.table_one(
-            crystal, problem, pairs,
-            omega_r_values=tuple(TWO_PI * v
-                                 for v in config.omega_r_table_hz))
+        rows = op.table_one(crystal, problem, pairs, [
+            TWO_PI * v for v in config.omega_r_table_hz])
         op.write_table(rows, os.path.join(out_dir, "table.tsv"))
         files.append("table.tsv")
         summary["diagnostics"] = {"table": {"infeasible_rows": [
@@ -538,8 +536,6 @@ def build_parser():
         p.add_argument("--cache", default="",
                        help="crystal cache directory (unset disables "
                             "caching)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="solver restart seed (overrides config)")
         if name == "gate":
             p.add_argument("--schedule", default="",
                            help="pulse schedule file")
@@ -550,10 +546,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("'--seed' must be non-negative")
-            config = replace(config, seed=args.seed)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -42,6 +42,7 @@ HBAR = 6.62607015e-34 / (2.0 * math.pi)  # J s
 VACUUM_PERMITTIVITY = 8.8541878188e-12   # F / m
 COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * VACUUM_PERMITTIVITY)  # N m^2 / C^2
 MASS_BE9 = 1.4965e-26                    # kg, 9Be+ (default ion)
+NBAR = 0.1  # default mean thermal occupation of every axial mode
 
 # Centred hexagonal ("closed shell") ion numbers: 1 + 3 k (k + 1).
 CLOSED_SHELL_SERIES = (7, 19, 37, 61, 91, 127, 169, 217)
@@ -80,7 +81,7 @@ class TrapConfig:
     omega_z: float
     ion_mass: float = MASS_BE9
     charge: float = ELEMENTARY_CHARGE
-    temperature_nbar: object = 0.1
+    temperature_nbar: object = NBAR
 
     def __post_init__(self):
         if int(self.ion_count) != self.ion_count or self.ion_count < 1:
@@ -392,7 +393,7 @@ def triangular_seed(n_ions):
     return np.column_stack([x[take], y[take]])
 
 
-def ring_seed(n_ions, with_centre=False):
+def ring_seed(n_ions, with_centre):
     """All ions on one ring (optionally one at the centre), at the radius
     where the ring is in radial force balance."""
     n_ring = n_ions - 1 if with_centre else n_ions
@@ -513,7 +514,7 @@ class PowerLawFit:
     prefactor: float
     exponent: float
     rms_log_residual: float
-    shift: float = 0.0
+    shift: float
 
     def evaluate(self, n):
         return self.prefactor * (np.asarray(n, dtype=float) - self.shift) ** self.exponent

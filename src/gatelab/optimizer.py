@@ -40,6 +40,12 @@ from .modes import axial_spectrum
 from ._textio import fmt, read_rows, write_rows
 
 PHASE_TARGET = np.pi / 4.0
+# the paper's design defaults: detuning grid, segments, benchmark pairs
+MU_GRID_POINTS = 301
+MU_BELOW_HZ, MU_ABOVE_HZ = 0.1e6, 0.2e6
+SEGMENT_COUNT = 5
+PAIR_COUNT = 10
+_EDGE_WINDOW = 2  # grid steps a band-edge maximum is not exceeded within
 
 # weights c_i of the four overlap factors in the locked fidelity
 _BRANCH_COEFFS = np.array([1.0, 1.0, 0.5, 0.5])
@@ -64,15 +70,14 @@ class OptimizationProblem:
     """One gate-design task: which pair, how long, how many segments.
 
     ``tau`` is positive and finite.  ``mu_grid`` (rad/s) holds finite
-    detunings and defaults to 301 points spanning
-    [omega_z - 2 pi 0.1 MHz, omega_z + 2 pi 0.2 MHz].  ``nbar`` defaults to
-    the trap config occupation.  ``amplitude_bound`` (rad/s) optionally
+    detunings and defaults to :func:`default_mu_grid`.  ``nbar`` defaults
+    to the trap config occupation.  ``amplitude_bound`` (rad/s) optionally
     caps max_p |Omega_p|: the seed and every ascent step must respect it.
     """
 
     pair: tuple
     tau: float
-    segment_count: int = 5
+    segment_count: int = SEGMENT_COUNT
     mu_grid: np.ndarray = None
     nbar: object = None
     amplitude_bound: float = None
@@ -131,7 +136,8 @@ class OptimizationResult:
         return float(self.mu_grid[self.best_index]) if self.feasible else None
 
 
-def default_mu_grid(omega_z, points=301, below_hz=0.1e6, above_hz=0.2e6):
+def default_mu_grid(omega_z, points=MU_GRID_POINTS, below_hz=MU_BELOW_HZ,
+                    above_hz=MU_ABOVE_HZ):
     """Detuning grid bracketing the axial band edge at omega_z."""
     return np.linspace(omega_z - TWO_PI * below_hz,
                        omega_z + TWO_PI * above_hz, points)
@@ -380,27 +386,25 @@ def _scan(spectrum, problem):
         best_index=best if feasible else -1, best_schedule=schedule), status
 
 
-def solve_amplitudes(spectrum, pair, tau, segments, mu, nbar=None,
-                     amplitude_bound=None):
-    """Best phase-locked segment amplitudes at a fixed detuning.
+def solve_amplitudes(spectrum, problem):
+    """Best phase-locked segment amplitudes at the detuning of a
+    one-point ``problem``: its scan, on the path of :func:`detuning_scan`.
 
     The generalized-eigenvector seed, raised by the reweighted ascent of
-    the module docstring and rescaled so |phase| is pi/4: the one-point
-    scan of a checked :class:`OptimizationProblem`, on the path of
-    :func:`detuning_scan`.  Returns (schedule, fidelity).  Raises
-    ValueError, before any kernel is built, for a problem a scan rejects;
+    the module docstring and rescaled so |phase| is pi/4.  Returns
+    (schedule, fidelity), the fidelity :func:`gate.gate_fidelity` as in
+    :func:`gate.gate_report`.  Raises ValueError, before any kernel is
+    built, for a grid of another size or a problem a scan rejects;
     IndefiniteKernel when no drive direction produces any conditional phase
     at this detuning (or none within the amplitude bound), and LinAlgError
-    when the residual form is not positive definite.  ``nbar`` defaults to
-    the per-mode occupations of the trap config, and the fidelity is
-    :func:`gate.gate_fidelity`, as in :func:`gate.gate_report`.
+    when the residual form is not positive definite.
     """
-    result, status = _scan(spectrum, OptimizationProblem(
-        pair=pair, tau=tau, segment_count=segments, mu_grid=[mu], nbar=nbar,
-        amplitude_bound=amplitude_bound))
+    if problem.mu_grid is None or problem.mu_grid.size != 1:
+        raise ValueError("solve_amplitudes needs a one-point mu_grid")
+    result, status = _scan(spectrum, problem)
     if not result.feasible:
         kind, message = _FAILURES[status[0]]
-        raise kind("%s at mu = %.6g rad/s" % (message, mu))
+        raise kind("%s at mu = %.6g rad/s" % (message, problem.mu_grid[0]))
     return result.best_schedule, result.best_fidelity
 
 
@@ -417,7 +421,7 @@ def detuning_scan(spectrum, problem):
     return _scan(spectrum, problem)[0]
 
 
-def band_edge_optimum(result, band_top, window=2):
+def band_edge_optimum(result, band_top):
     """Index of the first local fidelity maximum above the mode band.
 
     Detunings below the highest mode frequency sit inside the dense phonon
@@ -427,15 +431,16 @@ def band_edge_optimum(result, band_top, window=2):
     natural operating point to quote for a gate working close to the
     uniform mode.  ``band_top`` is the highest mode frequency in rad/s.  A
     point is a local maximum when its fidelity is positive and not exceeded
-    within ``window`` grid steps; the one with the smallest detuning above
-    ``band_top`` is taken (the grid need not be ascending).  Falls back to
-    the scan's best index when no local maximum lies above the band.
+    within ``_EDGE_WINDOW`` grid steps; the one with the smallest detuning
+    above ``band_top`` is taken (the grid need not be ascending), else the
+    scan's best index.
     """
     grid = result.mu_grid
     fid = result.fidelities
+    w = _EDGE_WINDOW
     candidates = [i for i in range(fid.size)
                   if grid[i] > band_top and fid[i] > 0.0
-                  and fid[i] >= fid[max(0, i - window):i + window + 1].max()]
+                  and fid[i] >= fid[max(0, i - w):i + w + 1].max()]
     if not candidates:
         return result.best_index
     return min(candidates, key=lambda i: grid[i])
@@ -461,7 +466,7 @@ class TableRow:
     max_amplitude: float
 
 
-def default_pair_list(crystal, count=10):
+def default_pair_list(crystal, count=PAIR_COUNT):
     """Pairs of strictly increasing separation anchored at the centre.
 
     The anchor is the ion nearest the crystal centre; partners are drawn
@@ -504,16 +509,16 @@ def default_pair_list(crystal, count=10):
     return pairs
 
 
-def table_one(crystal, problem, pairs,
-              omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6)):
+def table_one(crystal, problem, pairs, omega_r_values):
     """Benchmark gate design across pair separations and radial traps.
 
     Each entry scans ``problem`` (duration, segments, grid, nbar, bound)
-    with its pair replaced by one of ``pairs``.  Returns a list of
-    TableRow, ordered by radial frequency then the order of ``pairs``.  The
-    planar pattern is independent of the radial frequency, so ``crystal``
-    is re-dressed (exactly) for each trap; separations in metres scale with
-    the trap length scale.  omega_z and the ion species come from
+    with its pair replaced by one of ``pairs``, in each radial trap of
+    ``omega_r_values`` (rad/s).  Returns a list of TableRow, ordered by
+    radial frequency then the order of ``pairs``.  The planar pattern is
+    independent of the radial frequency, so ``crystal`` is re-dressed
+    (exactly) for each trap; separations in metres scale with the trap
+    length scale.  omega_z and the ion species come from
     ``crystal.config``.
     """
     rows = []

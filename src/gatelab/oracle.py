@@ -309,16 +309,12 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
         peak_top_population=peak_top_population, step_count=steps)
 
 
-def _reduced_qubit_state(state, nbar=None):
-    """4x4 spin density matrix after tracing the thermal motion.
+def _reduced_qubit_state(state, nbar):
+    """4x4 spin density matrix after tracing the thermal motion at ``nbar``.
 
     rho[b, b'] = 1/4 prod_k sum_n p_n (U_{b',k}^dag U_{b,k})[n, n].
     """
-    if nbar is None:
-        nbar_arr = state.nbar
-    else:
-        nbar_arr = np.broadcast_to(np.asarray(nbar, dtype=float),
-                                   (state.mode_count,))
+    nbar_arr = np.broadcast_to(nbar, (state.mode_count,))
     rho = 0.25 * np.ones((4, 4), dtype=complex)
     for k, u_modes in enumerate(state.propagators):
         dim = u_modes.shape[-1]
@@ -338,5 +334,6 @@ def _qubit_fidelity(rho):
 
 def fidelity_from_state(state, nbar=None):
     """Gate fidelity against the pi/4 conditional phase, by direct trace
-    over the evolved truncated state."""
-    return _qubit_fidelity(_reduced_qubit_state(state, nbar=nbar))
+    over the evolved truncated state; ``nbar`` defaults to the state's."""
+    return _qubit_fidelity(_reduced_qubit_state(
+        state, state.nbar if nbar is None else nbar))

@@ -266,13 +266,22 @@ class TestDeterminism:
         assert load_summary(out)["diagnostics"] == {
             "table": {"infeasible_rows": []}}
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        config = write_config(tmp_path, BASE_CONFIG)
+    def test_seed_is_set_by_the_config(self, tmp_path, capsys):
+        # the config key names the cache entry and reaches the summary;
+        # there is no --seed flag beside it
+        config = write_config(tmp_path, BASE_CONFIG + "seed = 3\n")
         out = str(tmp_path / "seeded")
+        cache = tmp_path / "cache"
         code = cli.main(["equilibrium", "--config", config, "--out", out,
-                         "--seed", "3"])
+                         "--cache", str(cache)])
         assert code == 0
         assert load_summary(out)["seed"] == 3
+        assert os.listdir(cache) == ["crystal-n7-seed3.tsv"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["equilibrium", "--config", config, "--out", out,
+                      "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def _drop_last_rows(path):
@@ -403,6 +412,36 @@ class TestPairValidation:
         err = capsys.readouterr().err
         assert "config error" in err and "'pair'" in err
 
+    @pytest.mark.parametrize("pair_line, target_pair, expected", [
+        ("pair = 1, 2", (0, 3), None), ("pair = 0, 3", (0, 3), [0, 3]),
+        ("", (0, 3), [0, 3]), ("pair = 1, 2", None, [1, 2])],
+        ids=["conflict", "agree", "schedule-only", "key-only"])
+    def test_gate_pair_stated_twice_must_agree(self, tmp_path, capsys,
+                                               pair_line, target_pair,
+                                               expected):
+        # a pair key that names another pair than the schedule's is a
+        # config error naming both, not silently overridden
+        config = write_config(tmp_path, BASE_CONFIG.replace(
+            "pair = 0, 3", pair_line))
+        schedule = gt.PulseSchedule.uniform(
+            50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6]),
+            2 * math.pi * 10.04e6, target_pair=target_pair)
+        path = str(tmp_path / "schedule.tsv")
+        gt.write_schedule(schedule, path)
+        out = tmp_path / "out"
+        code = cli.main(["gate", "--config", config, "--out", str(out),
+                         "--schedule", path])
+        if expected is None:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert ("config error: 'pair' = 1, 2 conflicts with the "
+                    "schedule's target pair 0, 3") in err
+            assert not (out / "report.tsv").exists()
+        else:
+            assert code == 0
+            assert load_summary(out)["pair"] == expected
+            assert gt.read_report(out / "report.tsv").pair == tuple(expected)
+
 
 class TestOptimizePairs:
     """optimize picks every pair it needs before it writes anything."""
@@ -414,7 +453,8 @@ class TestOptimizePairs:
             "ion_count = 7", "ion_count = 37").replace("pair = 0, 3\n", ""))
         out = str(tmp_path / "out")
         assert cli.main(["optimize", "--config", config, "--out", out]) == 0
-        crystal = cli.cached_crystal(cli.parse_config(config), "")
+        run = cli.parse_config(config)
+        crystal = cli.cached_crystal(run, "", run.ion_count)
         expected = op.default_pair_list(crystal, 1)[0]
         assert tuple(load_summary(out)["pair"]) == expected
 
@@ -460,6 +500,44 @@ class TestOptimizePairs:
             {"rank": rank, "pair": pair, "omega_r_hz": 200000.0}
             for rank, pair in infeasible]
 
+    def test_library_defaults(self, tmp_path, monkeypatch):
+        # a config without grid, segment, pair_count or nbar keys runs the
+        # library's default problem; nbar is stated once, in the trap
+        seen = {}
+        scan = op.detuning_scan
+
+        def scanning(spectrum, problem):
+            seen["spectrum"], seen["problem"] = spectrum, problem
+            return scan(spectrum, problem)
+
+        def table(crystal, problem, pairs, omega_r_values):
+            seen["pairs"] = pairs
+            return []  # the table's own scans are tested elsewhere
+
+        monkeypatch.setattr(op, "detuning_scan", scanning)
+        monkeypatch.setattr(op, "table_one", table)
+        config = write_config(tmp_path, "ion_count = 91\nomega_r_hz = 0.2e6\n"
+                                        "omega_z_hz = 10e6\ntable = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", config,
+                         "--out", str(out)]) == 0
+        problem, spectrum = seen["problem"], seen["spectrum"]
+        grid = op.default_mu_grid(2 * math.pi * 10e6)
+        assert problem.mu_grid.tobytes() == grid.tobytes()
+        assert problem.segment_count == op.SEGMENT_COUNT == 5
+        assert problem.nbar is None
+        trap = cr.TrapConfig(91, omega_r=1.0, omega_z=1.0)
+        assert spectrum.config.temperature_nbar == trap.temperature_nbar
+        assert len(seen["pairs"]) == op.PAIR_COUNT == 10
+        crystal = cr.with_trap(cr.solve_equilibrium(trap), spectrum.config)
+        assert seen["pairs"] == op.default_pair_list(crystal)
+        # the report's response holds gate_report's default samples
+        report = gt.gate_report(gt.read_schedule(out / "best_schedule.tsv"),
+                                spectrum, tuple(load_summary(out)["pair"]))
+        assert np.array_equal(
+            gt.read_report(out / "best_report.tsv").response_peak,
+            report.response_peak)
+
     def test_report_uses_response_samples(self, tmp_path):
         # at N=19 a report built from the in-memory winner, not the file
         # as written, differs in the last digits
@@ -474,7 +552,8 @@ class TestOptimizePairs:
         assert ((gate_out / "report.tsv").read_bytes()
                 == (out / "best_report.tsv").read_bytes())
         run = cli.parse_config(config)
-        spectrum = md.axial_spectrum(cli.cached_crystal(run, ""))
+        spectrum = md.axial_spectrum(cli.cached_crystal(run, "",
+                                                        run.ion_count))
         schedule = gt.read_schedule(out / "best_schedule.tsv")
         peak = gt.read_report(out / "best_report.tsv").response_peak
         for samples, same in ((500, True), (2000, False)):

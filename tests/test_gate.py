@@ -602,7 +602,8 @@ class TestPairCheck:
         monkeypatch.setattr(gt, "_pair_kernels", refuse)
         monkeypatch.setattr(gt, "partial_drive_integrals", refuse)
         with pytest.raises(ValueError, match="pair needs two distinct"):
-            getattr(gt, entry)(sched, spec, pair)
+            getattr(gt, entry)(sched, spec, pair,
+                               samples=gt.RESPONSE_SAMPLES)
 
 
 class TestResponseProfile:
@@ -615,7 +616,7 @@ class TestResponseProfile:
         spec = self.make_spec(5)
         sched = gt.PulseSchedule.uniform(
             20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
-        peak = gt.response_profile(sched, spec, (0, 1))
+        peak = gt.response_profile(sched, spec, (0, 1), gt.RESPONSE_SAMPLES)
         normalized = gt.gate_report(sched, spec, (0, 1)).response_normalized
         assert normalized.max() >= 1.0 - 1e-12
         assert max(normalized[0], normalized[1]) == pytest.approx(
@@ -635,14 +636,15 @@ class TestResponseProfile:
 
     def test_gate_report_defaults_carry_response(self):
         # a report built with every default still holds one response entry
-        # per ion, the profile of response_profile at its default samples
+        # per ion, the profile of response_profile at the report's default
+        # samples
         spec = self.make_spec(5)
         sched = gt.PulseSchedule.uniform(
             20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
         report = gt.gate_report(sched, spec, (0, 1))
         assert report.response_peak.shape == (5,)
         assert report.response_normalized.shape == (5,)
-        peak = gt.response_profile(sched, spec, (0, 1))
+        peak = gt.response_profile(sched, spec, (0, 1), gt.RESPONSE_SAMPLES)
         assert np.array_equal(report.response_peak, peak)
         assert np.array_equal(report.response_normalized,
                               peak / max(peak[0], peak[1]))

@@ -37,6 +37,12 @@ def small_grid(points=21, below=0.05e6, above=0.06e6):
     return np.linspace(WZ - TWO_PI * below, WZ + TWO_PI * above, points)
 
 
+def one_point(pair, mu, **options):
+    """The one-point problem of a 50 us, 5-segment drive at ``mu``."""
+    return op.OptimizationProblem(pair=pair, tau=50e-6, segment_count=5,
+                                  mu_grid=[mu], **options)
+
+
 @pytest.fixture
 def no_kernels(monkeypatch):
     """Fail the test if a segment kernel is built."""
@@ -84,15 +90,14 @@ class TestSolveAmplitudes:
     MU = WZ + TWO_PI * 40e3
 
     def test_phase_rescale_exact(self, spectrum7):
-        sched, _ = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU)
+        sched, _ = op.solve_amplitudes(spectrum7, one_point((0, 1), self.MU))
         couplings = gt.drive_couplings(spectrum7)
         phi = gt.entangling_phase(sched, couplings,
                                   spectrum7.frequencies, (0, 1))
         assert abs(abs(phi) - np.pi / 4) < 1e-10
 
     def test_fidelity_matches_report(self, spectrum7):
-        sched, fid = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
-                                         self.MU)
+        sched, fid = op.solve_amplitudes(spectrum7, one_point((0, 1), self.MU))
         report = gt.gate_report(sched, spectrum7, (0, 1), nbar=0.1)
         assert fid == report.fidelity
         assert 0.0 <= fid <= 1.0
@@ -118,8 +123,8 @@ class TestSolveAmplitudes:
         found, _, seed_fid, _, _ = op._extremal(
             self.forms(spectrum7), op._BRANCH_COEFFS[None, :])
         assert found[0]
-        _, polished = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
-                                          self.MU)
+        _, polished = op.solve_amplitudes(spectrum7,
+                                          one_point((0, 1), self.MU))
         assert polished >= seed_fid[0] - 1e-12
 
     def test_polish_keeps_vector_when_overlaps_underflow(self, spectrum7):
@@ -145,12 +150,12 @@ class TestSolveAmplitudes:
         forged = md.AxialSpectrum(frequencies=spectrum7.frequencies,
                                   modes=np.eye(n), config=spectrum7.config)
         with pytest.raises(IndefiniteKernel):
-            op.solve_amplitudes(forged, (0, 1), 50e-6, 5, self.MU)
+            op.solve_amplitudes(forged, one_point((0, 1), self.MU))
 
     def test_absurd_amplitude_bound_raises(self, spectrum7):
         with pytest.raises(IndefiniteKernel):
-            op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU,
-                                amplitude_bound=1e-30)
+            op.solve_amplitudes(spectrum7, one_point(
+                (0, 1), self.MU, amplitude_bound=1e-30))
 
     @pytest.mark.parametrize("nbar", [-1.0, -0.4, np.nan])
     def test_bad_nbar_rejected_before_kernels(self, spectrum7, monkeypatch,
@@ -162,8 +167,8 @@ class TestSolveAmplitudes:
 
         monkeypatch.setattr(op, "_pair_kernels", no_kernels)
         with pytest.raises(NegativeOccupation):
-            op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU,
-                                nbar=nbar)
+            op.solve_amplitudes(spectrum7,
+                                one_point((0, 1), self.MU, nbar=nbar))
         problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
                                          mu_grid=small_grid(11), nbar=nbar)
         with pytest.raises(NegativeOccupation):
@@ -181,13 +186,23 @@ class TestSolveAmplitudes:
                                                  pair, tau, segments, mu):
         # the one-point solve checks its problem as a scan does
         with pytest.raises(ValueError):
-            op.solve_amplitudes(spectrum7, pair, tau, segments, mu)
+            op.solve_amplitudes(spectrum7, op.OptimizationProblem(
+                pair=pair, tau=tau, segment_count=segments, mu_grid=[mu]))
+
+    @pytest.mark.parametrize("grid", [None, small_grid(2)],
+                             ids=["default-grid", "two-points"])
+    def test_grid_of_another_size_rejected(self, spectrum7, no_kernels,
+                                           grid):
+        problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
+                                         mu_grid=grid)
+        with pytest.raises(ValueError, match="one-point mu_grid"):
+            op.solve_amplitudes(spectrum7, problem)
 
     def test_bound_respected_when_loose(self, spectrum7):
-        sched, _ = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5, self.MU)
+        sched, _ = op.solve_amplitudes(spectrum7, one_point((0, 1), self.MU))
         bound = 2.0 * sched.max_amplitude
-        capped, _ = op.solve_amplitudes(spectrum7, (0, 1), 50e-6, 5,
-                                        self.MU, amplitude_bound=bound)
+        capped, _ = op.solve_amplitudes(spectrum7, one_point(
+            (0, 1), self.MU, amplitude_bound=bound))
         assert capped.max_amplitude <= bound * (1 + 1e-12)
 
 
@@ -315,7 +330,7 @@ class TestOneCodePath:
         solved = 0
         for i, mu in enumerate(grid):
             try:
-                sched, fid = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu)
+                sched, fid = op.solve_amplitudes(spectrum, one_point(pair, mu))
             except IndefiniteKernel:
                 assert status[i] in ("no-phase", "over-bound")
                 assert result.fidelities[i] == 0.0
@@ -333,8 +348,8 @@ class TestOneCodePath:
         assert solved == np.count_nonzero(result.fidelities)
         best = result.best_index
         assert result.best_schedule.mu == grid[best]
-        best_sched, _ = op.solve_amplitudes(spectrum, pair, 50e-6, 5,
-                                            grid[best])
+        best_sched, _ = op.solve_amplitudes(spectrum,
+                                            one_point(pair, grid[best]))
         assert np.array_equal(result.best_schedule.amplitudes,
                               best_sched.amplitudes)
 
@@ -384,8 +399,8 @@ class TestLockstep:
             if i == forged_point:
                 continue
             try:
-                sched, fid = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu,
-                                                 amplitude_bound=bound)
+                sched, fid = op.solve_amplitudes(spectrum, one_point(
+                    pair, mu, amplitude_bound=bound))
             except IndefiniteKernel as exc:
                 assert "amplitude bound" in str(exc)
                 assert status[i] == "over-bound"
@@ -478,7 +493,7 @@ class TestStationarity:
         h = 1e-6
         worst = 0.0
         for mu in op.default_mu_grid(WZ):
-            sched, _ = op.solve_amplitudes(spectrum, pair, 50e-6, 5, mu)
+            sched, _ = op.solve_amplitudes(spectrum, one_point(pair, mu))
             forms = op._grid_forms(spectrum, pair, times, [mu], 0.1, None)
             vec = sched.amplitudes / np.linalg.norm(sched.amplitudes)
             shifts = h * np.eye(vec.size)
@@ -500,18 +515,20 @@ def synthetic_result(fidelities, mu_lo=1.0, mu_hi=2.0):
 
 
 class TestSelectors:
-    def test_zero_fidelity_points_ignored(self):
+    def test_zero_fidelity_points_ignored(self, monkeypatch):
         # a failed point (fidelity 0) is never a local maximum, even where
         # nothing within the window exceeds it
+        monkeypatch.setattr(op, "_EDGE_WINDOW", 1)
         res = synthetic_result([0.0, 0.0, 0.5, 0.1, 0.0])
-        assert op.band_edge_optimum(res, 0.0, window=1) == 2
+        assert op.band_edge_optimum(res, 0.0) == 2
 
-    def test_band_edge_first_maximum_above(self):
+    def test_band_edge_first_maximum_above(self, monkeypatch):
+        monkeypatch.setattr(op, "_EDGE_WINDOW", 1)
         res = synthetic_result([0.9, 0.2, 0.5, 0.3, 0.8, 0.1])
         grid = res.mu_grid
         # window-1 peaks at 0, 2, 4; only those above the cut count
-        assert op.band_edge_optimum(res, grid[1], window=1) == 2
-        assert op.band_edge_optimum(res, grid[3], window=1) == 4
+        assert op.band_edge_optimum(res, grid[1]) == 2
+        assert op.band_edge_optimum(res, grid[3]) == 4
 
     def test_band_edge_falls_back_when_band_covers_grid(self):
         res = synthetic_result([0.9, 0.2, 0.5])
@@ -522,12 +539,13 @@ class TestSelectors:
         res = synthetic_result([0.1, 0.5, 0.5, 0.1])
         assert op.band_edge_optimum(res, 0.0) == 1
 
-    def test_band_edge_on_descending_grid(self):
+    def test_band_edge_on_descending_grid(self, monkeypatch):
         # the pick is the smallest detuning above the band, not the first
         # index: on a descending grid that is the last local maximum
+        monkeypatch.setattr(op, "_EDGE_WINDOW", 1)
         res = synthetic_result([0.1, 0.6, 0.2, 0.7, 0.1], mu_lo=2.0,
                                mu_hi=1.0)
-        assert op.band_edge_optimum(res, 0.0, window=1) == 3
+        assert op.band_edge_optimum(res, 0.0) == 3
 
 
 class TestDefaultPairList:
@@ -623,7 +641,7 @@ class TestTableOne:
                                          segment_count=5, mu_grid=grid)
         rows = op.table_one(crystal, problem,
                             op.default_pair_list(crystal, 3),
-                            omega_r_values=(TWO_PI * 0.2e6,))
+                            (TWO_PI * 0.2e6,))
         assert len(rows) == 3
         assert [r.rank for r in rows] == [1, 2, 3]
         seps = [r.separation_m for r in rows]

@@ -362,7 +362,7 @@ class TestInvariants:
         rng = np.random.default_rng(29)
         sched = random_schedule(rng, spec3)
         st = orc.evolve(sched, spec3, (1, 2), nbar=0.2)
-        rho = orc._reduced_qubit_state(st)
+        rho = orc._reduced_qubit_state(st, st.nbar)
         assert np.allclose(rho, np.conj(rho.T), atol=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         evals = np.linalg.eigvalsh(rho)

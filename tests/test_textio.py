@@ -36,8 +36,7 @@ def artifacts():
     table = op.table_one(
         crystal, op.OptimizationProblem(pair=(0, 3), tau=50e-6,
                                         segment_count=4, mu_grid=GRID),
-        op.default_pair_list(crystal, 1),
-        omega_r_values=(TWO_PI * 0.2e6, TWO_PI * 1.0e6))
+        op.default_pair_list(crystal, 1), (TWO_PI * 0.2e6, TWO_PI * 1.0e6))
     rows = ([("omega_r_hz", fmt(0.2e6)), ("fit_exponent", fmt(-1 / 7.0)),
              ("columns", "n\tu_min")],
             [["7", fmt(1 / 3.0)], ["19", fmt(2 / 7.0)]])
