@@ -28,8 +28,7 @@ print("target pair %s, separation %.2f um"
          * crystal.length_scale_ell * 1e6))
 
 problem = OptimizationProblem(pair=pair, tau=50e-6, segment_count=5,
-                              mu_grid=default_mu_grid(trap.omega_z),
-                              nbar=0.1)
+                              mu_grid=default_mu_grid(trap.omega_z))
 result = detuning_scan(spectrum, problem)
 
 print("\nscan of %d detunings around the band top (10 MHz):"
@@ -44,8 +43,7 @@ for label, idx in (("first window above the band", edge),
              result.fidelities[idx],
              result.max_amplitudes[idx] / (2 * math.pi) / 1e6))
 
-report = gate_report(result.best_schedule, spectrum, pair,
-                     nbar=problem.nbar)
+report = gate_report(result.best_schedule, spectrum, pair)
 print("\nwinning schedule:")
 print("  segment amplitudes (MHz):",
       np.round(result.best_schedule.amplitudes / (2 * math.pi) / 1e6, 4))

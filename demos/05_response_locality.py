@@ -22,11 +22,9 @@ spectrum = axial_spectrum(crystal)
 
 pair = default_pair_list(crystal)[8]
 problem = OptimizationProblem(pair=pair, tau=50e-6, segment_count=5,
-                              mu_grid=default_mu_grid(trap.omega_z),
-                              nbar=0.1)
+                              mu_grid=default_mu_grid(trap.omega_z))
 result = detuning_scan(spectrum, problem)
-report = gate_report(result.best_schedule, spectrum, pair,
-                     nbar=problem.nbar)
+report = gate_report(result.best_schedule, spectrum, pair)
 print("pair %s, best F = %.6f at mu/2pi = %.4f MHz"
       % (pair, result.best_fidelity, result.best_mu / (2 * math.pi) / 1e6))
 

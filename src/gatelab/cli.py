@@ -152,8 +152,10 @@ def parse_config(path):
     for key in _POSITIVE_KEYS + ("ion_count",):
         if key in values and not (values[key] > 0):
             raise ConfigError("'%s' must be positive" % key)
-    if config.nbar < 0:
-        raise ConfigError("'nbar' must be non-negative")
+    try:
+        cr.check_nbar(config.nbar)
+    except ValueError as exc:
+        raise ConfigError("'nbar': %s" % exc)
     if config.amplitude_bound_hz < 0:
         raise ConfigError("'amplitude_bound_hz' must be non-negative")
     if config.pair and len(config.pair) != 2:

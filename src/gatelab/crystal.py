@@ -12,18 +12,18 @@ The dimensionless potential of the planar configuration is
     E(u) = 1/2 sum_m |u_m|^2 + sum_{n<m} 1 / |u_n - u_m|,
 
 and equilibria solve grad E = 0.  The solver is a damped Newton iteration on
-that gradient (the curvature blocks double as the mode-analysis matrices),
-with ``_RESTARTS`` restarts seeded from an ideal triangular lattice; for
-N = 2..9 ring seeds take the first restart slots after the lattice.  Each
-step, damped or not, is one dense linear solve with the planar Hessian H: the
-Levenberg-Marquardt step solves (H^2 + mu I) s = -H g, which equals the
-eigenpair form of the damped step, and the final Newton steps solve H plus
-a rank-one lift of the rotation null direction.  It returns the
-lowest-energy stationary point among its restarts (the earliest restart
-among energies tied to 1e-12), which is not verified to be a minimum: the
-default N=91 and N=127 crystals are saddles.  The gradient tolerance,
-iteration cap, restart count and restart jitter are fixed module constants
-(``_TOL``, ``_MAX_ITER``, ``_RESTARTS``, ``_JITTER_FRACTION``).
+that gradient, with ``_RESTARTS`` restarts seeded from an ideal triangular
+lattice; for N = 2..9 ring seeds take the first restart slots after the
+lattice.  Each step, damped or not, is one dense linear solve with the
+planar Hessian H: the Levenberg-Marquardt step solves (H^2 + mu I) s = -H g,
+which equals the eigenpair form of the damped step, and the final Newton
+steps solve H plus a rank-one lift of the rotation null direction.  It
+returns the lowest-energy stationary point among its restarts (the
+earliest restart among energies tied to 1e-12), which is not verified to
+be a minimum: the default N=91 and N=127 crystals are saddles.  The
+gradient tolerance, iteration cap, restart count and restart jitter are
+fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
+``_JITTER_FRACTION``).
 """
 
 from dataclasses import dataclass, replace
@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .errors import InsufficientPoints, NonConvergence
+from .errors import InsufficientPoints, NegativeOccupation, NonConvergence
 from ._textio import fmt, read_rows, write_rows
 
 # Stated here rather than read from scipy.constants, whose CODATA set
@@ -67,13 +67,31 @@ def closed_shell_count(shells):
     return 1 + 3 * shells * (shells + 1)
 
 
+def check_nbar(nbar, mode_count=None):
+    """``nbar`` if finite and >= 0, the one statement of a valid thermal
+    occupation: one number, returned as a float, or with ``mode_count`` a
+    (mode_count,) float array from one number or one value per mode.
+    Raises NegativeOccupation, a ValueError, for anything else."""
+    try:
+        value = np.asarray(nbar, dtype=float)
+    except (TypeError, ValueError):
+        value = np.asarray(np.nan)
+    shape = () if mode_count is None else (mode_count,)
+    if (value.shape not in ((), shape)
+            or not np.all(np.isfinite(value) & (value >= 0.0))):
+        raise NegativeOccupation(
+            "nbar must be finite and >= 0, one number%s; got %s"
+            % (" or %d, one per mode" % mode_count if shape else "", nbar))
+    return float(value) if mode_count is None else np.full(shape, value)
+
+
 @dataclass(frozen=True)
 class TrapConfig:
     """Trap and ion parameters for one run.
 
     Frequencies are angular (rad/s).  ``temperature_nbar`` is the mean
-    thermal occupation used for gate fidelities; a scalar applies to all
-    modes, a sequence gives per-mode values.
+    thermal occupation of every axial mode: one number (see
+    :func:`check_nbar`).
     """
 
     ion_count: int
@@ -81,7 +99,7 @@ class TrapConfig:
     omega_z: float
     ion_mass: float = MASS_BE9
     charge: float = ELEMENTARY_CHARGE
-    temperature_nbar: object = NBAR
+    temperature_nbar: float = NBAR
 
     def __post_init__(self):
         if int(self.ion_count) != self.ion_count or self.ion_count < 1:
@@ -90,23 +108,13 @@ class TrapConfig:
         for name in ("omega_r", "omega_z", "ion_mass", "charge"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError("%s must be positive" % name)
-        nbar = np.atleast_1d(np.asarray(self.temperature_nbar, dtype=float))
-        if np.any(nbar < 0.0) or not np.all(np.isfinite(nbar)):
-            raise ValueError("temperature_nbar must be finite and >= 0")
+        object.__setattr__(self, "temperature_nbar",
+                           check_nbar(self.temperature_nbar))
 
     @property
     def beta(self):
         """Trap anisotropy omega_z / omega_r."""
         return self.omega_z / self.omega_r
-
-    def nbar_per_mode(self, n_modes):
-        """Thermal occupation as an array of length ``n_modes``."""
-        nbar = np.atleast_1d(np.asarray(self.temperature_nbar, dtype=float))
-        if nbar.size == 1:
-            return np.full(n_modes, float(nbar[0]))
-        if nbar.size != n_modes:
-            raise ValueError("temperature_nbar length does not match mode count")
-        return nbar.astype(float)
 
 
 def length_scale(config):
@@ -191,16 +199,10 @@ def potential_gradient(u):
 
 
 def curvature_blocks(u):
-    """Second-derivative blocks of the dimensionless potential.
-
-    Returns ``(xx, xy, yy, s3)`` where the first three are the in-plane
-    curvature blocks (in units of M omega_r^2) and ``s3[m, n] = 1/d_mn^3``
-    with zero diagonal, from which the axial block follows as
-    ``beta^2 I - diag(s3.sum(1)) + s3``.
-    """
+    """In-plane second-derivative blocks ``(xx, xy, yy)`` of the
+    dimensionless potential, in units of M omega_r^2."""
     n = u.shape[0]
     dx, dy, d = _pair_vectors(u)
-    inv3 = d ** -3.0
     inv5 = d ** -5.0
     txx = (2.0 * dx * dx - dy * dy) * inv5
     tyy = (2.0 * dy * dy - dx * dx) * inv5
@@ -213,13 +215,11 @@ def curvature_blocks(u):
     xx[idx, idx] = 1.0 + txx.sum(axis=1)
     yy[idx, idx] = 1.0 + tyy.sum(axis=1)
     xy[idx, idx] = txy.sum(axis=1)
-    s3 = inv3.copy()
-    s3[idx, idx] = 0.0
-    return xx, xy, yy, s3
+    return xx, xy, yy
 
 
 def _planar_hessian(u):
-    xx, xy, yy, _ = curvature_blocks(u)
+    xx, xy, yy = curvature_blocks(u)
     return np.block([[xx, xy], [xy, yy]])
 
 
@@ -562,11 +562,11 @@ def omega_r_for_spacing(crystal, d_min):
     Inverts d_min = u_min * ell(omega_r) with the crystal's u_min and its
     trap's ion mass and charge:
     omega_r = sqrt(q^2 u_min^3 / (4 pi eps0 M d_min^3)).  Raises
-    ValueError for a non-positive target or a single ion, which has no
-    spacing.
+    ValueError for a target that is not positive and finite, or a single
+    ion, which has no spacing.
     """
-    if d_min <= 0.0:
-        raise ValueError("d_min must be positive")
+    if not 0.0 < d_min < math.inf:
+        raise ValueError("d_min must be positive and finite")
     u_min = crystal.u_min
     if not np.isfinite(u_min):
         raise ValueError("u_min is not finite (single ion has no spacing)")
@@ -581,24 +581,22 @@ def omega_r_for_spacing(crystal, d_min):
 def trap_meta(config):
     """The trap block shared by the crystal and spectrum headers, as
     (key, value) pairs; :func:`read_trap_meta` reads it back."""
-    nbar = np.atleast_1d(np.asarray(config.temperature_nbar, dtype=float))
     return [("ion_count", config.ion_count),
             ("omega_r_rad_s", fmt(config.omega_r)),
             ("omega_z_rad_s", fmt(config.omega_z)),
             ("ion_mass_kg", fmt(config.ion_mass)),
             ("charge_c", fmt(config.charge)),
-            ("nbar", ",".join(fmt(v) for v in nbar))]
+            ("nbar", fmt(config.temperature_nbar))]
 
 
 def read_trap_meta(meta):
     """TrapConfig from a header holding the block of :func:`trap_meta`."""
-    nbar = [float(v) for v in meta["nbar"].split(",")]
     return TrapConfig(ion_count=int(meta["ion_count"]),
                       omega_r=float(meta["omega_r_rad_s"]),
                       omega_z=float(meta["omega_z_rad_s"]),
                       ion_mass=float(meta["ion_mass_kg"]),
                       charge=float(meta["charge_c"]),
-                      temperature_nbar=nbar[0] if len(nbar) == 1 else nbar)
+                      temperature_nbar=float(meta["nbar"]))
 
 
 def write_crystal(crystal, path):

@@ -25,8 +25,8 @@ class UnstableSpectrum(GatelabError):
     """An operation that needs a stable spectrum received an unstable one."""
 
 
-class NegativeOccupation(GatelabError):
-    """Thermal occupation numbers must be non-negative."""
+class NegativeOccupation(GatelabError, ValueError):
+    """A thermal occupation is negative, not finite or of the wrong shape."""
 
 
 class IndefiniteKernel(GatelabError):

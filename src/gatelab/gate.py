@@ -32,8 +32,7 @@ import operator
 
 import numpy as np
 
-from .crystal import HBAR
-from .errors import NegativeOccupation
+from .crystal import HBAR, check_nbar
 from ._textio import fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * np.pi
@@ -69,9 +68,9 @@ class PulseSchedule:
     """Piecewise-constant drive: ``amplitudes[p]`` (rad/s) on
     ``[times[p], times[p+1])``, modulation frequency ``mu`` (rad/s).
 
-    ``target_pair`` optionally records which two ions the force acts on;
-    evaluation functions take the pair explicitly so a schedule can be
-    re-targeted without copying.
+    ``target_pair`` optionally records which two ions the force acts on
+    (set it with ``dataclasses.replace``); evaluation functions take the
+    pair explicitly so a schedule can be re-targeted without copying.
     """
 
     times: np.ndarray
@@ -102,12 +101,11 @@ class PulseSchedule:
                                           name="target pair"))
 
     @classmethod
-    def uniform(cls, duration, amplitudes, mu, target_pair=None):
+    def uniform(cls, duration, amplitudes, mu):
         """Equal-length segments spanning ``[0, duration]``."""
         amps = np.asarray(amplitudes, dtype=float)
         times = np.linspace(0.0, float(duration), amps.size + 1)
-        return cls(times=times, amplitudes=amps, mu=float(mu),
-                   target_pair=target_pair)
+        return cls(times=times, amplitudes=amps, mu=float(mu))
 
     @property
     def duration(self):
@@ -368,7 +366,8 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     alpha_l, alpha_n : (K,) or (M, K) complex
         Single-ion mode displacements i c[ion, k] * alpha_integral.
     nbar : (K,) or scalar
-        Mean thermal occupation per mode.
+        Mean thermal occupation per mode, checked by
+        :func:`crystal.check_nbar`.
     target_phase : float or (M,)
         Conditional phase of the ideal gate compared against; the default
         pi/4 and its mirror -pi/4 describe the same gate up to a local
@@ -387,10 +386,7 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     """
     alpha_l = np.asarray(alpha_l, dtype=complex)
     alpha_n = np.asarray(alpha_n, dtype=complex)
-    nbar = np.broadcast_to(np.asarray(nbar, dtype=float), alpha_l.shape)
-    if not np.all(nbar >= 0.0):
-        raise NegativeOccupation("nbar must be >= 0")
-    weight = 2.0 * (2.0 * nbar + 1.0)
+    weight = 2.0 * (2.0 * check_nbar(nbar, alpha_l.shape[-1]) + 1.0)
     decay = [np.exp(-np.sum(weight * np.abs(x) ** 2, axis=-1))
              for x in (alpha_l, alpha_n, alpha_l + alpha_n, alpha_l - alpha_n)]
     delta = np.asarray(phi) - target_phase
@@ -571,26 +567,26 @@ class GateReport:
                              + np.sum(np.abs(self.alpha_n) ** 2)))
 
 
-def gate_report(schedule, spectrum, pair, nbar=None, samples=RESPONSE_SAMPLES):
+def gate_report(schedule, spectrum, pair, samples=RESPONSE_SAMPLES):
     """Evaluate a schedule on a spectrum: phase, displacements, fidelity
     and the per-ion response profile (``samples`` uniform time samples,
     whose peaks read a few percent low: see :func:`response_profile`).
 
-    ``nbar`` defaults to the per-mode occupations of the trap config.  The
-    fidelity is :func:`gate_fidelity`, against the ideal gate whose phase
-    sign matches the achieved one, scored as the optimizer scores the grid
-    [mu]: a scan point's report carries its phase and fidelity bit for bit.
-    Raises ValueError unless ``pair`` is two distinct ions of the crystal.
+    The fidelity is :func:`gate_fidelity` at the trap's ``temperature_nbar``
+    (for another, re-dress the trap with ``dataclasses.replace``), against
+    the ideal gate whose phase sign matches the achieved one, scored as the
+    optimizer scores the grid [mu]: a scan point's report carries its phase
+    and fidelity bit for bit.  Raises ValueError unless ``pair`` is two
+    distinct ions of the crystal.
     """
     l, n = pair = check_pair(pair, spectrum.config.ion_count)
     couplings = drive_couplings(spectrum)
     freqs = spectrum.frequencies
-    if nbar is None:
-        nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
     S, G = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
                          couplings, pair)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
-        S, G, schedule.amplitudes[None, :], couplings[[l, n]], nbar)
+        S, G, schedule.amplitudes[None, :], couplings[[l, n]],
+        spectrum.config.temperature_nbar)
     return GateReport(pair=pair, schedule=schedule,
                       phi=float(phi[0]), fidelity=float(fidelity[0]),
                       alpha_l=alpha_l[0], alpha_n=alpha_n[0],

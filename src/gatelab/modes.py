@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crystal import (TrapConfig, curvature_blocks, read_trap_meta, trap_meta,
+from .crystal import (TrapConfig, _pair_vectors, read_trap_meta, trap_meta,
                       with_trap)
 from .errors import EigenFailure, UnstableSpectrum
 from ._textio import fmt, read_rows, write_rows
@@ -29,7 +29,7 @@ TWO_PI = 2.0 * np.pi
 
 def coulomb_laplacian(positions):
     """Graph-Laplacian-like matrix L with weights 1/d^3 (PSD, one zero mode)."""
-    _, _, _, s3 = curvature_blocks(positions)
+    s3 = _pair_vectors(positions)[2] ** -3.0  # 0 on the diagonal
     return np.diag(s3.sum(axis=1)) - s3
 
 

@@ -29,11 +29,12 @@ definite) are recorded with fidelity zero rather than aborting the scan.
 """
 
 from dataclasses import dataclass, replace
+import operator
 
 import numpy as np
 
-from .crystal import with_trap
-from .errors import IndefiniteKernel, InsufficientPoints, NegativeOccupation
+from .crystal import check_nbar, with_trap
+from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (PulseSchedule, _evaluate, _pair_kernels, _phase,
                    check_pair, drive_couplings, TWO_PI)
 from .modes import axial_spectrum
@@ -69,10 +70,12 @@ _FAILURES = {
 class OptimizationProblem:
     """One gate-design task: which pair, how long, how many segments.
 
-    ``tau`` is positive and finite.  ``mu_grid`` (rad/s) holds finite
-    detunings and defaults to :func:`default_mu_grid`.  ``nbar`` defaults
-    to the trap config occupation.  ``amplitude_bound`` (rad/s) optionally
-    caps max_p |Omega_p|: the seed and every ascent step must respect it.
+    ``tau`` is positive and finite, ``segment_count`` a positive integer.
+    ``mu_grid`` (rad/s) holds finite detunings and defaults to
+    :func:`default_mu_grid`.  ``nbar`` (one number or one per mode)
+    defaults to the trap's occupation.  ``amplitude_bound`` (rad/s)
+    optionally caps max_p |Omega_p|: the seed and every ascent step must
+    respect it.
     """
 
     pair: tuple
@@ -86,8 +89,13 @@ class OptimizationProblem:
         object.__setattr__(self, "pair", check_pair(self.pair))
         if not (0.0 < self.tau < np.inf):
             raise ValueError("tau must be positive and finite")
-        if self.segment_count < 1:
-            raise ValueError("need at least one segment")
+        try:  # an integer (numpy integers included), never a float
+            count = operator.index(self.segment_count)
+        except TypeError:
+            count = 0
+        if count < 1:
+            raise ValueError("segment_count must be a positive integer")
+        object.__setattr__(self, "segment_count", count)
         if self.mu_grid is not None:
             grid = np.asarray(self.mu_grid, dtype=float)
             if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all()):
@@ -99,7 +107,7 @@ class OptimizationProblem:
     @property
     def times(self):
         """Boundaries of ``segment_count`` equal segments spanning [0, tau]."""
-        return np.linspace(0.0, float(self.tau), int(self.segment_count) + 1)
+        return np.linspace(0.0, float(self.tau), self.segment_count + 1)
 
 
 @dataclass(frozen=True)
@@ -180,15 +188,11 @@ class _Forms:
 
 def _grid_forms(spectrum, pair, times, grid, nbar, bound):
     """:class:`_Forms` of ``pair`` on ``grid``, its kernels built in one
-    call; ``nbar`` None takes the per-mode occupations of the trap
-    config.  Raises NegativeOccupation, before any kernel is built, when an
-    occupation is negative or not finite."""
-    if nbar is None:
-        nbar = spectrum.config.nbar_per_mode(spectrum.mode_count)
-    nbar = np.broadcast_to(np.asarray(nbar, dtype=float),
-                           spectrum.frequencies.shape)
-    if not np.all(np.isfinite(nbar) & (nbar >= 0.0)):
-        raise NegativeOccupation("nbar must be finite and >= 0")
+    call; ``nbar`` None takes the trap's occupation.  Raises
+    NegativeOccupation from :func:`crystal.check_nbar` before any kernel
+    is built."""
+    nbar = check_nbar(spectrum.config.temperature_nbar if nbar is None
+                      else nbar, spectrum.mode_count)
     couplings = drive_couplings(spectrum)
     S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
                          spectrum.frequencies, couplings, pair)
@@ -366,7 +370,8 @@ def _solve_grid(forms):
 def _scan(spectrum, problem):
     """(OptimizationResult, per-point status) of ``problem``: the one solve
     path of a point and a scan.  Raises ValueError, before any kernel is
-    built, from :func:`check_mu_grid` or :func:`gate.check_pair`."""
+    built, from :func:`check_mu_grid`, :func:`gate.check_pair` or
+    :func:`crystal.check_nbar`."""
     config = spectrum.config
     grid = check_mu_grid(problem.mu_grid, config.omega_z)
     check_pair(problem.pair, config.ion_count)

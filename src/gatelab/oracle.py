@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from .crystal import check_nbar
 from .errors import CutoffInsufficient, StepFailure
 from .gate import check_pair, drive_couplings
 
@@ -49,14 +50,9 @@ _GAUSS_NODES = ((3.0 - math.sqrt(3.0)) / 6.0, (3.0 + math.sqrt(3.0)) / 6.0)
 
 
 def thermal_weights(nbar, levels):
-    """p_n = nbar^n / (1 + nbar)^{n+1} for n = 0..levels-1."""
-    n = np.arange(levels)
-    if nbar == 0.0:
-        out = np.zeros(levels)
-        out[0] = 1.0
-        return out
+    """p_n = nbar^n / (1 + nbar)^{n+1} for n = 0..levels-1 (0^0 = 1)."""
     ratio = nbar / (1.0 + nbar)
-    return ratio ** n / (1.0 + nbar)
+    return ratio ** np.arange(levels) / (1.0 + nbar)
 
 
 def _levels_for_weight(nbar, cap):
@@ -179,7 +175,7 @@ def _exp_minus_i(r):
     return u
 
 
-def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
+def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
            max_steps=2_000_000):
     """Numerically integrate the branch evolutions of a small crystal.
 
@@ -194,8 +190,8 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
         Target ions: two distinct indices in 0..N-1 (see
         :func:`gate.check_pair`).
     nbar : scalar or (K,)
-        Thermal occupations, used for cutoff sizing and the stored
-        diagnostics (the propagators themselves are temperature free).
+        Thermal occupations, stated by the caller; used for cutoff sizing
+        and the stored diagnostics (the propagators are temperature free).
     n_max : int
         Highest Fock level per mode (<= 20).
     tol : float
@@ -204,7 +200,8 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
     Raises
     ------
     ValueError
-        More than 4 ions, a bad pair, a cutoff above 20 or a negative nbar.
+        More than 4 ions, a bad pair, a cutoff above 20, or (as
+        NegativeOccupation) an nbar :func:`crystal.check_nbar` refuses.
     CutoffInsufficient
         Thermal weight target unreachable, or the thermally weighted
         population of the top level reaches 1e-6 after any accepted step or
@@ -220,10 +217,7 @@ def evolve(schedule, spectrum, pair, nbar=0.0, n_max=MAX_CUTOFF, tol=1e-8,
         raise ValueError("per-mode cutoff capped at %d" % MAX_CUTOFF)
     freqs = spectrum.frequencies
     n_modes = freqs.size
-    nbar_arr = np.broadcast_to(np.asarray(nbar, dtype=float),
-                               (n_modes,)).copy()
-    if np.any(nbar_arr < 0.0):
-        raise ValueError("nbar must be >= 0")
+    nbar_arr = check_nbar(nbar, n_modes)
     dim = n_max + 1
     for nb in nbar_arr:
         _levels_for_weight(nb, dim)
@@ -314,7 +308,7 @@ def _reduced_qubit_state(state, nbar):
 
     rho[b, b'] = 1/4 prod_k sum_n p_n (U_{b',k}^dag U_{b,k})[n, n].
     """
-    nbar_arr = np.broadcast_to(nbar, (state.mode_count,))
+    nbar_arr = check_nbar(nbar, state.mode_count)
     rho = 0.25 * np.ones((4, 4), dtype=complex)
     for k, u_modes in enumerate(state.propagators):
         dim = u_modes.shape[-1]

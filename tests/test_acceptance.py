@@ -366,8 +366,8 @@ def test_10_response_locality(scan_for, pairs, shell_crystals,
     crystal = shell_crystals[127]
     pair = pairs[8]
     result = scan_for(pair, "low")
-    response = gt.gate_report(result.best_schedule, spectrum_low, pair,
-                              nbar=NBAR).response_normalized
+    response = gt.gate_report(result.best_schedule, spectrum_low,
+                              pair).response_normalized
     positions = crystal.positions * crystal.length_scale_ell
     d_min = crystal.spacing_metres()
     dist = np.minimum(

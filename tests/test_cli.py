@@ -310,6 +310,14 @@ def _edit_derived_header(path):
     path.write_text("".join(lines))
 
 
+def _per_mode_nbar(path):
+    # the trap holds one occupation; a per-mode list does not read back
+    lines = [("# nbar\t%s\n" % ",".join(["0.1"] * 7))
+             if line.startswith("# nbar\t") else line
+             for line in path.read_text().splitlines(keepends=True)]
+    path.write_text("".join(lines))
+
+
 def _other_ion_count(path):
     trap = cr.TrapConfig(8, omega_r=2 * math.pi * 0.2e6,
                          omega_z=2 * math.pi * 10e6)
@@ -332,9 +340,10 @@ class TestCacheValidation:
 
     @pytest.mark.parametrize("corrupt", [_drop_last_rows, _cut_header,
                                          _perturb_positions,
-                                         _other_ion_count],
+                                         _other_ion_count, _per_mode_nbar],
                              ids=["missing-rows", "cut-header",
-                                  "perturbed-positions", "ion-count"])
+                                  "perturbed-positions", "ion-count",
+                                  "per-mode-nbar"])
     def test_corrupt_entry_is_solved_again(self, fresh, tmp_path, corrupt):
         config, fresh_out, fresh_entry = fresh
         cache = tmp_path / "cache"
@@ -400,9 +409,9 @@ class TestPairValidation:
                                       target_pair):
         config = write_config(tmp_path, BASE_CONFIG.replace(
             "pair = 0, 3", "pair = " + pair))
-        schedule = gt.PulseSchedule.uniform(
+        schedule = dataclasses.replace(gt.PulseSchedule.uniform(
             50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6]),
-            2 * math.pi * 10.04e6, target_pair=target_pair)
+            2 * math.pi * 10.04e6), target_pair=target_pair)
         path = str(tmp_path / "schedule.tsv")
         gt.write_schedule(schedule, path)
         extra = ["--schedule", path] if command == "gate" else []
@@ -423,9 +432,9 @@ class TestPairValidation:
         # config error naming both, not silently overridden
         config = write_config(tmp_path, BASE_CONFIG.replace(
             "pair = 0, 3", pair_line))
-        schedule = gt.PulseSchedule.uniform(
+        schedule = dataclasses.replace(gt.PulseSchedule.uniform(
             50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6]),
-            2 * math.pi * 10.04e6, target_pair=target_pair)
+            2 * math.pi * 10.04e6), target_pair=target_pair)
         path = str(tmp_path / "schedule.tsv")
         gt.write_schedule(schedule, path)
         out = tmp_path / "out"
@@ -558,7 +567,7 @@ class TestOptimizePairs:
         peak = gt.read_report(out / "best_report.tsv").response_peak
         for samples, same in ((500, True), (2000, False)):
             report = gt.gate_report(schedule, spectrum, run.pair,
-                                    nbar=run.nbar, samples=samples)
+                                    samples=samples)
             assert np.allclose(peak, report.response_peak, rtol=1e-9,
                                atol=0.0) == same, samples
 
@@ -671,6 +680,18 @@ class TestConfigErrors:
         assert code == 2
         assert "omega_r_hz" in err
 
+    @pytest.mark.parametrize("value", ["-1", "-0.1", "nan", "inf",
+                                       "0.1, 0.2"])
+    def test_bad_nbar(self, tmp_path, capsys, value):
+        # the config states one finite occupation >= 0; a bad one stops
+        # the run before any output
+        code, err = self.run(tmp_path, capsys,
+                             BASE_CONFIG + "nbar = %s\n" % value,
+                             command="optimize")
+        assert code == 2
+        assert "config error" in err and "'nbar'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_field(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys,
                              "omega_r_hz = 0.2e6\nomega_z_hz = 10e6\n")
@@ -728,9 +749,9 @@ class TestConfigErrors:
         assert "schedule" in err
 
     def test_truncated_schedule(self, tmp_path, capsys):
-        schedule = gt.PulseSchedule.uniform(
+        schedule = dataclasses.replace(gt.PulseSchedule.uniform(
             50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6, 0.15e6, 0.05e6]),
-            2 * math.pi * 10.04e6, target_pair=(0, 3))
+            2 * math.pi * 10.04e6), target_pair=(0, 3))
         path = tmp_path / "cut.tsv"
         gt.write_schedule(schedule, path)
         text = path.read_text()
@@ -745,9 +766,9 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_schedule(self, tmp_path, capsys, value):
-        schedule = gt.PulseSchedule.uniform(
+        schedule = dataclasses.replace(gt.PulseSchedule.uniform(
             50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6, 0.15e6, 0.05e6]),
-            2 * math.pi * 10.04e6, target_pair=(0, 3))
+            2 * math.pi * 10.04e6), target_pair=(0, 3))
         path = tmp_path / "bad.tsv"
         gt.write_schedule(schedule, path)
         lines = path.read_text().splitlines()
@@ -819,9 +840,8 @@ class TestEdgeCases:
     def test_zero_amplitude_schedule(self, tmp_path):
         """A drive that never switches on leaves the pair unentangled."""
         config = write_config(tmp_path, BASE_CONFIG)
-        schedule = gt.PulseSchedule.uniform(
-            50e-6, [0.0, 0.0, 0.0], 2 * math.pi * 10.04e6,
-            target_pair=(0, 3))
+        schedule = dataclasses.replace(gt.PulseSchedule.uniform(
+            50e-6, [0.0, 0.0, 0.0], 2 * math.pi * 10.04e6), target_pair=(0, 3))
         path = str(tmp_path / "idle.tsv")
         gt.write_schedule(schedule, path)
         out = str(tmp_path / "out")

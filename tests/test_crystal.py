@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from gatelab import crystal as cr
+from gatelab import modes as md
 from gatelab import optimizer as op
-from gatelab.errors import InsufficientPoints, NonConvergence
+from gatelab.errors import (InsufficientPoints, NegativeOccupation,
+                            NonConvergence)
 
 
 def make_config(n, omega_r_hz=1e6, omega_z_hz=1e7, **kw):
@@ -44,11 +46,20 @@ class TestConfig:
 
     def test_nbar_broadcast(self):
         cfg = make_config(3, temperature_nbar=0.2)
-        assert np.allclose(cfg.nbar_per_mode(3), 0.2)
-        cfg = make_config(3, temperature_nbar=[0.1, 0.2, 0.3])
-        assert np.allclose(cfg.nbar_per_mode(3), [0.1, 0.2, 0.3])
+        assert np.allclose(cr.check_nbar(cfg.temperature_nbar, 3), 0.2)
+        per_mode = [0.1, 0.2, 0.3]
+        assert np.allclose(cr.check_nbar(per_mode, 3), [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            cfg.nbar_per_mode(4)
+            cr.check_nbar(per_mode, 4)
+
+    def test_nbar_is_one_number(self):
+        # the trap holds one occupation for every mode, as a float
+        cfg = make_config(3, temperature_nbar=np.float64(0.2))
+        assert type(cfg.temperature_nbar) is float
+        assert cr.check_nbar(0) == 0.0
+        for seq in ([0.1, 0.2, 0.3], [0.2], np.array([0.2])):
+            with pytest.raises(NegativeOccupation, match="one number"):
+                make_config(3, temperature_nbar=seq)
 
 
 class TestLengthScale:
@@ -148,18 +159,21 @@ class TestGradient:
 class TestCurvatureBlocks:
     def test_row_sums(self):
         # Uniform translations: in-plane rows sum to 1 (xx, yy) and 0 (xy);
-        # the axial off-diagonal part s3 has zero diagonal by construction.
+        # the axial weights s3 = 1/d^3 give no ion a weight on itself, so
+        # the Laplacian's diagonal is the sum of its row's weights.
         c = cr.solve_equilibrium(make_config(7))
-        xx, xy, yy, s3 = cr.curvature_blocks(c.positions)
+        xx, xy, yy = cr.curvature_blocks(c.positions)
         assert np.allclose(xx.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(yy.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(xy.sum(axis=1), 0.0, atol=1e-12)
-        assert np.all(np.diag(s3) == 0.0)
+        lap = md.coulomb_laplacian(c.positions)
+        s3 = np.diag(np.diag(lap)) - lap
+        assert np.all(np.diag(lap) == s3.sum(axis=1))
         assert np.allclose(s3, s3.T)
 
     def test_symmetry(self):
         c = cr.solve_equilibrium(make_config(6))
-        xx, xy, yy, _ = cr.curvature_blocks(c.positions)
+        xx, xy, yy = cr.curvature_blocks(c.positions)
         for block in (xx, xy, yy):
             assert np.allclose(block, block.T, atol=1e-13)
 
@@ -346,6 +360,12 @@ class TestSpacingInversion:
         with pytest.raises(ValueError):
             cr.omega_r_for_spacing(cr.solve_equilibrium(make_config(7)),
                                    -1e-6)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cr.omega_r_for_spacing(cr.solve_equilibrium(make_config(7)),
+                                   target)
 
     def test_rejects_single_ion(self):
         with pytest.raises(ValueError, match="single ion"):

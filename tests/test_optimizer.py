@@ -19,6 +19,7 @@ from gatelab import crystal as cr
 from gatelab import gate as gt
 from gatelab import modes as md
 from gatelab import optimizer as op
+from gatelab import oracle as orc
 from gatelab.errors import (IndefiniteKernel, InsufficientPoints,
                             NegativeOccupation)
 
@@ -75,6 +76,19 @@ class TestOptimizationProblem:
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=1e-5, segment_count=0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.nan, "2"])
+    def test_rejects_non_integer_segment_count(self, count):
+        # a count is never truncated to an int
+        with pytest.raises(ValueError, match="segment_count must be a "
+                                             "positive integer"):
+            op.OptimizationProblem(pair=(0, 1), tau=5e-5, segment_count=count)
+
+    def test_segment_count_is_an_int(self):
+        problem = op.OptimizationProblem(pair=(0, 1), tau=5e-5,
+                                         segment_count=np.int64(3))
+        assert type(problem.segment_count) is int
+        assert problem.times.size == 4
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=1e-5,
@@ -98,7 +112,7 @@ class TestSolveAmplitudes:
 
     def test_fidelity_matches_report(self, spectrum7):
         sched, fid = op.solve_amplitudes(spectrum7, one_point((0, 1), self.MU))
-        report = gt.gate_report(sched, spectrum7, (0, 1), nbar=0.1)
+        report = gt.gate_report(sched, spectrum7, (0, 1))
         assert fid == report.fidelity
         assert 0.0 <= fid <= 1.0
 
@@ -650,3 +664,58 @@ class TestTableOne:
             assert 0.0 <= r.fidelity <= 1.0
             assert r.max_amplitude > 0.0
             assert grid[0] <= r.mu_opt <= grid[-1]
+
+
+class TestOccupationRule:
+    """``crystal.check_nbar`` is the one rule for nbar (finite, >= 0, one
+    number or one per mode), and every entry point asks it before any
+    kernel is built or any Magnus step taken."""
+
+    @pytest.fixture(scope="class")
+    def spectrum3(self):
+        config = cr.TrapConfig(3, omega_r=TWO_PI * 1e6, omega_z=TWO_PI * 5e6)
+        return md.axial_spectrum(cr.solve_equilibrium(config))
+
+    @pytest.fixture(scope="class")
+    def schedule3(self, spectrum3):
+        return gt.PulseSchedule.uniform(
+            0.4e-6, TWO_PI * 0.25e6 * np.array([1.0, -1.0, 0.5]),
+            spectrum3.frequencies[0])
+
+    @pytest.fixture(scope="class")
+    def state3(self, spectrum3, schedule3):
+        return orc.evolve(schedule3, spectrum3, (0, 2), nbar=0.0)
+
+    @pytest.mark.parametrize("nbar", [-0.1, np.nan, np.inf, [0.1, 0.2]],
+                             ids=["negative", "nan", "inf", "wrong-length"])
+    @pytest.mark.parametrize("entry", [
+        "TrapConfig", "detuning_scan", "solve_amplitudes", "thermal_fidelity",
+        "gate_fidelity", "evolve", "fidelity_from_state"])
+    def test_bad_nbar_refused(self, spectrum3, schedule3, state3, no_kernels,
+                              monkeypatch, entry, nbar):
+        def refuse(*args):
+            raise AssertionError("Magnus step taken for a bad nbar")
+
+        monkeypatch.setattr(orc, "_magnus_step", refuse)
+        problem = op.OptimizationProblem(
+            pair=(0, 2), tau=0.4e-6, segment_count=3,
+            mu_grid=[spectrum3.config.omega_z + TWO_PI * 40e3], nbar=nbar)
+        zeros = np.zeros(spectrum3.mode_count, dtype=complex)
+        calls = {
+            "TrapConfig": lambda: replace(spectrum3.config,
+                                          temperature_nbar=nbar),
+            "detuning_scan": lambda: op.detuning_scan(spectrum3, problem),
+            "solve_amplitudes": lambda: op.solve_amplitudes(spectrum3,
+                                                            problem),
+            "thermal_fidelity": lambda: gt.thermal_fidelity(
+                0.5, zeros, zeros, nbar),
+            "gate_fidelity": lambda: gt.gate_fidelity(0.5, zeros, zeros,
+                                                      nbar),
+            "evolve": lambda: orc.evolve(schedule3, spectrum3, (0, 2),
+                                         nbar=nbar),
+            "fidelity_from_state": lambda: orc.fidelity_from_state(
+                state3, nbar=nbar),
+        }
+        with pytest.raises(NegativeOccupation, match="^nbar must be") as err:
+            calls[entry]()
+        assert isinstance(err.value, ValueError)

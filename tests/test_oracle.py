@@ -376,7 +376,7 @@ class TestErrorPaths:
         spec = md.axial_spectrum(cr.solve_equilibrium(cfg))
         sched = gt.PulseSchedule.uniform(1e-7, [0.0], spec.frequencies[0])
         with pytest.raises(ValueError):
-            orc.evolve(sched, spec, (0, 1))
+            orc.evolve(sched, spec, (0, 1), nbar=0.0)
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3)],
                              ids=["same-ion", "negative", "past-ion-count"])
@@ -390,12 +390,12 @@ class TestErrorPaths:
 
         monkeypatch.setattr(orc, "_magnus_step", refuse)
         with pytest.raises(ValueError, match="pair needs two distinct"):
-            orc.evolve(sched, spec3, pair)
+            orc.evolve(sched, spec3, pair, nbar=0.0)
 
     def test_cutoff_cap(self, spec2):
         sched = gt.PulseSchedule.uniform(1e-7, [0.0], spec2.frequencies[0])
         with pytest.raises(ValueError):
-            orc.evolve(sched, spec2, (0, 1), n_max=24)
+            orc.evolve(sched, spec2, (0, 1), nbar=0.0, n_max=24)
 
     def test_hot_mixture_rejected(self, spec2):
         sched = gt.PulseSchedule.uniform(1e-7, [0.0], spec2.frequencies[0])
@@ -421,4 +421,4 @@ class TestErrorPaths:
         rng = np.random.default_rng(37)
         sched = random_schedule(rng, spec2)
         with pytest.raises(StepFailure):
-            orc.evolve(sched, spec2, (0, 1), max_steps=10)
+            orc.evolve(sched, spec2, (0, 1), nbar=0.0, max_steps=10)
