@@ -14,7 +14,8 @@ The package is organised as one module per study stage:
 
 Every artifact is one tab-separated table with '# key<TAB>value' headers;
 ``gatelab._textio`` holds its only writer and reader, and each stage's
-``write_*``/``read_*`` pair maps its objects to and from that table.
+``write_*`` maps its objects to that table.  Only the crystal cache and
+pulse schedules are read back (:func:`read_crystal`, :func:`read_schedule`).
 """
 
 from .crystal import (Crystal, PowerLawFit, TrapConfig, closed_shell_count,
@@ -27,15 +28,14 @@ from .errors import (ConfigError, CutoffInsufficient, EigenFailure,
                      NegativeOccupation, NonConvergence, StepFailure,
                      UnstableSpectrum)
 from .gate import (GateReport, PulseSchedule, entangling_phase, gate_report,
-                   mode_displacements, read_report, read_schedule,
-                   response_profile, thermal_fidelity, write_report,
-                   write_schedule)
+                   mode_displacements, read_schedule, response_profile,
+                   thermal_fidelity, write_report, write_schedule)
 from .modes import (AxialSpectrum, axial_spectrum, com_gap, critical_beta,
-                    read_spectrum, write_spectrum)
+                    write_spectrum)
 from .optimizer import (OptimizationProblem, OptimizationResult, TableRow,
                         band_edge_optimum, default_mu_grid, default_pair_list,
-                        detuning_scan, read_scan, read_table,
-                        solve_amplitudes, table_one, write_scan, write_table)
+                        detuning_scan, solve_amplitudes, table_one,
+                        write_scan, write_table)
 
 __version__ = "0.1.0"
 
@@ -49,11 +49,9 @@ __all__ = [
     "axial_spectrum", "band_edge_optimum", "closed_shell_count", "com_gap",
     "critical_beta", "default_mu_grid", "default_pair_list", "detuning_scan",
     "entangling_phase", "fit_power_law", "gate_report", "length_scale",
-    "min_spacing", "mode_displacements",
-    "omega_r_for_spacing", "read_crystal", "read_report", "read_scan",
-    "read_schedule", "read_spectrum", "read_table", "response_profile",
-    "ring_seed", "solve_amplitudes", "solve_equilibrium", "table_one",
-    "thermal_fidelity", "triangular_seed", "with_trap", "write_crystal",
-    "write_report", "write_scan", "write_schedule", "write_spectrum",
-    "write_table",
+    "min_spacing", "mode_displacements", "omega_r_for_spacing",
+    "read_crystal", "read_schedule", "response_profile", "ring_seed",
+    "solve_amplitudes", "solve_equilibrium", "table_one", "thermal_fidelity",
+    "triangular_seed", "with_trap", "write_crystal", "write_report",
+    "write_scan", "write_schedule", "write_spectrum", "write_table",
 ]

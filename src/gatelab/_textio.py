@@ -3,8 +3,8 @@
 Every table file is a '# title' line, '# key<TAB>value' metadata lines (one
 of them names the ``columns``), then one tab-separated row per record.
 :func:`write_rows` and :func:`read_rows` are the only writer and reader of
-that format; each artifact module just maps its objects to metadata pairs
-and string rows and back.
+that format.  Each artifact module maps its objects to metadata pairs and
+string rows; only the crystal cache and pulse schedules are read back.
 
 Every float goes through :func:`fmt`, the one float format: a column in
 its in-memory unit reads back bitwise, a rad/s column stored in Hz to 1 ulp.

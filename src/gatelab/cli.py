@@ -38,7 +38,7 @@ from . import modes as md
 from . import optimizer as op
 from .errors import (ConfigError, GatelabError, InsufficientPoints,
                      UnstableSpectrum)
-from ._textio import atomic_write_json, fmt, read_rows, write_rows
+from ._textio import atomic_write_json, fmt, write_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -252,19 +252,6 @@ def write_positions(crystal, path):
         rows.append([str(j), fmt(x * ell), fmt(y * ell),
                      fmt(x), fmt(y), fmt(deviation[j])])
     write_rows(path, "gatelab ion positions", meta, rows)
-
-
-def read_positions(path):
-    """Parse a file written by :func:`write_positions`."""
-    meta, rows = read_rows(path)
-    n = int(meta["ion_count"])
-    coords = np.zeros((n, 2))
-    deviation = np.zeros(n)
-    for fields_ in rows:
-        j = int(fields_[0])
-        coords[j] = (float(fields_[3]), float(fields_[4]))
-        deviation[j] = float(fields_[5])
-    return meta, coords, deviation
 
 
 # ---------------------------------------------------------------------------

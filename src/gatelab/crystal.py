@@ -58,6 +58,8 @@ _TOL = 1e-10
 _MAX_ITER = 10000
 _RESTARTS = 5
 _JITTER_FRACTION = 0.01
+# the largest occupation whose thermal weight 2(2 nbar + 1) is finite
+_NBAR_MAX = np.finfo(float).max / 4.0
 
 
 def closed_shell_count(shells):
@@ -68,19 +70,21 @@ def closed_shell_count(shells):
 
 
 def check_nbar(nbar, mode_count=None):
-    """``nbar`` if finite and >= 0, the one statement of a valid thermal
-    occupation: one number, returned as a float, or with ``mode_count`` a
-    (mode_count,) float array from one number or one value per mode.
-    Raises NegativeOccupation, a ValueError, for anything else."""
+    """``nbar`` if >= 0 with a finite thermal weight 2(2 nbar + 1), the
+    one statement of a valid thermal occupation: one number, returned as a
+    float, or with ``mode_count`` a (mode_count,) float array from one
+    number or one value per mode.  Raises NegativeOccupation, a
+    ValueError, for anything else."""
     try:
         value = np.asarray(nbar, dtype=float)
     except (TypeError, ValueError):
         value = np.asarray(np.nan)
     shape = () if mode_count is None else (mode_count,)
     if (value.shape not in ((), shape)
-            or not np.all(np.isfinite(value) & (value >= 0.0))):
+            or not np.all((value >= 0.0) & (value <= _NBAR_MAX))):
         raise NegativeOccupation(
-            "nbar must be finite and >= 0, one number%s; got %s"
+            "nbar must be >= 0 with a finite thermal weight 2(2 nbar + 1), "
+            "one number%s; got %s"
             % (" or %d, one per mode" % mode_count if shape else "", nbar))
     return float(value) if mode_count is None else np.full(shape, value)
 

@@ -621,33 +621,3 @@ def write_report(report, path):
               fmt(report.response_normalized[j])]
              for j in range(report.response_peak.size)]
     write_rows(path, "gatelab gate report", meta, rows)
-
-
-def read_report(path):
-    """Parse a file written by :func:`write_report`; the fidelity is the
-    one quoted in the header, the normalized response is derived."""
-    meta, rows = read_rows(path)
-    l, n = meta["pair"].split(",")
-    pair = (int(l), int(n))
-    times = np.array([float(v) for v in meta["times_s"].split(",")])
-    amps = TWO_PI * np.array(
-        [float(v) for v in meta["amplitudes_hz"].split(",")])
-    schedule = PulseSchedule(times=times, amplitudes=amps,
-                             mu=float(meta["mu_hz"]) * TWO_PI,
-                             target_pair=pair)
-    modes = []
-    ions = []
-    for fields in rows:
-        if fields[0] == "mode":
-            modes.append([float(v) for v in fields[2:7]])
-        elif fields[0] == "ion":
-            ions.append(float(fields[2]))
-    modes = np.asarray(modes)
-    freqs = modes[:, 0] * TWO_PI
-    alpha_l = modes[:, 1] + 1j * modes[:, 2]
-    alpha_n = modes[:, 3] + 1j * modes[:, 4]
-    return GateReport(pair=pair, schedule=schedule,
-                      phi=float(meta["phi_rad"]),
-                      fidelity=float(meta["fidelity"]),
-                      alpha_l=alpha_l, alpha_n=alpha_n,
-                      mode_frequencies=freqs, response_peak=np.asarray(ions))

@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crystal import (TrapConfig, _pair_vectors, read_trap_meta, trap_meta,
-                      with_trap)
+from .crystal import TrapConfig, _pair_vectors, trap_meta, with_trap
 from .errors import EigenFailure, UnstableSpectrum
-from ._textio import fmt, read_rows, write_rows
+from ._textio import fmt, write_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,17 +133,3 @@ def write_spectrum(spectrum, path):
     rows = [[str(k), fmt(spectrum.frequencies[k] / TWO_PI)]
             + [fmt(v) for v in spectrum.modes[k]] for k in range(n)]
     write_rows(path, "gatelab axial spectrum", meta, rows)
-
-
-def read_spectrum(path):
-    """Parse a file written by :func:`write_spectrum` (beta: the trap's)."""
-    meta, rows = read_rows(path)
-    cfg = read_trap_meta(meta)
-    n = cfg.ion_count
-    freqs = np.zeros(n)
-    modes = np.zeros((n, n))
-    for fields in rows:
-        k = int(fields[0])
-        freqs[k] = float(fields[1]) * TWO_PI
-        modes[k] = [float(v) for v in fields[2:]]
-    return AxialSpectrum(frequencies=freqs, modes=modes, config=cfg)

@@ -38,7 +38,7 @@ from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (PulseSchedule, _evaluate, _pair_kernels, _phase,
                    check_pair, drive_couplings, TWO_PI)
 from .modes import axial_spectrum
-from ._textio import fmt, read_rows, write_rows
+from ._textio import fmt, write_rows
 
 PHASE_TARGET = np.pi / 4.0
 # the paper's design defaults: detuning grid, segments, benchmark pairs
@@ -117,7 +117,7 @@ class OptimizationResult:
     ``fidelities`` and ``max_amplitudes`` run parallel to ``mu_grid``;
     fidelity 0 with amplitude 0 marks a grid point where no positive-phase
     drive exists.  ``best_index`` is -1 (and ``best_schedule`` None) when
-    every point failed; a scan read back from file carries no schedule.
+    every point failed.
     ``best_fidelity`` is the curve at ``best_index`` (0 when infeasible).
     """
 
@@ -564,32 +564,6 @@ def write_scan(result, path):
     write_rows(path, "gatelab detuning scan", meta, rows)
 
 
-def read_scan(path):
-    """Parse a file written by :func:`write_scan`.
-
-    Returns an OptimizationResult carrying the curve; the schedule and
-    report are stored separately.  The ``best_*`` header lines are for
-    people: the best index is the curve's first maximum, or -1 when that
-    is 0, the file's mark of a failed point.
-    """
-    meta, rows = read_rows(path)
-    l, n = meta["pair"].split(",")
-    grid = np.zeros(int(meta["grid_points"]))
-    fid = np.zeros(grid.size)
-    amp = np.zeros(grid.size)
-    for i, fields in enumerate(rows):
-        grid[i] = float(fields[0]) * TWO_PI
-        fid[i] = float(fields[1])
-        amp[i] = float(fields[2]) * TWO_PI
-    best = int(np.argmax(fid))
-    return OptimizationResult(
-        pair=(int(l), int(n)), tau=float(meta["tau_s"]),
-        segment_count=int(meta["segment_count"]), mu_grid=grid,
-        fidelities=fid, max_amplitudes=amp,
-        best_index=best if fid[best] > 0.0 else -1,
-        best_schedule=None)
-
-
 def write_table(rows, path):
     """Write benchmark rows (frequencies and amplitudes in plain Hz)."""
     meta = [("row_count", len(rows)),
@@ -600,12 +574,3 @@ def write_table(rows, path):
                fmt(row.mu_opt / TWO_PI), fmt(row.fidelity),
                fmt(row.max_amplitude / TWO_PI)] for row in rows]
     write_rows(path, "gatelab benchmark table", meta, fields)
-
-
-def read_table(path):
-    """Parse a file written by :func:`write_table`."""
-    _, rows = read_rows(path)
-    return [TableRow(rank=int(f[0]), pair=(int(f[1]), int(f[2])),
-                     separation_m=float(f[3]), omega_r=float(f[4]) * TWO_PI,
-                     mu_opt=float(f[5]) * TWO_PI, fidelity=float(f[6]),
-                     max_amplitude=float(f[7]) * TWO_PI) for f in rows]

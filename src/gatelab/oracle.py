@@ -60,10 +60,11 @@ def _levels_for_weight(nbar, cap):
     if nbar == 0.0:
         return 1
     ratio = nbar / (1.0 + nbar)
-    needed = int(math.ceil(math.log(_WEIGHT_TAIL) / math.log(ratio)))
+    needed = (math.inf if ratio == 1.0
+              else math.ceil(math.log(_WEIGHT_TAIL) / math.log(ratio)))
     if needed > cap:
         raise CutoffInsufficient(
-            "thermal mixture at nbar=%.3g needs %d levels for tail %.0e, "
+            "thermal mixture at nbar=%.3g needs %.0f levels for tail %.0e, "
             "cutoff allows %d" % (nbar, needed, _WEIGHT_TAIL, cap))
     return needed
 

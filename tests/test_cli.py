@@ -85,13 +85,13 @@ class TestArtifacts:
         assert summary["u_min"] > 1.0
         crystal = cr.read_crystal(os.path.join(out, "crystal.tsv"))
         assert crystal.ion_count == 7
-        meta, coords, deviation = cli.read_positions(
-            os.path.join(out, "positions.tsv"))
+        meta, rows = read_rows(os.path.join(out, "positions.tsv"))
+        coords = np.array([[float(r[3]), float(r[4])] for r in rows])
         assert coords.shape == (7, 2)
         np.testing.assert_allclose(cr.min_spacing(coords),
                                    summary["u_min"], rtol=1e-12)
         assert float(meta["u_min"]) == pytest.approx(summary["u_min"])
-        assert deviation.max() == pytest.approx(
+        assert max(float(r[5]) for r in rows) == pytest.approx(
             summary["max_lattice_deviation_u"])
 
     def test_scaling_outputs(self, workspace):
@@ -126,11 +126,10 @@ class TestArtifacts:
         summary = load_summary(out)
         assert summary["stable"] is True
         assert summary["flagged"] == []
-        spectrum = md.read_spectrum(os.path.join(out, "spectrum.tsv"))
-        assert spectrum.mode_count == 7
-        low, high = spectrum.band_edges()
+        _, rows = read_rows(os.path.join(out, "spectrum.tsv"))
+        assert len(rows) == 7
         assert summary["band_low_hz"] == pytest.approx(
-            low / (2 * math.pi))
+            min(float(r[1]) for r in rows))
         assert summary["band_high_hz"] == pytest.approx(10e6, rel=1e-9)
         meta, rows = read_rows(os.path.join(out, "critical_beta.tsv"))
         betas = {int(r[0]): float(r[1]) for r in rows}
@@ -146,17 +145,16 @@ class TestArtifacts:
         summary = load_summary(out)
         assert summary["feasible"] is True
         assert 0.9 < summary["best_fidelity"] <= 1.0
-        result = op.read_scan(os.path.join(out, "scan.tsv"))
-        assert result.mu_grid.size == 7
-        assert result.best_fidelity == pytest.approx(
-            summary["best_fidelity"])
-        best_mu = result.mu_grid[result.best_index]
-        assert best_mu / (2 * math.pi) == pytest.approx(
-            summary["best_mu_hz"])
+        _, rows = read_rows(os.path.join(out, "scan.tsv"))
+        assert len(rows) == 7
+        best = max(rows, key=lambda r: float(r[1]))
+        assert float(best[1]) == pytest.approx(summary["best_fidelity"])
+        assert float(best[0]) == pytest.approx(summary["best_mu_hz"])
         schedule = gt.read_schedule(os.path.join(out, "best_schedule.tsv"))
         assert schedule.target_pair == (0, 3)
-        report = gt.read_report(os.path.join(out, "best_report.tsv"))
-        assert report.fidelity == pytest.approx(summary["best_fidelity"])
+        meta, _ = read_rows(os.path.join(out, "best_report.tsv"))
+        assert float(meta["fidelity"]) == pytest.approx(
+            summary["best_fidelity"])
 
     def test_gate_matches_optimizer(self, workspace):
         """Evaluating the saved winner reproduces the scan's fidelity."""
@@ -238,7 +236,7 @@ class TestDeterminism:
         out = str(tmp_path / "out")
         assert cli.main(["optimize", "--config", config, "--out", out]) == 0
         assert len(solves) == 1
-        rows = op.read_table(os.path.join(out, "table.tsv"))
+        _, rows = read_rows(os.path.join(out, "table.tsv"))
         assert len(rows) == 4  # two pairs in each of the two default traps
 
     def test_table_builds_one_gate_report(self, tmp_path, monkeypatch):
@@ -259,10 +257,10 @@ class TestDeterminism:
         out = str(tmp_path / "out")
         assert cli.main(["optimize", "--config", config, "--out", out]) == 0
         assert len(reports) == 1
-        rows = op.read_table(os.path.join(out, "table.tsv"))
+        _, rows = read_rows(os.path.join(out, "table.tsv"))
         assert len(rows) == 4
         # every row has a feasible point, so none is reported
-        assert all(row.mu_opt > 0 for row in rows)
+        assert all(float(row[5]) > 0 for row in rows)
         assert load_summary(out)["diagnostics"] == {
             "table": {"infeasible_rows": []}}
 
@@ -449,7 +447,8 @@ class TestPairValidation:
         else:
             assert code == 0
             assert load_summary(out)["pair"] == expected
-            assert gt.read_report(out / "report.tsv").pair == tuple(expected)
+            meta, _ = read_rows(out / "report.tsv")
+            assert meta["pair"] == "%d,%d" % tuple(expected)
 
 
 class TestOptimizePairs:
@@ -494,16 +493,15 @@ class TestOptimizePairs:
         assert len(rows) == 6
         assert all(float(row[7]) <= 100e3 for row in rows)
         summary = load_summary(out)
-        own = [row for row in op.read_table(out / "table.tsv")
-               if row.rank == 1
-               and row.omega_r == pytest.approx(2 * math.pi * 1e6)]
+        own = [row for row in rows
+               if row[0] == "1" and float(row[4]) == pytest.approx(1e6)]
         assert len(own) == 1
-        assert list(own[0].pair) == summary["pair"]
-        assert own[0].fidelity == summary["best_fidelity"]
+        assert [int(own[0][1]), int(own[0][2])] == summary["pair"]
+        assert float(own[0][6]) == summary["best_fidelity"]
         # the bound leaves two rows at 0.2 MHz with no feasible point; the
         # summary names them
-        infeasible = [(row.rank, list(row.pair)) for row in op.read_table(
-            out / "table.tsv") if row.mu_opt == 0]
+        infeasible = [(int(row[0]), [int(row[1]), int(row[2])])
+                      for row in rows if float(row[5]) == 0]
         assert infeasible == [(2, [0, 9]), (3, [0, 18])]
         assert summary["diagnostics"]["table"]["infeasible_rows"] == [
             {"rank": rank, "pair": pair, "omega_r_hz": 200000.0}
@@ -543,8 +541,9 @@ class TestOptimizePairs:
         # the report's response holds gate_report's default samples
         report = gt.gate_report(gt.read_schedule(out / "best_schedule.tsv"),
                                 spectrum, tuple(load_summary(out)["pair"]))
+        _, rows = read_rows(out / "best_report.tsv")
         assert np.array_equal(
-            gt.read_report(out / "best_report.tsv").response_peak,
+            [float(r[2]) for r in rows if r[0] == "ion"],
             report.response_peak)
 
     def test_report_uses_response_samples(self, tmp_path):
@@ -564,7 +563,8 @@ class TestOptimizePairs:
         spectrum = md.axial_spectrum(cli.cached_crystal(run, "",
                                                         run.ion_count))
         schedule = gt.read_schedule(out / "best_schedule.tsv")
-        peak = gt.read_report(out / "best_report.tsv").response_peak
+        _, rows = read_rows(out / "best_report.tsv")
+        peak = np.array([float(r[2]) for r in rows if r[0] == "ion"])
         for samples, same in ((500, True), (2000, False)):
             report = gt.gate_report(schedule, spectrum, run.pair,
                                     samples=samples)
@@ -805,11 +805,10 @@ class TestEdgeCases:
         out = str(tmp_path / "out")
         assert cli.main(["equilibrium", "--config", config,
                          "--out", out]) == 0
-        _, coords, deviation = cli.read_positions(
-            os.path.join(out, "positions.tsv"))
-        assert coords.shape == (1, 2)
-        np.testing.assert_allclose(coords, 0.0, atol=1e-12)
-        np.testing.assert_allclose(deviation, 0.0, atol=1e-12)
+        _, rows = read_rows(os.path.join(out, "positions.tsv"))
+        fields = np.array([[float(v) for v in r[3:6]] for r in rows])
+        assert fields.shape == (1, 3)  # u_x, u_y, lattice deviation
+        np.testing.assert_allclose(fields, 0.0, atol=1e-12)
         # no pair distance exists, so the summary leaves spacing undefined
         assert load_summary(out)["spacing_m"] is None
 
@@ -859,9 +858,9 @@ class TestEdgeCases:
         assert cli.main(["optimize", "--config", config, "--out", out]) == 0
         summary = load_summary(out)
         assert summary["best_mu_hz"] == pytest.approx(10e6 - 0.04e6)
-        result = op.read_scan(os.path.join(out, "scan.tsv"))
-        assert result.mu_grid.size == 1
-        assert result.best_index == 0
+        meta, rows = read_rows(os.path.join(out, "scan.tsv"))
+        assert len(rows) == 1
+        assert meta["best_index"] == "0" and float(rows[0][1]) > 0
 
     def test_console_script_installed(self, tmp_path):
         exe = shutil.which("gatelab")

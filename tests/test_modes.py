@@ -8,6 +8,7 @@ import pytest
 
 from gatelab import crystal as cr
 from gatelab import modes as md
+from gatelab._textio import read_rows
 from gatelab.errors import UnstableSpectrum
 
 
@@ -140,9 +141,9 @@ class TestComGap:
         assert np.all(np.diff(gaps) < 0.0)
 
     def test_gap_at_beta_redresses_the_trap(self, tmp_path, monkeypatch):
-        # every spectrum, com_gap's re-dressed ones and one read back from
-        # file included, carries the beta of its own trap, and its uniform
-        # mode sits at that trap's omega_z
+        # every spectrum, com_gap's re-dressed ones included, carries the
+        # beta of its own trap, and its uniform mode sits at that trap's
+        # omega_z; so does a spectrum file's trap block
         built = []
         original = md.axial_spectrum
 
@@ -159,7 +160,13 @@ class TestComGap:
         assert len(built) == 2 * len(betas) + 1
         path = tmp_path / "spectrum.tsv"
         md.write_spectrum(built[0], path)
-        for spec in built + [md.read_spectrum(path)]:
+        meta, rows = read_rows(path)
+        trap = cr.read_trap_meta(meta)
+        assert trap == built[0].config
+        assert float(meta["beta"]) == trap.beta
+        assert float(rows[0][1]) * 2 * math.pi == pytest.approx(
+            trap.omega_z, rel=1e-12)
+        for spec in built:
             assert spec.beta == spec.config.beta
             assert spec.frequencies[0] == pytest.approx(spec.config.omega_z,
                                                         rel=1e-12)
@@ -181,17 +188,19 @@ class TestSerialization:
         spec = md.axial_spectrum(crystal)
         path = tmp_path / "spectrum.tsv"
         md.write_spectrum(spec, path)
-        back = md.read_spectrum(path)
-        assert np.allclose(back.frequencies, spec.frequencies, rtol=1e-14)
-        assert np.allclose(back.modes, spec.modes, rtol=0, atol=1e-14)
-        assert back.beta == spec.beta
-        assert back.config.ion_count == 6
+        meta, rows = read_rows(path)
+        freqs = np.array([float(r[1]) for r in rows]) * 2 * math.pi
+        modes = np.array([[float(v) for v in r[2:]] for r in rows])
+        assert np.allclose(freqs, spec.frequencies, rtol=1e-14)
+        assert np.allclose(modes, spec.modes, rtol=0, atol=1e-14)
+        assert float(meta["beta"]) == spec.beta
+        assert int(meta["ion_count"]) == 6
         # the whole trap block, thermal occupation included, comes back
-        assert back.config == spec.config
+        assert cr.read_trap_meta(meta) == spec.config
 
     def test_derived_beta_is_not_read(self, tmp_path):
-        # the beta header line is for people; the spectrum's beta is the
-        # anisotropy of the trap block
+        # the beta header line is for people; the trap block read from
+        # the file does not take it in
         spec = md.axial_spectrum(solve(6))
         path = tmp_path / "spectrum.tsv"
         md.write_spectrum(spec, path)
@@ -200,9 +209,11 @@ class TestSerialization:
                            else line for line in text.splitlines()) + "\n"
         assert edited != text
         path.write_text(edited)
-        back = md.read_spectrum(path)
-        assert back.beta == spec.config.beta == spec.beta
-        assert back.config == spec.config
+        meta, _ = read_rows(path)
+        assert meta["beta"] == "20"
+        trap = cr.read_trap_meta(meta)
+        assert trap.beta == spec.config.beta == spec.beta
+        assert trap == spec.config
 
     def test_frequencies_stored_in_hz(self, tmp_path):
         spec = md.axial_spectrum(solve(2, beta=5.0, omega_r_hz=1e6))

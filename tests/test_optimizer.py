@@ -20,6 +20,7 @@ from gatelab import gate as gt
 from gatelab import modes as md
 from gatelab import optimizer as op
 from gatelab import oracle as orc
+from gatelab._textio import read_rows
 from gatelab.errors import (IndefiniteKernel, InsufficientPoints,
                             NegativeOccupation)
 
@@ -606,24 +607,29 @@ class TestSerialization:
         result = op.detuning_scan(spectrum7, problem)
         path = tmp_path / "scan.tsv"
         op.write_scan(result, path)
-        back = op.read_scan(path)
-        assert back.pair == result.pair
-        assert back.tau == pytest.approx(result.tau, rel=1e-15)
-        assert back.segment_count == result.segment_count
-        assert back.best_index == result.best_index
-        assert back.feasible
-        assert back.best_mu == pytest.approx(result.best_mu, rel=1e-15)
-        assert back.best_fidelity == pytest.approx(result.best_fidelity,
-                                                   rel=1e-15)
-        assert back.fidelities[back.best_index] == back.best_fidelity
-        assert back.fidelities.tobytes() == result.fidelities.tobytes()
+        meta, rows = read_rows(path)
+        assert meta["pair"] == "%d,%d" % result.pair
+        assert float(meta["tau_s"]) == pytest.approx(result.tau, rel=1e-15)
+        assert int(meta["segment_count"]) == result.segment_count
+        assert int(meta["grid_points"]) == len(rows) == result.mu_grid.size
+        assert int(meta["best_index"]) == result.best_index >= 0
+        assert float(meta["best_mu_hz"]) * TWO_PI == pytest.approx(
+            result.best_mu, rel=1e-15)
+        assert float(meta["best_fidelity"]) == pytest.approx(
+            result.best_fidelity, rel=1e-15)
+        mu_hz, fid, amp_hz = np.array(
+            [[float(v) for v in row] for row in rows]).T
+        # the best index is the curve's first maximum
+        assert np.argmax(fid) == result.best_index
+        assert fid[result.best_index] == float(meta["best_fidelity"])
+        assert fid.tobytes() == result.fidelities.tobytes()
         # 17 significant digits in the file; the Hz columns add one
         # Hz/angular round trip
-        np.testing.assert_allclose(back.mu_grid, result.mu_grid, rtol=1e-12)
-        np.testing.assert_allclose(back.fidelities, result.fidelities,
+        np.testing.assert_allclose(mu_hz * TWO_PI, result.mu_grid,
                                    rtol=1e-12)
-        np.testing.assert_allclose(back.max_amplitudes,
-                                   result.max_amplitudes, rtol=1e-12)
+        np.testing.assert_allclose(fid, result.fidelities, rtol=1e-12)
+        np.testing.assert_allclose(amp_hz * TWO_PI, result.max_amplitudes,
+                                   rtol=1e-12)
 
     def test_table_round_trip(self, tmp_path):
         rows = [op.TableRow(rank=1, pair=(0, 5), separation_m=1.9e-5,
@@ -634,16 +640,17 @@ class TestSerialization:
                             fidelity=0.9894, max_amplitude=TWO_PI * 0.3e6)]
         path = tmp_path / "table.tsv"
         op.write_table(rows, path)
-        back = op.read_table(path)
-        assert len(back) == 2
-        for a, b in zip(back, rows):
-            assert a.rank == b.rank and a.pair == b.pair
-            assert a.separation_m == pytest.approx(b.separation_m, rel=1e-15)
-            assert a.omega_r == pytest.approx(b.omega_r, rel=1e-15)
-            assert a.mu_opt == pytest.approx(b.mu_opt, rel=1e-15)
-            assert a.fidelity == pytest.approx(b.fidelity, rel=1e-15)
-            assert a.max_amplitude == pytest.approx(b.max_amplitude,
-                                                    rel=1e-15)
+        meta, back = read_rows(path)
+        assert int(meta["row_count"]) == len(back) == 2
+        for f, b in zip(back, rows):
+            assert int(f[0]) == b.rank
+            assert (int(f[1]), int(f[2])) == b.pair
+            assert float(f[3]) == pytest.approx(b.separation_m, rel=1e-15)
+            assert float(f[4]) * TWO_PI == pytest.approx(b.omega_r, rel=1e-15)
+            assert float(f[5]) * TWO_PI == pytest.approx(b.mu_opt, rel=1e-15)
+            assert float(f[6]) == pytest.approx(b.fidelity, rel=1e-15)
+            assert float(f[7]) * TWO_PI == pytest.approx(b.max_amplitude,
+                                                         rel=1e-15)
 
 
 class TestTableOne:
@@ -686,8 +693,10 @@ class TestOccupationRule:
     def state3(self, spectrum3, schedule3):
         return orc.evolve(schedule3, spectrum3, (0, 2), nbar=0.0)
 
-    @pytest.mark.parametrize("nbar", [-0.1, np.nan, np.inf, [0.1, 0.2]],
-                             ids=["negative", "nan", "inf", "wrong-length"])
+    @pytest.mark.parametrize("nbar", [-0.1, np.nan, np.inf, 1e308,
+                                      [0.1, 0.2]],
+                             ids=["negative", "nan", "inf", "overflow",
+                                  "wrong-length"])
     @pytest.mark.parametrize("entry", [
         "TrapConfig", "detuning_scan", "solve_amplitudes", "thermal_fidelity",
         "gate_fidelity", "evolve", "fidelity_from_state"])

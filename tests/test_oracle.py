@@ -402,6 +402,14 @@ class TestErrorPaths:
         with pytest.raises(CutoffInsufficient):
             orc.evolve(sched, spec2, (0, 1), nbar=4.0)
 
+    @pytest.mark.parametrize("nbar", [1e6, 1e17, 1e300])
+    def test_mixture_too_hot_for_any_cutoff(self, spec2, nbar):
+        # from nbar ~ 1e16 on, nbar / (1 + nbar) rounds to 1 and no level
+        # count reaches the tail
+        sched = gt.PulseSchedule.uniform(1e-7, [0.0], spec2.frequencies[0])
+        with pytest.raises(CutoffInsufficient, match="needs .* levels"):
+            orc.evolve(sched, spec2, (0, 1), nbar=nbar)
+
     def test_overdriven_cutoff(self, spec2):
         # displacement far beyond the basis spills population to the top
         sched = gt.PulseSchedule.uniform(
