@@ -18,13 +18,19 @@ exact resonances without special-casing.  The series are evaluated only on
 the entries that select them, and the segment integrals accept an array of
 detunings, so a scan builds the kernels of its whole grid in one call.
 Every segment integral reads one primitive, E0(x) = integral_0^h e^{i x s}
-ds, made from one sine and one cosine pass; the first-order integrals and
-the triangles share E0(omega +/- mu), and each start phase is a product of
-e^{i omega t_p} and e^{i mu t_p} (see :func:`_segment_kernels`).  The
-thermal fidelity is the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) +
-e^{-G_n} cos 2(d + g) + e^{-G_+} / 2 + e^{-G_-} / 2] (see
-:func:`thermal_fidelity`), and :func:`gate_report` and the optimizer score
-a drive with one function, :func:`_evaluate`.
+ds = e^{i theta} h sin(theta) / theta with theta = x h / 2, at x = omega
++/- mu (see :func:`_segment_kernels`).  The build (:func:`_kernel_blocks`)
+works in a (detuning, segment, mode) layout, mode axis innermost, and runs
+no trig over the grid: every phase is a product of a per-mode table,
+e^{i omega h_p / 2} or e^{i omega t_mid}, and a per-detuning one,
+e^{i mu h_p / 2} or e^{i mu t_mid}, with one entry per segment, and the
+amplitude reads the product's imaginary part.  It walks the grid in blocks
+of ``_BLOCK`` detunings and turns each block into the pair's forms before
+it builds the next (:func:`_pair_kernels`); the public kernels still
+return mu.shape + (K, P).  The thermal fidelity is the closed form
+F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g) + e^{-G_+} / 2
++ e^{-G_-} / 2] (see :func:`thermal_fidelity`), and :func:`gate_report`
+and the optimizer score a drive with one function, :func:`_evaluate`.
 """
 
 from dataclasses import dataclass
@@ -39,6 +45,16 @@ TWO_PI = 2.0 * np.pi
 
 # Below this phase magnitude the closed forms cancel; switch to series.
 _SERIES_THRESHOLD = 3e-3
+# Below this half angle |omega +/- mu| max(h) / 2 a (detuning, mode) row
+# takes its sinc from direct trig.  The tables' product carries the
+# rounding of omega h / 2 and mu h / 2, ~3e-14 rad at 10 MHz and 10 us;
+# its share grows as 1 / theta in S and 1 / theta^2 in the triangle
+# quotient, and stays near 1e-13 of the kernels' largest entry above 1.
+_DIRECT_ANGLE = 1.0
+# Detunings per block of the kernel build: a block's (B, P, K) arrays,
+# about 160 kB each at 127 modes and 5 segments, stay in the L2 cache, and
+# the build touches a few MB of fresh memory, not its whole grid's worth.
+_BLOCK = 32
 _SERIES_TERMS = 6
 _TAYLOR_TERMS = 8
 RESPONSE_SAMPLES = 2000  # uniform time samples of a report's response
@@ -143,19 +159,25 @@ def _unit(angle):
     return out
 
 
+def _e0_parts(x, h):
+    """(e^{i theta}, h sin(theta) / theta) with theta = x h / 2, from one
+    sine and one cosine pass; the removable singularity is filled with
+    the limit h."""
+    theta = 0.5 * x * h
+    unit = _unit(theta)
+    amp = np.divide(unit.imag, theta, out=np.ones_like(theta),
+                    where=theta != 0.0)
+    amp *= h
+    return unit, amp
+
+
 def _e0(x, h):
     """integral_0^h e^{i x s} ds, exact for all x including 0.
 
-    The midpoint form h (cos theta + i sin theta) sin(theta) / theta with
-    theta = x h / 2 takes one sin and one cos pass; its removable
-    singularity is filled with the limit h, so E0(0) = h and
-    E0(-x) = conj(E0(x)) hold exactly.
+    The midpoint form e^{i theta} h sin(theta) / theta of
+    :func:`_e0_parts`, so E0(0) = h and E0(-x) = conj(E0(x)) hold exactly.
     """
-    theta = 0.5 * x * h
-    out = _unit(theta)
-    amp = np.divide(out.imag, theta, out=np.ones_like(theta),
-                    where=theta != 0.0)
-    amp *= h
+    out, amp = _e0_parts(x, h)
     out.real *= amp
     out.imag *= amp
     return out
@@ -165,45 +187,40 @@ def _moments(a, h, jmax):
     """M_j = integral_0^h s^j e^{i a s} ds for j = 0..jmax (stacked axis 0).
 
     Integration by parts gives M_j = (h^j e^{iah} - j M_{j-1}) / (ia), which
-    cancels badly for |a h| << 1; there a short Taylor series in (iah) is
-    exact to rounding.  The series is evaluated only on those entries.
+    cancels badly for |a h| << 1; there the short Taylor series
+    M_j = h^{j+1} sum_k (iah)^k / (k! (j+k+1)) is exact to rounding.  The
+    series is evaluated only on those entries, for every j in one product.
     ``a`` and ``h`` are float arrays of one shape.
     """
+    shape = np.shape(a)
+    a, h = np.ravel(a), np.ravel(h)
     small = np.abs(a * h) < _SERIES_THRESHOLD
     ia = 1j * np.where(small, 1.0, a)  # safe divisor off the small branch
     eah = _unit(a * h)
-    sel = np.nonzero(small)
-    h_sel = h[sel]
-    z = 1j * a[sel] * h_sel
-
-    out = np.empty((jmax + 1,) + a.shape, dtype=complex)
+    hpow = h ** np.arange(jmax + 2)[:, None]
+    out = np.empty((jmax + 1, a.size), dtype=complex)
     out[0] = _e0(a, h)
-    hpow = np.ones_like(h)
     for j in range(1, jmax + 1):
-        hpow = hpow * h
-        out[j] = (hpow * eah - j * out[j - 1]) / ia
-        # Taylor: M_j = h^{j+1} sum_k z^k / (k! (j+k+1))
-        term = np.ones_like(z)
-        series = term / (j + 1)
-        for k in range(1, _TAYLOR_TERMS + 1):
-            term = term * z / k
-            series = series + term / (j + k + 1)
-        out[j][sel] = hpow[sel] * h_sel * series
-    return out
+        out[j] = (hpow[j] * eah - j * out[j - 1]) / ia
+    (sel,) = np.nonzero(small)
+    k = np.arange(_TAYLOR_TERMS + 1)
+    j = np.arange(1, jmax + 1)
+    factorial = np.cumprod(np.maximum(k, 1))
+    coeff = 1.0 / (factorial[:, None] * (j + k[:, None] + 1))
+    series = (1j * a[sel] * h[sel])[:, None] ** k @ coeff
+    out[1:, sel] = series.T * hpow[2:, sel]
+    return out.reshape((jmax + 1,) + shape)
 
 
 def _k_series(a, b, h):
     """K = integral_0^h e^{i a s2} integral_0^{s2} e^{i b s1} ds1 ds2 for
     |b h| small, the inner integral expanded in powers of (ib); ``a``,
-    ``b`` and ``h`` are float arrays of one shape."""
-    moments = _moments(a, h, _SERIES_TERMS)
-    series = np.zeros(b.shape, dtype=complex)
-    coeff = np.ones(b.shape, dtype=complex)  # (ib)^{j-1} / j!
-    for j in range(1, _SERIES_TERMS + 1):
-        coeff = coeff / j
-        series = series + coeff * moments[j]
-        coeff = coeff * (1j * b)
-    return series
+    ``b`` and ``h`` are float arrays that broadcast to one shape."""
+    a, b, h = np.broadcast_arrays(a, b, h)
+    j = np.arange(1, _SERIES_TERMS + 1)
+    coeff = (1j * b[..., None]) ** (j - 1) / np.cumprod(j)  # (ib)^{j-1} / j!
+    moments = np.moveaxis(_moments(a, h, _SERIES_TERMS)[1:], 0, -1)
+    return np.sum(coeff * moments, axis=-1)
 
 
 def _first_order(start, turn, e_plus, e_minus):
@@ -218,27 +235,129 @@ def _first_order(start, turn, e_plus, e_minus):
     return e_plus
 
 
-def _triangle_pair(x, y, e_x, e_y, lag, rest, h):
-    """Im(lag K(y, -x) - K(x, -x)), the two triangle kernels that share
-    b = -x, with K as in :func:`_k_series`.
+def _kernel_blocks(times, mu, frequencies):
+    """Yield (rows, S, T) for each block of at most ``_BLOCK`` detunings
+    of the 1-D ``mu``: the slice of ``mu`` it covers and its segment
+    integrals (see :func:`_segment_kernels`), each (B, P, K), mode axis
+    last.
 
-    The generic form K(a, b) = [E0(a + b) - E0(a)] / (ib) puts both over
-    the real divisor x: [Re(lag E0(y - x)) - h + Re E0(x)
-    - Re(lag E0(y))] / x, where ``rest`` = Re(lag E0(y - x)) - h.  Where
-    |x h| is small the quotient cancels; on those entries alone both
-    kernels are series.
+    Every phase is a product of a per-mode table, e^{i omega h_p / 2} or
+    e^{i omega t_mid} (P, K), and a per-detuning one, e^{i mu h_p / 2} or
+    e^{i mu t_mid} (M, P), one entry per segment: so e^{i theta} with
+    theta = (omega +/- mu) h_p / 2, and the amplitude h sin(theta) / theta
+    reads the product's imaginary part.  Two sets of entries leave that
+    arithmetic, each found and evaluated once for the whole grid, then
+    written into the blocks: the (detuning, mode) rows of
+    :func:`_direct_rows`, and the series entries of the triangle halves
+    (:func:`_series_half`).
     """
-    out = e_x.real + rest
-    out -= lag.real * e_y.real
-    out += lag.imag * e_y.imag
-    small = np.abs(x) * h < _SERIES_THRESHOLD
-    out /= np.where(small, 1.0, x)
-    sel = np.nonzero(small)
-    x_s, y_s, h_s, lag_s = (np.broadcast_to(v, out.shape)[sel]
-                            for v in (x, y, h, lag))
-    out[sel] = np.imag(lag_s * _k_series(y_s, -x_s, h_s)
-                       - _k_series(x_s, -x_s, h_s))
-    return out
+    times = np.asarray(times, dtype=float)
+    omega = np.asarray(frequencies, dtype=float)
+    h = np.diff(times)
+    t0 = times[:-1, None]
+    half = 0.5 * h[:, None]
+    angle = half * omega
+    mode_re, mode_im = np.cos(angle), np.sin(angle)  # e^{i omega h / 2}
+    spin = -1j * _unit((t0 + half) * omega)  # -i e^{i omega t_mid}
+    m = mu[:, None, None]
+    angle = m * half
+    tune_re, tune_im = np.cos(angle), np.sin(angle)  # e^{i mu h / 2}
+    turn = 0.5 * _unit(m * (t0 + half))  # e^{i mu t_mid} / 2
+    lag = _unit(2.0 * m * t0)
+    # lag e^{i mu h / 2}, made from lag so that its rounding cancels in T
+    bend = lag * (tune_re + 1j * tune_im)
+    rest = np.real(lag * _e0(2.0 * m, h[:, None])) - h[:, None]
+    plus, minus = omega + m, omega - m  # (M, 1, K)
+    # the divisor 1 on rows whose every entry is direct and a series
+    inv_p, inv_m = (1.0 / np.where(np.abs(x) * h.max() < _SERIES_THRESHOLD,
+                                   1.0, x) for x in (plus, minus))
+    direct = _direct_rows(plus, h) + _direct_rows(minus, h)
+    series = (_series_half(minus, plus, lag, h),
+              _series_half(plus, minus, np.conj(lag), h))
+    for start in range(0, mu.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        # sin and cos of theta_{+/-}, the sines scaled to the amplitudes
+        amp_p = mode_im * tune_re[rows]
+        cos_m = mode_re * tune_re[rows]
+        cross = mode_re * tune_im[rows]
+        amp_m = amp_p - cross
+        amp_p += cross
+        np.multiply(mode_im, tune_im[rows], out=cross)
+        cos_p = cos_m - cross
+        cos_m += cross
+        amp_p *= 2.0 * inv_p[rows]
+        amp_m *= 2.0 * inv_m[rows]
+        for target, patch in zip((amp_p, cos_p, amp_m, cos_m), direct):
+            _patch(target, start, patch)
+        # T = -[Re E0(m) + rest - A+ Re(lag e^{i theta+})] / 4m - [Re E0(p)
+        # + rest - A- Re(conj(lag) e^{i theta-})] / 4p, Re E0 = A cos, and
+        # lag^{+/-1} e^{i theta+/-} = e^{i omega h / 2} bend^{+/-1}
+        out_m = cos_m
+        out_m *= amp_m
+        out_m += rest[rows]
+        out_p = cos_p
+        out_p *= amp_p
+        out_p += rest[rows]
+        real = mode_re * bend[rows].real
+        np.multiply(mode_im, bend[rows].imag, out=cross)
+        ahead = real - cross  # Re(lag e^{i theta+})
+        ahead *= amp_p
+        out_m -= ahead
+        real += cross  # Re(conj(lag) e^{i theta-})
+        real *= amp_m
+        out_p -= real
+        out_m *= -0.25 * inv_m[rows]
+        out_p *= -0.25 * inv_p[rows]
+        _patch(out_m, start, series[0])
+        _patch(out_p, start, series[1])
+        out_m += out_p
+        # S = -i e^{i omega t_mid} [Re(turn) (A+ - A-) + i Im(turn) (A+ + A-)]
+        S = np.empty(amp_p.shape, dtype=complex)
+        np.subtract(amp_p, amp_m, out=S.real)
+        S.real *= turn[rows].real
+        np.add(amp_p, amp_m, out=S.imag)
+        S.imag *= turn[rows].imag
+        S *= spin
+        yield rows, S, out_m
+
+
+def _patch(block, start, patch):
+    """Write the entries of ``patch`` (sorted flat indices into the
+    grid's (M, P, K) arrays, and their values) that fall in ``block``,
+    the (B, P, K) rows of the grid from ``start`` on."""
+    index, values = patch
+    first = start * block[0].size
+    lo, hi = np.searchsorted(index, [first, first + block.size])
+    block.reshape(-1)[index[lo:hi] - first] = values[lo:hi]
+
+
+def _direct_rows(x, h):
+    """(amplitude patch, cosine patch) for :func:`_patch`: on the rows of
+    ``x`` (M, 1, K) where |x| max(h) / 2 < ``_DIRECT_ANGLE``, the
+    amplitude h sin(theta) / theta and cos(theta), theta = x h_p / 2, from
+    direct trig (:func:`_e0_parts`).  There the tables' product would
+    swamp a small sin(theta) with its rounding; direct trig keeps the
+    sinc's relative accuracy and E0(0) = h."""
+    b, _, k = np.nonzero(np.abs(x) * (0.5 * h.max()) < _DIRECT_ANGLE)
+    unit, amp = _e0_parts(x[b, 0, k][:, None], h)
+    index = np.ravel_multi_index((b[:, None], np.arange(h.size), k[:, None]),
+                                 (x.shape[0], h.size, x.shape[2])).ravel()
+    return (index, amp.ravel()), (index, unit.real.ravel())
+
+
+def _series_half(x, y, lag, h):
+    """A patch for :func:`_patch`: one triangle half
+    -Im(lag K(y, -x) - K(x, -x)) / 4 (see :func:`_k_series`) on the
+    entries where |x h_p| < ``_SERIES_THRESHOLD``, where its quotient by x
+    cancels; ``x``, ``y`` are (M, 1, K) and ``lag`` (M, P, 1)."""
+    shape = (x.shape[0], h.size, x.shape[2])
+    b, _, k = np.nonzero(np.abs(x) * h.min() < _SERIES_THRESHOLD)
+    x, y = x[b, 0, k], y[b, 0, k]
+    i, p = np.nonzero(np.abs(x)[:, None] * h < _SERIES_THRESHOLD)
+    b, k, x, y = b[i], k[i], x[i], y[i]
+    later, same = _k_series(np.stack([y, x]), -x, h[p])
+    return np.ravel_multi_index((b, p, k), shape), -0.25 * np.imag(
+        lag[b, p, 0] * later - same)
 
 
 def _segment_kernels(times, mu, frequencies):
@@ -247,31 +366,29 @@ def _segment_kernels(times, mu, frequencies):
     S[k, p] is the integral over segment p of sin(mu t) e^{i omega_k t}
     dt, and T[k, p] the ordered double integral of sin(mu s2) sin(mu s1)
     sin(omega_k (s2 - s1)) over the triangle t_p < s1 < s2 < t_{p+1}.
-    Both read one E0(omega + mu) and one E0(omega - mu).  The start
-    phases e^{i (omega +/- mu) t_p} are products of e^{i omega t_p} and
-    e^{+/-i mu t_p}.  T = -Im(lag k1 - k2 - k3 + conj(lag) k4) / 4, with
+    With p, m = omega +/- mu, A_x = h sin(theta_x) / theta_x and
+    theta_x = x h / 2, the segment integral of e^{i x t} is
+    e^{i x t_mid} A_x, so S = -i/2 (e^{i p t_mid} A_p - e^{i m t_mid}
+    A_m).  T = -Im(lag k1 - k2 - k3 + conj(lag) k4) / 4, with
     lag = e^{2 i mu t_p} and the kernels k1 = K(p, -m), k2 = K(p, -p),
-    k3 = K(m, -m) and k4 = K(m, -p), where p, m = omega +/- mu.  Their
-    E0(a + b) are E0(2 mu), h, h and E0(-2 mu) = conj E0(2 mu), taken at
-    the exact 2 mu.
+    k3 = K(m, -m) and k4 = K(m, -p) of :func:`_k_series`.  Their
+    E0(a + b) are E0(2 mu), h, h and E0(-2 mu) = conj E0(2 mu), so over
+    the real divisors m and p, T = -[Re E0(m) + r - A_p Re(lag
+    e^{i theta_p})] / 4m - [Re E0(p) + r - A_m Re(conj(lag)
+    e^{i theta_m})] / 4p, with r = Re(lag E0(2 mu)) - h and Re E0(x) =
+    A_x cos(theta_x).  Where |x h| is small a quotient cancels; on those
+    entries alone its half is a series.  Built by :func:`_kernel_blocks`.
     """
-    times = np.asarray(times, dtype=float)
-    mu = np.asarray(mu, dtype=float)[..., None, None]
-    omega = np.asarray(frequencies, dtype=float)[:, None]
-    t0 = times[:-1]
-    h = np.diff(times)
-    plus = omega + mu
-    minus = omega - mu
-    e_plus = _e0(plus, h)
-    e_minus = _e0(minus, h)
-    turn = _unit(mu * t0)
-    lag = turn * turn
-    rest = np.real(lag * _e0(2.0 * mu, h)) - h
-    T = _triangle_pair(minus, plus, e_minus, e_plus, lag, rest, h)
-    T += _triangle_pair(plus, minus, e_plus, e_minus, np.conj(lag), rest, h)
-    T *= -0.25
-    S = _first_order(_unit(omega * t0), turn, e_plus, e_minus)
-    return S, T
+    mu = np.asarray(mu, dtype=float)
+    shape = mu.shape + (len(times) - 1, len(frequencies))
+    S = np.empty((mu.size,) + shape[-2:], dtype=complex)
+    T = np.empty(S.shape)
+    for rows, S_block, T_block in _kernel_blocks(times, mu.reshape(-1),
+                                                 frequencies):
+        S[rows] = S_block
+        T[rows] = T_block
+    return (np.swapaxes(S.reshape(shape), -1, -2),
+            np.swapaxes(T.reshape(shape), -1, -2))
 
 
 def first_order_integrals(times, mu, frequencies):
@@ -293,18 +410,19 @@ def phase_kernels(times, mu, frequencies):
     (p later than q) evenly across (p, q) and (q, p).
     """
     S, T = _segment_kernels(times, mu, frequencies)
-    return _phase_form(S[..., None, :], T[..., None, :], np.ones(1))
+    return _phase_form(S[..., None], T[..., None], np.ones(1))
 
 
 def _phase_form(S, T, weights):
     """sum_k weights_k G_k (see :func:`phase_kernels`) from ``S`` and the
-    triangle integrals ``T``, both (..., K, P): the antisymmetric rectangle
-    Im(S^T diag(weights) conj(S)) in one contraction over modes."""
-    rect = np.imag(np.swapaxes(S, -1, -2) @ (weights[:, None] * np.conj(S)))
-    lower = np.tril(rect, k=-1)
+    triangle integrals ``T``, both (..., P, K), mode axis last: the
+    antisymmetric rectangle Im(S diag(weights) S^H) = X - X^T, with
+    X = Im(S) diag(weights) Re(S)^T one contraction over modes."""
+    X = (S.imag * weights) @ np.swapaxes(S.real, -1, -2)
+    lower = np.tril(X - np.swapaxes(X, -1, -2), k=-1)
     G = 0.5 * (lower + np.swapaxes(lower, -1, -2))
-    p_idx = np.arange(S.shape[-1])
-    G[..., p_idx, p_idx] = weights @ T
+    p_idx = np.arange(S.shape[-2])
+    G[..., p_idx, p_idx] = T @ weights
     return G
 
 
@@ -344,16 +462,37 @@ def entangling_phase(schedule, couplings, frequencies, pair):
 
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):
     """Quadratic-form matrix G with phi = Omega^T G Omega for one pair."""
-    return _pair_kernels(times, mu, frequencies, couplings, pair)[1]
+    mu = np.asarray(mu, dtype=float)
+    G = _pair_kernels(times, mu.reshape(-1), frequencies, couplings, pair,
+                      None)[1]
+    return G.reshape(mu.shape + G.shape[1:])
 
 
-def _pair_kernels(times, mu, frequencies, couplings, pair):
-    """(S, G): :func:`first_order_integrals` and :func:`pair_phase_matrix`
-    at the detunings ``mu``, built together in one :func:`_phase_form`
-    call for every detuning."""
-    S, T = _segment_kernels(times, mu, frequencies)
+def _pair_kernels(times, mu, frequencies, couplings, pair, weights):
+    """(S, G, A) at the 1-D detunings ``mu``, each block of
+    :func:`_kernel_blocks` turned into all three before the next is built.
+
+    S (M, P, K) is :func:`first_order_integrals` with the mode axis last
+    and G (M, P, P) :func:`pair_phase_matrix`.  A (M, J, P, P) holds the
+    residual forms Re(S^* diag(w) S^T) of the rows w of ``weights``
+    (J, K); A is None when ``weights`` is.
+    """
     l, n = pair
-    return S, _phase_form(S, T, 2.0 * couplings[l] * couplings[n])
+    pair_weights = 2.0 * couplings[l] * couplings[n]
+    shape = (mu.size, len(times) - 1)
+    S = np.empty(shape + (len(frequencies),), dtype=complex)
+    G = np.empty(shape + shape[-1:])
+    A = None
+    if weights is not None:
+        A = np.empty(shape[:1] + (len(weights),) + G.shape[1:])
+        tiled = np.tile(weights, 2)[:, None, :]  # Re(S^* w S^T) = R w R^T
+    for rows, S_block, T_block in _kernel_blocks(times, mu, frequencies):
+        S[rows] = S_block
+        G[rows] = _phase_form(S_block, T_block, pair_weights)
+        if A is not None:
+            R = np.concatenate([S_block.real, S_block.imag], axis=-1)
+            A[rows] = (R[:, None] * tiled) @ np.swapaxes(R, -1, -2)[:, None]
+    return S, G, A
 
 
 def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
@@ -413,10 +552,10 @@ def _phase(G, vec):
 
 def _evaluate(S, G, amplitudes, drive, nbar):
     """(phi, alpha_l, alpha_n, :func:`gate_fidelity`) of the drives
-    ``amplitudes`` (M, P) on the pair kernels S (M, K, P), G (M, P, P);
+    ``amplitudes`` (M, P) on the pair kernels S (M, P, K), G (M, P, P);
     ``drive`` (2, K) holds the pair's coupling rows."""
     phi = _phase(G, amplitudes)
-    disp = (S @ amplitudes[:, :, None])[:, :, 0]
+    disp = (amplitudes[:, None, :] @ S)[:, 0, :]
     alpha_l, alpha_n = 1j * drive[:, None, :] * disp
     return phi, alpha_l, alpha_n, gate_fidelity(phi, alpha_l, alpha_n, nbar)
 
@@ -582,8 +721,8 @@ def gate_report(schedule, spectrum, pair, samples=RESPONSE_SAMPLES):
     l, n = pair = check_pair(pair, spectrum.config.ion_count)
     couplings = drive_couplings(spectrum)
     freqs = spectrum.frequencies
-    S, G = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
-                         couplings, pair)
+    S, G, _ = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
+                            couplings, pair, None)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
         S, G, schedule.amplitudes[None, :], couplings[[l, n]],
         spectrum.config.temperature_nbar)

@@ -170,7 +170,7 @@ class _Forms:
     weights of |alpha_l|^2, |alpha_n|^2 and |alpha_l +/- alpha_n|^2 (the
     factor 2 of exp(-2 Gamma) included), and the ``bound`` (or None).
     Only the final score, shared with :func:`gate.gate_report`, reads the
-    first-order integrals ``S`` (M, K, P), the pair's coupling rows
+    first-order integrals ``S`` (M, P, K), the pair's coupling rows
     ``drive`` (2, K) and ``nbar`` (K,).
     """
 
@@ -194,14 +194,11 @@ def _grid_forms(spectrum, pair, times, grid, nbar, bound):
     nbar = check_nbar(spectrum.config.temperature_nbar if nbar is None
                       else nbar, spectrum.mode_count)
     couplings = drive_couplings(spectrum)
-    S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
-                         spectrum.frequencies, couplings, pair)
     cl, cn = drive = couplings[list(pair)]
     weights = 2.0 * (2.0 * nbar + 1.0) * np.array(
         [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
-    R = np.concatenate([S.real, S.imag], axis=1)  # Re(S^H w S) = R^T w R
-    A = np.stack([(R.transpose(0, 2, 1) * w) @ R
-                  for w in np.tile(weights, 2)], axis=1)
+    S, G, A = _pair_kernels(times, np.asarray(grid, dtype=float),
+                            spectrum.frequencies, couplings, pair, weights)
     return _Forms(S=S, G=G, A=A, drive=drive, nbar=nbar, bound=bound)
 
 

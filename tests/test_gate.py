@@ -41,7 +41,7 @@ def quad_triangle(mu, omega, ta, tb):
 
 # The segment kernels as first written: a complex exp and an np.sinc per
 # E0, each start phase its own complex exp, and E0(omega +/- mu) built
-# apart for S and for T.  Kept as a reference for the one-trig-pass build.
+# apart for S and for T.  Kept as a reference for the table build.
 
 def ref_e0(x, h):
     return h * np.exp(0.5j * x * h) * np.sinc(x * h / (2.0 * np.pi))
@@ -233,9 +233,9 @@ class TestBatchedKernels:
         times, omega, grid, couplings, pair = mixed_branch_grid()
         S = gt.first_order_integrals(times, grid, omega)
         T = gt._segment_kernels(times, grid, omega)[1]
-        S2, G = gt._pair_kernels(times, grid, omega, couplings, pair)
+        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, pair, None)
         assert S.shape == (grid.size, omega.size, times.size - 1)
-        assert np.array_equal(S2, S)
+        assert np.array_equal(np.swapaxes(S2, -1, -2), S)
         for i, mu in enumerate(grid):
             assert np.array_equal(
                 S[i], gt.first_order_integrals(times, float(mu), omega))
@@ -243,6 +243,30 @@ class TestBatchedKernels:
                 T[i], gt._segment_kernels(times, float(mu), omega)[1])
             assert np.array_equal(G[i], gt.pair_phase_matrix(
                 times, float(mu), omega, couplings, pair))
+
+    def test_detuning_array_keeps_its_shape(self):
+        # a (2, 3) array of detunings goes into the mode-last layout and
+        # back: (2, 3, K, P) kernels, each bitwise its one-detuning build
+        times, omega, grid, couplings, pair = mixed_branch_grid()
+        mus = grid[:6].reshape(2, 3)
+        K, P = omega.size, times.size - 1
+        S = gt.first_order_integrals(times, mus, omega)
+        T = gt._segment_kernels(times, mus, omega)[1]
+        G_modes = gt.phase_kernels(times, mus, omega)
+        G = gt.pair_phase_matrix(times, mus, omega, couplings, pair)
+        assert S.shape == T.shape == (2, 3, K, P)
+        assert G_modes.shape == (2, 3, K, P, P)
+        assert G.shape == (2, 3, P, P)
+        for idx in np.ndindex(2, 3):
+            mu = float(mus[idx])
+            assert np.array_equal(
+                S[idx], gt.first_order_integrals(times, mu, omega))
+            assert np.array_equal(
+                T[idx], gt._segment_kernels(times, mu, omega)[1])
+            assert np.array_equal(G_modes[idx],
+                                  gt.phase_kernels(times, mu, omega))
+            assert np.array_equal(G[idx], gt.pair_phase_matrix(
+                times, mu, omega, couplings, pair))
 
 
 class TestOneTrigPass:
@@ -261,14 +285,28 @@ class TestOneTrigPass:
         # S, T and the pair form G against the complex-exp/np.sinc build
         times, omega, grid, couplings, pair = make()
         S, T = gt._segment_kernels(times, grid, omega)
-        S2, G = gt._pair_kernels(times, grid, omega, couplings, pair)
+        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, pair, None)
         S_ref = ref_first_order(times, grid, omega)
         T_ref = ref_triangle(times, grid, omega)
         l, n = pair
-        G_ref = gt._phase_form(S_ref, T_ref, 2.0 * couplings[l] * couplings[n])
-        assert np.array_equal(S2, S)
+        G_ref = gt._phase_form(np.swapaxes(S_ref, -1, -2),
+                               np.swapaxes(T_ref, -1, -2),
+                               2.0 * couplings[l] * couplings[n])
+        assert np.array_equal(np.swapaxes(S2, -1, -2), S)
         for got, want in ((S, S_ref), (T, T_ref), (G, G_ref)):
             assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_unequal_segments_at_scan_scale(self):
+        # 127 modes, 301 detunings and five unequal segments: one table
+        # entry per segment, against the references at the same bound
+        _, omega, grid, _, _ = scan_scale_grid()
+        times = np.array([0.0, 7e-6, 19e-6, 30e-6, 41.5e-6, 50e-6])
+        assert np.unique(np.diff(times)).size == 5
+        S, T = gt._segment_kernels(times, grid, omega)
+        for got, want in ((S, ref_first_order(times, grid, omega)),
+                          (T, ref_triangle(times, grid, omega))):
+            assert got.shape == want.shape == (301, 127, 5)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_first_order_extended_precision(self):

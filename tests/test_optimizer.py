@@ -123,13 +123,13 @@ class TestSolveAmplitudes:
                               spectrum.config.temperature_nbar, None)
 
     def test_objective_forms_match_public_kernels(self, spectrum7):
-        # the forms hold S and the G built from that S; both stay bitwise
-        # equal to the public kernel functions
+        # the forms hold S, mode axis last, and the G built from that S;
+        # both stay bitwise equal to the public kernel functions
         forms = self.forms(spectrum7)
         times = np.linspace(0.0, 50e-6, 6)
         freqs = spectrum7.frequencies
         S = gt.first_order_integrals(times, self.MU, freqs)
-        assert np.array_equal(forms.S[0], S)
+        assert np.array_equal(forms.S[0].T, S)
         assert np.array_equal(forms.G[0], gt.pair_phase_matrix(
             times, self.MU, freqs, gt.drive_couplings(spectrum7), (0, 1)))
 
@@ -443,6 +443,41 @@ class TestLockstep:
         assert np.all(fid[steps > 0] > seed_fid[steps > 0])
 
 
+class TestBlockedGrid:
+    def test_block_edges_equal_one_point_builds(self):
+        # a grid longer than two kernel blocks with its hard entries on
+        # the block edges: an exact resonance, |mu - omega| h just below
+        # and just above the series threshold, and a tiny mu on a tiny
+        # mode, where the omega + mu triangle half is a series as well
+        block, threshold, h = gt._BLOCK, gt._SERIES_THRESHOLD, 10e-6
+        times = np.linspace(0.0, 5 * h, 6)
+        freqs = np.array([WZ, WZ - TWO_PI * 20e3, WZ - TWO_PI * 45e3, 50.0])
+        modes = np.linalg.qr(np.random.default_rng(22).normal(
+            size=(4, 4)))[0]
+        spectrum = md.AxialSpectrum(
+            frequencies=freqs, modes=modes,
+            config=cr.TrapConfig(4, omega_r=TWO_PI * 1e6, omega_z=WZ))
+        grid = np.linspace(WZ - TWO_PI * 0.1e6, WZ + TWO_PI * 0.1e6,
+                           2 * block + 8)
+        edge = threshold / h
+        grid[block - 1] = freqs[1]
+        grid[block] = freqs[1] + edge * (1 - 1e-6)
+        grid[2 * block - 1] = freqs[2] - edge * (1 + 1e-6)
+        grid[2 * block] = freqs[3]
+        ratio = np.abs(np.subtract.outer(grid, freqs)) * h / threshold
+        assert np.any(ratio == 0.0)
+        assert np.any((ratio < 1.0) & (ratio > 0.99))
+        assert np.any((ratio > 1.0) & (ratio < 1.01))
+        assert np.any(np.add.outer(grid, freqs) * h < threshold)
+        forms = op._grid_forms(spectrum, (0, 2), times, grid, None, None)
+        assert all(np.isfinite(v).all() for v in (forms.S, forms.G, forms.A))
+        for i, mu in enumerate(grid):
+            one = op._grid_forms(spectrum, (0, 2), times, [mu], None, None)
+            assert np.array_equal(forms.S[i], one.S[0])
+            assert np.array_equal(forms.G[i], one.G[0])
+            assert np.array_equal(forms.A[i], one.A[0])
+
+
 class TestResidualForms:
     """The ascent reads the four P x P residual forms A_i built once per
     grid, never the first-order integrals S."""
@@ -471,15 +506,15 @@ class TestResidualForms:
             _, _, gamma = op._locked(forms, vec)
             phase = np.einsum("mp,mpq,mq->m", vec, forms.G, vec)
             scale2 = (np.pi / 4 / np.abs(phase))[:, None]
-            disp = np.einsum("mkp,mp->mk", forms.S, vec)
+            disp = np.einsum("mpk,mp->mk", forms.S, vec)
             want = scale2 * (np.abs(disp) ** 2 @ weights.T)
-            size = scale2 * (np.einsum("mkp,mp->mk", np.abs(forms.S),
+            size = scale2 * (np.einsum("mpk,mp->mk", np.abs(forms.S),
                                        np.abs(vec)) ** 2 @ weights.T)
             assert np.all(np.abs(gamma - want) <= 1e-12 * size)
 
             coeffs = op._BRANCH_COEFFS * np.exp(-gamma)
             d = coeffs @ weights
-            want_B = np.real(np.einsum("mkp,mk,mkq->mpq", np.conj(forms.S),
+            want_B = np.real(np.einsum("mpk,mk,mqk->mpq", np.conj(forms.S),
                                        d, forms.S))
             B = np.einsum("mi,mipq->mpq", coeffs, forms.A)
             assert np.all(np.abs(B - want_B).max(axis=(1, 2))
