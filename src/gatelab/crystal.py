@@ -15,14 +15,18 @@ and equilibria solve grad E = 0.  The solver is a damped Newton iteration on
 that gradient, with ``_RESTARTS`` restarts seeded from an ideal triangular
 lattice; for N = 2..9 ring seeds take the first restart slots after the
 lattice.  Each step, damped or not, is one dense linear solve with the
-planar Hessian H: the Levenberg-Marquardt step solves (H^2 + mu I) s = -H g,
-which equals the eigenpair form of the damped step, and the final Newton
-steps solve H plus a rank-one lift of the rotation null direction.  It
-returns the lowest-energy stationary point among its restarts (the
-earliest restart among energies tied to 1e-12), which is not verified to
-be a minimum: the default N=91 and N=127 crystals are saddles.  The
-gradient tolerance, iteration cap, restart count and restart jitter are
-fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
+planar Hessian H.  The Levenberg-Marquardt step solves (H^2 + mu I) s = -H g,
+which equals the eigenpair form of the damped step, and the energy-descent
+fallback solves (H + lam I) s = -g: both by one Cholesky solve, a shift
+that leaves the system not positive definite counting as rejected.  Each
+damping ladder stops at its first trial that moves no ion, since every
+larger shift moves none either.  The final Newton steps solve H plus a
+rank-one lift of the rotation null direction by LU, as H is indefinite at
+a saddle.  It returns the lowest-energy stationary point among its
+restarts (the earliest restart among energies tied to 1e-12), which is not
+verified to be a minimum: the default N=91 and N=127 crystals are
+saddles.  The gradient tolerance, iteration cap, restart count and restart
+jitter are fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
 ``_JITTER_FRACTION``).
 """
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import lapack
 
 from .errors import InsufficientPoints, NegativeOccupation, NonConvergence
 from ._textio import fmt, read_rows, write_rows
@@ -249,11 +253,20 @@ def _newton_step(u, grad):
     return np.column_stack([step[:n], step[n:]])
 
 
+def _shifted_solve(matrix, shift, rhs):
+    """(matrix + shift I)^-1 rhs by one Cholesky solve (LAPACK dposv on the
+    lower triangle), or None when matrix + shift I is not positive
+    definite."""
+    shifted = np.array(matrix, order="F")
+    shifted.flat[::shifted.shape[0] + 1] += shift
+    _, solution, info = lapack.dposv(shifted, rhs, lower=1, overwrite_a=1)
+    return solution if info == 0 else None
+
+
 def _damped_step(hess_sq, hess_grad, mu):
-    """Levenberg-Marquardt step -(H^2 + mu I)^-1 H g from H^2 and H g."""
-    damped = hess_sq.copy()
-    damped.flat[::damped.shape[0] + 1] += mu
-    return -np.linalg.solve(damped, hess_grad)
+    """Levenberg-Marquardt step -(H^2 + mu I)^-1 H g from H^2 and H g, or
+    None when rounding leaves H^2 + mu I not positive definite."""
+    return _shifted_solve(hess_sq, mu, -hess_grad)
 
 
 def _track_root(u):
@@ -264,12 +277,18 @@ def _track_root(u):
     mu, short residual-descent steps that track the stationary configuration
     nearest the seed) and released gradually into the undamped Newton
     endgame.  Since H^2 + mu I has the same eigenvectors as H, that sum is
-    the solution of (H^2 + mu I) s = -H g, so each damping level costs one
-    linear solve; one eigenvalue computation at the first iteration sets the
-    starting damping lam_max^2 and its floor 1e-14 lam_max^2.  Stops at
-    ``_TOL`` or after ``_MAX_ITER`` iterations.  Returns (u, converged); a
-    False flag means the residual flow reached a point where no damping
-    level shrinks the residual (the seeded branch has no root there).
+    the solution of (H^2 + mu I) s = -H g, a symmetric positive definite
+    system, so each damping level costs one Cholesky solve; one eigenvalue
+    computation at the first iteration sets the starting damping lam_max^2
+    and its floor 1e-14 lam_max^2.  A rejected level (the residual does not
+    shrink, or rounding leaves the system not positive definite) raises mu
+    8-fold, up to 60 levels per iteration.  The first trial that rounds back
+    to u ends the ladder unaccepted: once mu >> lam_max^2 the step is
+    -H g / mu to rounding, so every larger mu rounds to u as well, and the
+    whole ladder would be rejected.  Stops at ``_TOL`` or after
+    ``_MAX_ITER`` iterations.  Returns (u, converged); a False flag means
+    the residual flow reached a point where no damping level shrinks the
+    residual (the seeded branch has no root there).
     """
     n = u.shape[0]
     mu = None
@@ -287,13 +306,16 @@ def _track_root(u):
         accepted = False
         for _attempt in range(60):
             step = _damped_step(hess_sq, hess_grad, mu)
-            trial = u + np.column_stack([step[:n], step[n:]])
-            trial_grad = potential_gradient(trial)
-            if float(np.linalg.norm(trial_grad)) < gnorm:
-                u, grad = trial, trial_grad
-                mu = max(0.3 * mu, mu_floor)
-                accepted = True
-                break
+            if step is not None:
+                trial = u + np.column_stack([step[:n], step[n:]])
+                if np.array_equal(trial, u):
+                    break
+                trial_grad = potential_gradient(trial)
+                if float(np.linalg.norm(trial_grad)) < gnorm:
+                    u, grad = trial, trial_grad
+                    mu = max(0.3 * mu, mu_floor)
+                    accepted = True
+                    break
             mu *= 8.0
         if not accepted:
             return u, False
@@ -301,10 +323,16 @@ def _track_root(u):
 
 
 def _descend_energy(u):
-    """Modified-Newton energy descent (positive-definite shift plus line
-    search) to ``_TOL`` within ``_MAX_ITER`` steps; returns (u, converged)."""
-    n2 = u.size
-    eye = np.eye(n2)
+    """Modified-Newton energy descent to ``_TOL`` within ``_MAX_ITER``
+    steps; returns (u, converged).
+
+    Each step solves (H + lam I) s = -g by one Cholesky solve.  A rejected
+    shift (the energy does not fall, or H + lam I is not positive definite)
+    raises lam 10-fold, up to 80 shifts per step; the first trial that
+    rounds back to u ends the descent, since every larger shift rounds to u
+    as well.
+    """
+    n = u.shape[0]
     lam = 1e-3
     energy = potential_energy(u)
     for _ in range(_MAX_ITER):
@@ -315,20 +343,18 @@ def _descend_energy(u):
         hess = _planar_hessian(u)
         accepted = False
         for _attempt in range(80):
-            try:
-                factor = cho_factor(hess + lam * eye, lower=True)
-            except LinAlgError:
-                lam *= 10.0
-                continue
-            step = -cho_solve(factor, gflat)
-            trial = u + np.column_stack([step[: n2 // 2], step[n2 // 2:]])
-            trial_energy = potential_energy(trial)
-            if trial_energy < energy:
-                u = trial
-                energy = trial_energy
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                break
+            step = _shifted_solve(hess, lam, -gflat)
+            if step is not None:
+                trial = u + np.column_stack([step[:n], step[n:]])
+                if np.array_equal(trial, u):
+                    break
+                trial_energy = potential_energy(trial)
+                if trial_energy < energy:
+                    u = trial
+                    energy = trial_energy
+                    lam = max(lam / 3.0, 1e-14)
+                    accepted = True
+                    break
             lam *= 10.0
         if not accepted:
             return u, False

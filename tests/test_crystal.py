@@ -236,6 +236,155 @@ class TestStepAlgebra:
         assert np.linalg.norm(step - ref) < 1e-10 * np.linalg.norm(ref)
 
 
+def _full_ladder_track(u):
+    """``_track_root`` without the motionless-trial stop: every rejected
+    iteration walks all 60 damping levels."""
+    n = u.shape[0]
+    mu = None
+    grad = cr.potential_gradient(u)
+    for _ in range(cr._MAX_ITER):
+        if float(np.abs(grad).max()) < cr._TOL:
+            return u, True
+        gnorm = float(np.linalg.norm(grad))
+        hess = cr._planar_hessian(u)
+        if mu is None:
+            mu = float(np.square(np.linalg.eigvalsh(hess)).max())
+            mu_floor = 1e-14 * mu
+        hess_sq = hess @ hess
+        hess_grad = hess @ np.concatenate([grad[:, 0], grad[:, 1]])
+        for _attempt in range(60):
+            step = cr._damped_step(hess_sq, hess_grad, mu)
+            if step is not None:
+                trial = u + np.column_stack([step[:n], step[n:]])
+                trial_grad = cr.potential_gradient(trial)
+                if float(np.linalg.norm(trial_grad)) < gnorm:
+                    u, grad = trial, trial_grad
+                    mu = max(0.3 * mu, mu_floor)
+                    break
+            mu *= 8.0
+        else:
+            return u, False
+    return u, False
+
+
+def _full_ladder_descend(u):
+    """``_descend_energy`` without the motionless-trial stop: every
+    rejected step walks all 80 shifts."""
+    n = u.shape[0]
+    lam = 1e-3
+    energy = cr.potential_energy(u)
+    for _ in range(cr._MAX_ITER):
+        grad = cr.potential_gradient(u)
+        if float(np.abs(grad).max()) < cr._TOL:
+            return u, True
+        gflat = np.concatenate([grad[:, 0], grad[:, 1]])
+        hess = cr._planar_hessian(u)
+        for _attempt in range(80):
+            step = cr._shifted_solve(hess, lam, -gflat)
+            if step is not None:
+                trial = u + np.column_stack([step[:n], step[n:]])
+                trial_energy = cr.potential_energy(trial)
+                if trial_energy < energy:
+                    u, energy = trial, trial_energy
+                    lam = max(lam / 3.0, 1e-14)
+                    break
+            lam *= 10.0
+        else:
+            return u, False
+    return u, False
+
+
+class TestDampingLadders:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # gradient and energy evaluations made through the crystal module
+        counts = {"gradient": 0, "energy": 0}
+        gradient, energy = cr.potential_gradient, cr.potential_energy
+
+        def counted_gradient(u):
+            counts["gradient"] += 1
+            return gradient(u)
+
+        def counted_energy(u):
+            counts["energy"] += 1
+            return energy(u)
+
+        monkeypatch.setattr(cr, "potential_gradient", counted_gradient)
+        monkeypatch.setattr(cr, "potential_energy", counted_energy)
+        return counts
+
+    @staticmethod
+    def restart_seed(n, restart, monkeypatch):
+        # the seeds solve_equilibrium hands to _relax, in restart order
+        seeds = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cr, "_relax",
+                          lambda u0: (seeds.append(u0), (u0, 0.0, True))[1])
+            cr.solve_equilibrium(make_config(n))
+        return seeds[restart]
+
+    def run(self, ladder, u, counts):
+        before = dict(counts)
+        got, ok = ladder(u)
+        return got, ok, {k: counts[k] - before[k] for k in counts}
+
+    @pytest.mark.parametrize("n, restart", [(23, 0), (45, 0), (45, 2),
+                                            (45, 3), (45, 4)])
+    def test_motionless_stop_is_exact(self, n, restart, counts,
+                                      monkeypatch):
+        # restarts whose tracker fails: stopping a ladder at its first
+        # trial that rounds back to u returns, bit for bit, what walking
+        # the whole ladder returns, for fewer evaluations
+        seed = self.restart_seed(n, restart, monkeypatch)
+        ref, ref_ok, ref_used = self.run(_full_ladder_track, seed, counts)
+        got, ok, used = self.run(cr._track_root, seed, counts)
+        assert not ref_ok and not ok
+        assert np.array_equal(got, ref)
+        assert used["gradient"] < ref_used["gradient"]
+
+        ref, ref_ok, ref_used = self.run(_full_ladder_descend, got, counts)
+        got, ok, used = self.run(cr._descend_energy, got, counts)
+        assert ok == ref_ok
+        assert np.array_equal(got, ref)
+        assert used["gradient"] == ref_used["gradient"]
+        if ok:
+            assert used["energy"] == ref_used["energy"]
+        else:
+            assert used["energy"] < ref_used["energy"]
+
+    def test_shifted_solve(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((12, 12))
+        spd = a @ a.T
+        rhs = rng.standard_normal(12)
+        kept = spd.copy(), rhs.copy()
+        got = cr._shifted_solve(spd, 0.5, rhs)
+        ref = np.linalg.solve(spd + 0.5 * np.eye(12), rhs)
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+        indefinite = spd - 2.0 * np.linalg.eigvalsh(spd).max() * np.eye(12)
+        assert cr._shifted_solve(indefinite, 0.5, rhs) is None
+        # the matrix and the right-hand side are left as they were
+        assert np.array_equal(spd, kept[0]) and np.array_equal(rhs, kept[1])
+
+    def test_tracker_raises_damping_when_not_positive_definite(
+            self, monkeypatch):
+        # a first factorisation that reports "not positive definite" is a
+        # rejected level: the next one tries 8 times the damping, and the
+        # tracker still converges
+        shifts = []
+        solve = cr._shifted_solve
+
+        def first_fails(matrix, shift, rhs):
+            shifts.append(shift)
+            return None if len(shifts) == 1 else solve(matrix, shift, rhs)
+
+        monkeypatch.setattr(cr, "_shifted_solve", first_fails)
+        u, ok = cr._track_root(cr.triangular_seed(19))
+        assert ok
+        assert shifts[1] == 8.0 * shifts[0]
+        assert float(np.abs(cr.potential_gradient(u)).max()) < cr._TOL
+
+
 class TestTieBreaks:
     @pytest.fixture(scope="class", params=[(19, 3), (127, 10)],
                     ids=["N19", "N127"])
@@ -259,12 +408,16 @@ class TestTieBreaks:
 
     def test_tied_restart_keeps_earliest(self, monkeypatch):
         # restarts 1-4 return the relabelled minimum, restart 0 a point
-        # above it by ~1e-13 (relative): a tie, so restart 0 is kept
+        # above it by 1e-13 (relative): a tie, so restart 0 is kept
         cfg = make_config(19)
         best = cr.solve_equilibrium(cfg).positions
         perm = np.roll(np.arange(19), 1)
-        above = best + 2e-6 * np.random.default_rng(1).standard_normal(
-            best.shape)
+        noise = np.random.default_rng(1).standard_normal(best.shape)
+        flat = np.concatenate([noise[:, 0], noise[:, 1]])
+        # the noise scaled so its quadratic form lifts the energy by 1e-13
+        rise = 0.5 * flat @ cr._planar_hessian(best) @ flat
+        above = best + math.sqrt(
+            1e-13 * cr.potential_energy(best) / rise) * noise
         gap = cr.potential_energy(above) / cr.potential_energy(best) - 1.0
         assert 1e-15 < gap < 1e-12
         outputs = iter([above] + [best[perm]] * (cr._RESTARTS - 1))
