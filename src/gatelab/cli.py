@@ -322,6 +322,9 @@ def cmd_scaling(config, out_dir, cache_dir, args):
 
 def cmd_modes(config, out_dir, cache_dir, args):
     _require(config, "ion_count", "omega_r_hz", "omega_z_hz")
+    if config.beta_values and config.ion_count < 2:
+        raise ConfigError("'beta_values' needs ion_count >= 2: the "
+                          "uniform-mode gap is between two modes")
     flagged = []
     files = []
     summary = {"command": "modes", "ion_count": config.ion_count}

@@ -73,24 +73,20 @@ def closed_shell_count(shells):
     return 1 + 3 * shells * (shells + 1)
 
 
-def check_nbar(nbar, mode_count=None):
-    """``nbar`` if >= 0 with a finite thermal weight 2(2 nbar + 1), the
-    one statement of a valid thermal occupation: one number, returned as a
-    float, or with ``mode_count`` a (mode_count,) float array from one
-    number or one value per mode.  Raises NegativeOccupation, a
-    ValueError, for anything else."""
+def check_nbar(nbar):
+    """``nbar`` as a float if it is one number >= 0 with a finite thermal
+    weight 2(2 nbar + 1), the one statement of a valid thermal occupation
+    of every axial mode.  Raises NegativeOccupation, a ValueError, for
+    anything else."""
     try:
         value = np.asarray(nbar, dtype=float)
     except (TypeError, ValueError):
         value = np.asarray(np.nan)
-    shape = () if mode_count is None else (mode_count,)
-    if (value.shape not in ((), shape)
-            or not np.all((value >= 0.0) & (value <= _NBAR_MAX))):
+    if value.shape != () or not 0.0 <= value <= _NBAR_MAX:
         raise NegativeOccupation(
             "nbar must be >= 0 with a finite thermal weight 2(2 nbar + 1), "
-            "one number%s; got %s"
-            % (" or %d, one per mode" % mode_count if shape else "", nbar))
-    return float(value) if mode_count is None else np.full(shape, value)
+            "one number; got %s" % (nbar,))
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -263,12 +259,6 @@ def _shifted_solve(matrix, shift, rhs):
     return solution if info == 0 else None
 
 
-def _damped_step(hess_sq, hess_grad, mu):
-    """Levenberg-Marquardt step -(H^2 + mu I)^-1 H g from H^2 and H g, or
-    None when rounding leaves H^2 + mu I not positive definite."""
-    return _shifted_solve(hess_sq, mu, -hess_grad)
-
-
 def _track_root(u):
     """Levenberg-Marquardt iteration on the force-balance residual.
 
@@ -305,7 +295,7 @@ def _track_root(u):
         hess_grad = hess @ np.concatenate([grad[:, 0], grad[:, 1]])
         accepted = False
         for _attempt in range(60):
-            step = _damped_step(hess_sq, hess_grad, mu)
+            step = _shifted_solve(hess_sq, mu, -hess_grad)
             if step is not None:
                 trial = u + np.column_stack([step[:n], step[n:]])
                 if np.array_equal(trial, u):
@@ -363,7 +353,7 @@ def _descend_energy(u):
 
 def _relax(u0):
     """Damped Newton iteration on the force-balance equations; returns
-    (u, gmax, converged).
+    (u, converged).
 
     Phase one tracks the residual flow toward the stationary configuration
     nearest the seed (the near-lattice branch for lattice seeds).  If that
@@ -379,8 +369,7 @@ def _relax(u0):
         u, _ = _descend_energy(u)
     gmax = float(np.abs(potential_gradient(u)).max())
     u = _polish(u, gmax)
-    gmax = float(np.abs(potential_gradient(u)).max())
-    return u, gmax, gmax < _TOL
+    return u, float(np.abs(potential_gradient(u)).max()) < _TOL
 
 
 def _polish(u, gmax):
@@ -523,7 +512,7 @@ def solve_equilibrium(config, *, rng_seed=0):
 
     best = None
     for start in seeds:
-        u, gmax, ok = _relax(start)
+        u, ok = _relax(start)
         if not ok:
             continue
         energy = potential_energy(u)

@@ -504,8 +504,8 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
         Conditional phase (target pi/4 modulo pi).
     alpha_l, alpha_n : (K,) or (M, K) complex
         Single-ion mode displacements i c[ion, k] * alpha_integral.
-    nbar : (K,) or scalar
-        Mean thermal occupation per mode, checked by
+    nbar : float
+        Mean thermal occupation of every mode, one number checked by
         :func:`crystal.check_nbar`.
     target_phase : float or (M,)
         Conditional phase of the ideal gate compared against; the default
@@ -525,7 +525,7 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     """
     alpha_l = np.asarray(alpha_l, dtype=complex)
     alpha_n = np.asarray(alpha_n, dtype=complex)
-    weight = 2.0 * (2.0 * check_nbar(nbar, alpha_l.shape[-1]) + 1.0)
+    weight = 2.0 * (2.0 * check_nbar(nbar) + 1.0)
     decay = [np.exp(-np.sum(weight * np.abs(x) ** 2, axis=-1))
              for x in (alpha_l, alpha_n, alpha_l + alpha_n, alpha_l - alpha_n)]
     delta = np.asarray(phi) - target_phase

@@ -72,7 +72,7 @@ class OptimizationProblem:
 
     ``tau`` is positive and finite, ``segment_count`` a positive integer.
     ``mu_grid`` (rad/s) holds finite detunings and defaults to
-    :func:`default_mu_grid`.  ``nbar`` (one number or one per mode)
+    :func:`default_mu_grid`.  ``nbar``, one number for every mode,
     defaults to the trap's occupation.  ``amplitude_bound`` (rad/s)
     optionally caps max_p |Omega_p|: the seed and every ascent step must
     respect it.
@@ -82,7 +82,7 @@ class OptimizationProblem:
     tau: float
     segment_count: int = SEGMENT_COUNT
     mu_grid: np.ndarray = None
-    nbar: object = None
+    nbar: float = None
     amplitude_bound: float = None
 
     def __post_init__(self):
@@ -171,14 +171,14 @@ class _Forms:
     factor 2 of exp(-2 Gamma) included), and the ``bound`` (or None).
     Only the final score, shared with :func:`gate.gate_report`, reads the
     first-order integrals ``S`` (M, P, K), the pair's coupling rows
-    ``drive`` (2, K) and ``nbar`` (K,).
+    ``drive`` (2, K) and the occupation ``nbar`` of every mode.
     """
 
     S: np.ndarray
     G: np.ndarray
     A: np.ndarray
     drive: np.ndarray
-    nbar: np.ndarray
+    nbar: float
     bound: float
 
     def take(self, rows):
@@ -192,7 +192,7 @@ def _grid_forms(spectrum, pair, times, grid, nbar, bound):
     NegativeOccupation from :func:`crystal.check_nbar` before any kernel
     is built."""
     nbar = check_nbar(spectrum.config.temperature_nbar if nbar is None
-                      else nbar, spectrum.mode_count)
+                      else nbar)
     couplings = drive_couplings(spectrum)
     cl, cn = drive = couplings[list(pair)]
     weights = 2.0 * (2.0 * nbar + 1.0) * np.array(

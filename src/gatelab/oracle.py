@@ -78,12 +78,13 @@ class TruncatedState:
     branch order matches the closed-form route: (++, +-, -+, --).
     ``top_population`` is the thermally weighted population of the top Fock
     level at the end, ``peak_top_population`` its largest value after any
-    accepted step, and ``step_count`` counts attempted steps.
+    accepted step, and ``step_count`` counts attempted steps.  ``nbar`` is
+    the occupation of every mode stated to :func:`evolve`, one float.
     """
 
     propagators: tuple
     frequencies: np.ndarray
-    nbar: np.ndarray
+    nbar: float
     pair: tuple
     norm_drift: float
     top_population: float
@@ -190,9 +191,10 @@ def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
     pair : (l, n)
         Target ions: two distinct indices in 0..N-1 (see
         :func:`gate.check_pair`).
-    nbar : scalar or (K,)
-        Thermal occupations, stated by the caller; used for cutoff sizing
-        and the stored diagnostics (the propagators are temperature free).
+    nbar : float
+        Thermal occupation of every mode, stated by the caller; used for
+        cutoff sizing and the stored diagnostics (the propagators are
+        temperature free).
     n_max : int
         Highest Fock level per mode (<= 20).
     tol : float
@@ -218,10 +220,9 @@ def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
         raise ValueError("per-mode cutoff capped at %d" % MAX_CUTOFF)
     freqs = spectrum.frequencies
     n_modes = freqs.size
-    nbar_arr = check_nbar(nbar, n_modes)
+    nbar = check_nbar(nbar)
     dim = n_max + 1
-    for nb in nbar_arr:
-        _levels_for_weight(nb, dim)
+    _levels_for_weight(nbar, dim)
 
     couplings = drive_couplings(spectrum)
     # -+ and -- carry the negated weights of +- and ++; P a P = -a with
@@ -229,7 +230,7 @@ def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
     branch_weights = np.array(
         [[sl * couplings[l, k] + sn * couplings[n, k] for k in range(n_modes)]
          for sl, sn in _BRANCH_SIGNS[:2]])  # (2, K)
-    weights = np.array([thermal_weights(nb, dim) for nb in nbar_arr])
+    weights = thermal_weights(nbar, dim)  # the same row for every mode
 
     tau = schedule.duration
     mu = schedule.mu
@@ -299,7 +300,7 @@ def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
 
     return TruncatedState(
         propagators=tuple(props[:, k].copy() for k in range(n_modes)),
-        frequencies=freqs.copy(), nbar=nbar_arr, pair=pair,
+        frequencies=freqs.copy(), nbar=nbar, pair=pair,
         norm_drift=norm_drift, top_population=top_population,
         peak_top_population=peak_top_population, step_count=steps)
 
@@ -309,11 +310,10 @@ def _reduced_qubit_state(state, nbar):
 
     rho[b, b'] = 1/4 prod_k sum_n p_n (U_{b',k}^dag U_{b,k})[n, n].
     """
-    nbar_arr = check_nbar(nbar, state.mode_count)
+    nbar = check_nbar(nbar)
     rho = 0.25 * np.ones((4, 4), dtype=complex)
-    for k, u_modes in enumerate(state.propagators):
-        dim = u_modes.shape[-1]
-        p = thermal_weights(float(nbar_arr[k]), dim)
+    for u_modes in state.propagators:
+        p = thermal_weights(nbar, u_modes.shape[-1])
         overlaps = np.einsum("anm,bnm,m->ab", np.conj(u_modes), u_modes, p)
         rho = rho * overlaps.T  # [b, b'] = sum_m p_m <m|U_b'^dag U_b|m>
     return rho

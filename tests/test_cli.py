@@ -836,6 +836,46 @@ class TestEdgeCases:
         _, rows = read_rows(os.path.join(out, "com_gap.tsv"))
         assert [float(r[0]) for r in rows] == [50.0]
 
+    def test_single_ion_gap_is_config_error(self, tmp_path, capsys):
+        """One ion has no uniform-mode gap: a config error naming
+        'beta_values', raised before any file is written."""
+        config = write_config(
+            tmp_path, "ion_count = 1\nomega_r_hz = 0.2e6\n"
+                      "omega_z_hz = 10e6\nbeta_values = 50\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["modes", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'beta_values'" in err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["equilibrium", "scaling", "modes",
+                                         "optimize", "gate"])
+    @pytest.mark.parametrize("ion_count", [1, 2])
+    def test_smallest_crystals(self, tmp_path, capsys, ion_count, command):
+        """Every subcommand at one and two ions ends in a documented exit
+        code (scaling's series is the ion count too), never an escaped
+        exception."""
+        text = ("ion_count = %d\nomega_r_hz = 0.2e6\nomega_z_hz = 10e6\n"
+                "stability_n_series = %d\nbeta_values = 50, 20\n"
+                "mu_grid_points = 5\n" % (ion_count, ion_count))
+        if command == "scaling":
+            text += "n_series = %d\n" % ion_count
+        config = write_config(tmp_path, text)
+        schedule = str(tmp_path / "schedule.tsv")
+        gt.write_schedule(dataclasses.replace(gt.PulseSchedule.uniform(
+            50e-6, 2 * math.pi * np.array([1e4, -1e4, 2e4]),
+            2 * math.pi * 10.04e6), target_pair=(0, 1)), schedule)
+        out = str(tmp_path / "out")
+        argv = [command, "--config", config, "--out", out]
+        if command == "gate":
+            argv += ["--schedule", schedule]
+        code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 2:
+            assert "config error" in capsys.readouterr().err
+        else:
+            assert os.path.exists(os.path.join(out, "summary.json"))
+
     def test_zero_amplitude_schedule(self, tmp_path):
         """A drive that never switches on leaves the pair unentangled."""
         config = write_config(tmp_path, BASE_CONFIG)

@@ -709,9 +709,10 @@ class TestTableOne:
 
 
 class TestOccupationRule:
-    """``crystal.check_nbar`` is the one rule for nbar (finite, >= 0, one
-    number or one per mode), and every entry point asks it before any
-    kernel is built or any Magnus step taken."""
+    """``crystal.check_nbar`` is the one rule for nbar (one number, >= 0,
+    with a finite thermal weight), and every entry point asks it before any
+    kernel is built or any Magnus step taken: a per-mode list is refused
+    even when its length is the mode count."""
 
     @pytest.fixture(scope="class")
     def spectrum3(self):
@@ -729,9 +730,9 @@ class TestOccupationRule:
         return orc.evolve(schedule3, spectrum3, (0, 2), nbar=0.0)
 
     @pytest.mark.parametrize("nbar", [-0.1, np.nan, np.inf, 1e308,
-                                      [0.1, 0.2]],
+                                      [0.1, 0.2], [0.1, 0.1, 0.1]],
                              ids=["negative", "nan", "inf", "overflow",
-                                  "wrong-length"])
+                                  "wrong-length", "per-mode"])
     @pytest.mark.parametrize("entry", [
         "TrapConfig", "detuning_scan", "solve_amplitudes", "thermal_fidelity",
         "gate_fidelity", "evolve", "fidelity_from_state"])
@@ -763,3 +764,11 @@ class TestOccupationRule:
         with pytest.raises(NegativeOccupation, match="^nbar must be") as err:
             calls[entry]()
         assert isinstance(err.value, ValueError)
+
+    def test_state_and_forms_hold_one_float(self, spectrum3, state3):
+        # what passes the rule is kept as one float, never a mode array
+        assert type(state3.nbar) is float
+        forms = op._grid_forms(
+            spectrum3, (0, 2), np.linspace(0.0, 0.4e-6, 4),
+            [spectrum3.config.omega_z + TWO_PI * 40e3], np.float64(0.2), None)
+        assert type(forms.nbar) is float and forms.nbar == 0.2

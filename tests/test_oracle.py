@@ -326,15 +326,6 @@ class TestOracleEquivalence:
                 direct = orc.fidelity_from_state(st, nbar=nb)
                 assert abs(closed - direct) < 1e-6
 
-    def test_per_mode_nbar(self, spec3):
-        rng = np.random.default_rng(31)
-        sched = random_schedule(rng, spec3, segments=4)
-        nb = np.array([0.0, 0.3, 0.5])
-        st = orc.evolve(sched, spec3, (0, 1), nbar=nb)
-        closed = closed_form_fidelity(sched, spec3, (0, 1), nb)
-        direct = orc.fidelity_from_state(st)
-        assert abs(closed - direct) < 1e-6
-
 
 class TestInvariants:
     def test_unitarity_and_branch_populations(self, spec2):
