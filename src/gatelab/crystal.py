@@ -106,9 +106,13 @@ class TrapConfig:
     temperature_nbar: float = NBAR
 
     def __post_init__(self):
-        if int(self.ion_count) != self.ion_count or self.ion_count < 1:
+        try:  # a whole number; inf and NaN are none
+            count = int(self.ion_count)
+        except (OverflowError, ValueError):
+            count = 0
+        if count != self.ion_count or count < 1:
             raise ValueError("ion_count must be a positive integer")
-        object.__setattr__(self, "ion_count", int(self.ion_count))
+        object.__setattr__(self, "ion_count", count)
         for name in ("omega_r", "omega_z", "ion_mass", "charge"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError("%s must be positive" % name)
@@ -178,53 +182,75 @@ def with_trap(crystal, config):
 
 
 def _pair_vectors(u):
-    """Pairwise coordinate differences and distances (diagonal -> inf)."""
-    dx = u[:, 0][:, None] - u[:, 0][None, :]
-    dy = u[:, 1][:, None] - u[:, 1][None, :]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, np.inf)
-    return dx, dy, np.sqrt(d2)
+    """Pairwise coordinate differences dx, dy, their squares and the
+    distances (diagonal -> inf), as (dx, dy, dx^2, dy^2, d)."""
+    x, y = u[:, 0], u[:, 1]
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    dx2 = dx * dx
+    dy2 = dy * dy
+    d = dx2 + dy2
+    np.fill_diagonal(d, np.inf)
+    return dx, dy, dx2, dy2, np.sqrt(d, out=d)
 
 
 def potential_energy(u):
     """Dimensionless potential of a planar configuration."""
-    _, _, d = _pair_vectors(u)
-    coulomb = np.sum(1.0 / d) / 2.0
+    d = _pair_vectors(u)[-1]
+    coulomb = np.sum(np.divide(1.0, d, out=d)) / 2.0
     return 0.5 * float(np.sum(u * u)) + float(coulomb)
 
 
 def potential_gradient(u):
     """Gradient of :func:`potential_energy`, shape (N, 2)."""
-    dx, dy, d = _pair_vectors(u)
+    dx, dy, _, _, d = _pair_vectors(u)
     inv3 = d ** -3.0
-    gx = u[:, 0] - np.sum(dx * inv3, axis=1)
-    gy = u[:, 1] - np.sum(dy * inv3, axis=1)
-    return np.column_stack([gx, gy])
+    grad = np.empty(u.shape)
+    np.subtract(u[:, 0], np.sum(np.multiply(dx, inv3, out=dx), axis=1),
+                out=grad[:, 0])
+    np.subtract(u[:, 1], np.sum(np.multiply(dy, inv3, out=dy), axis=1),
+                out=grad[:, 1])
+    return grad
 
 
 def curvature_blocks(u):
     """In-plane second-derivative blocks ``(xx, xy, yy)`` of the
-    dimensionless potential, in units of M omega_r^2."""
-    n = u.shape[0]
-    dx, dy, d = _pair_vectors(u)
-    inv5 = d ** -5.0
-    txx = (2.0 * dx * dx - dy * dy) * inv5
-    tyy = (2.0 * dy * dy - dx * dx) * inv5
-    txy = 3.0 * dx * dy * inv5
+    dimensionless potential, in units of M omega_r^2.
 
-    xx = -txx
-    yy = -tyy
-    xy = -txy
-    idx = np.arange(n)
-    xx[idx, idx] = 1.0 + txx.sum(axis=1)
-    yy[idx, idx] = 1.0 + tyy.sum(axis=1)
-    xy[idx, idx] = txy.sum(axis=1)
+    Off the diagonal xx = -(2 dx^2 - dy^2) / d^5, yy = -(2 dy^2 - dx^2) / d^5
+    and xy = -3 dx dy / d^5, each built in place from the squares of
+    :func:`_pair_vectors`; a diagonal entry closes its row's sum.
+    """
+    dx, dy, dx2, dy2, d = _pair_vectors(u)
+    inv5 = d ** -5.0
+    xx = np.multiply(dx2, 2.0)
+    xx -= dy2
+    xx *= inv5
+    yy = np.multiply(dy2, 2.0, out=dy2)
+    yy -= dx2
+    yy *= inv5
+    xy = np.multiply(dx, 3.0, out=dx)
+    xy *= dy
+    xy *= inv5
+    idx = np.arange(u.shape[0])
+    diagonals = (1.0 + xx.sum(axis=1), 1.0 + yy.sum(axis=1), xy.sum(axis=1))
+    for block, diag in zip((xx, yy, xy), diagonals):
+        np.negative(block, out=block)
+        block[idx, idx] = diag
     return xx, xy, yy
 
 
 def _planar_hessian(u):
+    """The (2N, 2N) planar Hessian [[xx, xy], [xy, yy]] of
+    :func:`curvature_blocks`."""
     xx, xy, yy = curvature_blocks(u)
-    return np.block([[xx, xy], [xy, yy]])
+    n = u.shape[0]
+    hess = np.empty((2 * n, 2 * n))
+    hess[:n, :n] = xx
+    hess[:n, n:] = xy
+    hess[n:, :n] = xy
+    hess[n:, n:] = yy
+    return hess
 
 
 def _newton_step(u, grad):
@@ -463,8 +489,7 @@ def min_spacing(u):
     """Minimum pair distance of a configuration (inf for a single ion)."""
     if u.shape[0] < 2:
         return math.inf
-    _, _, d = _pair_vectors(u)
-    return float(d.min())
+    return float(_pair_vectors(u)[-1].min())
 
 
 def solve_equilibrium(config, *, rng_seed=0):

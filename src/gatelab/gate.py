@@ -25,8 +25,9 @@ no trig over the grid: every phase is a product of a per-mode table,
 e^{i omega h_p / 2} or e^{i omega t_mid}, and a per-detuning one,
 e^{i mu h_p / 2} or e^{i mu t_mid}, with one entry per segment, and the
 amplitude reads the product's imaginary part.  It walks the grid in blocks
-of ``_BLOCK`` detunings and turns each block into the pair's forms before
-it builds the next (:func:`_pair_kernels`); the public kernels still
+of ``_BLOCK`` detunings and turns each block into the forms of every pair
+asked for before it builds the next (:func:`_pair_kernels`), so a
+benchmark table builds one trap's kernels once; the public kernels still
 return mu.shape + (K, P).  The thermal fidelity is the closed form
 F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g) + e^{-G_+} / 2
 + e^{-G_-} / 2] (see :func:`thermal_fidelity`), and :func:`gate_report`
@@ -463,36 +464,44 @@ def entangling_phase(schedule, couplings, frequencies, pair):
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):
     """Quadratic-form matrix G with phi = Omega^T G Omega for one pair."""
     mu = np.asarray(mu, dtype=float)
-    G = _pair_kernels(times, mu.reshape(-1), frequencies, couplings, pair,
+    G = _pair_kernels(times, mu.reshape(-1), frequencies, couplings, [pair],
                       None)[1]
     return G.reshape(mu.shape + G.shape[1:])
 
 
-def _pair_kernels(times, mu, frequencies, couplings, pair, weights):
-    """(S, G, A) at the 1-D detunings ``mu``, each block of
-    :func:`_kernel_blocks` turned into all three before the next is built.
+def _pair_kernels(times, mu, frequencies, couplings, pairs, weights):
+    """(S, G, A) of every pair of ``pairs`` at the 1-D detunings ``mu``,
+    each block of :func:`_kernel_blocks` turned into all of them before
+    the next is built.
 
-    S (M, P, K) is :func:`first_order_integrals` with the mode axis last
-    and G (M, P, P) :func:`pair_phase_matrix`.  A (M, J, P, P) holds the
-    residual forms Re(S^* diag(w) S^T) of the rows w of ``weights``
-    (J, K); A is None when ``weights`` is.
+    S (M, P, K) is :func:`first_order_integrals` with the mode axis last,
+    built once and shared by the pairs.  G (J M, P, P) stacks each pair's
+    :func:`pair_phase_matrix` pair-major: the rows of pair j are
+    j M ... (j + 1) M - 1.  A (J M, I, P, P) stacks the same way pair j's
+    residual forms Re(S^* diag(w) S^T) of the rows w of ``weights[j]``,
+    ``weights`` (J, I, K); A is None when ``weights`` is.  Every pair's G
+    and A are computed from a block as they would be with that pair alone.
     """
-    l, n = pair
-    pair_weights = 2.0 * couplings[l] * couplings[n]
     shape = (mu.size, len(times) - 1)
     S = np.empty(shape + (len(frequencies),), dtype=complex)
-    G = np.empty(shape + shape[-1:])
+    G = np.empty((len(pairs),) + shape + shape[-1:])
+    pair_weights = [2.0 * couplings[l] * couplings[n] for l, n in pairs]
     A = None
     if weights is not None:
-        A = np.empty(shape[:1] + (len(weights),) + G.shape[1:])
-        tiled = np.tile(weights, 2)[:, None, :]  # Re(S^* w S^T) = R w R^T
+        A = np.empty(G.shape[:2] + (weights.shape[1],) + G.shape[2:])
+        # Re(S^* w S^T) = R w R^T with R = [Re S, Im S]
+        tiled = np.tile(weights, 2)[:, :, None, :]
     for rows, S_block, T_block in _kernel_blocks(times, mu, frequencies):
         S[rows] = S_block
-        G[rows] = _phase_form(S_block, T_block, pair_weights)
+        for j, pair_weight in enumerate(pair_weights):
+            G[j, rows] = _phase_form(S_block, T_block, pair_weight)
         if A is not None:
             R = np.concatenate([S_block.real, S_block.imag], axis=-1)
-            A[rows] = (R[:, None] * tiled) @ np.swapaxes(R, -1, -2)[:, None]
-    return S, G, A
+            R_T = np.swapaxes(R, -1, -2)[:, None]
+            for j, pair_tiled in enumerate(tiled):
+                A[j, rows] = (R[:, None] * pair_tiled) @ R_T
+    G = G.reshape((-1,) + G.shape[2:])
+    return S, G, None if A is None else A.reshape((-1,) + A.shape[2:])
 
 
 def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
@@ -722,7 +731,7 @@ def gate_report(schedule, spectrum, pair, samples=RESPONSE_SAMPLES):
     couplings = drive_couplings(spectrum)
     freqs = spectrum.frequencies
     S, G, _ = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
-                            couplings, pair, None)
+                            couplings, [pair], None)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
         S, G, schedule.amplitudes[None, :], couplings[[l, n]],
         spectrum.config.temperature_nbar)

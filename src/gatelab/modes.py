@@ -28,7 +28,7 @@ TWO_PI = 2.0 * np.pi
 
 def coulomb_laplacian(positions):
     """Graph-Laplacian-like matrix L with weights 1/d^3 (PSD, one zero mode)."""
-    s3 = _pair_vectors(positions)[2] ** -3.0  # 0 on the diagonal
+    s3 = _pair_vectors(positions)[-1] ** -3.0  # 0 on the diagonal
     return np.diag(s3.sum(axis=1)) - s3
 
 

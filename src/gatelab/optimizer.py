@@ -19,10 +19,14 @@ mode count.  The ascent runs in lockstep: each step reduces the pencils of
 all points still rising with one batched Cholesky factorization and solves
 them with one batched symmetric eigensolve (Golub & Van Loan, Matrix
 Computations, 8.7), and a point drops out when its own stopping rule fires.
-One call of the scorer of :func:`gate.gate_report` scores every point from
-S, bit for bit as that report would.  Every operation acts on each point
+One call of the scorer of :func:`gate.gate_report` per pair scores its
+points from S, bit for bit as that report would.  Every operation acts on each point
 alone, so a point's result does not depend on the grid around it:
-:func:`solve_amplitudes` is the one-point grid.  A detuning scan keeps the
+:func:`solve_amplitudes` is the one-point grid.  The same holds across
+pairs: :func:`table_one` builds one trap's kernels once, turns them into
+each pair's G and A_i, and ascends the (pair, detuning) rows of all its
+pairs in one lockstep, so every row is its own pair's scan and
+:func:`detuning_scan` is the one-pair table.  A detuning scan keeps the
 best point; failed points (no positive-phase direction at that mu, none
 within the amplitude bound, or a residual form that is not positive
 definite) are recorded with fidelity zero rather than aborting the scan.
@@ -163,15 +167,17 @@ def check_mu_grid(grid, omega_z):
 
 @dataclass(frozen=True)
 class _Forms:
-    """The pair's amplitude problem at every detuning of a grid.
+    """The amplitude problem of J pairs at every detuning of an M-point
+    grid, one row per (pair, detuning), pair-major.
 
-    The ascent reads the phase form ``G`` (M, P, P), the residual forms
-    ``A`` (M, 4, P, P), A_i = Re(S^H diag(w_i) S) with w_i the thermal
+    The ascent reads the phase forms ``G`` (J M, P, P), the residual forms
+    ``A`` (J M, 4, P, P), A_i = Re(S^H diag(w_i) S) with w_i the thermal
     weights of |alpha_l|^2, |alpha_n|^2 and |alpha_l +/- alpha_n|^2 (the
     factor 2 of exp(-2 Gamma) included), and the ``bound`` (or None).
     Only the final score, shared with :func:`gate.gate_report`, reads the
-    first-order integrals ``S`` (M, P, K), the pair's coupling rows
-    ``drive`` (2, K) and the occupation ``nbar`` of every mode.
+    first-order integrals ``S`` (M, P, K), one grid's worth shared by the
+    pairs, the pairs' coupling rows ``drive`` (J, 2, K) and the occupation
+    ``nbar`` of every mode.
     """
 
     S: np.ndarray
@@ -186,19 +192,20 @@ class _Forms:
         return replace(self, S=None, G=self.G[rows], A=self.A[rows])
 
 
-def _grid_forms(spectrum, pair, times, grid, nbar, bound):
-    """:class:`_Forms` of ``pair`` on ``grid``, its kernels built in one
-    call; ``nbar`` None takes the trap's occupation.  Raises
-    NegativeOccupation from :func:`crystal.check_nbar` before any kernel
-    is built."""
+def _grid_forms(spectrum, pairs, times, grid, nbar, bound):
+    """:class:`_Forms` of the sequence ``pairs`` on ``grid``, the kernels
+    of all pairs built in one call; ``nbar`` None takes the trap's
+    occupation.  Raises NegativeOccupation from :func:`crystal.check_nbar`
+    before any kernel is built."""
     nbar = check_nbar(spectrum.config.temperature_nbar if nbar is None
                       else nbar)
     couplings = drive_couplings(spectrum)
-    cl, cn = drive = couplings[list(pair)]
-    weights = 2.0 * (2.0 * nbar + 1.0) * np.array(
-        [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
+    drive = couplings[np.array(pairs, dtype=int).reshape(-1, 2)]
+    cl, cn = drive[:, 0], drive[:, 1]
+    weights = 2.0 * (2.0 * nbar + 1.0) * np.stack(
+        [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2], axis=1)
     S, G, A = _pair_kernels(times, np.asarray(grid, dtype=float),
-                            spectrum.frequencies, couplings, pair, weights)
+                            spectrum.frequencies, couplings, pairs, weights)
     return _Forms(S=S, G=G, A=A, drive=drive, nbar=nbar, bound=bound)
 
 
@@ -330,14 +337,15 @@ def _ascend(forms, vec):
 
 
 def _solve_grid(forms):
-    """Seed and ascent at every grid point of ``forms``, then one scoring
-    call for all points.
+    """Seed and ascent at every row (pair, grid point) of ``forms``, then
+    one scoring call per pair on the shared S.
 
-    Returns (amplitudes, fidelities, steps, status): amplitudes (M, P)
-    rescaled so |phase| is pi/4, fidelities from :func:`gate._evaluate`,
-    the scorer of :func:`gate.gate_report`, the ascent steps taken, and
-    per point "ok" or the failure its one-point solve raises (see
-    _FAILURES).  A failed point holds zero amplitudes and fidelity 0.
+    Returns (amplitudes, fidelities, steps, status), one row each per row
+    of ``forms``: amplitudes (J M, P) rescaled so |phase| is pi/4,
+    fidelities from :func:`gate._evaluate`, the scorer of
+    :func:`gate.gate_report`, the ascent steps taken, and per point "ok"
+    or the failure its one-point solve raises (see _FAILURES).  A failed
+    point holds zero amplitudes and fidelity 0.
     """
     m = len(forms.G)
     status = np.full(m, "ok", dtype=object)
@@ -359,33 +367,44 @@ def _solve_grid(forms):
     amplitudes = np.zeros((m, vec.shape[1]))
     amplitudes[rows] = vec
     fidelities = np.zeros(m)
-    fidelities[rows] = _evaluate(forms.S[rows], G, vec, forms.drive,
-                                 forms.nbar)[3]
+    pair_of, point = np.divmod(rows, len(forms.S))
+    for j, drive in enumerate(forms.drive):
+        own = pair_of == j
+        fidelities[rows[own]] = _evaluate(forms.S[point[own]], G[own],
+                                          vec[own], drive, forms.nbar)[3]
     return amplitudes, fidelities, steps, status
 
 
-def _scan(spectrum, problem):
-    """(OptimizationResult, per-point status) of ``problem``: the one solve
-    path of a point and a scan.  Raises ValueError, before any kernel is
-    built, from :func:`check_mu_grid`, :func:`gate.check_pair` or
+def _scan(spectrum, problem, pairs):
+    """One (OptimizationResult, per-point status) per pair of ``pairs``,
+    each the scan of ``problem`` with its pair replaced: the one solve
+    path of a point, a scan and a table.  Every pair's kernels come from
+    one build and every (pair, point) ascends in one lockstep, each row
+    as it would alone.  Raises ValueError, before any kernel is built,
+    from :func:`check_mu_grid`, :func:`gate.check_pair` (on every pair) or
     :func:`crystal.check_nbar`."""
     config = spectrum.config
     grid = check_mu_grid(problem.mu_grid, config.omega_z)
-    check_pair(problem.pair, config.ion_count)
+    pairs = [check_pair(pair, config.ion_count) for pair in pairs]
     amplitudes, fidelities, _, status = _solve_grid(_grid_forms(
-        spectrum, problem.pair, problem.times, grid, problem.nbar,
+        spectrum, pairs, problem.times, grid, problem.nbar,
         problem.amplitude_bound))
-    best = int(np.argmax(fidelities))
-    feasible = status[best] == "ok"
-    schedule = (PulseSchedule(times=problem.times, amplitudes=amplitudes[best],
-                              mu=float(grid[best]), target_pair=problem.pair)
-                if feasible else None)
-    return OptimizationResult(
-        pair=problem.pair, tau=problem.tau,
-        segment_count=problem.segment_count, mu_grid=grid,
-        fidelities=fidelities,
-        max_amplitudes=np.abs(amplitudes).max(axis=1),
-        best_index=best if feasible else -1, best_schedule=schedule), status
+    scans = []
+    for j, pair in enumerate(pairs):
+        own = slice(j * grid.size, (j + 1) * grid.size)
+        best = int(np.argmax(fidelities[own]))
+        feasible = status[own][best] == "ok"
+        schedule = (PulseSchedule(times=problem.times,
+                                  amplitudes=amplitudes[own][best],
+                                  mu=float(grid[best]), target_pair=pair)
+                    if feasible else None)
+        scans.append((OptimizationResult(
+            pair=pair, tau=problem.tau, segment_count=problem.segment_count,
+            mu_grid=grid, fidelities=fidelities[own],
+            max_amplitudes=np.abs(amplitudes[own]).max(axis=1),
+            best_index=best if feasible else -1, best_schedule=schedule),
+            status[own]))
+    return scans
 
 
 def solve_amplitudes(spectrum, problem):
@@ -403,7 +422,7 @@ def solve_amplitudes(spectrum, problem):
     """
     if problem.mu_grid is None or problem.mu_grid.size != 1:
         raise ValueError("solve_amplitudes needs a one-point mu_grid")
-    result, status = _scan(spectrum, problem)
+    result, status = _scan(spectrum, problem, [problem.pair])[0]
     if not result.feasible:
         kind, message = _FAILURES[status[0]]
         raise kind("%s at mu = %.6g rad/s" % (message, problem.mu_grid[0]))
@@ -420,7 +439,7 @@ def detuning_scan(spectrum, problem):
     fails the result carries no schedule.  The result holds no gate
     report: pass ``best_schedule`` to :func:`gate.gate_report` for one.
     """
-    return _scan(spectrum, problem)[0]
+    return _scan(spectrum, problem, [problem.pair])[0][0]
 
 
 def band_edge_optimum(result, band_top):
@@ -521,16 +540,19 @@ def table_one(crystal, problem, pairs, omega_r_values):
     independent of the radial frequency, so ``crystal`` is re-dressed
     (exactly) for each trap; separations in metres scale with the trap
     length scale.  omega_z and the ion species come from
-    ``crystal.config``.
+    ``crystal.config``.  A trap's pairs are solved in lockstep: one kernel
+    build and one ascent for all of them, every row bit for bit the
+    :func:`detuning_scan` of its own pair.  Every pair is checked before
+    any kernel is built.
     """
     rows = []
     for omega_r in omega_r_values:
         dressed = with_trap(crystal, replace(crystal.config, omega_r=omega_r))
         spectrum = axial_spectrum(dressed)
         coords = dressed.positions * dressed.length_scale_ell
-        for rank, pair in enumerate(pairs, start=1):
-            result = detuning_scan(spectrum, replace(problem, pair=pair))
-            l, n = pair
+        for rank, (result, _) in enumerate(_scan(spectrum, problem, pairs),
+                                           start=1):
+            l, n = pair = result.pair
             sep = float(np.hypot(*(coords[l] - coords[n])))
             rows.append(TableRow(
                 rank=rank, pair=pair, separation_m=sep, omega_r=omega_r,

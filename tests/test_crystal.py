@@ -34,6 +34,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             cr.TrapConfig(2.5, omega_r=1.0, omega_z=1.0)
 
+    @pytest.mark.parametrize("count", [2.5, math.inf, -math.inf, math.nan],
+                             ids=["fraction", "inf", "minus-inf", "nan"])
+    def test_non_integer_count_gets_the_typed_message(self, count):
+        # inf and NaN get the same message as 2.5, never OverflowError or
+        # float-to-int conversion text
+        with pytest.raises(ValueError,
+                           match="^ion_count must be a positive integer$"):
+            cr.TrapConfig(count, omega_r=1.0, omega_z=1.0)
+
     def test_rejects_nonpositive_frequencies(self):
         with pytest.raises(ValueError):
             cr.TrapConfig(2, omega_r=0.0, omega_z=1.0)
@@ -148,6 +157,63 @@ class TestGradient:
                 fd = (cr.potential_gradient(up) - cr.potential_gradient(um)) / (2 * eps)
                 col = np.concatenate([fd[:, 0], fd[:, 1]])
                 assert np.allclose(hess[:, k * n + i], col, rtol=1e-5, atol=1e-6)
+
+
+def reference_pair_vectors(u):
+    """dx, dy and the distances (diagonal -> inf), one temporary each."""
+    dx = u[:, 0][:, None] - u[:, 0][None, :]
+    dy = u[:, 1][:, None] - u[:, 1][None, :]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, np.inf)
+    return dx, dy, np.sqrt(d2)
+
+
+def reference_energy(u):
+    _, _, d = reference_pair_vectors(u)
+    coulomb = np.sum(1.0 / d) / 2.0
+    return 0.5 * float(np.sum(u * u)) + float(coulomb)
+
+
+def reference_gradient(u):
+    dx, dy, d = reference_pair_vectors(u)
+    inv3 = d ** -3.0
+    gx = u[:, 0] - np.sum(dx * inv3, axis=1)
+    gy = u[:, 1] - np.sum(dy * inv3, axis=1)
+    return np.column_stack([gx, gy])
+
+
+def reference_hessian(u):
+    """The planar Hessian from fresh blocks joined by ``np.block``."""
+    n = u.shape[0]
+    dx, dy, d = reference_pair_vectors(u)
+    inv5 = d ** -5.0
+    txx = (2.0 * dx * dx - dy * dy) * inv5
+    tyy = (2.0 * dy * dy - dx * dx) * inv5
+    txy = 3.0 * dx * dy * inv5
+    xx, yy, xy = -txx, -tyy, -txy
+    idx = np.arange(n)
+    xx[idx, idx] = 1.0 + txx.sum(axis=1)
+    yy[idx, idx] = 1.0 + tyy.sum(axis=1)
+    xy[idx, idx] = txy.sum(axis=1)
+    return np.block([[xx, xy], [xy, yy]])
+
+
+class TestCrystalKernels:
+    """The in-place energy, gradient and Hessian are bit for bit the
+    straightforward expressions, so no crystal moves."""
+
+    @pytest.mark.parametrize("n", [7, 37, 127, 217])
+    def test_bitwise_equal_to_references(self, n):
+        rng = np.random.default_rng(n)
+        u = cr.triangular_seed(n) + 0.05 * rng.normal(size=(n, 2))
+        assert cr.potential_energy(u) == reference_energy(u)
+        assert np.array_equal(cr.potential_gradient(u), reference_gradient(u))
+        hess = cr._planar_hessian(u)
+        assert np.array_equal(hess, reference_hessian(u))
+        assert np.array_equal(hess, hess.T)
+        xx, xy, yy = cr.curvature_blocks(u)
+        assert np.array_equal(np.block([[xx, xy], [xy, yy]]), hess)
+        assert cr.min_spacing(u) == float(reference_pair_vectors(u)[2].min())
 
 
 class TestCurvatureBlocks:

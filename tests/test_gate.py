@@ -233,7 +233,7 @@ class TestBatchedKernels:
         times, omega, grid, couplings, pair = mixed_branch_grid()
         S = gt.first_order_integrals(times, grid, omega)
         T = gt._segment_kernels(times, grid, omega)[1]
-        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, pair, None)
+        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, [pair], None)
         assert S.shape == (grid.size, omega.size, times.size - 1)
         assert np.array_equal(np.swapaxes(S2, -1, -2), S)
         for i, mu in enumerate(grid):
@@ -285,7 +285,7 @@ class TestOneTrigPass:
         # S, T and the pair form G against the complex-exp/np.sinc build
         times, omega, grid, couplings, pair = make()
         S, T = gt._segment_kernels(times, grid, omega)
-        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, pair, None)
+        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, [pair], None)
         S_ref = ref_first_order(times, grid, omega)
         T_ref = ref_triangle(times, grid, omega)
         l, n = pair

@@ -5,7 +5,8 @@ The segment-amplitude solver and the detuning scan are exercised on a
 phase rescale is exact, the polish never loses fidelity against its seed
 and ends at a stationary point of the locked fidelity (checked over a
 19-ion scan), every point of a lockstep grid solve equals its one-point
-solve, scans are deterministic and bounded by 1, and a larger control
+solve, every pair of a lockstep table equals its own scan, scans are
+deterministic and bounded by 1, and a larger control
 space cannot do worse on the same grid.  Selector and
 serialization logic gets synthetic inputs.
 """
@@ -119,7 +120,7 @@ class TestSolveAmplitudes:
 
     def forms(self, spectrum):
         times = np.linspace(0.0, 50e-6, 6)
-        return op._grid_forms(spectrum, (0, 1), times, [self.MU],
+        return op._grid_forms(spectrum, [(0, 1)], times, [self.MU],
                               spectrum.config.temperature_nbar, None)
 
     def test_objective_forms_match_public_kernels(self, spectrum7):
@@ -340,7 +341,7 @@ class TestOneCodePath:
         result = op.detuning_scan(spectrum, op.OptimizationProblem(
             pair=pair, tau=50e-6, segment_count=5, mu_grid=grid))
         amplitudes, fidelities, _, status = op._solve_grid(op._grid_forms(
-            spectrum, pair, np.linspace(0.0, 50e-6, 6), grid, None, None))
+            spectrum, [pair], np.linspace(0.0, 50e-6, 6), grid, None, None))
         assert np.array_equal(fidelities, result.fidelities)
         solved = 0
         for i, mu in enumerate(grid):
@@ -381,9 +382,9 @@ class TestLockstep:
         times = np.linspace(0.0, 50e-6, 6)
         grid = op.default_mu_grid(WZ)[::10]
         free_amps, _, free_steps, _ = op._solve_grid(op._grid_forms(
-            spectrum, pair, times, grid, None, None))
+            spectrum, [pair], times, grid, None, None))
         bound = float(np.median(np.abs(free_amps).max(axis=1)))
-        forms = op._grid_forms(spectrum, pair, times, grid, None, bound)
+        forms = op._grid_forms(spectrum, [pair], times, grid, None, bound)
         # one tiny entry in each residual form: the ridge underflows to
         # zero, so the reweighted form is singular
         forged_point = 3
@@ -428,11 +429,51 @@ class TestLockstep:
             assert report.phi == op._phase(forged.G[[i]], amplitudes[[i]])[0]
             assert report.fidelity == fidelities[i]
 
+    def test_stacked_pairs_equal_their_own_solves(self):
+        # two pairs stacked pair-major share one S; the second carries the
+        # forged point and the binding bound fails and cuts short points
+        # of both.  Each pair's block of forms and of results must equal
+        # that pair's own one-pair build and solve, bit for bit.
+        spectrum = spectrum19()
+        pairs = [(0, 15), (3, 11)]
+        times = np.linspace(0.0, 50e-6, 6)
+        grid = op.default_mu_grid(WZ)[::10]
+        m = grid.size
+        free_amps = op._solve_grid(op._grid_forms(
+            spectrum, pairs, times, grid, None, None))[0]
+        bound = float(np.median(np.abs(free_amps).max(axis=1)))
+        forms = op._grid_forms(spectrum, pairs, times, grid, None, bound)
+        assert forms.G.shape[0] == forms.A.shape[0] == 2 * m
+        assert forms.S.shape[0] == m and forms.drive.shape[0] == 2
+        forged_point = 3
+
+        def forge(forms, row):
+            A = forms.A.copy()
+            A[row] = 0.0
+            A[row, :, 0, 0] = 1e-320
+            return replace(forms, A=A)
+
+        stacked = op._solve_grid(forge(forms, m + forged_point))
+        assert stacked[3][m + forged_point] == "linalg"
+        for j, pair in enumerate(pairs):
+            one = op._grid_forms(spectrum, [pair], times, grid, None, bound)
+            own = slice(j * m, (j + 1) * m)
+            assert np.array_equal(one.S, forms.S)
+            assert np.array_equal(one.G, forms.G[own])
+            assert np.array_equal(one.A, forms.A[own])
+            assert np.array_equal(one.drive, forms.drive[[j]])
+            if j == 1:
+                one = forge(one, forged_point)
+            alone = op._solve_grid(one)
+            assert "over-bound" in alone[3]
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[own], want)
+
     def test_ascent_never_below_seed(self):
         # the minorize-maximize ascent is monotone at every grid point
         spectrum = spectrum19()
         forms = op._grid_forms(
-            spectrum, (0, 15), np.linspace(0.0, 50e-6, 6),
+            spectrum, [(0, 15)], np.linspace(0.0, 50e-6, 6),
             op.default_mu_grid(WZ), 0.1, None)
         found, _, seed_fid, seed, _ = op._extremal(
             forms, np.broadcast_to(op._BRANCH_COEFFS, (len(forms.G), 4)))
@@ -469,10 +510,10 @@ class TestBlockedGrid:
         assert np.any((ratio < 1.0) & (ratio > 0.99))
         assert np.any((ratio > 1.0) & (ratio < 1.01))
         assert np.any(np.add.outer(grid, freqs) * h < threshold)
-        forms = op._grid_forms(spectrum, (0, 2), times, grid, None, None)
+        forms = op._grid_forms(spectrum, [(0, 2)], times, grid, None, None)
         assert all(np.isfinite(v).all() for v in (forms.S, forms.G, forms.A))
         for i, mu in enumerate(grid):
-            one = op._grid_forms(spectrum, (0, 2), times, [mu], None, None)
+            one = op._grid_forms(spectrum, [(0, 2)], times, [mu], None, None)
             assert np.array_equal(forms.S[i], one.S[0])
             assert np.array_equal(forms.G[i], one.G[0])
             assert np.array_equal(forms.A[i], one.A[0])
@@ -483,7 +524,7 @@ class TestResidualForms:
     grid, never the first-order integrals S."""
 
     def grid_forms(self):
-        return op._grid_forms(spectrum19(), (0, 15),
+        return op._grid_forms(spectrum19(), [(0, 15)],
                               np.linspace(0.0, 50e-6, 6),
                               op.default_mu_grid(WZ), None, None)
 
@@ -498,7 +539,7 @@ class TestResidualForms:
         # the size the sum would have without cancellation,
         # scale^2 sum_k w_ik (|S| |v|)_k^2; B with its largest entry.
         forms = self.grid_forms()
-        cl, cn = forms.drive
+        cl, cn = forms.drive[0]
         weights = 2.0 * (2.0 * forms.nbar + 1.0) * np.array(
             [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
         seed = self.seed(forms)
@@ -544,7 +585,7 @@ class TestStationarity:
         worst = 0.0
         for mu in op.default_mu_grid(WZ):
             sched, _ = op.solve_amplitudes(spectrum, one_point(pair, mu))
-            forms = op._grid_forms(spectrum, pair, times, [mu], 0.1, None)
+            forms = op._grid_forms(spectrum, [pair], times, [mu], 0.1, None)
             vec = sched.amplitudes / np.linalg.norm(sched.amplitudes)
             shifts = h * np.eye(vec.size)
             grad = (op._locked(forms, vec + shifts)[0]
@@ -707,6 +748,58 @@ class TestTableOne:
             assert r.max_amplitude > 0.0
             assert grid[0] <= r.mu_opt <= grid[-1]
 
+    @pytest.mark.parametrize("bound_hz", [None, 100e3],
+                             ids=["unbounded", "bound"])
+    def test_rows_equal_their_own_scans(self, bound_hz):
+        # a trap's pairs are solved in lockstep; each row must be == to
+        # the row its own detuning scan gives, infeasible rows included
+        crystal = cr.solve_equilibrium(cr.TrapConfig(
+            19, omega_r=TWO_PI * 1.0e6, omega_z=WZ, temperature_nbar=0.3))
+        problem = op.OptimizationProblem(
+            pair=(0, 1), tau=50e-6, segment_count=5,
+            mu_grid=op.default_mu_grid(WZ, 11, 0.0, 0.1e6),
+            amplitude_bound=None if bound_hz is None else TWO_PI * bound_hz)
+        pairs = op.default_pair_list(crystal, 3)
+        traps = (TWO_PI * 0.2e6, TWO_PI * 1.0e6)
+        rows = op.table_one(crystal, problem, pairs, traps)
+        want = []
+        for omega_r in traps:
+            dressed = cr.with_trap(crystal, replace(crystal.config,
+                                                    omega_r=omega_r))
+            spectrum = md.axial_spectrum(dressed)
+            coords = dressed.positions * dressed.length_scale_ell
+            for rank, pair in enumerate(pairs, start=1):
+                scan = op.detuning_scan(spectrum, replace(problem, pair=pair))
+                want.append(op.TableRow(
+                    rank=rank, pair=pair,
+                    separation_m=float(np.hypot(*(coords[pair[0]]
+                                                  - coords[pair[1]]))),
+                    omega_r=omega_r,
+                    mu_opt=scan.best_mu if scan.feasible else 0.0,
+                    fidelity=scan.best_fidelity,
+                    max_amplitude=(scan.best_schedule.max_amplitude
+                                   if scan.feasible else 0.0)))
+        assert rows == want
+        infeasible = [(r.rank, r.omega_r) for r in rows if r.fidelity == 0.0]
+        if bound_hz is None:
+            assert infeasible == []
+        else:
+            # rows 2 and 3 at 0.2 MHz have no feasible point
+            assert infeasible == [(2, traps[0]), (3, traps[0])]
+            assert all(r.mu_opt == 0.0 == r.max_amplitude for r in rows
+                       if r.fidelity == 0.0)
+
+    def test_pairs_checked_before_any_kernel(self, no_kernels):
+        # a bad pair anywhere in the list stops the table before any
+        # kernel of any pair is built
+        crystal = cr.solve_equilibrium(cr.TrapConfig(
+            7, omega_r=TWO_PI * 0.2e6, omega_z=WZ))
+        problem = op.OptimizationProblem(pair=(0, 1), tau=50e-6,
+                                         mu_grid=small_grid(5))
+        with pytest.raises(ValueError, match="pair needs two distinct"):
+            op.table_one(crystal, problem, [(0, 1), (0, 2), (0, 7)],
+                         (TWO_PI * 0.2e6,))
+
 
 class TestOccupationRule:
     """``crystal.check_nbar`` is the one rule for nbar (one number, >= 0,
@@ -769,6 +862,6 @@ class TestOccupationRule:
         # what passes the rule is kept as one float, never a mode array
         assert type(state3.nbar) is float
         forms = op._grid_forms(
-            spectrum3, (0, 2), np.linspace(0.0, 0.4e-6, 4),
+            spectrum3, [(0, 2)], np.linspace(0.0, 0.4e-6, 4),
             [spectrum3.config.omega_z + TWO_PI * 40e3], np.float64(0.2), None)
         assert type(forms.nbar) is float and forms.nbar == 0.2
