@@ -60,6 +60,9 @@ _MAX_STEPS = 100
 # eigenvalue-problem regularizer, relative to the mean diagonal of the
 # residual form
 _RIDGE = 1e-12
+# a row of overlap weights whose largest is below this is rescaled before
+# its pencil is reduced (see :func:`_extremal`)
+_TINY_WEIGHT = 2.0 ** -900
 # status of a failed grid point -> (exception, message) of its one-point
 # solve; a solved point has status "ok"
 _FAILURES = {
@@ -272,7 +275,18 @@ def _extremal(forms, coeffs):
     first).  ``found`` is False where the form is not finite with positive
     trace, or no direction carries phase; ``broken`` marks the forms that
     are not positive definite.
+
+    A row of ``coeffs`` whose largest entry is below ``_TINY_WEIGHT`` (the
+    overlap factors c_i exp(-gamma_i) of a drive with every gamma_i past
+    about 624) is first scaled by the power of 4 that brings that entry
+    into [1, 4).  Subnormal weights would otherwise give L ~ 1e-155 and an
+    L^-1 G L^-T that overflows; a power of 4 passes exactly through L, the
+    eigenvectors and :func:`_locked`, and every other row keeps its bits.
     """
+    top = coeffs.max(axis=1)
+    _, exp = np.frexp(top)  # top in [2^(exp-1), 2^exp)
+    shift = np.where(top < _TINY_WEIGHT, (2 - exp) // 2 * 2, 0)
+    coeffs = np.ldexp(coeffs, shift[:, None])
     m, _, p, _ = forms.A.shape
     B = (coeffs[:, None, :] @ forms.A.reshape(m, 4, p * p)).reshape(m, p, p)
     trace = np.trace(B, axis1=1, axis2=2)
@@ -309,8 +323,9 @@ def _ascend(forms, vec):
 
     A point stops when a step does not raise its fidelity (one past the
     amplitude bound scores -1), gains less than _FTOL, or its reweighted
-    form vanishes because every overlap factor underflowed; at most
-    _MAX_STEPS steps.  Returns (vector, fidelity, steps, broken), with
+    form vanishes because every overlap factor underflowed to 0 (tiny but
+    nonzero factors are rescaled by :func:`_extremal`); at most _MAX_STEPS
+    steps.  Returns (vector, fidelity, steps, broken), with
     ``broken`` marking the points whose form stopped being positive
     definite.
     """

@@ -10,6 +10,7 @@ propagation lives in the oracle tests.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -550,6 +551,49 @@ class TestThermalFidelity:
                 assert gated[i] == one_gated
 
 
+# The report stage as first written: one pass over every sample time, with
+# whole (samples, modes) arrays.  Kept as the reference for the blocks.
+
+def ref_partial_drive_integrals(schedule, frequencies, sample_times):
+    times = schedule.times
+    amps = schedule.amplitudes
+    mu = schedule.mu
+    omega = np.asarray(frequencies, dtype=float)
+    ts = np.asarray(sample_times, dtype=float)
+    S = gt.first_order_integrals(times, mu, omega)
+    done = np.concatenate([np.zeros((omega.size, 1), dtype=complex),
+                           np.cumsum(S * amps[None, :], axis=1)], axis=1)
+    idx = np.clip(np.searchsorted(times, ts, side="right") - 1,
+                  0, schedule.segment_count - 1)
+    t_start = times[idx][:, None]
+    h = np.clip(ts[:, None] - t_start, 0.0, np.diff(times)[idx][:, None])
+    start = gt._unit(omega * times[:-1, None])[idx]
+    part = gt._first_order(start, gt._unit(mu * t_start),
+                           gt._e0(omega + mu, h), gt._e0(omega - mu, h))
+    part *= amps[idx][:, None]
+    part += done[:, idx].T
+    return part
+
+
+def ref_response_profile(schedule, spectrum, pair, samples):
+    l, n = pair
+    couplings = gt.drive_couplings(spectrum)
+    freqs = spectrum.frequencies
+    ts = np.union1d(np.linspace(0.0, schedule.duration, samples),
+                    schedule.times)
+    raw = ref_partial_drive_integrals(schedule, freqs, ts)
+    angle = freqs[None, :] * ts[:, None]
+    real_part = np.sin(angle)
+    real_part *= raw.real
+    cos = np.cos(angle, out=angle)
+    cos *= raw.imag
+    real_part -= cos
+    real_part *= (couplings[l] + couplings[n]) * np.sqrt(
+        2.0 * cr.HBAR / (spectrum.config.ion_mass * freqs))
+    q = real_part @ spectrum.modes
+    return np.abs(q).max(axis=0)
+
+
 class TestPartialIntegrals:
     def test_matches_cumulative_sum_at_boundaries(self):
         sched = gt.PulseSchedule.uniform(2.0, [1.0, -0.7, 0.4], 9.0)
@@ -633,6 +677,7 @@ class TestPairCheck:
 
         monkeypatch.setattr(gt, "_pair_kernels", refuse)
         monkeypatch.setattr(gt, "partial_drive_integrals", refuse)
+        monkeypatch.setattr(gt, "_partial_blocks", refuse)
         with pytest.raises(ValueError, match="pair needs two distinct"):
             getattr(gt, entry)(sched, spec, pair,
                                samples=gt.RESPONSE_SAMPLES)
@@ -696,6 +741,115 @@ class TestResponseProfile:
         assert np.array_equal(peak, report.response_peak)
         assert np.array_equal(normalized, peak / max(peak[1], peak[3]))
         assert np.array_equal(normalized, report.response_normalized)
+
+
+@pytest.fixture(scope="module")
+def block_spectra():
+    """Axial spectra of N = 7, 19 and 127 in the paper's two radial
+    traps, 0.2 and 1 MHz (omega_z / 2 pi = 10 MHz), one crystal per N."""
+    spectra = {}
+    for n in (7, 19, 127):
+        base = cr.solve_equilibrium(cr.TrapConfig(
+            n, omega_r=2 * math.pi * 0.2e6, omega_z=2 * math.pi * 10e6))
+        for trap_hz in (0.2e6, 1e6):
+            config = dataclasses.replace(base.config,
+                                         omega_r=2 * math.pi * trap_hz)
+            spectra[n, trap_hz] = md.axial_spectrum(cr.with_trap(base,
+                                                                 config))
+    return spectra
+
+
+def block_schedule(spec, times):
+    """A drive near the paper's operating point on the segment
+    boundaries ``times`` (s): 40 kHz above omega_z, amplitudes up to
+    150 kHz with mixed signs."""
+    amps = 2 * math.pi * 1e5 * np.array([1.2, -0.7, 1.5, 0.4, -1.1])
+    return gt.PulseSchedule(times=times, amplitudes=amps[:len(times) - 1],
+                            mu=spec.config.omega_z + 2 * math.pi * 40e3)
+
+
+EQUAL = np.linspace(0.0, 50e-6, 6)
+UNEQUAL = np.array([0.0, 7.0, 18.0, 30.0, 41.0, 50.0]) * 1e-6
+
+
+class TestSampleBlocks:
+    """The report stage streams its samples in blocks of
+    ``gate._SAMPLE_BLOCK``; every peak and every partial integral is bit
+    for bit the one-pass reference's."""
+
+    @pytest.mark.parametrize("n", [7, 19, 127])
+    @pytest.mark.parametrize("trap_hz", [0.2e6, 1e6])
+    @pytest.mark.parametrize("times", [EQUAL, UNEQUAL],
+                             ids=["equal", "unequal"])
+    def test_profile_equals_one_pass(self, block_spectra, n, trap_hz, times):
+        spec = block_spectra[n, trap_hz]
+        sched = block_schedule(spec, times)
+        for pair in [(0, 1), (0, n - 1)]:
+            got = gt.response_profile(sched, spec, pair, gt.RESPONSE_SAMPLES)
+            want = ref_response_profile(sched, spec, pair,
+                                        gt.RESPONSE_SAMPLES)
+            assert got.shape == (n,)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [7, 19, 127])
+    @pytest.mark.parametrize("samples", [1, 127, 128, 129, 2000])
+    def test_block_edges(self, block_spectra, n, samples):
+        # five segments add four boundaries to the uniform samples; one
+        # segment adds none, so its sample count is exactly ``samples``:
+        # short of a block, one block, one sample past it, many blocks
+        spec = block_spectra[n, 1e6]
+        for times in (EQUAL, EQUAL[[0, -1]]):
+            sched = block_schedule(spec, times)
+            got = gt.response_profile(sched, spec, (0, 1), samples)
+            assert np.array_equal(
+                got, ref_response_profile(sched, spec, (0, 1), samples))
+
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 2000])
+    @pytest.mark.parametrize("times", [EQUAL, UNEQUAL],
+                             ids=["equal", "unequal"])
+    def test_partial_integrals_equal_one_pass(self, block_spectra, count,
+                                              times):
+        # sample times before 0 and past tau, then unsorted
+        spec = block_spectra[127, 0.2e6]
+        sched = block_schedule(spec, times)
+        ts = np.linspace(-5e-6, 60e-6, count)
+        for sample_times in (ts, ts[::-1]):
+            got = gt.partial_drive_integrals(sched, spec.frequencies,
+                                             sample_times)
+            want = ref_partial_drive_integrals(sched, spec.frequencies,
+                                               sample_times)
+            assert got.shape == want.shape == (count, 127)
+            assert np.array_equal(got, want)
+
+    def test_block_layout(self, block_spectra):
+        # blocks start on multiples of _SAMPLE_BLOCK and the last takes
+        # the rest, so no block's product drops to a one-row gemv or to a
+        # small-matrix kernel that one whole product would not take
+        spec = block_spectra[7, 0.2e6]
+        sched = block_schedule(spec, EQUAL)
+        for count in (1, 127, 128, 129, 255, 256, 257, 2004):
+            ts = np.linspace(0.0, 50e-6, count)
+            sizes = [t.size for t, _ in
+                     gt._partial_blocks(sched, spec.frequencies, ts)]
+            assert sum(sizes) == count
+            assert all(size == gt._SAMPLE_BLOCK for size in sizes[:-1])
+            assert min(count, gt._SAMPLE_BLOCK) <= sizes[-1]
+            assert sizes[-1] < 2 * gt._SAMPLE_BLOCK
+
+    def test_report_memory_does_not_scale_with_samples(self, block_spectra):
+        # the one-pass profile held (2004 samples x 127 modes) complex
+        # arrays and peaked at 16.9 MB; the blocks hold (B x 127) ones
+        spec = block_spectra[127, 0.2e6]
+        sched = block_schedule(spec, EQUAL)
+        gt.gate_report(sched, spec, (0, 1))  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            report = gt.gate_report(sched, spec, (0, 1), samples=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.response_peak.shape == (127,)
+        assert peak < 4e6, "gate_report peaked at %.1f MB" % (peak / 1e6)
 
 
 class TestScheduleSerialization:

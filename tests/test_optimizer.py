@@ -12,6 +12,7 @@ serialization logic gets synthetic inputs.
 """
 
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,81 @@ class TestLockstep:
         assert not broken.any()
         assert np.all(fid >= seed_fid)
         assert np.all(fid[steps > 0] > seed_fid[steps > 0])
+
+
+class TestTinyOverlaps:
+    """Overlap factors c_i exp(-gamma_i) that are tiny but not 0: their row
+    is rescaled by a power of 4 before its pencil is reduced, so nothing
+    overflows, and every other row keeps its bits."""
+
+    MU = WZ + TWO_PI * 40e3
+
+    def forged(self, spectrum):
+        """(forms, seed) of one row whose every direction has all four
+        overlap exponents at 720 or more, so exp(-gamma) is subnormal:
+        the residual forms a I with a = 720 max|eig G| / (pi / 4)."""
+        forms = op._grid_forms(spectrum, [(0, 1)], np.linspace(0, 50e-6, 6),
+                               [self.MU], None, None)
+        p = forms.G.shape[-1]
+        top = np.abs(np.linalg.eigvalsh(forms.G[0])).max()
+        a = 720.0 * top / op.PHASE_TARGET
+        forms = replace(forms, A=np.broadcast_to(a * np.eye(p),
+                                                 (1, 4, p, p)).copy())
+        return forms, op._extremal(forms, op._BRANCH_COEFFS[None, :])[3]
+
+    def test_subnormal_row_stops_at_a_quarter(self, spectrum7):
+        forms, seed = self.forged(spectrum7)
+        fid, _, gamma = op._locked(forms, seed)
+        weights = op._BRANCH_COEFFS * np.exp(-gamma)
+        assert 0.0 < weights.max() < np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vec, out_fid, steps, broken = op._ascend(forms, seed)
+        assert out_fid[0] == fid[0] == 0.25
+        assert steps[0] == 0 and not broken[0]
+        assert np.array_equal(vec, seed)
+
+    def test_stacked_rows_keep_their_bits(self, spectrum7):
+        # the forged row amid a 5-point grid's rows, each ascent step's
+        # weights at its seed: every other row equals its call alone
+        forged, forged_seed = self.forged(spectrum7)
+        grid = op._grid_forms(spectrum7, [(0, 1)], np.linspace(0, 50e-6, 6),
+                              small_grid(5), None, None)
+        seeds = op._extremal(grid, np.broadcast_to(op._BRANCH_COEFFS,
+                                                   (5, 4)))[3]
+        order = [0, 1, -1, 2, 3, 4]
+        stack = replace(grid, S=None,
+                        G=np.concatenate([grid.G, forged.G])[order],
+                        A=np.concatenate([grid.A, forged.A])[order])
+        vecs = np.concatenate([seeds, forged_seed])[order]
+        coeffs = op._BRANCH_COEFFS * np.exp(-op._locked(stack, vecs)[2])
+        assert coeffs[2].max() < np.finfo(float).tiny
+        assert coeffs[np.arange(6) != 2].min() > 2.0 ** -900
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stacked = op._extremal(stack, coeffs)
+            for row in (0, 1, 3, 4, 5):
+                alone = op._extremal(stack.take([row]), coeffs[[row]])
+                for got, want in zip(stacked, alone):
+                    assert np.array_equal(got[row], want[0])
+        found, broken, fid, vec, _ = stacked
+        assert found[2] and not broken[2] and fid[2] == 0.25
+        assert np.isfinite(vec[2]).all()
+
+    def test_paper_table_pair_at_3001_points(self):
+        # the 127-ion crystal's pair (0, 118) at 0.2 MHz on a 10x finer
+        # default window: some rows ascend into overlap factors near 1e-309,
+        # which overflowed L^-1 G L^-T with a RuntimeWarning
+        config = cr.TrapConfig(127, omega_r=TWO_PI * 0.2e6, omega_z=WZ,
+                               temperature_nbar=0.1)
+        spectrum = md.axial_spectrum(cr.solve_equilibrium(config))
+        problem = op.OptimizationProblem(
+            pair=(0, 118), tau=50e-6, mu_grid=op.default_mu_grid(WZ, 3001))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = op.detuning_scan(spectrum, problem)
+        assert result.feasible and result.best_fidelity > 0.98
+        assert np.isfinite(result.fidelities).all()
 
 
 class TestBlockedGrid:
