@@ -28,10 +28,20 @@ verified to be a minimum: the default N=91 and N=127 crystals are
 saddles.  The gradient tolerance, iteration cap, restart count and restart
 jitter are fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
 ``_JITTER_FRACTION``).
+
+The restarts are independent.  From N = ``_POOL_FLOOR`` (169) on they relax
+in a fork-context process pool, one worker per CPU in the affinity mask and
+at most one per restart, when that mask holds more than one CPU; below it,
+where starting a pool costs about what it saves, one after another in the
+calling process.  The seeds are drawn and the best restart is picked in the
+calling process either way, so the result does not depend on the path, the
+CPU count or the affinity mask.
 """
 
+import concurrent.futures
 from dataclasses import dataclass, replace
 import math
+import os
 
 import numpy as np
 from scipy.linalg import lapack
@@ -62,6 +72,10 @@ _TOL = 1e-10
 _MAX_ITER = 10000
 _RESTARTS = 5
 _JITTER_FRACTION = 0.01
+# The smallest N whose restarts relax in worker processes.  A pool costs
+# some 20-30 ms to start and feed: it loses at N = 91, and its gain at
+# N = 127 (under 0.1 s) came and went from one series of runs to the next.
+_POOL_FLOOR = 169
 # the largest occupation whose thermal weight 2(2 nbar + 1) is finite
 _NBAR_MAX = np.finfo(float).max / 4.0
 
@@ -411,6 +425,27 @@ def _polish(u, gmax):
     return u
 
 
+def _relax_in_worker(u0):
+    """:func:`_relax` as looked up when a worker process runs it."""
+    return _relax(u0)
+
+
+def _relax_restarts(seeds):
+    """(u, converged) of :func:`_relax` for every seed, in seed order: in
+    a fork-context process pool from N = ``_POOL_FLOOR`` on when the
+    affinity mask holds more than one CPU, else in this process (also in a
+    daemonic process, which may start none)."""
+    if seeds[0].shape[0] >= _POOL_FLOOR and hasattr(os, "sched_getaffinity"):
+        import multiprocessing  # here, so smaller solves never load it
+        workers = min(len(seeds), len(os.sched_getaffinity(0)))
+        if workers > 1 and not multiprocessing.current_process().daemon:
+            with concurrent.futures.ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                return list(pool.map(_relax_in_worker, seeds))
+    return [_relax(u0) for u0 in seeds]
+
+
 def seed_spacing(n_ions):
     """Seed lattice constant from the empirical central-spacing law."""
     return _SEED_PREFACTOR / n_ions ** _SEED_EXPONENT
@@ -511,6 +546,14 @@ def solve_equilibrium(config, *, rng_seed=0):
     ``_TOL`` (max-abs component) and the per-restart iteration cap
     ``_MAX_ITER`` are fixed.
 
+    From N = ``_POOL_FLOOR`` on, with more than one CPU in the affinity
+    mask, the restarts relax in min(restarts, CPUs) forked worker processes
+    (the N=217 solve in about half the time on two CPUs); smaller crystals,
+    where a pool's start-up and overhead cost about what it saves, relax in
+    this process.  The restarts are compared here in restart order either
+    way, so the returned crystal is bitwise the same.  An exception raised
+    in a restart reaches the caller, and no worker outlives the call.
+
     Returns
     -------
     Crystal
@@ -536,8 +579,7 @@ def solve_equilibrium(config, *, rng_seed=0):
         seeds.append(base + rng.uniform(-jitter, jitter, size=base.shape))
 
     best = None
-    for start in seeds:
-        u, ok = _relax(start)
+    for u, ok in _relax_restarts(seeds):
         if not ok:
             continue
         energy = potential_energy(u)

@@ -1,7 +1,9 @@
 """Equilibrium solver tests against small-N analytic results."""
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -375,9 +377,11 @@ class TestDampingLadders:
 
     @staticmethod
     def restart_seed(n, restart, monkeypatch):
-        # the seeds solve_equilibrium hands to _relax, in restart order
+        # the seeds solve_equilibrium hands to _relax, in restart order;
+        # in-process, since a worker's appends never reach this process
         seeds = []
         with monkeypatch.context() as patch:
+            patch.setattr(cr, "_POOL_FLOOR", math.inf)
             patch.setattr(cr, "_relax",
                           lambda u0: (seeds.append(u0), (u0, True))[1])
             cr.solve_equilibrium(make_config(n))
@@ -481,12 +485,98 @@ class TestTieBreaks:
         gap = cr.potential_energy(above) / cr.potential_energy(best) - 1.0
         assert 1e-15 < gap < 1e-12
         outputs = iter([above] + [best[perm]] * (cr._RESTARTS - 1))
+        # in-process, since a worker's next() never reaches this process
+        monkeypatch.setattr(cr, "_POOL_FLOOR", math.inf)
         monkeypatch.setattr(cr, "_relax",
                             lambda u0: (next(outputs), True))
         got = cr.solve_equilibrium(cfg)
         assert next(outputs, None) is None  # every restart was relaxed
         assert np.allclose(got.positions, cr.canonical_orientation(above),
                            rtol=0, atol=1e-12)
+
+
+class TestPooledRestarts:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # the pooled path from N = 2 on two CPUs; records the worker count
+        # of every pool a solve starts
+        made = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        def recorded(workers, **kw):
+            made.append(workers)
+            return executor(workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recorded)
+        monkeypatch.setattr(cr, "_POOL_FLOOR", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        return made
+
+    @pytest.mark.parametrize("n", [7, 19, 45])
+    def test_bitwise_equal_to_in_process(self, n, pools, monkeypatch,
+                                         tmp_path):
+        # ring seeds at N=7; at N=45 most restarts fall back to descent
+        pooled = cr.solve_equilibrium(make_config(n))
+        assert pools == [2]
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(cr, "_POOL_FLOOR", math.inf)
+        alone = cr.solve_equilibrium(make_config(n))
+        assert pools == [2]
+        assert np.array_equal(pooled.positions, alone.positions)
+        assert pooled.energy == alone.energy
+        paths = [str(tmp_path / name) for name in ("pooled", "alone")]
+        cr.write_crystal(pooled, paths[0])
+        cr.write_crystal(alone, paths[1])
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
+
+    def test_iteration_cap_raises(self, pools, monkeypatch):
+        monkeypatch.setattr(cr, "_MAX_ITER", 1)
+        with pytest.raises(NonConvergence,
+                           match="no restart reached gradient tolerance"):
+            cr.solve_equilibrium(make_config(19))
+        assert pools == [2]
+
+    def test_restart_error_reaches_caller(self, pools, monkeypatch):
+        seed = TestDampingLadders.restart_seed(19, 3, monkeypatch)
+        relax = cr._relax
+
+        def fourth_fails(u0):
+            if np.array_equal(u0, seed):
+                raise np.linalg.LinAlgError("restart 3 fails")
+            return relax(u0)
+
+        monkeypatch.setattr(cr, "_relax", fourth_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="restart 3 fails"):
+            cr.solve_equilibrium(make_config(19))
+        assert pools == [2]
+        assert not multiprocessing.active_children()
+
+    def test_one_cpu_starts_no_process(self, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cr.solve_equilibrium(make_config(19))
+        assert pools == []
+        assert not multiprocessing.active_children()
+
+    def test_daemonic_caller_relaxes_in_process(self, pools, monkeypatch):
+        # a multiprocessing.Pool worker is daemonic and may start no
+        # process: its solve takes the in-process path
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            got = outer.apply(cr.solve_equilibrium, (make_config(19),))
+        monkeypatch.setattr(cr, "_POOL_FLOOR", math.inf)
+        assert np.array_equal(got.positions,
+                              cr.solve_equilibrium(make_config(19)).positions)
+
+    def test_workers_run_relax_as_patched(self, pools, monkeypatch):
+        # a worker looks _relax up when it runs, so it runs the one
+        # patched here, inherited through fork
+        monkeypatch.setattr(cr, "_relax", lambda u0: (os.getpid(), True))
+        pids = [pid for pid, _ in cr._relax_restarts(
+            [cr.triangular_seed(7)] * cr._RESTARTS)]
+        assert pools == [2]
+        assert os.getpid() not in pids and len(set(pids)) <= 2
 
 
 class TestSeeds:
