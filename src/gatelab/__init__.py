@@ -7,7 +7,8 @@ The package is organised as one module per study stage:
 - :mod:`gatelab.modes`: out-of-plane (axial) normal modes, stability
   thresholds, and the uniform-mode gap.
 - :mod:`gatelab.gate`: spin-dependent segmented drives, accumulated
-  displacements and two-ion phase, thermal fidelity, response profiles.
+  displacements and two-ion phase, thermal fidelity, and the gate report
+  (:func:`gate_report`, with each ion's peak response).
 - :mod:`gatelab.optimizer`: amplitude solves at fixed detuning, detuning
   scans, pair selection, and the benchmark table.
 - :mod:`gatelab.cli`: file-driven command line front end.
@@ -28,8 +29,8 @@ from .errors import (ConfigError, CutoffInsufficient, EigenFailure,
                      NegativeOccupation, NonConvergence, StepFailure,
                      UnstableSpectrum)
 from .gate import (GateReport, PulseSchedule, entangling_phase, gate_report,
-                   mode_displacements, read_schedule, response_profile,
-                   thermal_fidelity, write_report, write_schedule)
+                   mode_displacements, read_schedule, thermal_fidelity,
+                   write_report, write_schedule)
 from .modes import (AxialSpectrum, axial_spectrum, com_gap, critical_beta,
                     write_spectrum)
 from .optimizer import (OptimizationProblem, OptimizationResult, TableRow,
@@ -50,7 +51,7 @@ __all__ = [
     "critical_beta", "default_mu_grid", "default_pair_list", "detuning_scan",
     "entangling_phase", "fit_power_law", "gate_report", "length_scale",
     "min_spacing", "mode_displacements", "omega_r_for_spacing",
-    "read_crystal", "read_schedule", "response_profile", "ring_seed",
+    "read_crystal", "read_schedule", "ring_seed",
     "solve_amplitudes", "solve_equilibrium", "table_one", "thermal_fidelity",
     "triangular_seed", "with_trap", "write_crystal", "write_report",
     "write_scan", "write_schedule", "write_spectrum", "write_table",

@@ -73,7 +73,6 @@ class RunConfig:
     table: bool = False
     pair_count: int = op.PAIR_COUNT
     omega_r_table_hz: tuple[float, ...] = (0.2e6, 1.0e6)
-    response_samples: int = gt.RESPONSE_SAMPLES
     seed: int = 0
 
 
@@ -114,8 +113,7 @@ _PARSERS = {
 _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 _POSITIVE_KEYS = ("omega_r_hz", "omega_z_hz", "ion_mass_kg", "charge_c",
-                  "tau_s", "segments", "mu_grid_points", "response_samples",
-                  "pair_count")
+                  "tau_s", "segments", "mu_grid_points", "pair_count")
 
 
 def parse_config(path):
@@ -413,8 +411,7 @@ def cmd_gate(config, out_dir, cache_dir, args):
     pair = _check_pair(pair, config.ion_count)
     crystal = cached_crystal(config, cache_dir, config.ion_count)
     spectrum = md.axial_spectrum(crystal)
-    report = gt.gate_report(schedule, spectrum, pair,
-                            samples=config.response_samples)
+    report = gt.gate_report(schedule, spectrum, pair)
     gt.write_report(report, os.path.join(out_dir, "report.tsv"))
     summary = {
         "command": "gate",
@@ -468,7 +465,7 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         schedule_path = os.path.join(out_dir, "best_schedule.tsv")
         gt.write_schedule(result.best_schedule, schedule_path)
         report = gt.gate_report(gt.read_schedule(schedule_path), spectrum,
-                                pair, samples=config.response_samples)
+                                pair)
         gt.write_report(report, os.path.join(out_dir, "best_report.tsv"))
         files += ["best_schedule.tsv", "best_report.tsv"]
         edge = op.band_edge_optimum(result, spectrum.frequencies.max())

@@ -32,6 +32,9 @@ return mu.shape + (K, P).  The thermal fidelity is the closed form
 F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g) + e^{-G_+} / 2
 + e^{-G_-} / 2] (see :func:`thermal_fidelity`), and :func:`gate_report`
 and the optimizer score a drive with one function, :func:`_evaluate`.
+:func:`gate_report` is the report stage's one entry point: it builds a
+schedule's kernels once and reads the phase, the fidelity and every ion's
+peak response from them.
 """
 
 from dataclasses import dataclass
@@ -58,7 +61,8 @@ _DIRECT_ANGLE = 1.0
 _BLOCK = 32
 _SERIES_TERMS = 6
 _TAYLOR_TERMS = 8
-RESPONSE_SAMPLES = 2000  # uniform time samples of a report's response
+# Uniform time samples of a report's response; fixed, not a setting.
+RESPONSE_SAMPLES = 2000
 # Sample times per block of a response profile; the last block takes the
 # rest, so it holds fewer than twice as many.  A block's (B, K) arrays,
 # about 260 kB each at 127 modes, stay in the L2 cache, and no (samples,
@@ -579,22 +583,25 @@ def _evaluate(S, G, amplitudes, drive, nbar):
 # ---------------------------------------------------------------------------
 # time-resolved response
 
-def _partial_blocks(schedule, omega, ts):
+def _partial_blocks(schedule, S, omega, ts):
     """Yield (t, I) for each block of ``_SAMPLE_BLOCK`` of the 1-D sample
-    times ``ts``, the last holding the rest: the block's times and its
-    :func:`partial_drive_integrals`, (B, K).
+    times ``ts``, the last holding the rest: the block's times and
+    I[t, k] = integral_0^t Omega sin(mu s) e^{i omega_k s} ds, (B, K).
 
-    The per-schedule tables, S, its cumulative segment sums and
-    e^{i omega t_p} per segment, are built once; every entry of a block is
-    the same elementwise arithmetic as over all of ``ts`` at once, so the
-    blocks are bit for bit slices of the whole.
+    ``S`` (P, K) is the schedule's :func:`first_order_integrals` with the
+    mode axis last.  I is its completed segments plus the partial segment
+    up to t; the drive is off outside [0, tau], so a time before 0 gives 0
+    and a time past tau the full integral.  The per-schedule tables, the
+    cumulative segment sums of S and e^{i omega t_p} per segment, are
+    built once; every entry of a block is the same elementwise arithmetic
+    as over all of ``ts`` at once, so the blocks are bit for bit slices of
+    the whole.
     """
     times = schedule.times
     amps = schedule.amplitudes
     mu = schedule.mu
-    S = first_order_integrals(times, mu, omega)  # (K, P)
-    done = np.concatenate([np.zeros((omega.size, 1), dtype=complex),
-                           np.cumsum(S * amps[None, :], axis=1)], axis=1).T
+    done = np.concatenate([np.zeros((1, omega.size), dtype=complex),
+                           np.cumsum(S * amps[:, None], axis=0)])
     starts = _unit(omega * times[:-1, None])  # one row per segment
     widths = np.diff(times)
     for t in np.split(ts, range(_SAMPLE_BLOCK, ts.size - _SAMPLE_BLOCK + 1,
@@ -610,56 +617,17 @@ def _partial_blocks(schedule, omega, ts):
         yield t, part
 
 
-def partial_drive_integrals(schedule, frequencies, sample_times):
-    """integral_0^t Omega sin(mu s) e^{i omega_k s} ds at each sample time.
-
-    Shape (T, K): completed segments via the closed-form segment integrals,
-    plus a partial segment up to t.  The drive is off outside [0, tau]: a
-    time before 0 gives 0 and a time past tau the full integral.  The rows
-    are the blocks of :func:`_partial_blocks`, joined.
-    """
-    omega = np.asarray(frequencies, dtype=float)
-    ts = np.asarray(sample_times, dtype=float)
-    return np.concatenate([part for _, part in
-                           _partial_blocks(schedule, omega, ts)])
-
-
-def response_profile(schedule, spectrum, pair, samples):
-    """Peak axial excursion (metres) of every ion, fully driven branch.
-
-    Samples the coherent mode amplitudes on ``samples`` uniform times (plus
-    the segment boundaries), reconstructs the physical displacements
-    q_j(t) = sum_k b_j^k sqrt(2 hbar / M omega_k) Re[A_k(t) e^{-i omega_k t}],
-    and returns each ion's peak excursion.  With A_k = i d_k I_k, d the
-    pair's summed couplings and I :func:`partial_drive_integrals`,
-    Re[A_k e^{-i omega_k t}] = d_k (Re I_k sin omega_k t
-    - Im I_k cos omega_k t).  Raises ValueError unless ``pair`` is two
-    distinct ions of the crystal.
-
-    The samples stream through in blocks of ``_SAMPLE_BLOCK`` times
-    (:func:`_partial_blocks`), each folded into a running per-ion maximum,
-    so memory does not grow with ``samples`` times the mode count: at
-    N=127 and 2000 samples it peaks near 2.8 MB under tracemalloc, against
-    17 MB for one pass.  Every peak is bit for bit that of one pass over
-    all samples wherever BLAS gives a block's rows the sums of the whole
-    product.  That held at N=7 to 169 up to 2000 samples; at N=19 and
-    4000 samples or more, OpenBLAS's small-matrix kernel moves peaks by up
-    to 2 ulp.
-
-    A peak is its largest sample, so it reads low.  Against 200 000 samples
-    on the best gate of the N=127 paper scan, the worst ion is 23 % low at
-    500 samples, 2.9 % at 2000 (targets 1.0 %, normalized response 1e-3)
-    and 0.57 % at 8000.
-    """
-    l, n = check_pair(pair, spectrum.config.ion_count)
-    couplings = drive_couplings(spectrum)
+def _response_peaks(schedule, spectrum, S, drive):
+    """Peak axial excursion (metres) of every ion under the fully driven
+    branch, from the schedule's S (P, K) and the pair's coupling rows
+    ``drive`` (2, K); see :func:`gate_report`."""
     freqs = spectrum.frequencies
-    ts = np.union1d(np.linspace(0.0, schedule.duration, samples),
+    ts = np.union1d(np.linspace(0.0, schedule.duration, RESPONSE_SAMPLES),
                     schedule.times)
-    scale = (couplings[l] + couplings[n]) * np.sqrt(
+    scale = (drive[0] + drive[1]) * np.sqrt(
         2.0 * HBAR / (spectrum.config.ion_mass * freqs))
     peak = np.zeros(spectrum.modes.shape[1])
-    for t, raw in _partial_blocks(schedule, freqs, ts):
+    for t, raw in _partial_blocks(schedule, S, freqs, ts):
         angle = freqs[None, :] * t[:, None]
         real_part = np.sin(angle)
         real_part *= raw.real
@@ -690,21 +658,28 @@ def write_schedule(schedule, path):
 
 
 def read_schedule(path):
-    """Parse a file written by :func:`write_schedule`."""
+    """Parse a file written by :func:`write_schedule`.
+
+    Raises ValueError unless the rows list segments 0..P-1 in order, once
+    each, and every segment starts exactly where the one before it ends.
+    """
     meta, rows = read_rows(path)
     count = int(meta["segment_count"])
-    times = np.zeros(count + 1)
-    amps = np.zeros(count)
-    for fields in rows:
-        p = int(fields[0])
-        times[p] = float(fields[1])
-        times[p + 1] = float(fields[2])
-        amps[p] = float(fields[3]) * TWO_PI
+    if [int(fields[0]) for fields in rows] != list(range(count)):
+        raise ValueError("schedule rows do not list segments 0..%d in "
+                         "order, once each" % (count - 1))
+    starts = [float(fields[1]) for fields in rows]
+    ends = [float(fields[2]) for fields in rows]
+    if starts[1:] != ends[:-1]:
+        raise ValueError("a segment does not start where the one before "
+                         "it ends")
     pair = None
     if "target_pair" in meta:
         l, n = meta["target_pair"].split(",")
         pair = (int(l), int(n))
-    return PulseSchedule(times=times, amplitudes=amps,
+    return PulseSchedule(times=starts + ends[-1:],
+                         amplitudes=[float(fields[3]) * TWO_PI
+                                     for fields in rows],
                          mu=float(meta["mu_hz"]) * TWO_PI, target_pair=pair)
 
 
@@ -718,7 +693,7 @@ class GateReport:
     ``alpha_l`` / ``alpha_n`` are the per-mode displacements left by driving
     each target ion alone; the branch displacements are their signed sums.
     ``response_peak`` holds each ion's peak axial excursion (metres) under
-    the fully driven branch (see :func:`response_profile`).
+    the fully driven branch (see :func:`gate_report`).
     """
 
     pair: tuple
@@ -753,34 +728,56 @@ class GateReport:
                              + np.sum(np.abs(self.alpha_n) ** 2)))
 
 
-def gate_report(schedule, spectrum, pair, samples=RESPONSE_SAMPLES):
+def gate_report(schedule, spectrum, pair):
     """Evaluate a schedule on a spectrum: phase, displacements, fidelity
-    and the per-ion response profile (``samples`` uniform time samples,
-    whose peaks read a few percent low, streamed in blocks so the report's
-    memory does not grow with the sample count: see
-    :func:`response_profile`).
+    and each ion's peak axial excursion.  Raises ValueError unless
+    ``pair`` is two distinct ions of the crystal.
 
+    The segment kernels S and G are built once (:func:`_pair_kernels`).
     The fidelity is :func:`gate_fidelity` at the trap's ``temperature_nbar``
     (for another, re-dress the trap with ``dataclasses.replace``), against
     the ideal gate whose phase sign matches the achieved one, scored as the
     optimizer scores the grid [mu]: a scan point's report carries its phase
-    and fidelity bit for bit.  Raises ValueError unless ``pair`` is two
-    distinct ions of the crystal.
+    and fidelity bit for bit.
+
+    The response is read from the same S.  The coherent mode amplitudes
+    are sampled on ``RESPONSE_SAMPLES`` uniform times (plus the segment
+    boundaries), and the physical displacements q_j(t) = sum_k b_j^k
+    sqrt(2 hbar / M omega_k) Re[A_k(t) e^{-i omega_k t}] of the fully
+    driven branch give each ion's peak |q_j|.  With A_k = i d_k I_k, d the
+    pair's summed couplings and I the drive integral up to t
+    (:func:`_partial_blocks`), Re[A_k e^{-i omega_k t}] = d_k (Re I_k
+    sin omega_k t - Im I_k cos omega_k t).
+
+    The samples stream through in blocks of ``_SAMPLE_BLOCK`` times, each
+    folded into a running per-ion maximum, so memory does not grow with
+    the sample count times the mode count: at N=127 and 2000 samples a
+    report peaks near 2.8 MB under tracemalloc, against 17 MB for one
+    pass.  Every peak is bit for bit that of one pass over all samples
+    wherever BLAS gives a block's rows the sums of the whole product.
+    That held at N=7 to 169 up to 2000 samples; at N=19 and 4000 samples
+    or more, OpenBLAS's small-matrix kernel moves peaks by up to 2 ulp.
+
+    A peak is its largest sample, so it reads low.  Against 200 000 samples
+    on the best gate of the N=127 paper scan, the worst ion is 23 % low at
+    500 samples, 2.9 % at 2000 (targets 1.0 %, normalized response 1e-3)
+    and 0.57 % at 8000.
     """
     l, n = pair = check_pair(pair, spectrum.config.ion_count)
     couplings = drive_couplings(spectrum)
+    drive = couplings[[l, n]]
     freqs = spectrum.frequencies
     S, G, _ = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
                             couplings, [pair], None)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
-        S, G, schedule.amplitudes[None, :], couplings[[l, n]],
+        S, G, schedule.amplitudes[None, :], drive,
         spectrum.config.temperature_nbar)
     return GateReport(pair=pair, schedule=schedule,
                       phi=float(phi[0]), fidelity=float(fidelity[0]),
                       alpha_l=alpha_l[0], alpha_n=alpha_n[0],
                       mode_frequencies=freqs.copy(),
-                      response_peak=response_profile(schedule, spectrum, pair,
-                                                     samples))
+                      response_peak=_response_peaks(schedule, spectrum, S[0],
+                                                    drive))
 
 
 def write_report(report, path):
@@ -805,7 +802,7 @@ def write_report(report, path):
              fmt(report.alpha_l[k].real), fmt(report.alpha_l[k].imag),
              fmt(report.alpha_n[k].real), fmt(report.alpha_n[k].imag)]
             for k in range(report.mode_frequencies.size)]
-    rows += [["ion", str(j), fmt(report.response_peak[j]),
-              fmt(report.response_normalized[j])]
-             for j in range(report.response_peak.size)]
+    normalized = report.response_normalized
+    rows += [["ion", str(j), fmt(peak), fmt(normalized[j])]
+             for j, peak in enumerate(report.response_peak)]
     write_rows(path, "gatelab gate report", meta, rows)

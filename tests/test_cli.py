@@ -546,11 +546,11 @@ class TestOptimizePairs:
             [float(r[2]) for r in rows if r[0] == "ion"],
             report.response_peak)
 
-    def test_report_uses_response_samples(self, tmp_path):
+    def test_gate_reproduces_n19_report(self, tmp_path):
         # at N=19 a report built from the in-memory winner, not the file
         # as written, differs in the last digits
         config = write_config(tmp_path, BASE_CONFIG.replace(
-            "ion_count = 7", "ion_count = 19") + "response_samples = 500\n")
+            "ion_count = 7", "ion_count = 19"))
         out = tmp_path / "out"
         assert cli.main(["optimize", "--config", config,
                          "--out", str(out)]) == 0
@@ -565,11 +565,8 @@ class TestOptimizePairs:
         schedule = gt.read_schedule(out / "best_schedule.tsv")
         _, rows = read_rows(out / "best_report.tsv")
         peak = np.array([float(r[2]) for r in rows if r[0] == "ion"])
-        for samples, same in ((500, True), (2000, False)):
-            report = gt.gate_report(schedule, spectrum, run.pair,
-                                    samples=samples)
-            assert np.allclose(peak, report.response_peak, rtol=1e-9,
-                               atol=0.0) == same, samples
+        report = gt.gate_report(schedule, spectrum, run.pair)
+        assert np.array_equal(peak, report.response_peak)
 
 
 class TestConfigParsing:
@@ -595,7 +592,6 @@ amplitude_bound_hz = 1e6
 table = yes
 pair_count = 3
 omega_r_table_hz = 0.5e6
-response_samples = 500
 seed = 4
 """
         config = cli.parse_config(write_config(tmp_path, text))
@@ -606,8 +602,7 @@ seed = 4
             beta_values=(30.0, 40.5), dmin_targets_m=(6e-6,), pair=(1, 4),
             tau_s=60e-6, segments=7, mu_grid_points=11, mu_below_hz=0.05e6,
             mu_above_hz=0.15e6, amplitude_bound_hz=1e6, table=True,
-            pair_count=3, omega_r_table_hz=(0.5e6,), response_samples=500,
-            seed=4)
+            pair_count=3, omega_r_table_hz=(0.5e6,), seed=4)
         assert config == want
         defaults = cli.RunConfig()
         for key in vars(want):
@@ -640,6 +635,15 @@ class TestConfigErrors:
         code, err = self.run(tmp_path, capsys, text)
         assert code == 2
         assert ("line %d: unknown key '%s'" % (text.count("\n"), key)) in err
+
+    def test_response_samples_key_is_unknown(self, tmp_path, capsys):
+        # a report's sample count is fixed, not a setting
+        text = BASE_CONFIG + "response_samples = 500\n"
+        code, err = self.run(tmp_path, capsys, text, command="optimize")
+        assert code == 2
+        assert ("line %d: unknown key 'response_samples'"
+                % text.count("\n")) in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["", "a-file"])
     def test_unusable_out_directory(self, tmp_path, capsys, out):
@@ -763,6 +767,37 @@ class TestConfigErrors:
         assert code == 2
         assert "malformed schedule file" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("edit", ["missing-row", "duplicate-row",
+                                      "misaligned-row"])
+    def test_inconsistent_schedule_rows(self, tmp_path, capsys, edit):
+        # rows must list segments 0..P-1 in order, once each, every one
+        # starting where the one before it ends; no row is filled in,
+        # overwritten or moved
+        schedule = dataclasses.replace(gt.PulseSchedule.uniform(
+            50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6, 0.15e6, 0.05e6]),
+            2 * math.pi * 10.04e6), target_pair=(0, 3))
+        path = tmp_path / "rows.tsv"
+        gt.write_schedule(schedule, path)
+        lines = path.read_text().splitlines()
+        first = len(lines) - schedule.segment_count  # segment 0's row
+        row = lines[first + 1].split("\t")
+        if edit == "missing-row":
+            del lines[first + 1]
+        elif edit == "duplicate-row":
+            lines.insert(first + 2, "\t".join(row[:3] + ["12345"]))
+        else:
+            lines[first + 1] = "\t".join([row[0], "1.3e-05"] + row[2:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            gt.read_schedule(path)
+        config = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        code = cli.main(["gate", "--config", config, "--out", str(out),
+                         "--schedule", str(path)])
+        assert code == 2
+        assert "malformed schedule file" in capsys.readouterr().err
+        assert not (out / "report.tsv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_schedule(self, tmp_path, capsys, value):

@@ -594,12 +594,22 @@ def ref_response_profile(schedule, spectrum, pair, samples):
     return np.abs(q).max(axis=0)
 
 
+def partial_drive_integrals(schedule, frequencies, sample_times):
+    """The report stage's drive integrals up to each sample time: the
+    blocks of ``gate._partial_blocks`` on the schedule's own S, joined."""
+    omega = np.asarray(frequencies, dtype=float)
+    S = gt.first_order_integrals(schedule.times, schedule.mu, omega).T
+    ts = np.asarray(sample_times, dtype=float)
+    return np.concatenate([part for _, part in
+                           gt._partial_blocks(schedule, S, omega, ts)])
+
+
 class TestPartialIntegrals:
     def test_matches_cumulative_sum_at_boundaries(self):
         sched = gt.PulseSchedule.uniform(2.0, [1.0, -0.7, 0.4], 9.0)
         freqs = np.array([8.5, 9.0])
         S = gt.first_order_integrals(sched.times, sched.mu, freqs)
-        partial = gt.partial_drive_integrals(sched, freqs, sched.times)
+        partial = partial_drive_integrals(sched, freqs, sched.times)
         want = np.concatenate(
             [np.zeros((2, 1)), np.cumsum(S * sched.amplitudes, axis=1)],
             axis=1).T
@@ -608,7 +618,7 @@ class TestPartialIntegrals:
     def test_final_value_is_alpha_integral(self):
         sched = gt.PulseSchedule.uniform(1.7, [0.3, 1.1], 11.0)
         freqs = np.array([10.0, 11.0, 12.5])
-        partial = gt.partial_drive_integrals(sched, freqs, [1.7])
+        partial = partial_drive_integrals(sched, freqs, [1.7])
         assert np.allclose(1j * partial[0], gt.alpha_integral(sched, freqs),
                            rtol=1e-12)
 
@@ -616,7 +626,7 @@ class TestPartialIntegrals:
         sched = gt.PulseSchedule.uniform(2.0, [1.0, -0.5], 7.0)
         t = 1.3
         omega = 6.5
-        got = gt.partial_drive_integrals(sched, [omega], [t])[0, 0]
+        got = partial_drive_integrals(sched, [omega], [t])[0, 0]
         want = (quad_first_order(7.0, omega, 0.0, 1.0) * 1.0
                 + quad_first_order(7.0, omega, 1.0, t) * -0.5)
         assert got == pytest.approx(want, rel=1e-9)
@@ -628,8 +638,8 @@ class TestPartialIntegrals:
         freqs = np.array([8.5, 9.0, 11.0])
         full = sched.amplitudes @ gt.first_order_integrals(
             sched.times, sched.mu, freqs).T
-        partial = gt.partial_drive_integrals(sched, freqs,
-                                             [-0.3, 1.0, 1.5, 7.0])
+        partial = partial_drive_integrals(sched, freqs,
+                                          [-0.3, 1.0, 1.5, 7.0])
         assert np.array_equal(partial[0], np.zeros(3, dtype=complex))
         for row in partial[1:]:
             assert np.allclose(row, full, rtol=1e-12, atol=1e-15)
@@ -660,7 +670,7 @@ class TestPairCheck:
             dataclasses.replace(gt.PulseSchedule.uniform(1.0, [1.0], 1.0),
                                 target_pair=(2, 2))
 
-    @pytest.mark.parametrize("entry", ["gate_report", "response_profile"])
+    @pytest.mark.parametrize("entry", ["gate_report"])
     @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (0, 1.7)],
                              ids=["same-ion", "negative", "past-ion-count",
                                   "non-integer"])
@@ -676,11 +686,9 @@ class TestPairCheck:
             raise AssertionError("integrals built for a bad pair")
 
         monkeypatch.setattr(gt, "_pair_kernels", refuse)
-        monkeypatch.setattr(gt, "partial_drive_integrals", refuse)
         monkeypatch.setattr(gt, "_partial_blocks", refuse)
         with pytest.raises(ValueError, match="pair needs two distinct"):
-            getattr(gt, entry)(sched, spec, pair,
-                               samples=gt.RESPONSE_SAMPLES)
+            getattr(gt, entry)(sched, spec, pair)
 
 
 class TestResponseProfile:
@@ -693,8 +701,8 @@ class TestResponseProfile:
         spec = self.make_spec(5)
         sched = gt.PulseSchedule.uniform(
             20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
-        peak = gt.response_profile(sched, spec, (0, 1), gt.RESPONSE_SAMPLES)
-        normalized = gt.gate_report(sched, spec, (0, 1)).response_normalized
+        report = gt.gate_report(sched, spec, (0, 1))
+        peak, normalized = report.response_peak, report.response_normalized
         assert normalized.max() >= 1.0 - 1e-12
         assert max(normalized[0], normalized[1]) == pytest.approx(
             1.0, abs=1e-12)
@@ -712,19 +720,37 @@ class TestResponseProfile:
         assert normalized[0] == pytest.approx(normalized[1], rel=1e-9)
 
     def test_gate_report_defaults_carry_response(self):
-        # a report built with every default still holds one response entry
-        # per ion, the profile of response_profile at the report's default
-        # samples
+        # a report holds one response entry per ion, the one-pass profile
+        # at gate.RESPONSE_SAMPLES samples
         spec = self.make_spec(5)
         sched = gt.PulseSchedule.uniform(
             20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
         report = gt.gate_report(sched, spec, (0, 1))
         assert report.response_peak.shape == (5,)
         assert report.response_normalized.shape == (5,)
-        peak = gt.response_profile(sched, spec, (0, 1), gt.RESPONSE_SAMPLES)
+        peak = ref_response_profile(sched, spec, (0, 1), gt.RESPONSE_SAMPLES)
         assert np.array_equal(report.response_peak, peak)
         assert np.array_equal(report.response_normalized,
                               peak / max(peak[0], peak[1]))
+
+    def test_report_builds_its_kernels_once(self, monkeypatch):
+        # the response is read from the S that scores the gate: one
+        # kernel build per report
+        spec = self.make_spec(5)
+        sched = gt.PulseSchedule.uniform(
+            20e-6, 2 * math.pi * 0.1e6 * np.ones(5), spec.config.omega_z * 1.001)
+        want = ref_response_profile(sched, spec, (0, 1), gt.RESPONSE_SAMPLES)
+        builds = []
+        kernel_blocks = gt._kernel_blocks
+
+        def counted(*args):
+            builds.append(args)
+            return kernel_blocks(*args)
+
+        monkeypatch.setattr(gt, "_kernel_blocks", counted)
+        report = gt.gate_report(sched, spec, (0, 1))
+        assert len(builds) == 1
+        assert np.array_equal(report.response_peak, want)
 
     def test_report_file_normalizes_by_the_target_peak(self, tmp_path):
         # the file's normalized column is each written peak over the
@@ -785,7 +811,7 @@ class TestSampleBlocks:
         spec = block_spectra[n, trap_hz]
         sched = block_schedule(spec, times)
         for pair in [(0, 1), (0, n - 1)]:
-            got = gt.response_profile(sched, spec, pair, gt.RESPONSE_SAMPLES)
+            got = gt.gate_report(sched, spec, pair).response_peak
             want = ref_response_profile(sched, spec, pair,
                                         gt.RESPONSE_SAMPLES)
             assert got.shape == (n,)
@@ -793,14 +819,15 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("n", [7, 19, 127])
     @pytest.mark.parametrize("samples", [1, 127, 128, 129, 2000])
-    def test_block_edges(self, block_spectra, n, samples):
+    def test_block_edges(self, monkeypatch, block_spectra, n, samples):
         # five segments add four boundaries to the uniform samples; one
         # segment adds none, so its sample count is exactly ``samples``:
         # short of a block, one block, one sample past it, many blocks
+        monkeypatch.setattr(gt, "RESPONSE_SAMPLES", samples)
         spec = block_spectra[n, 1e6]
         for times in (EQUAL, EQUAL[[0, -1]]):
             sched = block_schedule(spec, times)
-            got = gt.response_profile(sched, spec, (0, 1), samples)
+            got = gt.gate_report(sched, spec, (0, 1)).response_peak
             assert np.array_equal(
                 got, ref_response_profile(sched, spec, (0, 1), samples))
 
@@ -814,8 +841,8 @@ class TestSampleBlocks:
         sched = block_schedule(spec, times)
         ts = np.linspace(-5e-6, 60e-6, count)
         for sample_times in (ts, ts[::-1]):
-            got = gt.partial_drive_integrals(sched, spec.frequencies,
-                                             sample_times)
+            got = partial_drive_integrals(sched, spec.frequencies,
+                                          sample_times)
             want = ref_partial_drive_integrals(sched, spec.frequencies,
                                                sample_times)
             assert got.shape == want.shape == (count, 127)
@@ -827,10 +854,12 @@ class TestSampleBlocks:
         # small-matrix kernel that one whole product would not take
         spec = block_spectra[7, 0.2e6]
         sched = block_schedule(spec, EQUAL)
+        S = gt.first_order_integrals(sched.times, sched.mu,
+                                     spec.frequencies).T
         for count in (1, 127, 128, 129, 255, 256, 257, 2004):
             ts = np.linspace(0.0, 50e-6, count)
             sizes = [t.size for t, _ in
-                     gt._partial_blocks(sched, spec.frequencies, ts)]
+                     gt._partial_blocks(sched, S, spec.frequencies, ts)]
             assert sum(sizes) == count
             assert all(size == gt._SAMPLE_BLOCK for size in sizes[:-1])
             assert min(count, gt._SAMPLE_BLOCK) <= sizes[-1]
@@ -844,7 +873,7 @@ class TestSampleBlocks:
         gt.gate_report(sched, spec, (0, 1))  # warm: imports, caches
         tracemalloc.start()
         try:
-            report = gt.gate_report(sched, spec, (0, 1), samples=2000)
+            report = gt.gate_report(sched, spec, (0, 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -863,6 +892,16 @@ class TestScheduleSerialization:
         assert np.allclose(back.times, sched.times, rtol=1e-14)
         assert np.allclose(back.amplitudes, sched.amplitudes, rtol=1e-14)
         assert back.mu == pytest.approx(sched.mu, rel=1e-14)
+        # unequal segments and a target pair: the boundaries read back
+        # bitwise, so each row starts exactly where the one before ends
+        sched = gt.PulseSchedule(
+            times=UNEQUAL, amplitudes=2 * math.pi * np.array(
+                [0.1e6, -0.2e6, 0.15e6, 0.05e6, 1.0 / 3.0]),
+            mu=2 * math.pi * 10.04e6, target_pair=(2, 5))
+        gt.write_schedule(sched, path)
+        back = gt.read_schedule(path)
+        assert np.array_equal(back.times, sched.times)
+        assert back.target_pair == (2, 5)
 
     def test_amplitudes_stored_in_hz(self, tmp_path):
         sched = gt.PulseSchedule.uniform(1e-5, [2 * math.pi * 1e5], 2 * math.pi * 1e7)

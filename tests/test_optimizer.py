@@ -333,9 +333,11 @@ def spectrum19():
 
 
 class TestOneCodePath:
-    def test_scan_point_equals_one_point_solve(self):
+    def test_scan_point_equals_one_point_solve(self, monkeypatch):
         # the scan solves its whole grid in lockstep; a one-point call
-        # solves the grid [mu], and both must agree bitwise
+        # solves the grid [mu], and both must agree bitwise; the reports
+        # below check phase and fidelity, so their response takes 2 samples
+        monkeypatch.setattr(gt, "RESPONSE_SAMPLES", 2)
         spectrum = spectrum19()
         pair = (0, 15)
         grid = op.default_mu_grid(WZ)
@@ -360,7 +362,7 @@ class TestOneCodePath:
             assert sched.max_amplitude == result.max_amplitudes[i]
             # the report of a point's own schedule is scored as the scan
             # scores it, bit for bit
-            report = gt.gate_report(sched, spectrum, pair, samples=2)
+            report = gt.gate_report(sched, spectrum, pair)
             assert report.fidelity == fid
         assert solved == np.count_nonzero(result.fidelities)
         best = result.best_index
@@ -372,12 +374,14 @@ class TestOneCodePath:
 
 
 class TestLockstep:
-    def test_each_point_equals_its_own_solve(self):
+    def test_each_point_equals_its_own_solve(self, monkeypatch):
         # one grid on which points stop after different step counts, a
         # binding amplitude bound fails some points and cuts the ascent of
         # others short, and one forged point cannot factor its residual
         # form; each point must equal its own one-point solve, or hold
-        # fidelity 0 where that solve raises
+        # fidelity 0 where that solve raises; the reports below check phase
+        # and fidelity, so their response takes 2 samples
+        monkeypatch.setattr(gt, "RESPONSE_SAMPLES", 2)
         spectrum = spectrum19()
         pair = (0, 15)
         times = np.linspace(0.0, 50e-6, 6)
@@ -426,7 +430,7 @@ class TestLockstep:
             assert fid == fidelities[i]
             # the report of the point's own schedule: the scan's phase and
             # fidelity, bit for bit
-            report = gt.gate_report(sched, spectrum, pair, samples=2)
+            report = gt.gate_report(sched, spectrum, pair)
             assert report.phi == op._phase(forged.G[[i]], amplitudes[[i]])[0]
             assert report.fidelity == fidelities[i]
 
