@@ -29,13 +29,18 @@ saddles.  The gradient tolerance, iteration cap, restart count and restart
 jitter are fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
 ``_JITTER_FRACTION``).
 
-The restarts are independent.  From N = ``_POOL_FLOOR`` (169) on they relax
+The restarts are independent.  From N = ``_POOL_FLOOR`` (91) on they relax
 in a fork-context process pool, one worker per CPU in the affinity mask and
-at most one per restart, when that mask holds more than one CPU; below it,
-where starting a pool costs about what it saves, one after another in the
-calling process.  The seeds are drawn and the best restart is picked in the
-calling process either way, so the result does not depend on the path, the
-CPU count or the affinity mask.
+at most one per restart, when that mask holds more than one CPU and the BLAS
+runs one thread (the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+and ``OMP_NUM_THREADS`` that is set reads 1).  Each worker starts on a CPU
+of the mask that no other worker takes; left to the scheduler, the forked
+workers often shared the caller's CPU.  Below the floor, where starting a
+pool costs about what it saves, and at more BLAS threads, where each
+worker's threads compete for the same CPUs, the restarts relax one after
+another in the calling process.  The seeds are drawn and the best restart
+is picked in the calling process either way, so the result does not depend
+on the path, the CPU count or the affinity mask.
 """
 
 import concurrent.futures
@@ -73,9 +78,9 @@ _MAX_ITER = 10000
 _RESTARTS = 5
 _JITTER_FRACTION = 0.01
 # The smallest N whose restarts relax in worker processes.  A pool costs
-# some 20-30 ms to start and feed: it loses at N = 91, and its gain at
-# N = 127 (under 0.1 s) came and went from one series of runs to the next.
-_POOL_FLOOR = 169
+# some 20-30 ms to start and feed: on two CPUs it loses at N = 61 and wins
+# 18 of 20 fresh-process first solves at N = 91.
+_POOL_FLOOR = 91
 # the largest occupation whose thermal weight 2(2 nbar + 1) is finite
 _NBAR_MAX = np.finfo(float).max / 4.0
 
@@ -430,18 +435,47 @@ def _relax_in_worker(u0):
     return _relax(u0)
 
 
+def _place_worker(cpus, mask):
+    """Start this worker on a CPU no other worker of its pool takes: one
+    from the ``cpus`` queue, after which the caller's ``mask`` applies
+    again and the scheduler may move it.  A hint only: where the mask
+    cannot be set, the worker stays where it is."""
+    try:
+        os.sched_setaffinity(0, {cpus.get()})
+        os.sched_setaffinity(0, mask)
+    except OSError:
+        pass
+
+
+def _one_blas_thread():
+    """True when the first of the variables OpenBLAS reads its thread
+    count from, in its order, that is set reads 1."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        if name in os.environ:
+            return os.environ[name] == "1"
+    return False
+
+
 def _relax_restarts(seeds):
     """(u, converged) of :func:`_relax` for every seed, in seed order: in
     a fork-context process pool from N = ``_POOL_FLOOR`` on when the
-    affinity mask holds more than one CPU, else in this process (also in a
-    daemonic process, which may start none)."""
-    if seeds[0].shape[0] >= _POOL_FLOOR and hasattr(os, "sched_getaffinity"):
+    affinity mask holds more than one CPU and the BLAS runs one thread,
+    else in this process (also in a daemonic process, which may start
+    none).  Each worker starts on a CPU of its own."""
+    if (seeds[0].shape[0] >= _POOL_FLOOR and _one_blas_thread()
+            and hasattr(os, "sched_getaffinity")):
         import multiprocessing  # here, so smaller solves never load it
-        workers = min(len(seeds), len(os.sched_getaffinity(0)))
+        mask = os.sched_getaffinity(0)
+        workers = min(len(seeds), len(mask))
         if workers > 1 and not multiprocessing.current_process().daemon:
+            context = multiprocessing.get_context("fork")
+            cpus = context.SimpleQueue()
+            for cpu in sorted(mask)[:workers]:
+                cpus.put(cpu)
             with concurrent.futures.ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
+                    workers, mp_context=context, initializer=_place_worker,
+                    initargs=(cpus, mask)) as pool:
                 return list(pool.map(_relax_in_worker, seeds))
     return [_relax(u0) for u0 in seeds]
 
@@ -547,12 +581,17 @@ def solve_equilibrium(config, *, rng_seed=0):
     ``_MAX_ITER`` are fixed.
 
     From N = ``_POOL_FLOOR`` on, with more than one CPU in the affinity
-    mask, the restarts relax in min(restarts, CPUs) forked worker processes
-    (the N=217 solve in about half the time on two CPUs); smaller crystals,
-    where a pool's start-up and overhead cost about what it saves, relax in
-    this process.  The restarts are compared here in restart order either
-    way, so the returned crystal is bitwise the same.  An exception raised
-    in a restart reaches the caller, and no worker outlives the call.
+    mask and one BLAS thread (read from ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` at call time, the first
+    that is set deciding), the restarts relax in min(restarts, CPUs) forked
+    worker processes, each started on a CPU of its own (on two CPUs N=127
+    in 0.15-0.19 s instead of 0.20-0.27 s, N=217 in about half the time).
+    Smaller crystals, where a pool's start-up and overhead cost about what
+    it saves, and solves at more BLAS threads, where a pool is slower than
+    this process, relax here.  The restarts are compared here in restart
+    order either way, so the returned crystal is bitwise the same.  An
+    exception raised in a restart reaches the caller, and no worker
+    outlives the call.
 
     Returns
     -------

@@ -495,11 +495,19 @@ class TestTieBreaks:
                            rtol=0, atol=1e-12)
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+
+
 class TestPooledRestarts:
+    # this process's own mask, read before a fixture replaces the function
+    real_mask = staticmethod(getattr(os, "sched_getaffinity", None))
+
     @pytest.fixture
     def pools(self, monkeypatch):
-        # the pooled path from N = 2 on two CPUs; records the worker count
-        # of every pool a solve starts
+        # the pooled path from N = 2 on two CPUs at one BLAS thread;
+        # records the worker count of every pool a solve starts
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         made = []
         executor = concurrent.futures.ProcessPoolExecutor
 
@@ -577,6 +585,102 @@ class TestPooledRestarts:
             [cr.triangular_seed(7)] * cr._RESTARTS)]
         assert pools == [2]
         assert os.getpid() not in pids and len(set(pids)) <= 2
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, []),
+        ({"OPENBLAS_NUM_THREADS": "2"}, []),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, []),
+        ({"OMP_NUM_THREADS": "1"}, [2]),
+    ], ids=["unset", "openblas-2", "openblas-2-omp-1", "omp-1"])
+    def test_pools_only_at_one_blas_thread(self, env, expected, pools,
+                                           monkeypatch):
+        # the first variable OpenBLAS reads that is set decides; at
+        # another thread count every restart relaxes in this process
+        for name in _BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cr.solve_equilibrium(make_config(19))
+        assert pools == expected
+
+    @staticmethod
+    def record_placements(monkeypatch, forward):
+        # (pid, target, cpus) of every sched_setaffinity call, made in any
+        # process this one forks, through a fork-inherited queue
+        calls = multiprocessing.get_context("fork").SimpleQueue()
+        setaffinity = getattr(os, "sched_setaffinity", None)
+
+        def recorded(pid, cpus):
+            calls.put((os.getpid(), pid, set(cpus)))
+            if forward:
+                setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recorded, raising=False)
+
+        def drain():
+            got = []
+            while not calls.empty():
+                got.append(calls.get())
+            return got
+        return drain
+
+    def test_workers_start_on_distinct_cpus(self, pools, monkeypatch):
+        # each worker sets one CPU of the caller's mask, no two the same,
+        # then the caller's whole mask again; the caller sets none
+        mask = {3, 5, 8}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+        drain = self.record_placements(monkeypatch, forward=False)
+        cr._relax_restarts([cr.triangular_seed(7)] * cr._RESTARTS)
+        calls = drain()
+        assert pools == [3]
+        workers = {}
+        for pid, target, cpus in calls:
+            workers.setdefault(pid, []).append((target, cpus))
+        assert os.getpid() not in workers and len(workers) == 3
+        placed = []
+        for sets in workers.values():
+            assert len(sets) == 2 and sets[1] == (0, mask)
+            assert sets[0][0] == 0 and len(sets[0][1]) == 1
+            placed.extend(sets[0][1])
+        assert sorted(placed) == sorted(mask)
+
+    def test_caller_mask_unchanged(self, pools, monkeypatch):
+        # placement acts in the workers only, after a raising solve too
+        if self.real_mask is None:
+            pytest.skip("no sched_getaffinity on this platform")
+        before = self.real_mask(0)
+        drain = self.record_placements(monkeypatch, forward=True)
+        cr.solve_equilibrium(make_config(19))
+        assert self.real_mask(0) == before
+        seed = TestDampingLadders.restart_seed(19, 3, monkeypatch)
+        relax = cr._relax
+
+        def fourth_fails(u0):
+            if np.array_equal(u0, seed):
+                raise np.linalg.LinAlgError("restart 3 fails")
+            return relax(u0)
+
+        monkeypatch.setattr(cr, "_relax", fourth_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="restart 3 fails"):
+            cr.solve_equilibrium(make_config(19))
+        assert self.real_mask(0) == before
+        calls = drain()
+        assert pools == [2, 2]
+        assert calls and os.getpid() not in {pid for pid, _, _ in calls}
+
+    def test_failed_placement_keeps_the_crystal(self, pools, monkeypatch):
+        # a worker that cannot be placed relaxes where it started
+        def refuse(pid, cpus):
+            raise PermissionError("sched_setaffinity refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        pooled = cr.solve_equilibrium(make_config(19))
+        assert pools == [2]
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(cr, "_POOL_FLOOR", math.inf)
+        alone = cr.solve_equilibrium(make_config(19))
+        assert np.array_equal(pooled.positions, alone.positions)
+        assert pooled.energy == alone.energy
 
 
 class TestSeeds:
