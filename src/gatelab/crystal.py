@@ -18,7 +18,11 @@ lattice.  Each step, damped or not, is one dense linear solve with the
 planar Hessian H.  The Levenberg-Marquardt step solves (H^2 + mu I) s = -H g,
 which equals the eigenpair form of the damped step, and the energy-descent
 fallback solves (H + lam I) s = -g: both by one Cholesky solve, a shift
-that leaves the system not positive definite counting as rejected.  Each
+that leaves the system not positive definite counting as rejected.  That
+solve is LAPACK ``dposv`` in the OpenBLAS numpy bundles, called through
+ctypes, so the package needs numpy alone; where numpy's build exports no
+such routine, ``np.linalg.cholesky`` and two triangular solves give the
+same steps to rounding at about five times the cost per solve.  Each
 damping ladder stops at its first trial that moves no ion, since every
 larger shift moves none either.  The final Newton steps solve H plus a
 rank-one lift of the rotation null direction by LU, as H is indefinite at
@@ -43,13 +47,12 @@ is picked in the calling process either way, so the result does not depend
 on the path, the CPU count or the affinity mask.
 """
 
-import concurrent.futures
+import ctypes
 from dataclasses import dataclass, replace
 import math
 import os
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InsufficientPoints, NegativeOccupation, NonConvergence
 from ._textio import fmt, read_rows, write_rows
@@ -294,14 +297,59 @@ def _newton_step(u, grad):
     return np.column_stack([step[:n], step[n:]])
 
 
+def _bundled_dposv():
+    """LAPACK ``dposv`` of the OpenBLAS bundled in numpy's wheel, as a
+    ctypes function, or None where numpy's build has none.
+
+    The symbol is looked up through the handle of numpy's own linalg
+    extension, which numpy has loaded already; its ``64_`` suffix marks
+    the 64-bit integer interface.  numpy on MKL, Accelerate or a distro
+    OpenBLAS exports other names or none.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        dposv = ctypes.CDLL(_umath_linalg.__file__).scipy_dposv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    # uplo, n, nrhs, a, lda, b, ldb, info, and Fortran's length of uplo
+    dposv.argtypes = [ctypes.c_char_p, int64, int64, ctypes.c_void_p, int64,
+                      ctypes.c_void_p, int64, int64, ctypes.c_size_t]
+    dposv.restype = None
+    return dposv
+
+
+_DPOSV = _bundled_dposv()
+
+
 def _shifted_solve(matrix, shift, rhs):
-    """(matrix + shift I)^-1 rhs by one Cholesky solve (LAPACK dposv on the
-    lower triangle), or None when matrix + shift I is not positive
-    definite."""
-    shifted = np.array(matrix, order="F")
-    shifted.flat[::shifted.shape[0] + 1] += shift
-    _, solution, info = lapack.dposv(shifted, rhs, lower=1, overwrite_a=1)
-    return solution if info == 0 else None
+    """(matrix + shift I)^-1 rhs for a vector rhs, from the lower triangle
+    of matrix, or None when matrix + shift I is not positive definite; the
+    inputs are left as they were.
+
+    One LAPACK ``dposv`` (Cholesky factor and solve) in the OpenBLAS that
+    numpy bundles (``_DPOSV``).  Where numpy has none, ``np.linalg.cholesky``
+    (its LinAlgError means not positive definite) and two triangular solves
+    by ``np.linalg.solve``, which agree to rounding but cost about five
+    times as much (2.3 ms against 0.4 ms at 2N = 254).
+    """
+    shifted = np.array(matrix, dtype=float, order="F")
+    size = shifted.shape[0]
+    if shifted.shape != (size, size) or np.shape(rhs) != (size,):
+        raise ValueError("need a square matrix and a vector of its size")
+    shifted.flat[::size + 1] += shift
+    if _DPOSV is None:
+        try:
+            lower = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return None
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    solution = np.array(rhs, dtype=float)
+    n = ctypes.c_int64(size)
+    info = ctypes.c_int64()
+    _DPOSV(b"L", n, ctypes.c_int64(1), shifted.ctypes.data, n,
+           solution.ctypes.data, n, info, 1)
+    return solution if info.value == 0 else None
 
 
 def _track_root(u):
@@ -465,7 +513,9 @@ def _relax_restarts(seeds):
     none).  Each worker starts on a CPU of its own."""
     if (seeds[0].shape[0] >= _POOL_FLOOR and _one_blas_thread()
             and hasattr(os, "sched_getaffinity")):
-        import multiprocessing  # here, so smaller solves never load it
+        # here, so smaller solves never load them
+        import concurrent.futures
+        import multiprocessing
         mask = os.sched_getaffinity(0)
         workers = min(len(seeds), len(mask))
         if workers > 1 and not multiprocessing.current_process().daemon:
@@ -585,7 +635,8 @@ def solve_equilibrium(config, *, rng_seed=0):
     ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` at call time, the first
     that is set deciding), the restarts relax in min(restarts, CPUs) forked
     worker processes, each started on a CPU of its own (on two CPUs N=127
-    in 0.15-0.19 s instead of 0.20-0.27 s, N=217 in about half the time).
+    in 0.16-0.25 s instead of 0.18-0.36 s, N=217 in about 5 s instead
+    of 8 s).
     Smaller crystals, where a pool's start-up and overhead cost about what
     it saves, and solves at more BLAS threads, where a pool is slower than
     this process, relax here.  The restarts are compared here in restart

@@ -85,11 +85,13 @@ class TestLengthScale:
 class TestConstants:
     def test_import_leaves_scipy_constants_out(self):
         # the package states e, h and eps0 itself, so no artifact follows
-        # the CODATA set of the installed scipy
+        # the CODATA set of the installed scipy; nor does it, or its CLI,
+        # load any other scipy module: scipy is a test dependency only
         src = os.path.dirname(os.path.dirname(cr.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, gatelab; "
-             "sys.exit('scipy.constants' in sys.modules)"],
+            [sys.executable, "-c", "import sys, gatelab, gatelab.cli; "
+             "sys.exit(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy') or None)"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True)
         assert proc.returncode == 0, proc.stderr
@@ -416,19 +418,49 @@ class TestDampingLadders:
         else:
             assert used["energy"] < ref_used["energy"]
 
-    def test_shifted_solve(self):
+    def test_shifted_solve(self, monkeypatch):
+        # the same contract on numpy's bundled LAPACK and on the numpy-only
+        # fallback, forced by taking the binding away
         rng = np.random.default_rng(7)
         a = rng.standard_normal((12, 12))
         spd = a @ a.T
         rhs = rng.standard_normal(12)
         kept = spd.copy(), rhs.copy()
-        got = cr._shifted_solve(spd, 0.5, rhs)
         ref = np.linalg.solve(spd + 0.5 * np.eye(12), rhs)
-        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
         indefinite = spd - 2.0 * np.linalg.eigvalsh(spd).max() * np.eye(12)
-        assert cr._shifted_solve(indefinite, 0.5, rhs) is None
-        # the matrix and the right-hand side are left as they were
-        assert np.array_equal(spd, kept[0]) and np.array_equal(rhs, kept[1])
+        # only the lower triangle is read
+        upper = np.triu_indices(12, 1)
+        junk = spd.copy()
+        junk[upper] = 1e3
+        for binding in (cr._DPOSV, None):
+            with monkeypatch.context() as patch:
+                patch.setattr(cr, "_DPOSV", binding)
+                got = cr._shifted_solve(spd, 0.5, rhs)
+                assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+                assert np.array_equal(cr._shifted_solve(junk, 0.5, rhs), got)
+                assert cr._shifted_solve(indefinite, 0.5, rhs) is None
+                indefinite_lower = indefinite.copy()
+                indefinite_lower[upper] = 1e3
+                assert cr._shifted_solve(indefinite_lower, 0.5, rhs) is None
+                # no size mismatch reaches LAPACK
+                for bad in ((spd, rhs[:-1]), (spd[:, :-1], rhs),
+                            (spd, np.column_stack([rhs, rhs]))):
+                    with pytest.raises(ValueError):
+                        cr._shifted_solve(bad[0], 0.5, bad[1])
+            # the matrix and the right-hand side are left as they were
+            assert np.array_equal(spd, kept[0])
+            assert np.array_equal(rhs, kept[1])
+
+    @pytest.mark.parametrize("n", [19, 61])
+    def test_fallback_crystal(self, n, monkeypatch):
+        # without the bundled LAPACK the crystal is the same minimum, to
+        # rounding
+        cfg = make_config(n)
+        bundled = cr.solve_equilibrium(cfg)
+        monkeypatch.setattr(cr, "_DPOSV", None)
+        fallback = cr.solve_equilibrium(cfg)
+        assert fallback.energy == pytest.approx(bundled.energy, rel=1e-12)
+        assert fallback.u_min == pytest.approx(bundled.u_min, rel=1e-12)
 
     def test_tracker_raises_damping_when_not_positive_definite(
             self, monkeypatch):
