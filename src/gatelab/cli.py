@@ -11,17 +11,17 @@ A flat ``key = value`` config file drives every subcommand; unknown or
 malformed keys are rejected with their line number, and a design key
 left out takes the library's default.  Every run emits tab separated
 tables with '#' header metadata plus a deterministic ``summary.json``;
-an identical config gives byte-identical files at a fixed BLAS thread
-count (e.g. ``OPENBLAS_NUM_THREADS=1``): the crystal solve rounds
-differently at another, and every artifact downstream of it follows.
+an identical config gives byte-identical files at the BLAS thread count
+this module pins (:func:`gatelab._default_one_blas_thread`): the crystal
+rounds differently at another, and every artifact downstream follows.
 Solved crystals can be cached (``--cache``) and are re-dressed for the
 requested trap on reuse, which is exact because the dimensionless planar
 equilibrium depends only on the ion count.  Only an entry's positions and
 trap block are read back; an entry that does not read back whole, holds
 another ion count or is not at rest is solved again.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 instability flagged.
+Exit codes: 0 success, 2 config error (an unwritable path included),
+3 numerical failure, 4 instability flagged.
 """
 
 import argparse
@@ -29,6 +29,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+
+from . import _default_one_blas_thread
+_default_one_blas_thread()  # before the first import that loads numpy
 
 import numpy as np
 
@@ -38,9 +41,8 @@ from . import modes as md
 from . import optimizer as op
 from .errors import (ConfigError, GatelabError, InsufficientPoints,
                      UnstableSpectrum)
+from .gate import TWO_PI
 from ._textio import atomic_write_json, fmt, write_rows
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +541,15 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError("cannot create '--out' directory: %s" % exc)
-        code, summary = _COMMANDS[args.command][0](config, args.out,
-                                                   args.cache, args)
-        summary["seed"] = config.seed
-        atomic_write_json(os.path.join(args.out, "summary.json"), summary)
+        try:
+            code, summary = _COMMANDS[args.command][0](config, args.out,
+                                                       args.cache, args)
+            summary["seed"] = config.seed
+            atomic_write_json(os.path.join(args.out, "summary.json"), summary)
+        except OSError as exc:
+            if exc.filename is None:  # not a file operation
+                raise
+            raise ConfigError("cannot write an output or cache file: %s" % exc)
         return code
     except ConfigError as exc:
         print("gatelab: config error: %s" % exc, file=sys.stderr)

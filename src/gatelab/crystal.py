@@ -36,11 +36,9 @@ jitter are fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
 The restarts are independent.  From N = ``_POOL_FLOOR`` (91) on they relax
 in a fork-context process pool, one worker per CPU in the affinity mask and
 at most one per restart, when that mask holds more than one CPU and the BLAS
-runs one thread (the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
-and ``OMP_NUM_THREADS`` that is set reads 1).  Each worker starts on a CPU
-of the mask that no other worker takes; left to the scheduler, the forked
-workers often shared the caller's CPU.  Below the floor, where starting a
-pool costs about what it saves, and at more BLAS threads, where each
+runs one thread (:func:`gatelab._one_blas_thread`), each worker started on a
+CPU of the mask that no other worker takes.  Below the floor, where starting
+a pool costs about what it saves, and at more BLAS threads, where each
 worker's threads compete for the same CPUs, the restarts relax one after
 another in the calling process.  The seeds are drawn and the best restart
 is picked in the calling process either way, so the result does not depend
@@ -54,6 +52,7 @@ import os
 
 import numpy as np
 
+from . import _one_blas_thread
 from .errors import InsufficientPoints, NegativeOccupation, NonConvergence
 from ._textio import fmt, read_rows, write_rows
 
@@ -80,9 +79,7 @@ _TOL = 1e-10
 _MAX_ITER = 10000
 _RESTARTS = 5
 _JITTER_FRACTION = 0.01
-# The smallest N whose restarts relax in worker processes.  A pool costs
-# some 20-30 ms to start and feed: on two CPUs it loses at N = 61 and wins
-# 18 of 20 fresh-process first solves at N = 91.
+# The smallest N whose restarts relax in worker processes (BENCH_30.json).
 _POOL_FLOOR = 91
 # the largest occupation whose thermal weight 2(2 nbar + 1) is finite
 _NBAR_MAX = np.finfo(float).max / 4.0
@@ -495,22 +492,9 @@ def _place_worker(cpus, mask):
         pass
 
 
-def _one_blas_thread():
-    """True when the first of the variables OpenBLAS reads its thread
-    count from, in its order, that is set reads 1."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        if name in os.environ:
-            return os.environ[name] == "1"
-    return False
-
-
 def _relax_restarts(seeds):
-    """(u, converged) of :func:`_relax` for every seed, in seed order: in
-    a fork-context process pool from N = ``_POOL_FLOOR`` on when the
-    affinity mask holds more than one CPU and the BLAS runs one thread,
-    else in this process (also in a daemonic process, which may start
-    none).  Each worker starts on a CPU of its own."""
+    """(u, converged) of :func:`_relax` per seed, in seed order, pooled as
+    the module docstring sets out (never in a daemonic process)."""
     if (seeds[0].shape[0] >= _POOL_FLOOR and _one_blas_thread()
             and hasattr(os, "sched_getaffinity")):
         # here, so smaller solves never load them
@@ -630,19 +614,10 @@ def solve_equilibrium(config, *, rng_seed=0):
     ``_TOL`` (max-abs component) and the per-restart iteration cap
     ``_MAX_ITER`` are fixed.
 
-    From N = ``_POOL_FLOOR`` on, with more than one CPU in the affinity
-    mask and one BLAS thread (read from ``OPENBLAS_NUM_THREADS``,
-    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` at call time, the first
-    that is set deciding), the restarts relax in min(restarts, CPUs) forked
-    worker processes, each started on a CPU of its own (on two CPUs N=127
-    in 0.16-0.25 s instead of 0.18-0.36 s, N=217 in about 5 s instead
-    of 8 s).
-    Smaller crystals, where a pool's start-up and overhead cost about what
-    it saves, and solves at more BLAS threads, where a pool is slower than
-    this process, relax here.  The restarts are compared here in restart
-    order either way, so the returned crystal is bitwise the same.  An
-    exception raised in a restart reaches the caller, and no worker
-    outlives the call.
+    The restarts relax in worker processes or here, as the module
+    docstring sets out (timings in ``BENCH_30.json``, ``BENCH_31.json``),
+    and are compared here in restart order, bitwise the same either way.
+    A restart's exception reaches the caller; no worker outlives the call.
 
     Returns
     -------

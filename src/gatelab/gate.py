@@ -46,6 +46,7 @@ from .crystal import HBAR, check_nbar
 from ._textio import fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * np.pi
+PHASE_TARGET = np.pi / 4.0
 
 # Below this phase magnitude the closed forms cancel; switch to series.
 _SERIES_THRESHOLD = 3e-3
@@ -515,7 +516,12 @@ def _pair_kernels(times, mu, frequencies, couplings, pairs, weights):
     return S, G, None if A is None else A.reshape((-1,) + A.shape[2:])
 
 
-def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
+def thermal_weight(nbar):
+    """2(2 nbar + 1), each thermal overlap exponent's |alpha|^2 weight."""
+    return 2.0 * (2.0 * check_nbar(nbar) + 1.0)
+
+
+def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=PHASE_TARGET):
     """State fidelity of the gate on |+>|+> with thermal motion.
 
     Parameters
@@ -545,7 +551,7 @@ def thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=np.pi / 4.0):
     """
     alpha_l = np.asarray(alpha_l, dtype=complex)
     alpha_n = np.asarray(alpha_n, dtype=complex)
-    weight = 2.0 * (2.0 * check_nbar(nbar) + 1.0)
+    weight = thermal_weight(nbar)
     decay = [np.exp(-np.sum(weight * np.abs(x) ** 2, axis=-1))
              for x in (alpha_l, alpha_n, alpha_l + alpha_n, alpha_l - alpha_n)]
     delta = np.asarray(phi) - target_phase
@@ -561,7 +567,7 @@ def gate_fidelity(phi, alpha_l, alpha_n, nbar):
     equivalent ideal gates: conditional phase +pi/4 or -pi/4 by the sign of
     ``phi``, +pi/4 for a zero phase.  Stacks as :func:`thermal_fidelity`
     does."""
-    target = np.where(np.asarray(phi) >= 0.0, np.pi / 4.0, -np.pi / 4.0)
+    target = np.where(np.asarray(phi) >= 0.0, PHASE_TARGET, -PHASE_TARGET)
     return thermal_fidelity(phi, alpha_l, alpha_n, nbar, target_phase=target)
 
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .crystal import TrapConfig, _pair_vectors, trap_meta, with_trap
 from .errors import EigenFailure, UnstableSpectrum
+from .gate import TWO_PI
 from ._textio import fmt, write_rows
-
-TWO_PI = 2.0 * np.pi
 
 
 def coulomb_laplacian(positions):

@@ -39,12 +39,12 @@ import numpy as np
 
 from .crystal import check_nbar, with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
-from .gate import (PulseSchedule, _evaluate, _pair_kernels, _phase,
-                   check_pair, drive_couplings, TWO_PI)
+from .gate import (PHASE_TARGET, TWO_PI, PulseSchedule, _evaluate,
+                   _pair_kernels, _phase, check_pair, drive_couplings,
+                   thermal_weight)
 from .modes import axial_spectrum
 from ._textio import fmt, write_rows
 
-PHASE_TARGET = np.pi / 4.0
 # the paper's design defaults: detuning grid, segments, benchmark pairs
 MU_GRID_POINTS = 301
 MU_BELOW_HZ, MU_ABOVE_HZ = 0.1e6, 0.2e6
@@ -205,7 +205,7 @@ def _grid_forms(spectrum, pairs, times, grid, nbar, bound):
     couplings = drive_couplings(spectrum)
     drive = couplings[np.array(pairs, dtype=int).reshape(-1, 2)]
     cl, cn = drive[:, 0], drive[:, 1]
-    weights = 2.0 * (2.0 * nbar + 1.0) * np.stack(
+    weights = thermal_weight(nbar) * np.stack(
         [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2], axis=1)
     S, G, A = _pair_kernels(times, np.asarray(grid, dtype=float),
                             spectrum.frequencies, couplings, pairs, weights)

@@ -655,6 +655,33 @@ class TestConfigErrors:
         assert code == 2
         assert "cannot create '--out' directory" in capsys.readouterr().err
 
+    def test_cache_that_is_a_file(self, tmp_path, capsys):
+        # a cache entry that cannot be written is a config error naming
+        # the path, not a traceback
+        cache = tmp_path / "a-file"
+        cache.write_text("")
+        code = cli.main(["equilibrium", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "out"), "--cache",
+                         str(cache)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: cannot write" in err and str(cache) in err
+        assert cache.read_text() == ""
+
+    def test_artifact_path_that_is_a_directory(self, tmp_path, capsys):
+        # so is an artifact whose path holds a directory; no temporary
+        # file is left behind
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        code = cli.main(["equilibrium", "--config", write_config(tmp_path),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: cannot write" in err
+        assert str(out / "summary.json") in err
+        assert sorted(os.listdir(out)) == ["crystal.tsv", "positions.tsv",
+                                           "summary.json"]
+
     def test_missing_separator_line_number(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys,
                              "ion_count = 7\nomega_r_hz 0.2e6\n")

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import gatelab
 from gatelab import crystal as cr
 from gatelab import modes as md
 from gatelab import optimizer as op
@@ -527,10 +528,6 @@ class TestTieBreaks:
                            rtol=0, atol=1e-12)
 
 
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                          "OMP_NUM_THREADS")
-
-
 class TestPooledRestarts:
     # this process's own mask, read before a fixture replaces the function
     real_mask = staticmethod(getattr(os, "sched_getaffinity", None))
@@ -628,7 +625,7 @@ class TestPooledRestarts:
                                            monkeypatch):
         # the first variable OpenBLAS reads that is set decides; at
         # another thread count every restart relaxes in this process
-        for name in _BLAS_THREAD_VARIABLES:
+        for name in gatelab._BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
