@@ -349,7 +349,8 @@ def cmd_modes(config, out_dir, cache_dir, args):
         rows = []
         points = []
         for n in config.stability_n_series:
-            shell = cached_crystal(config, cache_dir, n)
+            shell = (crystal if n == config.ion_count
+                     else cached_crystal(config, cache_dir, n))
             beta_c = md.critical_beta(shell)
             rows.append([str(n), fmt(beta_c), fmt(beta_c ** 2)])
             if n > 2:
@@ -541,6 +542,11 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError("cannot create '--out' directory: %s" % exc)
+        try:
+            if args.cache:
+                os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot write to '--cache': %s" % exc)
         try:
             code, summary = _COMMANDS[args.command][0](config, args.out,
                                                        args.cache, args)

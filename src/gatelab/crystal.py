@@ -133,8 +133,8 @@ class TrapConfig:
             raise ValueError("ion_count must be a positive integer")
         object.__setattr__(self, "ion_count", count)
         for name in ("omega_r", "omega_z", "ion_mass", "charge"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError("%s must be positive" % name)
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError("%s must be positive and finite" % name)
         object.__setattr__(self, "temperature_nbar",
                            check_nbar(self.temperature_nbar))
 

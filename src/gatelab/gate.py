@@ -19,22 +19,22 @@ the entries that select them, and the segment integrals accept an array of
 detunings, so a scan builds the kernels of its whole grid in one call.
 Every segment integral reads one primitive, E0(x) = integral_0^h e^{i x s}
 ds = e^{i theta} h sin(theta) / theta with theta = x h / 2, at x = omega
-+/- mu (see :func:`_segment_kernels`).  The build (:func:`_kernel_blocks`)
++/- mu.  The build (:func:`_kernel_blocks`, which derives S and T)
 works in a (detuning, segment, mode) layout, mode axis innermost, and runs
 no trig over the grid: every phase is a product of a per-mode table,
 e^{i omega h_p / 2} or e^{i omega t_mid}, and a per-detuning one,
 e^{i mu h_p / 2} or e^{i mu t_mid}, with one entry per segment, and the
-amplitude reads the product's imaginary part.  It walks the grid in blocks
-of ``_BLOCK`` detunings and turns each block into the forms of every pair
-asked for before it builds the next (:func:`_pair_kernels`), so a
-benchmark table builds one trap's kernels once; the public kernels still
-return mu.shape + (K, P).  The thermal fidelity is the closed form
-F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g) + e^{-G_+} / 2
-+ e^{-G_-} / 2] (see :func:`thermal_fidelity`), and :func:`gate_report`
-and the optimizer score a drive with one function, :func:`_evaluate`.
-:func:`gate_report` is the report stage's one entry point: it builds a
-schedule's kernels once and reads the phase, the fidelity and every ion's
-peak response from them.
+amplitude reads the product's imaginary part.  One assembler,
+:func:`_pair_kernels`, turns each block of ``_BLOCK`` detunings into the
+form sum_k w_k G_k of every mode-weight row w asked for (a pair's
+2 c_l^k c_n^k, a mode's unit row) before it builds the next, so a
+benchmark table builds one trap's kernels once.  The thermal fidelity is
+the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g)
++ e^{-G_+} / 2 + e^{-G_-} / 2] (see :func:`thermal_fidelity`), and
+:func:`gate_report` and the optimizer score a drive with one function,
+:func:`_evaluate`.  :func:`gate_report`, the report stage's one entry
+point, builds a schedule's kernels once and reads the phase, the
+fidelity and every ion's peak response from them.
 """
 
 from dataclasses import dataclass
@@ -118,12 +118,16 @@ class PulseSchedule:
             raise ValueError("schedule must start at t = 0")
         if amps.shape != (times.size - 1,):
             raise ValueError("need one amplitude per segment")
-        if not all(np.all(np.isfinite(v)) for v in (times, amps, self.mu)):
+        mu = np.asarray(self.mu)
+        if mu.shape != () or mu.dtype.kind not in "iuf":
+            raise ValueError("mu must be one number, got %r" % (self.mu,))
+        if not all(np.all(np.isfinite(v)) for v in (times, amps, mu)):
             raise ValueError("times, amplitudes and mu must be finite")
-        if not (self.mu > 0.0):
+        if not (mu > 0.0):
             raise ValueError("mu must be positive")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "mu", float(mu))
         if self.target_pair is not None:
             object.__setattr__(self, "target_pair",
                                check_pair(self.target_pair,
@@ -250,9 +254,22 @@ def _first_order(start, turn, e_plus, e_minus):
 
 def _kernel_blocks(times, mu, frequencies):
     """Yield (rows, S, T) for each block of at most ``_BLOCK`` detunings
-    of the 1-D ``mu``: the slice of ``mu`` it covers and its segment
-    integrals (see :func:`_segment_kernels`), each (B, P, K), mode axis
-    last.
+    of the 1-D ``mu``: the slice of ``mu`` it covers, its segment integrals
+    S (:func:`first_order_integrals`) and its triangle integrals T[p, k],
+    the ordered double integral of sin(mu s2) sin(mu s1) sin(omega_k (s2 -
+    s1)) over t_p < s1 < s2 < t_{p+1}, each (B, P, K), mode axis last.
+
+    With p, m = omega +/- mu, A_x = h sin(theta_x) / theta_x and
+    theta_x = x h / 2, the segment integral of e^{i x t} is
+    e^{i x t_mid} A_x, so S = -i/2 (e^{i p t_mid} A_p - e^{i m t_mid}
+    A_m).  T = -Im(lag k1 - k2 - k3 + conj(lag) k4) / 4, with
+    lag = e^{2 i mu t_p} and the kernels k1 = K(p, -m), k2 = K(p, -p),
+    k3 = K(m, -m) and k4 = K(m, -p) of :func:`_k_series`.  Their
+    E0(a + b) are E0(2 mu), h, h and E0(-2 mu) = conj E0(2 mu), so over
+    the real divisors m and p, T = -[Re E0(m) + r - A_p Re(lag
+    e^{i theta_p})] / 4m - [Re E0(p) + r - A_m Re(conj(lag)
+    e^{i theta_m})] / 4p, with r = Re(lag E0(2 mu)) - h and Re E0(x) =
+    A_x cos(theta_x).
 
     Every phase is a product of a per-mode table, e^{i omega h_p / 2} or
     e^{i omega t_mid} (P, K), and a per-detuning one, e^{i mu h_p / 2} or
@@ -261,8 +278,8 @@ def _kernel_blocks(times, mu, frequencies):
     reads the product's imaginary part.  Two sets of entries leave that
     arithmetic, each found and evaluated once for the whole grid, then
     written into the blocks: the (detuning, mode) rows of
-    :func:`_direct_rows`, and the series entries of the triangle halves
-    (:func:`_series_half`).
+    :func:`_direct_rows`, and the triangle halves whose quotient by a small
+    |x h| cancels, each a series on those entries (:func:`_series_half`).
     """
     times = np.asarray(times, dtype=float)
     omega = np.asarray(frequencies, dtype=float)
@@ -302,9 +319,7 @@ def _kernel_blocks(times, mu, frequencies):
         amp_m *= 2.0 * inv_m[rows]
         for target, patch in zip((amp_p, cos_p, amp_m, cos_m), direct):
             _patch(target, start, patch)
-        # T = -[Re E0(m) + rest - A+ Re(lag e^{i theta+})] / 4m - [Re E0(p)
-        # + rest - A- Re(conj(lag) e^{i theta-})] / 4p, Re E0 = A cos, and
-        # lag^{+/-1} e^{i theta+/-} = e^{i omega h / 2} bend^{+/-1}
+        # T, with lag^{+/-1} e^{i theta+/-} = e^{i omega h / 2} bend^{+/-1}
         out_m = cos_m
         out_m *= amp_m
         out_m += rest[rows]
@@ -373,48 +388,17 @@ def _series_half(x, y, lag, h):
         lag[b, p, 0] * later - same)
 
 
-def _segment_kernels(times, mu, frequencies):
-    """(S, T) at the detunings ``mu``, each of shape mu.shape + (K, P).
-
-    S[k, p] is the integral over segment p of sin(mu t) e^{i omega_k t}
-    dt, and T[k, p] the ordered double integral of sin(mu s2) sin(mu s1)
-    sin(omega_k (s2 - s1)) over the triangle t_p < s1 < s2 < t_{p+1}.
-    With p, m = omega +/- mu, A_x = h sin(theta_x) / theta_x and
-    theta_x = x h / 2, the segment integral of e^{i x t} is
-    e^{i x t_mid} A_x, so S = -i/2 (e^{i p t_mid} A_p - e^{i m t_mid}
-    A_m).  T = -Im(lag k1 - k2 - k3 + conj(lag) k4) / 4, with
-    lag = e^{2 i mu t_p} and the kernels k1 = K(p, -m), k2 = K(p, -p),
-    k3 = K(m, -m) and k4 = K(m, -p) of :func:`_k_series`.  Their
-    E0(a + b) are E0(2 mu), h, h and E0(-2 mu) = conj E0(2 mu), so over
-    the real divisors m and p, T = -[Re E0(m) + r - A_p Re(lag
-    e^{i theta_p})] / 4m - [Re E0(p) + r - A_m Re(conj(lag)
-    e^{i theta_m})] / 4p, with r = Re(lag E0(2 mu)) - h and Re E0(x) =
-    A_x cos(theta_x).  Where |x h| is small a quotient cancels; on those
-    entries alone its half is a series.  Built by :func:`_kernel_blocks`.
-    """
-    mu = np.asarray(mu, dtype=float)
-    shape = mu.shape + (len(times) - 1, len(frequencies))
-    S = np.empty((mu.size,) + shape[-2:], dtype=complex)
-    T = np.empty(S.shape)
-    for rows, S_block, T_block in _kernel_blocks(times, mu.reshape(-1),
-                                                 frequencies):
-        S[rows] = S_block
-        T[rows] = T_block
-    return (np.swapaxes(S.reshape(shape), -1, -2),
-            np.swapaxes(T.reshape(shape), -1, -2))
-
-
 def first_order_integrals(times, mu, frequencies):
     """S[k, p] = integral over segment p of sin(mu t) e^{i omega_k t} dt.
 
     An array of detunings ``mu`` stacks one S per detuning: the result has
     shape mu.shape + (K, P).
     """
-    return _segment_kernels(times, mu, frequencies)[0]
+    return _kernels(times, mu, frequencies, ())[0]
 
 
 def phase_kernels(times, mu, frequencies):
-    """Per-mode quadratic-form kernels G_k, shape (K, P, P).
+    """Per-mode quadratic-form kernels G_k, shape mu.shape + (K, P, P).
 
     Omega^T G_k Omega is the ordered double integral of
     Omega(s2) Omega(s1) sin(mu s2) sin(mu s1) sin(omega_k (s2 - s1)) over
@@ -422,8 +406,7 @@ def phase_kernels(times, mu, frequencies):
     off-diagonal pairs split the cross-segment rectangle Im[S_p conj(S_q)]
     (p later than q) evenly across (p, q) and (q, p).
     """
-    S, T = _segment_kernels(times, mu, frequencies)
-    return _phase_form(S[..., None], T[..., None], np.ones(1))
+    return _kernels(times, mu, frequencies, np.eye(len(frequencies)))[1]
 
 
 def _phase_form(S, T, weights):
@@ -475,29 +458,41 @@ def entangling_phase(schedule, couplings, frequencies, pair):
 
 def pair_phase_matrix(times, mu, frequencies, couplings, pair):
     """Quadratic-form matrix G with phi = Omega^T G Omega for one pair."""
+    return _kernels(times, mu, frequencies,
+                    _phase_weights(couplings, [pair]))[1][..., 0, :, :]
+
+
+def _phase_weights(couplings, pairs):
+    """The mode-weight rows 2 c_l^k c_n^k (J, K) of ``pairs``."""
+    l, n = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return 2.0 * couplings[l] * couplings[n]
+
+
+def _kernels(times, mu, frequencies, weight_rows):
+    """(S, G), mu.shape + (K, P) and + (J, P, P), at any ``mu``."""
     mu = np.asarray(mu, dtype=float)
-    G = _pair_kernels(times, mu.reshape(-1), frequencies, couplings, [pair],
-                      None)[1]
-    return G.reshape(mu.shape + G.shape[1:])
+    S, G, _ = _pair_kernels(times, mu.ravel(), frequencies, weight_rows, None)
+    G = G.reshape((len(weight_rows),) + mu.shape + G.shape[1:])
+    return (np.swapaxes(S.reshape(mu.shape + S.shape[1:]), -1, -2),
+            np.moveaxis(G, 0, -3))
 
 
-def _pair_kernels(times, mu, frequencies, couplings, pairs, weights):
-    """(S, G, A) of every pair of ``pairs`` at the 1-D detunings ``mu``,
-    each block of :func:`_kernel_blocks` turned into all of them before
-    the next is built.
+def _pair_kernels(times, mu, frequencies, phase_weights, weights):
+    """(S, G, A) of the mode-weight rows ``phase_weights`` (J, K) at the
+    1-D detunings ``mu``, each block of :func:`_kernel_blocks` turned into
+    all of them before the next is built: the one kernel assembler.
 
-    S (M, P, K) is :func:`first_order_integrals` with the mode axis last,
-    built once and shared by the pairs.  G (J M, P, P) stacks each pair's
-    :func:`pair_phase_matrix` pair-major: the rows of pair j are
-    j M ... (j + 1) M - 1.  A (J M, I, P, P) stacks the same way pair j's
+    S (M, P, K) is :func:`first_order_integrals` with the mode axis last.
+    G (J M, P, P) stacks the forms sum_k w_k G_k of the rows w (a pair's
+    :func:`_phase_weights`, a mode's the unit row) row-major: row j holds
+    j M ... (j + 1) M - 1.  A (J M, I, P, P) stacks the same way row j's
     residual forms Re(S^* diag(w) S^T) of the rows w of ``weights[j]``,
-    ``weights`` (J, I, K); A is None when ``weights`` is.  Every pair's G
-    and A are computed from a block as they would be with that pair alone.
+    ``weights`` (J, I, K); A is None when ``weights`` is.  Every row's G
+    and A are as they would be with that row alone.
     """
     shape = (mu.size, len(times) - 1)
     S = np.empty(shape + (len(frequencies),), dtype=complex)
-    G = np.empty((len(pairs),) + shape + shape[-1:])
-    pair_weights = [2.0 * couplings[l] * couplings[n] for l, n in pairs]
+    G = np.empty((len(phase_weights),) + shape + shape[-1:])
     A = None
     if weights is not None:
         A = np.empty(G.shape[:2] + (weights.shape[1],) + G.shape[2:])
@@ -505,8 +500,8 @@ def _pair_kernels(times, mu, frequencies, couplings, pairs, weights):
         tiled = np.tile(weights, 2)[:, :, None, :]
     for rows, S_block, T_block in _kernel_blocks(times, mu, frequencies):
         S[rows] = S_block
-        for j, pair_weight in enumerate(pair_weights):
-            G[j, rows] = _phase_form(S_block, T_block, pair_weight)
+        for j, phase_weight in enumerate(phase_weights):
+            G[j, rows] = _phase_form(S_block, T_block, phase_weight)
         if A is not None:
             R = np.concatenate([S_block.real, S_block.imag], axis=-1)
             R_T = np.swapaxes(R, -1, -2)[:, None]
@@ -758,11 +753,9 @@ def gate_report(schedule, spectrum, pair):
     The samples stream through in blocks of ``_SAMPLE_BLOCK`` times, each
     folded into a running per-ion maximum, so memory does not grow with
     the sample count times the mode count: at N=127 and 2000 samples a
-    report peaks near 2.8 MB under tracemalloc, against 17 MB for one
-    pass.  Every peak is bit for bit that of one pass over all samples
-    wherever BLAS gives a block's rows the sums of the whole product.
-    That held at N=7 to 169 up to 2000 samples; at N=19 and 4000 samples
-    or more, OpenBLAS's small-matrix kernel moves peaks by up to 2 ulp.
+    report peaks near 2.8 MB under tracemalloc.  A peak's last bits
+    follow the block layout (see ``_SAMPLE_BLOCK``); ``BENCH_27.json``
+    records the blocks' memory and byte checks.
 
     A peak is its largest sample, so it reads low.  Against 200 000 samples
     on the best gate of the N=127 paper scan, the worst ion is 23 % low at
@@ -774,7 +767,7 @@ def gate_report(schedule, spectrum, pair):
     drive = couplings[[l, n]]
     freqs = spectrum.frequencies
     S, G, _ = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
-                            couplings, [pair], None)
+                            _phase_weights(couplings, [pair]), None)
     phi, alpha_l, alpha_n, fidelity = _evaluate(
         S, G, schedule.amplitudes[None, :], drive,
         spectrum.config.temperature_nbar)

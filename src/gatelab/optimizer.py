@@ -40,8 +40,8 @@ import numpy as np
 from .crystal import check_nbar, with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (PHASE_TARGET, TWO_PI, PulseSchedule, _evaluate,
-                   _pair_kernels, _phase, check_pair, drive_couplings,
-                   thermal_weight)
+                   _pair_kernels, _phase, _phase_weights, check_pair,
+                   drive_couplings, thermal_weight)
 from .modes import axial_spectrum
 from ._textio import fmt, write_rows
 
@@ -208,7 +208,8 @@ def _grid_forms(spectrum, pairs, times, grid, nbar, bound):
     weights = thermal_weight(nbar) * np.stack(
         [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2], axis=1)
     S, G, A = _pair_kernels(times, np.asarray(grid, dtype=float),
-                            spectrum.frequencies, couplings, pairs, weights)
+                            spectrum.frequencies,
+                            _phase_weights(couplings, pairs), weights)
     return _Forms(S=S, G=G, A=A, drive=drive, nbar=nbar, bound=bound)
 
 

@@ -239,6 +239,26 @@ class TestDeterminism:
         _, rows = read_rows(os.path.join(out, "table.tsv"))
         assert len(rows) == 4  # two pairs in each of the two default traps
 
+    def test_modes_solves_its_own_crystal_once(self, tmp_path, monkeypatch):
+        """``modes`` without a cache reuses the run's crystal for its own
+        ion count in the stability series."""
+        solves = []
+        original = cr.solve_equilibrium
+
+        def counting(trap, **kwargs):
+            solves.append(trap.ion_count)
+            return original(trap, **kwargs)
+
+        monkeypatch.setattr(cr, "solve_equilibrium", counting)
+        config = write_config(
+            tmp_path, "ion_count = 19\nomega_r_hz = 0.2e6\n"
+                      "omega_z_hz = 10e6\nstability_n_series = 7, 19\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["modes", "--config", config, "--out", out]) == 0
+        assert solves == [19, 7]
+        _, rows = read_rows(os.path.join(out, "critical_beta.tsv"))
+        assert [row[0] for row in rows] == ["7", "19"]
+
     def test_table_builds_one_gate_report(self, tmp_path, monkeypatch):
         """Only the main scan's best point gets a gate report; the table's
         scans build none."""
@@ -666,6 +686,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error: cannot write" in err and str(cache) in err
+        assert cache.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["equilibrium", "modes"])
+    def test_cache_that_is_a_file_fails_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the --cache directory is made with --out, before any crystal is
+        # solved, and its failure names --cache
+        def refuse(*args, **kwargs):
+            raise AssertionError("crystal solved under an unusable cache")
+
+        monkeypatch.setattr(cr, "solve_equilibrium", refuse)
+        cache = tmp_path / "a-file"
+        cache.write_text("")
+        code = cli.main([command, "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "out"), "--cache",
+                         str(cache)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'--cache'" in err and str(cache) in err
         assert cache.read_text() == ""
 
     def test_artifact_path_that_is_a_directory(self, tmp_path, capsys):

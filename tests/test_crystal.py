@@ -52,6 +52,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             cr.TrapConfig(2, omega_r=1.0, omega_z=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("name", ["omega_r", "omega_z", "ion_mass",
+                                      "charge"])
+    def test_rejects_non_finite_values(self, name, value):
+        # an infinite frequency, mass or charge would give a zero or
+        # infinite length scale
+        values = dict(omega_r=1.0, omega_z=1.0)
+        values[name] = value
+        with pytest.raises(ValueError,
+                           match="^%s must be positive and finite$" % name):
+            cr.TrapConfig(7, **values)
+
     def test_rejects_negative_nbar(self):
         with pytest.raises(ValueError):
             make_config(2, temperature_nbar=-0.1)

@@ -173,15 +173,27 @@ class TestFirstOrderIntegrals:
         assert two[0].sum() == pytest.approx(one[0, 0], rel=1e-12)
 
 
+def triangles(times, mu, frequencies):
+    """The same-segment triangle integrals T, mu.shape + (K, P): the
+    diagonal of :func:`gate.phase_kernels`."""
+    return np.diagonal(gt.phase_kernels(times, mu, frequencies),
+                       axis1=-2, axis2=-1)
+
+
+def pair_kernels(times, grid, omega, couplings, pair):
+    """(S, G) of :func:`gate._pair_kernels` for one pair."""
+    return gt._pair_kernels(times, grid, omega,
+                            gt._phase_weights(couplings, [pair]), None)[:2]
+
+
 class TestTriangleIntegrals:
     @pytest.mark.parametrize("omega", [0.0, 3.7, 12.0, 12.0000015, 25.0])
     def test_against_quadrature(self, omega):
         mu = 12.0
         times = np.array([0.0, 0.7, 1.5])
-        T = gt._segment_kernels(times, mu, [omega])[1]
+        T = triangles(times, mu, [omega])
         # mu again inside an array of detunings, next to a far one
-        batched = gt._segment_kernels(times, np.array([40.0, mu]),
-                                      [omega])[1][1]
+        batched = triangles(times, np.array([40.0, mu]), [omega])[1]
         for p in range(2):
             want = quad_triangle(mu, omega, times[p], times[p + 1])
             assert T[0, p] == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -190,9 +202,8 @@ class TestTriangleIntegrals:
     def test_degenerate_all_small(self):
         # omega = mu tiny makes every exponent in the kernel small at once
         mu = 1e-4
-        T = gt._segment_kernels([0.0, 1.0], mu, [mu])[1]
-        batched = gt._segment_kernels([0.0, 1.0], np.array([40.0, mu]),
-                                      [mu])[1][1]
+        T = triangles([0.0, 1.0], mu, [mu])
+        batched = triangles([0.0, 1.0], np.array([40.0, mu]), [mu])[1]
         want = quad_triangle(mu, mu, 0.0, 1.0)
         assert T[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
         assert batched[0, 0] == pytest.approx(want, rel=1e-8, abs=1e-15)
@@ -233,15 +244,15 @@ class TestBatchedKernels:
     def test_batched_equals_per_detuning(self):
         times, omega, grid, couplings, pair = mixed_branch_grid()
         S = gt.first_order_integrals(times, grid, omega)
-        T = gt._segment_kernels(times, grid, omega)[1]
-        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, [pair], None)
+        T = triangles(times, grid, omega)
+        S2, G = pair_kernels(times, grid, omega, couplings, pair)
         assert S.shape == (grid.size, omega.size, times.size - 1)
         assert np.array_equal(np.swapaxes(S2, -1, -2), S)
         for i, mu in enumerate(grid):
             assert np.array_equal(
                 S[i], gt.first_order_integrals(times, float(mu), omega))
             assert np.array_equal(
-                T[i], gt._segment_kernels(times, float(mu), omega)[1])
+                T[i], triangles(times, float(mu), omega))
             assert np.array_equal(G[i], gt.pair_phase_matrix(
                 times, float(mu), omega, couplings, pair))
 
@@ -252,7 +263,7 @@ class TestBatchedKernels:
         mus = grid[:6].reshape(2, 3)
         K, P = omega.size, times.size - 1
         S = gt.first_order_integrals(times, mus, omega)
-        T = gt._segment_kernels(times, mus, omega)[1]
+        T = triangles(times, mus, omega)
         G_modes = gt.phase_kernels(times, mus, omega)
         G = gt.pair_phase_matrix(times, mus, omega, couplings, pair)
         assert S.shape == T.shape == (2, 3, K, P)
@@ -263,11 +274,30 @@ class TestBatchedKernels:
             assert np.array_equal(
                 S[idx], gt.first_order_integrals(times, mu, omega))
             assert np.array_equal(
-                T[idx], gt._segment_kernels(times, mu, omega)[1])
+                T[idx], triangles(times, mu, omega))
             assert np.array_equal(G_modes[idx],
                                   gt.phase_kernels(times, mu, omega))
             assert np.array_equal(G[idx], gt.pair_phase_matrix(
                 times, mu, omega, couplings, pair))
+
+    @pytest.mark.parametrize("make", [mixed_branch_grid, scan_scale_grid])
+    def test_pair_form_sums_the_mode_forms(self, make):
+        # G = sum_k 2 c_l^k c_n^k G_k, and a stack of pair rows builds each
+        # pair's forms bit for bit as that pair alone
+        times, omega, grid, couplings, pair = make()
+        l, n = pair
+        G_modes = gt.phase_kernels(times, grid, omega)
+        G = gt.pair_phase_matrix(times, grid, omega, couplings, pair)
+        want = np.einsum("k,mkpq->mpq", 2.0 * couplings[l] * couplings[n],
+                         G_modes)
+        assert np.max(np.abs(G - want)) <= 1e-12 * np.max(np.abs(want))
+        pairs = [pair, (n, l), (l, l)]
+        _, stacked, _ = gt._pair_kernels(
+            times, grid, omega, gt._phase_weights(couplings, pairs), None)
+        for j, one in enumerate(pairs):
+            assert np.array_equal(
+                stacked[j * grid.size:(j + 1) * grid.size],
+                pair_kernels(times, grid, omega, couplings, one)[1])
 
 
 class TestOneTrigPass:
@@ -285,8 +315,9 @@ class TestOneTrigPass:
     def test_agrees_with_first_kernels(self, make):
         # S, T and the pair form G against the complex-exp/np.sinc build
         times, omega, grid, couplings, pair = make()
-        S, T = gt._segment_kernels(times, grid, omega)
-        S2, G, _ = gt._pair_kernels(times, grid, omega, couplings, [pair], None)
+        S = gt.first_order_integrals(times, grid, omega)
+        T = triangles(times, grid, omega)
+        S2, G = pair_kernels(times, grid, omega, couplings, pair)
         S_ref = ref_first_order(times, grid, omega)
         T_ref = ref_triangle(times, grid, omega)
         l, n = pair
@@ -304,7 +335,8 @@ class TestOneTrigPass:
         _, omega, grid, _, _ = scan_scale_grid()
         times = np.array([0.0, 7e-6, 19e-6, 30e-6, 41.5e-6, 50e-6])
         assert np.unique(np.diff(times)).size == 5
-        S, T = gt._segment_kernels(times, grid, omega)
+        S = gt.first_order_integrals(times, grid, omega)
+        T = triangles(times, grid, omega)
         for got, want in ((S, ref_first_order(times, grid, omega)),
                           (T, ref_triangle(times, grid, omega))):
             assert got.shape == want.shape == (301, 127, 5)
@@ -413,6 +445,21 @@ class TestSchedule:
             parts[field][-1] = value
         with pytest.raises(ValueError, match="finite"):
             gt.PulseSchedule(**parts)
+
+    @pytest.mark.parametrize("mu", [np.array([6e7]), [6e7], "6e7", True,
+                                    np.array([]), None],
+                             ids=["array", "list", "string", "bool",
+                                  "empty", "none"])
+    def test_mu_is_one_number(self, mu):
+        # mu is kept as one float; anything else is a ValueError before
+        # any kernel reads it
+        with pytest.raises(ValueError, match="mu must be one number"):
+            gt.PulseSchedule(times=np.array([0.0, 1.0]),
+                             amplitudes=np.array([1.0]), mu=mu)
+        for number in (np.float64(6e7), np.int64(60), 6e7, 60):
+            sched = gt.PulseSchedule(times=np.array([0.0, 1.0]),
+                                     amplitudes=np.array([1.0]), mu=number)
+            assert type(sched.mu) is float and sched.mu == number
 
 
 class TestCouplings:
