@@ -92,20 +92,27 @@ def closed_shell_count(shells):
     return 1 + 3 * shells * (shells + 1)
 
 
+def _real(value):
+    """``value`` as a float if it is one real number, a Python or numpy
+    int or float (dtype kind ``iuf``, the rule of ``PulseSchedule.mu``),
+    else NaN: a bool, a str or a sequence is no number."""
+    value = np.asarray(value)
+    if value.shape != () or value.dtype.kind not in "iuf":
+        return math.nan
+    return float(value)
+
+
 def check_nbar(nbar):
     """``nbar`` as a float if it is one number >= 0 with a finite thermal
     weight 2(2 nbar + 1), the one statement of a valid thermal occupation
     of every axial mode.  Raises NegativeOccupation, a ValueError, for
-    anything else."""
-    try:
-        value = np.asarray(nbar, dtype=float)
-    except (TypeError, ValueError):
-        value = np.asarray(np.nan)
-    if value.shape != () or not 0.0 <= value <= _NBAR_MAX:
+    anything else, a str or a bool included."""
+    value = _real(nbar)
+    if not 0.0 <= value <= _NBAR_MAX:
         raise NegativeOccupation(
             "nbar must be >= 0 with a finite thermal weight 2(2 nbar + 1), "
-            "one number; got %s" % (nbar,))
-    return float(value)
+            "one number; got %r" % (nbar,))
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,16 +132,16 @@ class TrapConfig:
     temperature_nbar: float = NBAR
 
     def __post_init__(self):
-        try:  # a whole number; inf and NaN are none
-            count = int(self.ion_count)
-        except (OverflowError, ValueError):
-            count = 0
-        if count != self.ion_count or count < 1:
+        value = _real(self.ion_count)
+        count = int(value) if math.isfinite(value) else 0
+        if count != value or count < 1:  # a whole number; inf, NaN are none
             raise ValueError("ion_count must be a positive integer")
         object.__setattr__(self, "ion_count", count)
         for name in ("omega_r", "omega_z", "ion_mass", "charge"):
-            if not (0.0 < getattr(self, name) < math.inf):
+            value = _real(getattr(self, name))
+            if not 0.0 < value < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "temperature_nbar",
                            check_nbar(self.temperature_nbar))
 

@@ -16,7 +16,8 @@ Everything here evaluates those integrals in closed form, with series
 fallbacks where the closed forms lose precision, so detuning scans can hit
 exact resonances without special-casing.  The series are evaluated only on
 the entries that select them, and the segment integrals accept an array of
-detunings, so a scan builds the kernels of its whole grid in one call.
+detunings, so a scan builds the kernels of its whole grid in one call,
+block by block: only S and the P x P forms outlive a block.
 Every segment integral reads one primitive, E0(x) = integral_0^h e^{i x s}
 ds = e^{i theta} h sin(theta) / theta with theta = x h / 2, at x = omega
 +/- mu.  The build (:func:`_kernel_blocks`, which derives S and T)
@@ -56,9 +57,11 @@ _SERIES_THRESHOLD = 3e-3
 # its share grows as 1 / theta in S and 1 / theta^2 in the triangle
 # quotient, and stays near 1e-13 of the kernels' largest entry above 1.
 _DIRECT_ANGLE = 1.0
-# Detunings per block of the kernel build: a block's (B, P, K) arrays,
-# about 160 kB each at 127 modes and 5 segments, stay in the L2 cache, and
-# the build touches a few MB of fresh memory, not its whole grid's worth.
+# Detunings per block of the kernel build and of a scan's score: a block's
+# (B, P, K) arrays, about 160 kB each at 127 modes and 5 segments, stay in
+# the L2 cache.  A scan holds S (M, P, K) and its P x P forms for the
+# whole grid and one block of everything else: a 301-point N=127 scan
+# peaks at 6.9 MB under tracemalloc, S being 3.1 MB of it.
 _BLOCK = 32
 _SERIES_TERMS = 6
 _TAYLOR_TERMS = 8
@@ -206,8 +209,11 @@ def _moments(a, h, jmax):
     Integration by parts gives M_j = (h^j e^{iah} - j M_{j-1}) / (ia), which
     cancels badly for |a h| << 1; there the short Taylor series
     M_j = h^{j+1} sum_k (iah)^k / (k! (j+k+1)) is exact to rounding.  The
-    series is evaluated only on those entries, for every j in one product.
-    ``a`` and ``h`` are float arrays of one shape.
+    series is evaluated only on those entries, for every j in one product,
+    and an entry's bits do not depend on the others: numpy takes a gemv
+    for a one-row product, which rounds unlike the gemm of more rows, so a
+    lone entry's row goes in twice.  ``a`` and ``h`` are float arrays of
+    one shape.
     """
     shape = np.shape(a)
     a, h = np.ravel(a), np.ravel(h)
@@ -224,7 +230,10 @@ def _moments(a, h, jmax):
     j = np.arange(1, jmax + 1)
     factorial = np.cumprod(np.maximum(k, 1))
     coeff = 1.0 / (factorial[:, None] * (j + k[:, None] + 1))
-    series = (1j * a[sel] * h[sel])[:, None] ** k @ coeff
+    powers = (1j * a[sel] * h[sel])[:, None] ** k
+    if sel.size == 1:
+        powers = np.repeat(powers, 2, axis=0)
+    series = (powers @ coeff)[:sel.size]
     out[1:, sel] = series.T * hpow[2:, sel]
     return out.reshape((jmax + 1,) + shape)
 
@@ -273,13 +282,15 @@ def _kernel_blocks(times, mu, frequencies):
 
     Every phase is a product of a per-mode table, e^{i omega h_p / 2} or
     e^{i omega t_mid} (P, K), and a per-detuning one, e^{i mu h_p / 2} or
-    e^{i mu t_mid} (M, P), one entry per segment: so e^{i theta} with
+    e^{i mu t_mid} (B, P), one entry per segment: so e^{i theta} with
     theta = (omega +/- mu) h_p / 2, and the amplitude h sin(theta) / theta
     reads the product's imaginary part.  Two sets of entries leave that
-    arithmetic, each found and evaluated once for the whole grid, then
-    written into the blocks: the (detuning, mode) rows of
-    :func:`_direct_rows`, and the triangle halves whose quotient by a small
-    |x h| cancels, each a series on those entries (:func:`_series_half`).
+    arithmetic, each found and evaluated per block and written over its
+    arrays: the (detuning, mode) rows of :func:`_direct_rows`, and the
+    triangle halves whose quotient by a small |x h| cancels, each a series
+    on those entries (:func:`_series_half`).  Only the per-mode tables
+    span more than one block: the build holds no (M, ...) array, and every
+    entry is the same elementwise arithmetic as in a one-detuning call.
     """
     times = np.asarray(times, dtype=float)
     omega = np.asarray(frequencies, dtype=float)
@@ -289,81 +300,74 @@ def _kernel_blocks(times, mu, frequencies):
     angle = half * omega
     mode_re, mode_im = np.cos(angle), np.sin(angle)  # e^{i omega h / 2}
     spin = -1j * _unit((t0 + half) * omega)  # -i e^{i omega t_mid}
-    m = mu[:, None, None]
-    angle = m * half
-    tune_re, tune_im = np.cos(angle), np.sin(angle)  # e^{i mu h / 2}
-    turn = 0.5 * _unit(m * (t0 + half))  # e^{i mu t_mid} / 2
-    lag = _unit(2.0 * m * t0)
-    # lag e^{i mu h / 2}, made from lag so that its rounding cancels in T
-    bend = lag * (tune_re + 1j * tune_im)
-    rest = np.real(lag * _e0(2.0 * m, h[:, None])) - h[:, None]
-    plus, minus = omega + m, omega - m  # (M, 1, K)
-    # the divisor 1 on rows whose every entry is direct and a series
-    inv_p, inv_m = (1.0 / np.where(np.abs(x) * h.max() < _SERIES_THRESHOLD,
-                                   1.0, x) for x in (plus, minus))
-    direct = _direct_rows(plus, h) + _direct_rows(minus, h)
-    series = (_series_half(minus, plus, lag, h),
-              _series_half(plus, minus, np.conj(lag), h))
     for start in range(0, mu.size, _BLOCK):
         rows = slice(start, start + _BLOCK)
+        m = mu[rows, None, None]
+        angle = m * half
+        tune_re, tune_im = np.cos(angle), np.sin(angle)  # e^{i mu h / 2}
+        turn = 0.5 * _unit(m * (t0 + half))  # e^{i mu t_mid} / 2
+        lag = _unit(2.0 * m * t0)
+        # lag e^{i mu h / 2}, made from lag so that its rounding cancels in T
+        bend = lag * (tune_re + 1j * tune_im)
+        rest = np.real(lag * _e0(2.0 * m, h[:, None])) - h[:, None]
+        plus, minus = omega + m, omega - m  # (B, 1, K)
+        # the divisor 1 on rows whose every entry is direct and a series
+        inv_p, inv_m = (1.0 / np.where(
+            np.abs(x) * h.max() < _SERIES_THRESHOLD, 1.0, x)
+            for x in (plus, minus))
         # sin and cos of theta_{+/-}, the sines scaled to the amplitudes
-        amp_p = mode_im * tune_re[rows]
-        cos_m = mode_re * tune_re[rows]
-        cross = mode_re * tune_im[rows]
+        amp_p = mode_im * tune_re
+        cos_m = mode_re * tune_re
+        cross = mode_re * tune_im
         amp_m = amp_p - cross
         amp_p += cross
-        np.multiply(mode_im, tune_im[rows], out=cross)
+        np.multiply(mode_im, tune_im, out=cross)
         cos_p = cos_m - cross
         cos_m += cross
-        amp_p *= 2.0 * inv_p[rows]
-        amp_m *= 2.0 * inv_m[rows]
-        for target, patch in zip((amp_p, cos_p, amp_m, cos_m), direct):
-            _patch(target, start, patch)
+        amp_p *= 2.0 * inv_p
+        amp_m *= 2.0 * inv_m
+        direct = _direct_rows(plus, h) + _direct_rows(minus, h)
+        for target, (index, values) in zip((amp_p, cos_p, amp_m, cos_m),
+                                           direct):
+            target.reshape(-1)[index] = values
         # T, with lag^{+/-1} e^{i theta+/-} = e^{i omega h / 2} bend^{+/-1}
         out_m = cos_m
         out_m *= amp_m
-        out_m += rest[rows]
+        out_m += rest
         out_p = cos_p
         out_p *= amp_p
-        out_p += rest[rows]
-        real = mode_re * bend[rows].real
-        np.multiply(mode_im, bend[rows].imag, out=cross)
+        out_p += rest
+        real = mode_re * bend.real
+        np.multiply(mode_im, bend.imag, out=cross)
         ahead = real - cross  # Re(lag e^{i theta+})
         ahead *= amp_p
         out_m -= ahead
         real += cross  # Re(conj(lag) e^{i theta-})
         real *= amp_m
         out_p -= real
-        out_m *= -0.25 * inv_m[rows]
-        out_p *= -0.25 * inv_p[rows]
-        _patch(out_m, start, series[0])
-        _patch(out_p, start, series[1])
+        out_m *= -0.25 * inv_m
+        out_p *= -0.25 * inv_p
+        index, values = _series_half(minus, plus, lag, h)
+        out_m.reshape(-1)[index] = values
+        index, values = _series_half(plus, minus, np.conj(lag), h)
+        out_p.reshape(-1)[index] = values
         out_m += out_p
         # S = -i e^{i omega t_mid} [Re(turn) (A+ - A-) + i Im(turn) (A+ + A-)]
         S = np.empty(amp_p.shape, dtype=complex)
         np.subtract(amp_p, amp_m, out=S.real)
-        S.real *= turn[rows].real
+        S.real *= turn.real
         np.add(amp_p, amp_m, out=S.imag)
-        S.imag *= turn[rows].imag
+        S.imag *= turn.imag
         S *= spin
         yield rows, S, out_m
 
 
-def _patch(block, start, patch):
-    """Write the entries of ``patch`` (sorted flat indices into the
-    grid's (M, P, K) arrays, and their values) that fall in ``block``,
-    the (B, P, K) rows of the grid from ``start`` on."""
-    index, values = patch
-    first = start * block[0].size
-    lo, hi = np.searchsorted(index, [first, first + block.size])
-    block.reshape(-1)[index[lo:hi] - first] = values[lo:hi]
-
-
 def _direct_rows(x, h):
-    """(amplitude patch, cosine patch) for :func:`_patch`: on the rows of
-    ``x`` (M, 1, K) where |x| max(h) / 2 < ``_DIRECT_ANGLE``, the
-    amplitude h sin(theta) / theta and cos(theta), theta = x h_p / 2, from
-    direct trig (:func:`_e0_parts`).  There the tables' product would
+    """(amplitude patch, cosine patch), each flat indices into a block's
+    (B, P, K) arrays and their values: on the rows of ``x`` (B, 1, K)
+    where |x| max(h) / 2 < ``_DIRECT_ANGLE``, the amplitude h sin(theta) /
+    theta and cos(theta), theta = x h_p / 2, from direct trig
+    (:func:`_e0_parts`).  There the tables' product would
     swamp a small sin(theta) with its rounding; direct trig keeps the
     sinc's relative accuracy and E0(0) = h."""
     b, _, k = np.nonzero(np.abs(x) * (0.5 * h.max()) < _DIRECT_ANGLE)
@@ -374,10 +378,10 @@ def _direct_rows(x, h):
 
 
 def _series_half(x, y, lag, h):
-    """A patch for :func:`_patch`: one triangle half
+    """A patch as from :func:`_direct_rows`: one triangle half
     -Im(lag K(y, -x) - K(x, -x)) / 4 (see :func:`_k_series`) on the
     entries where |x h_p| < ``_SERIES_THRESHOLD``, where its quotient by x
-    cancels; ``x``, ``y`` are (M, 1, K) and ``lag`` (M, P, 1)."""
+    cancels; ``x``, ``y`` are (B, 1, K) and ``lag`` (B, P, 1)."""
     shape = (x.shape[0], h.size, x.shape[2])
     b, _, k = np.nonzero(np.abs(x) * h.min() < _SERIES_THRESHOLD)
     x, y = x[b, 0, k], y[b, 0, k]
@@ -497,16 +501,17 @@ def _pair_kernels(times, mu, frequencies, phase_weights, weights):
     if weights is not None:
         A = np.empty(G.shape[:2] + (weights.shape[1],) + G.shape[2:])
         # Re(S^* w S^T) = R w R^T with R = [Re S, Im S]
-        tiled = np.tile(weights, 2)[:, :, None, :]
+        tiled = np.tile(weights, 2)
     for rows, S_block, T_block in _kernel_blocks(times, mu, frequencies):
         S[rows] = S_block
         for j, phase_weight in enumerate(phase_weights):
             G[j, rows] = _phase_form(S_block, T_block, phase_weight)
         if A is not None:
             R = np.concatenate([S_block.real, S_block.imag], axis=-1)
-            R_T = np.swapaxes(R, -1, -2)[:, None]
+            R_T = np.swapaxes(R, -1, -2)
             for j, pair_tiled in enumerate(tiled):
-                A[j, rows] = (R[:, None] * pair_tiled) @ R_T
+                for i, row in enumerate(pair_tiled):
+                    A[j, rows, i] = (R * row) @ R_T
     G = G.reshape((-1,) + G.shape[2:])
     return S, G, None if A is None else A.reshape((-1,) + A.shape[2:])
 

@@ -12,16 +12,19 @@ minorize-maximize step, so the fidelity never drops).  With all gamma_i = 0
 that form is the plain residual cost, so the seed is step 0.
 
 The solve runs on a whole detuning grid at once.  The segment kernels of
-every grid point are built in one call, and from the first-order integrals
-S the four P x P forms A_i = Re(S^H diag(w_i) S): past that build an
-ascent step reads only G and the A_i, so its cost does not depend on the
-mode count.  The ascent runs in lockstep: each step reduces the pencils of
-all points still rising with one batched Cholesky factorization and solves
-them with one batched symmetric eigensolve (Golub & Van Loan, Matrix
-Computations, 8.7), and a point drops out when its own stopping rule fires.
-One call of the scorer of :func:`gate.gate_report` per pair scores its
-points from S, bit for bit as that report would.  Every operation acts on each point
-alone, so a point's result does not depend on the grid around it:
+every grid point are built in one call, block by block, and from the
+first-order integrals S the four P x P forms A_i = Re(S^H diag(w_i) S):
+past that build an ascent step reads only G and the A_i, so its cost does
+not depend on the mode count.  The ascent runs in lockstep: each step
+reduces the pencils of all points still rising with one batched Cholesky
+factorization and solves them with one batched symmetric eigensolve (Golub
+& Van Loan, Matrix Computations, 8.7), and a point drops out when its own
+stopping rule fires.  The scorer of :func:`gate.gate_report` then scores
+each pair's points from S in blocks of ``gate._BLOCK``, bit for bit as
+that report would.  So a scan holds S (M, P, K), G and the A_i for its
+whole grid and one block of every other array with a mode axis.  Every
+operation acts on each point alone, so a point's result does not depend
+on the grid around it:
 :func:`solve_amplitudes` is the one-point grid.  The same holds across
 pairs: :func:`table_one` builds one trap's kernels once, turns them into
 each pair's G and A_i, and ascends the (pair, detuning) rows of all its
@@ -39,7 +42,7 @@ import numpy as np
 
 from .crystal import check_nbar, with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
-from .gate import (PHASE_TARGET, TWO_PI, PulseSchedule, _evaluate,
+from .gate import (PHASE_TARGET, TWO_PI, PulseSchedule, _BLOCK, _evaluate,
                    _pair_kernels, _phase, _phase_weights, check_pair,
                    drive_couplings, thermal_weight)
 from .modes import axial_spectrum
@@ -354,7 +357,7 @@ def _ascend(forms, vec):
 
 def _solve_grid(forms):
     """Seed and ascent at every row (pair, grid point) of ``forms``, then
-    one scoring call per pair on the shared S.
+    each pair's rows scored on the shared S in blocks of ``_BLOCK``.
 
     Returns (amplitudes, fidelities, steps, status), one row each per row
     of ``forms``: amplitudes (J M, P) rescaled so |phase| is pi/4,
@@ -385,9 +388,11 @@ def _solve_grid(forms):
     fidelities = np.zeros(m)
     pair_of, point = np.divmod(rows, len(forms.S))
     for j, drive in enumerate(forms.drive):
-        own = pair_of == j
-        fidelities[rows[own]] = _evaluate(forms.S[point[own]], G[own],
-                                          vec[own], drive, forms.nbar)[3]
+        own = np.flatnonzero(pair_of == j)
+        for block in np.split(own, range(_BLOCK, own.size, _BLOCK)):
+            fidelities[rows[block]] = _evaluate(
+                forms.S[point[block]], G[block], vec[block], drive,
+                forms.nbar)[3]
     return amplitudes, fidelities, steps, status
 
 

@@ -64,6 +64,39 @@ class TestConfig:
                            match="^%s must be positive and finite$" % name):
             cr.TrapConfig(7, **values)
 
+    @pytest.mark.parametrize("value", ["1.0", True, np.bool_(True), None, 1j,
+                                       [1.0]],
+                             ids=["str", "bool", "numpy-bool", "none",
+                                  "complex", "list"])
+    @pytest.mark.parametrize("name", ["ion_count", "omega_r", "omega_z",
+                                      "ion_mass", "charge",
+                                      "temperature_nbar"])
+    def test_rejects_non_numbers(self, name, value):
+        # one real number (dtype kind iuf, as PulseSchedule.mu): a str
+        # raised a bare TypeError, True was stored as True, and an nbar
+        # of "0.1" or True was read as 0.1 or 1.0
+        values = dict(ion_count=7, omega_r=1.0, omega_z=10.0)
+        values[name] = value
+        message = {"ion_count": "ion_count must be a positive integer",
+                   "temperature_nbar": "nbar must be >= 0"}.get(
+                       name, "%s must be positive and finite" % name)
+        with pytest.raises(ValueError, match="^" + message):
+            cr.TrapConfig(**values)
+        if name == "temperature_nbar":
+            with pytest.raises(NegativeOccupation, match="^" + message):
+                cr.check_nbar(value)
+
+    def test_numbers_are_stored_as_floats(self):
+        cfg = cr.TrapConfig(np.int64(7), omega_r=1, omega_z=np.int32(10),
+                            ion_mass=np.float32(0.5), charge=2,
+                            temperature_nbar=np.int8(1))
+        assert cfg.ion_count == 7 and type(cfg.ion_count) is int
+        for name in ("omega_r", "omega_z", "ion_mass", "charge",
+                     "temperature_nbar"):
+            assert type(getattr(cfg, name)) is float
+        assert (cfg.omega_r, cfg.omega_z, cfg.ion_mass, cfg.charge,
+                cfg.temperature_nbar) == (1.0, 10.0, 0.5, 2.0, 1.0)
+
     def test_rejects_negative_nbar(self):
         with pytest.raises(ValueError):
             make_config(2, temperature_nbar=-0.1)

@@ -12,6 +12,7 @@ serialization logic gets synthetic inputs.
 """
 
 from dataclasses import replace
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,18 @@ def spectrum7():
     config = cr.TrapConfig(ion_count=7, omega_r=TWO_PI * 0.2e6, omega_z=WZ,
                            temperature_nbar=0.1)
     return md.axial_spectrum(cr.solve_equilibrium(config))
+
+
+@pytest.fixture(scope="module")
+def spectrum127():
+    config = cr.TrapConfig(127, omega_r=TWO_PI * 0.2e6, omega_z=WZ,
+                           temperature_nbar=0.1)
+    return md.axial_spectrum(cr.solve_equilibrium(config))
+
+
+# the paper table's pair (0, 118) on a 10x finer default window
+PAPER_PAIR_3001 = op.OptimizationProblem(
+    pair=(0, 118), tau=50e-6, mu_grid=op.default_mu_grid(WZ, 3001))
 
 
 def small_grid(points=21, below=0.05e6, above=0.06e6):
@@ -548,20 +561,37 @@ class TestTinyOverlaps:
         assert found[2] and not broken[2] and fid[2] == 0.25
         assert np.isfinite(vec[2]).all()
 
-    def test_paper_table_pair_at_3001_points(self):
+    def test_paper_table_pair_at_3001_points(self, spectrum127):
         # the 127-ion crystal's pair (0, 118) at 0.2 MHz on a 10x finer
         # default window: some rows ascend into overlap factors near 1e-309,
         # which overflowed L^-1 G L^-T with a RuntimeWarning
-        config = cr.TrapConfig(127, omega_r=TWO_PI * 0.2e6, omega_z=WZ,
-                               temperature_nbar=0.1)
-        spectrum = md.axial_spectrum(cr.solve_equilibrium(config))
-        problem = op.OptimizationProblem(
-            pair=(0, 118), tau=50e-6, mu_grid=op.default_mu_grid(WZ, 3001))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = op.detuning_scan(spectrum, problem)
+            result = op.detuning_scan(spectrum127, PAPER_PAIR_3001)
         assert result.feasible and result.best_fidelity > 0.98
         assert np.isfinite(result.fidelities).all()
+
+
+class TestScanMemory:
+    def test_scan_holds_S_and_one_block(self, spectrum127):
+        # a scan holds its first-order integrals S (M, P, K) for the final
+        # score and one block of every other array with a mode axis; with
+        # whole-grid tables, patches and scoring it peaked at 99.6 MB, S
+        # alone being 30.5 MB
+        problem = PAPER_PAIR_3001
+        op.detuning_scan(spectrum127, replace(
+            problem, mu_grid=problem.mu_grid[:5]))  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            result = op.detuning_scan(spectrum127, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.feasible
+        s_bytes = problem.mu_grid.size * problem.segment_count * 127 * 16
+        assert peak < s_bytes + 16e6, (
+            "the scan peaked at %.1f MB, S is %.1f MB"
+            % (peak / 1e6, s_bytes / 1e6))
 
 
 class TestBlockedGrid:
@@ -597,6 +627,33 @@ class TestBlockedGrid:
             assert np.array_equal(forms.S[i], one.S[0])
             assert np.array_equal(forms.G[i], one.G[0])
             assert np.array_equal(forms.A[i], one.A[0])
+
+    def test_scoring_blocks_equal_one_point_solves(self):
+        # two pairs on a grid of 2 _BLOCK + 5 points: each pair's rows are
+        # scored in blocks of _BLOCK, and a binding bound fails some points,
+        # so the blocks hold the solved rows around the failed ones; every
+        # row must equal its own pair's one-point solve
+        spectrum = spectrum19()
+        pairs = [(0, 15), (3, 11)]
+        times = np.linspace(0.0, 50e-6, 6)
+        grid = op.default_mu_grid(WZ, 2 * gt._BLOCK + 5)
+        free_amps = op._solve_grid(op._grid_forms(
+            spectrum, pairs, times, grid, None, None))[0]
+        bound = float(np.median(np.abs(free_amps).max(axis=1)))
+        amplitudes, fidelities, steps, status = op._solve_grid(
+            op._grid_forms(spectrum, pairs, times, grid, None, bound))
+        assert "over-bound" in status
+        for j, pair in enumerate(pairs):
+            own = status[j * grid.size:(j + 1) * grid.size]
+            assert np.count_nonzero(own == "ok") > gt._BLOCK
+            for i, mu in enumerate(grid):
+                row = j * grid.size + i
+                one = op._solve_grid(op._grid_forms(
+                    spectrum, [pair], times, [mu], None, bound))
+                assert status[row] == one[3][0]
+                assert np.array_equal(amplitudes[row], one[0][0])
+                assert fidelities[row] == one[1][0]
+                assert steps[row] == one[2][0]
 
 
 class TestResidualForms:
