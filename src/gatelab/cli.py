@@ -13,7 +13,10 @@ left out takes the library's default.  Every run emits tab separated
 tables with '#' header metadata plus a deterministic ``summary.json``;
 an identical config gives byte-identical files at the BLAS thread count
 this module pins (:func:`gatelab._default_one_blas_thread`): the crystal
-rounds differently at another, and every artifact downstream follows.
+rounds differently at another, or on the numpy-only route of its shifted
+solves, and every artifact downstream follows.  The summary records both:
+``openblas_num_threads`` as the run saw it and ``shifted_solve``, the
+crystal's route ("bundled dposv" or "numpy cholesky").
 Solved crystals can be cached (``--cache``) and are re-dressed for the
 requested trap on reuse, which is exact because the dimensionless planar
 equilibrium depends only on the ion count.  Only an entry's positions and
@@ -551,6 +554,11 @@ def main(argv=None):
             code, summary = _COMMANDS[args.command][0](config, args.out,
                                                        args.cache, args)
             summary["seed"] = config.seed
+            # the two settings byte-identical artifacts also depend on
+            summary["openblas_num_threads"] = os.environ.get(
+                "OPENBLAS_NUM_THREADS")
+            summary["shifted_solve"] = ("numpy cholesky" if cr._DPOSV is None
+                                        else "bundled dposv")
             atomic_write_json(os.path.join(args.out, "summary.json"), summary)
         except OSError as exc:
             if exc.filename is None:  # not a file operation

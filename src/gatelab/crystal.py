@@ -14,24 +14,25 @@ The dimensionless potential of the planar configuration is
 and equilibria solve grad E = 0.  The solver is a damped Newton iteration on
 that gradient, with ``_RESTARTS`` restarts seeded from an ideal triangular
 lattice; for N = 2..9 ring seeds take the first restart slots after the
-lattice.  Each step, damped or not, is one dense linear solve with the
-planar Hessian H.  The Levenberg-Marquardt step solves (H^2 + mu I) s = -H g,
-which equals the eigenpair form of the damped step, and the energy-descent
-fallback solves (H + lam I) s = -g: both by one Cholesky solve, a shift
-that leaves the system not positive definite counting as rejected.  That
-solve is LAPACK ``dposv`` in the OpenBLAS numpy bundles, called through
+lattice.  Every damped step is one :func:`_ladder`: a trial u + s with
+(A + shift I) s = b per shift, the shift raised by a fixed factor until a
+trial's merit beats u's.  The Levenberg-Marquardt tracker solves
+(H^2 + mu I) s = -H g, the eigenpair form of the damped step, on the
+residual norm, the energy-descent fallback (H + lam I) s = -g on the
+energy.  A trial is one Cholesky solve (not positive definite counts as
+rejected): LAPACK ``dposv`` in the OpenBLAS numpy bundles, called through
 ctypes, so the package needs numpy alone; where numpy's build exports no
 such routine, ``np.linalg.cholesky`` and two triangular solves give the
-same steps to rounding at about five times the cost per solve.  Each
-damping ladder stops at its first trial that moves no ion, since every
-larger shift moves none either.  The final Newton steps solve H plus a
-rank-one lift of the rotation null direction by LU, as H is indefinite at
-a saddle.  It returns the lowest-energy stationary point among its
-restarts (the earliest restart among energies tied to 1e-12), which is not
-verified to be a minimum: the default N=91 and N=127 crystals are
-saddles.  The gradient tolerance, iteration cap, restart count and restart
-jitter are fixed module constants (``_TOL``, ``_MAX_ITER``, ``_RESTARTS``,
-``_JITTER_FRACTION``).
+same steps to rounding at about five times the cost.  A ladder stops at
+its first trial that moves no ion, since every larger shift moves none
+either.  The final Newton steps (:func:`_polish`, the verdict) solve the
+planar Hessian H plus a rank-one lift of the rotation null direction by
+LU, as H is indefinite at a saddle.  It returns the lowest-energy
+stationary point among its restarts (the earliest among energies tied to
+1e-12), which is not verified to be a minimum: the default N=91 and N=127
+crystals are saddles.  The gradient tolerance, iteration cap, restart
+count and restart jitter are fixed module constants (``_TOL``,
+``_MAX_ITER``, ``_RESTARTS``, ``_JITTER_FRACTION``).
 
 The restarts are independent.  From N = ``_POOL_FLOOR`` (91) on they relax
 in a fork-context process pool, one worker per CPU in the affinity mask and
@@ -102,6 +103,15 @@ def _real(value):
     return float(value)
 
 
+def _positive(value, name):
+    """``value`` as a float if it is one real number (:func:`_real`),
+    positive and finite; else ValueError naming ``name``."""
+    value = _real(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be positive and finite" % name)
+    return value
+
+
 def check_nbar(nbar):
     """``nbar`` as a float if it is one number >= 0 with a finite thermal
     weight 2(2 nbar + 1), the one statement of a valid thermal occupation
@@ -138,10 +148,8 @@ class TrapConfig:
             raise ValueError("ion_count must be a positive integer")
         object.__setattr__(self, "ion_count", count)
         for name in ("omega_r", "omega_z", "ion_mass", "charge"):
-            value = _real(getattr(self, name))
-            if not 0.0 < value < math.inf:
-                raise ValueError("%s must be positive and finite" % name)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name,
+                               _positive(getattr(self, name), name))
         object.__setattr__(self, "temperature_nbar",
                            check_nbar(self.temperature_nbar))
 
@@ -266,16 +274,23 @@ def curvature_blocks(u):
     return xx, xy, yy
 
 
+def _flat(field):
+    """An (N, 2) field as a [x..., y...] vector, the Hessian's layout."""
+    return np.concatenate([field[:, 0], field[:, 1]])
+
+
+def _unflat(vector):
+    half = vector.size // 2
+    return np.column_stack([vector[:half], vector[half:]])
+
+
 def _planar_hessian(u):
     """The (2N, 2N) planar Hessian [[xx, xy], [xy, yy]] of
-    :func:`curvature_blocks`."""
+    :func:`curvature_blocks`, acting on :func:`_flat` vectors."""
     xx, xy, yy = curvature_blocks(u)
     n = u.shape[0]
     hess = np.empty((2 * n, 2 * n))
-    hess[:n, :n] = xx
-    hess[:n, n:] = xy
-    hess[n:, :n] = xy
-    hess[n:, n:] = yy
+    hess[:n, :n], hess[:n, n:], hess[n:, :n], hess[n:, n:] = xx, xy, xy, yy
     return hess
 
 
@@ -290,15 +305,13 @@ def _newton_step(u, grad):
     followed by projecting r out gives the least-squares step pinv(H) (-g)
     with the null direction cut.
     """
-    n = u.shape[0]
     hess = _planar_hessian(u)
-    rot = np.concatenate([-u[:, 1], u[:, 0]])
+    rot = _flat(u[:, ::-1] * (-1.0, 1.0))
     rot /= np.linalg.norm(rot)
-    lift = np.trace(hess) / (2 * n)
-    gflat = np.concatenate([grad[:, 0], grad[:, 1]])
-    step = np.linalg.solve(hess + lift * np.outer(rot, rot), -gflat)
+    lift = np.trace(hess) / u.size
+    step = np.linalg.solve(hess + lift * np.outer(rot, rot), -_flat(grad))
     step -= rot * (rot @ step)
-    return np.column_stack([step[:n], step[n:]])
+    return _unflat(step)
 
 
 def _bundled_dposv():
@@ -356,6 +369,31 @@ def _shifted_solve(matrix, shift, rhs):
     return solution if info.value == 0 else None
 
 
+def _ladder(u, matrix, rhs, shift, factor, tries, merit, bound):
+    """The first trial u + s, (matrix + shift I) s = rhs, whose merit (a
+    tuple led by the number compared) is below ``bound``, as (trial,
+    merit(trial), shift).  A rejected trial or a failed factorization
+    grows the shift ``factor``-fold, up to ``tries`` shifts; None when
+    they run out or a trial rounds back to u, as every larger one would."""
+    for _ in range(tries):
+        step = _shifted_solve(matrix, shift, rhs)
+        if step is not None:
+            trial = u + _unflat(step)
+            if np.array_equal(trial, u):
+                return None
+            scored = merit(trial)
+            if scored[0] < bound:
+                return trial, scored, shift
+        shift *= factor
+    return None
+
+
+def _residual(u):
+    """(|grad E|, grad E) at u: the tracker's merit."""
+    grad = potential_gradient(u)
+    return float(np.linalg.norm(grad)), grad
+
+
 def _track_root(u):
     """Levenberg-Marquardt iteration on the force-balance residual.
 
@@ -363,88 +401,49 @@ def _track_root(u):
     -sum_i lam_i/(lam_i^2 + mu) (q_i . g) q_i: heavily damped at first (large
     mu, short residual-descent steps that track the stationary configuration
     nearest the seed) and released gradually into the undamped Newton
-    endgame.  Since H^2 + mu I has the same eigenvectors as H, that sum is
-    the solution of (H^2 + mu I) s = -H g, a symmetric positive definite
-    system, so each damping level costs one Cholesky solve; one eigenvalue
-    computation at the first iteration sets the starting damping lam_max^2
-    and its floor 1e-14 lam_max^2.  A rejected level (the residual does not
-    shrink, or rounding leaves the system not positive definite) raises mu
-    8-fold, up to 60 levels per iteration.  The first trial that rounds back
-    to u ends the ladder unaccepted: once mu >> lam_max^2 the step is
-    -H g / mu to rounding, so every larger mu rounds to u as well, and the
-    whole ladder would be rejected.  Stops at ``_TOL`` or after
-    ``_MAX_ITER`` iterations.  Returns (u, converged); a False flag means
-    the residual flow reached a point where no damping level shrinks the
-    residual (the seeded branch has no root there).
+    endgame.  That sum solves (H^2 + mu I) s = -H g, as H^2 + mu I has
+    H's eigenvectors: each iteration is one :func:`_ladder` on the
+    residual norm, mu x8 per level up to 60 levels, then x0.3 down to its
+    floor.  The first iteration's eigenvalues set the starting damping
+    lam_max^2 and that floor, 1e-14 lam_max^2.  Stops at ``_TOL`` or after
+    ``_MAX_ITER`` iterations.  Returns (u, converged); False means no
+    damping level shrinks the residual (the seeded branch has no root).
     """
-    n = u.shape[0]
     mu = None
-    grad = potential_gradient(u)
+    gnorm, grad = _residual(u)
     for _ in range(_MAX_ITER):
         if float(np.abs(grad).max()) < _TOL:
             return u, True
-        gnorm = float(np.linalg.norm(grad))
         hess = _planar_hessian(u)
         if mu is None:
             mu = float(np.square(np.linalg.eigvalsh(hess)).max())
             mu_floor = 1e-14 * mu
-        hess_sq = hess @ hess
-        hess_grad = hess @ np.concatenate([grad[:, 0], grad[:, 1]])
-        accepted = False
-        for _attempt in range(60):
-            step = _shifted_solve(hess_sq, mu, -hess_grad)
-            if step is not None:
-                trial = u + np.column_stack([step[:n], step[n:]])
-                if np.array_equal(trial, u):
-                    break
-                trial_grad = potential_gradient(trial)
-                if float(np.linalg.norm(trial_grad)) < gnorm:
-                    u, grad = trial, trial_grad
-                    mu = max(0.3 * mu, mu_floor)
-                    accepted = True
-                    break
-            mu *= 8.0
-        if not accepted:
+        found = _ladder(u, hess @ hess, -(hess @ _flat(grad)), mu, 8.0, 60,
+                        _residual, gnorm)
+        if found is None:
             return u, False
+        u, (gnorm, grad), mu = found
+        mu = max(0.3 * mu, mu_floor)
     return u, False
 
 
 def _descend_energy(u):
     """Modified-Newton energy descent to ``_TOL`` within ``_MAX_ITER``
-    steps; returns (u, converged).
-
-    Each step solves (H + lam I) s = -g by one Cholesky solve.  A rejected
-    shift (the energy does not fall, or H + lam I is not positive definite)
-    raises lam 10-fold, up to 80 shifts per step; the first trial that
-    rounds back to u ends the descent, since every larger shift rounds to u
-    as well.
-    """
-    n = u.shape[0]
+    steps, each one :func:`_ladder` on (H + lam I) s = -g and the energy,
+    lam x10 per shift up to 80 shifts, then /3 down to 1e-14; returns
+    (u, converged)."""
     lam = 1e-3
     energy = potential_energy(u)
     for _ in range(_MAX_ITER):
         grad = potential_gradient(u)
         if float(np.abs(grad).max()) < _TOL:
             return u, True
-        gflat = np.concatenate([grad[:, 0], grad[:, 1]])
-        hess = _planar_hessian(u)
-        accepted = False
-        for _attempt in range(80):
-            step = _shifted_solve(hess, lam, -gflat)
-            if step is not None:
-                trial = u + np.column_stack([step[:n], step[n:]])
-                if np.array_equal(trial, u):
-                    break
-                trial_energy = potential_energy(trial)
-                if trial_energy < energy:
-                    u = trial
-                    energy = trial_energy
-                    lam = max(lam / 3.0, 1e-14)
-                    accepted = True
-                    break
-            lam *= 10.0
-        if not accepted:
+        found = _ladder(u, _planar_hessian(u), -_flat(grad), lam, 10.0, 80,
+                        lambda trial: (potential_energy(trial),), energy)
+        if found is None:
             return u, False
+        u, (energy,), lam = found
+        lam = max(lam / 3.0, 1e-14)
     return u, False
 
 
@@ -456,30 +455,30 @@ def _relax(u0):
     nearest the seed (the near-lattice branch for lattice seeds).  If that
     branch terminates before reaching a root, phase two falls back to
     energy descent from the tracked configuration, which lands in the
-    adjacent minimum while preserving the formed structure.  A short
-    undamped Newton polish takes the residual to rounding level either way;
-    converged means the final max-abs gradient is below ``_TOL``.
+    adjacent minimum while preserving the formed structure.  The Newton
+    polish takes the residual to rounding level and gives the verdict.
     """
-    u = np.array(u0, dtype=float)
-    u, converged = _track_root(u)
+    u, converged = _track_root(np.array(u0, dtype=float))
     if not converged:
         u, _ = _descend_energy(u)
-    gmax = float(np.abs(potential_gradient(u)).max())
-    u = _polish(u, gmax)
-    return u, float(np.abs(potential_gradient(u)).max()) < _TOL
+    return _polish(u)
 
 
-def _polish(u, gmax):
-    """A few undamped Newton steps; quadratic convergence takes the residual
-    from the stopping tolerance down to rounding level."""
+def _polish(u):
+    """At most three undamped Newton steps, each kept while it shrinks the
+    max-abs gradient: quadratic convergence takes the residual from the
+    stopping tolerance down to rounding level.  Returns (u, converged),
+    converged meaning the final max-abs gradient is below ``_TOL``."""
+    grad = potential_gradient(u)
+    gmax = float(np.abs(grad).max())
     for _ in range(3):
-        grad = potential_gradient(u)
         trial = u + _newton_step(u, grad)
-        trial_gmax = float(np.abs(potential_gradient(trial)).max())
+        trial_grad = potential_gradient(trial)
+        trial_gmax = float(np.abs(trial_grad).max())
         if trial_gmax >= gmax:
-            return u
-        u, gmax = trial, trial_gmax
-    return u
+            break
+        u, grad, gmax = trial, trial_grad, trial_gmax
+    return u, gmax < _TOL
 
 
 def _relax_in_worker(u0):

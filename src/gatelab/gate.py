@@ -76,16 +76,24 @@ RESPONSE_SAMPLES = 2000
 _SAMPLE_BLOCK = 128
 
 
+def _index(value):
+    """``value`` as an int if it is an integer (numpy integers included),
+    never a float or a bool; else TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is no integer")
+    return operator.index(value)
+
+
 def check_pair(pair, ion_count=None, name="pair"):
-    """``pair`` as two distinct int ion indices, also in 0..ion_count-1
-    when ``ion_count`` is given: the one statement of a valid pair.  An
-    index is an integer (numpy integers included), never a float.  Raises
-    ValueError, its message led by ``name``, for anything else."""
+    """``pair`` as two distinct int ion indices (:func:`_index`), also in
+    0..ion_count-1 when ``ion_count`` is given: the one statement of a
+    valid pair.  Raises ValueError, its message led by ``name``, for
+    anything else."""
     span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
     got = pair
     try:
         got = ", ".join(map(str, pair))
-        l, n = map(operator.index, pair)
+        l, n = map(_index, pair)
     except (TypeError, ValueError):  # not iterable, not two, not integers
         l = n = None
     if (l is None or l == n

@@ -36,14 +36,13 @@ definite) are recorded with fidelity zero rather than aborting the scan.
 """
 
 from dataclasses import dataclass, replace
-import operator
 
 import numpy as np
 
-from .crystal import check_nbar, with_trap
+from .crystal import _positive, check_nbar, with_trap
 from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (PHASE_TARGET, TWO_PI, PulseSchedule, _BLOCK, _evaluate,
-                   _pair_kernels, _phase, _phase_weights, check_pair,
+                   _index, _pair_kernels, _phase, _phase_weights, check_pair,
                    drive_couplings, thermal_weight)
 from .modes import axial_spectrum
 from ._textio import fmt, write_rows
@@ -80,12 +79,13 @@ _FAILURES = {
 class OptimizationProblem:
     """One gate-design task: which pair, how long, how many segments.
 
-    ``tau`` is positive and finite, ``segment_count`` a positive integer.
+    ``tau`` (s) is one positive and finite number, stored as a float,
+    ``segment_count`` a positive integer (:func:`gate._index`).
     ``mu_grid`` (rad/s) holds finite detunings and defaults to
     :func:`default_mu_grid`.  ``nbar``, one number for every mode,
-    defaults to the trap's occupation.  ``amplitude_bound`` (rad/s)
-    optionally caps max_p |Omega_p|: the seed and every ascent step must
-    respect it.
+    defaults to the trap's occupation.  ``amplitude_bound`` (rad/s), by
+    ``tau``'s rule, optionally caps max_p |Omega_p|: the seed and every
+    ascent step must respect it.
     """
 
     pair: tuple
@@ -97,10 +97,9 @@ class OptimizationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "pair", check_pair(self.pair))
-        if not (0.0 < self.tau < np.inf):
-            raise ValueError("tau must be positive and finite")
-        try:  # an integer (numpy integers included), never a float
-            count = operator.index(self.segment_count)
+        object.__setattr__(self, "tau", _positive(self.tau, "tau"))
+        try:
+            count = _index(self.segment_count)
         except TypeError:
             count = 0
         if count < 1:
@@ -111,13 +110,14 @@ class OptimizationProblem:
             if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all()):
                 raise ValueError("mu_grid must be non-empty, 1-d and finite")
             object.__setattr__(self, "mu_grid", grid)
-        if self.amplitude_bound is not None and not (self.amplitude_bound > 0):
-            raise ValueError("amplitude_bound must be positive")
+        if self.amplitude_bound is not None:
+            object.__setattr__(self, "amplitude_bound", _positive(
+                self.amplitude_bound, "amplitude_bound"))
 
     @property
     def times(self):
         """Boundaries of ``segment_count`` equal segments spanning [0, tau]."""
-        return np.linspace(0.0, float(self.tau), self.segment_count + 1)
+        return np.linspace(0.0, self.tau, self.segment_count + 1)
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,10 @@ class OptimizationResult:
     """Scan curve plus the winning schedule.
 
     ``fidelities`` and ``max_amplitudes`` run parallel to ``mu_grid``;
-    fidelity 0 with amplitude 0 marks a grid point where no positive-phase
-    drive exists.  ``best_index`` is -1 (and ``best_schedule`` None) when
+    fidelity 0 with amplitude 0 marks every failed grid point: no
+    positive-phase drive (``no-phase``), none within the amplitude bound
+    (``over-bound``) or a residual form that is not positive definite
+    (``linalg``).  ``best_index`` is -1 (and ``best_schedule`` None) when
     every point failed.
     ``best_fidelity`` is the curve at ``best_index`` (0 when infeasible).
     """

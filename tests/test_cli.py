@@ -284,6 +284,26 @@ class TestDeterminism:
         assert load_summary(out)["diagnostics"] == {
             "table": {"infeasible_rows": []}}
 
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    def test_summary_records_threads_and_solve_route(self, tmp_path,
+                                                     monkeypatch, threads):
+        # the two settings besides the config that the bytes depend on
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        config = write_config(tmp_path)
+        route = "numpy cholesky" if cr._DPOSV is None else "bundled dposv"
+        for binding in (cr._DPOSV, None):
+            monkeypatch.setattr(cr, "_DPOSV", binding)
+            out = str(tmp_path / str(binding is None))
+            assert cli.main(["equilibrium", "--config", config,
+                             "--out", out]) == 0
+            summary = load_summary(out)
+            assert summary["openblas_num_threads"] == threads
+            assert summary["shifted_solve"] == route
+            route = "numpy cholesky"
+
     def test_seed_is_set_by_the_config(self, tmp_path, capsys):
         # the config key names the cache entry and reaches the summary;
         # there is no --seed flag beside it

@@ -464,6 +464,25 @@ class TestDampingLadders:
         else:
             assert used["energy"] < ref_used["energy"]
 
+    def test_relax_evaluates_each_point_once(self, monkeypatch):
+        # from an at-rest seed: the tracker's stop check and the polish's
+        # start evaluate the seed, each Newton trial is evaluated once and
+        # the verdict reuses the last one (the seed was evaluated 4 times)
+        seed = cr.solve_equilibrium(make_config(19)).positions
+        points = []
+        gradient = cr.potential_gradient
+
+        def recorded(u):
+            points.append(u.tobytes())
+            return gradient(u)
+
+        monkeypatch.setattr(cr, "potential_gradient", recorded)
+        u, ok = cr._relax(seed)
+        assert ok
+        seed_evaluations = points.count(seed.tobytes())
+        repeats = len(points) - len(set(points))
+        assert (seed_evaluations, repeats) == (2, 1)
+
     def test_shifted_solve(self, monkeypatch):
         # the same contract on numpy's bundled LAPACK and on the numpy-only
         # fallback, forced by taking the binding away

@@ -719,7 +719,11 @@ class TestPairCheck:
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (-1, 3),
                                       (0, 1.7), (0, 1.0), (np.float64(2), 0),
-                                      (0, 1, 2), (0,), 5, None])
+                                      (0, 1, 2), (0,), 5, None,
+                                      # a bool is no integer: (True, 2)
+                                      # read as (1, 2)
+                                      (True, 2), (0, False),
+                                      (np.bool_(True), 2)])
     def test_rejects_bad_pair(self, pair):
         with pytest.raises(ValueError, match=r"^pair needs two distinct "
                                              r"ion indices in 0\.\.2"):
@@ -734,6 +738,9 @@ class TestPairCheck:
         with pytest.raises(ValueError, match="target pair"):
             dataclasses.replace(gt.PulseSchedule.uniform(1.0, [1.0], 1.0),
                                 target_pair=(2, 2))
+        with pytest.raises(ValueError, match="^target pair needs"):
+            dataclasses.replace(gt.PulseSchedule.uniform(1.0, [1.0], 1.0),
+                                target_pair=(True, 2))
 
     @pytest.mark.parametrize("entry", ["gate_report"])
     @pytest.mark.parametrize("pair", [(1, 1), (0, -1), (0, 3), (0, 1.7)],

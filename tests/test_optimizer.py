@@ -78,7 +78,8 @@ class TestOptimizationProblem:
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=0.0)
 
-    @pytest.mark.parametrize("pair", [(0, 1.7), (0.0, 1), (0, "1")])
+    @pytest.mark.parametrize("pair", [(0, 1.7), (0.0, 1), (0, "1"),
+                                      (True, 2), (0, False)])
     def test_rejects_non_integer_index(self, pair):
         # an index is never truncated to an int
         with pytest.raises(ValueError, match="pair needs two distinct"):
@@ -92,7 +93,31 @@ class TestOptimizationProblem:
         with pytest.raises(ValueError):
             op.OptimizationProblem(pair=(0, 1), tau=1e-5, segment_count=0)
 
-    @pytest.mark.parametrize("count", [2.5, 2.0, np.nan, "2"])
+    @pytest.mark.parametrize("value", ["5e-5", True, np.bool_(True), 1j,
+                                       [5e-5], np.array([5e-5]), 0.0,
+                                       -1e-5, np.inf, np.nan],
+                             ids=["str", "bool", "numpy-bool", "complex",
+                                  "list", "array", "zero", "negative",
+                                  "inf", "nan"])
+    @pytest.mark.parametrize("name", ["tau", "amplitude_bound"])
+    def test_rejects_non_numbers(self, name, value):
+        # TrapConfig's rule: one real number, positive and finite; a str
+        # raised a bare TypeError, and True, an array or inf were kept
+        values = dict(pair=(0, 1), tau=5e-5)
+        values[name] = value
+        with pytest.raises(ValueError,
+                           match="^%s must be positive and finite$" % name):
+            op.OptimizationProblem(**values)
+
+    def test_numbers_are_stored_as_floats(self):
+        problem = op.OptimizationProblem(pair=(0, 1), tau=np.float32(0.5),
+                                         amplitude_bound=np.int64(3))
+        assert type(problem.tau) is float and problem.tau == 0.5
+        assert (type(problem.amplitude_bound) is float
+                and problem.amplitude_bound == 3.0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.nan, "2", True,
+                                       np.bool_(True)])
     def test_rejects_non_integer_segment_count(self, count):
         # a count is never truncated to an int
         with pytest.raises(ValueError, match="segment_count must be a "
