@@ -44,6 +44,17 @@ worker's threads compete for the same CPUs, the restarts relax one after
 another in the calling process.  The seeds are drawn and the best restart
 is picked in the calling process either way, so the result does not depend
 on the path, the CPU count or the affinity mask.
+
+Every input rule of the package is stated here, once: :func:`_index` (an
+int, numpy integers included, never a bool or a float), :func:`_count` (a
+positive one), :func:`check_pair` (two distinct ion indices),
+:func:`_real` and :func:`_positive` (one real number, dtype kind ``iuf``,
+positive and finite), :func:`_reals` (a non-empty sequence of finite real
+numbers) and :func:`check_nbar` (a thermal occupation).
+:class:`TrapConfig`, ``gate.PulseSchedule``,
+``optimizer.OptimizationProblem`` and every entry point that takes a
+count, a number or a sequence of numbers call them, and a value they
+refuse is a ValueError that names the argument.
 """
 
 import ctypes
@@ -87,20 +98,69 @@ _NBAR_MAX = np.finfo(float).max / 4.0
 
 
 def closed_shell_count(shells):
-    """Number of ions in a triangular crystal with ``shells`` full shells."""
-    if shells < 0:
-        raise ValueError("shells must be >= 0")
+    """Number of ions in a triangular crystal with ``shells`` full shells,
+    an integer >= 0 (:func:`_index`)."""
+    shells = _index(shells)
+    if shells is None or shells < 0:
+        raise ValueError("shells must be an integer >= 0")
     return 1 + 3 * shells * (shells + 1)
+
+
+def _index(value):
+    """``value`` as an int if it is one integer, a Python or numpy int
+    (dtype kind ``iu``), else None: a bool or a float is no integer."""
+    value = np.asarray(value)
+    integer = value.shape == () and value.dtype.kind in "iu"
+    return int(value) if integer else None
+
+
+def _count(value, name):
+    """``value`` as an int if it is a positive integer (:func:`_index`);
+    else ValueError naming ``name``."""
+    count = _index(value)
+    if count is None or count < 1:
+        raise ValueError("%s must be a positive integer" % name)
+    return count
+
+
+def check_pair(pair, ion_count=None, name="pair"):
+    """``pair`` as two distinct int ion indices (:func:`_index`), also in
+    0..ion_count-1 when ``ion_count`` is given: the one statement of a
+    valid pair.  Raises ValueError, its message led by ``name``, for
+    anything else."""
+    span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
+    got = pair
+    try:
+        got = ", ".join(map(str, pair))
+        l, n = map(_index, pair)
+    except (TypeError, ValueError):  # not iterable, not two
+        l = n = None
+    if (None in (l, n) or l == n
+            or span and not 0 <= min(l, n) <= max(l, n) < ion_count):
+        raise ValueError("%s needs two distinct ion indices%s, got %s"
+                         % (name, span, got))
+    return l, n
 
 
 def _real(value):
     """``value`` as a float if it is one real number, a Python or numpy
-    int or float (dtype kind ``iuf``, the rule of ``PulseSchedule.mu``),
-    else NaN: a bool, a str or a sequence is no number."""
+    int or float (dtype kind ``iuf``), else NaN: a bool, a str or a
+    sequence is no number."""
     value = np.asarray(value)
     if value.shape != () or value.dtype.kind not in "iuf":
         return math.nan
     return float(value)
+
+
+def _reals(value, name):
+    """``value`` as a float array if it is a non-empty sequence of finite
+    real numbers, each by :func:`_real`; else ValueError naming ``name``."""
+    values = np.array([_real(item) for item in value]
+                      if np.iterable(value) else [])
+    if not values.size or not np.isfinite(values).all():
+        raise ValueError("%s must be a non-empty 1-d array of finite "
+                         "numbers" % name)
+    return values
 
 
 def _positive(value, name):
@@ -129,8 +189,10 @@ def check_nbar(nbar):
 class TrapConfig:
     """Trap and ion parameters for one run.
 
-    Frequencies are angular (rad/s).  ``temperature_nbar`` is the mean
-    thermal occupation of every axial mode: one number (see
+    ``ion_count`` is a positive integer (:func:`_count`), stored as an
+    int.  Frequencies (rad/s), mass and charge are positive and finite
+    (:func:`_positive`), stored as floats.  ``temperature_nbar`` is the
+    mean thermal occupation of every axial mode: one number (see
     :func:`check_nbar`).
     """
 
@@ -142,11 +204,8 @@ class TrapConfig:
     temperature_nbar: float = NBAR
 
     def __post_init__(self):
-        value = _real(self.ion_count)
-        count = int(value) if math.isfinite(value) else 0
-        if count != value or count < 1:  # a whole number; inf, NaN are none
-            raise ValueError("ion_count must be a positive integer")
-        object.__setattr__(self, "ion_count", count)
+        object.__setattr__(self, "ion_count",
+                           _count(self.ion_count, "ion_count"))
         for name in ("omega_r", "omega_z", "ion_mass", "charge"):
             object.__setattr__(self, name,
                                _positive(getattr(self, name), name))
@@ -406,14 +465,15 @@ def _track_root(u):
     residual norm, mu x8 per level up to 60 levels, then x0.3 down to its
     floor.  The first iteration's eigenvalues set the starting damping
     lam_max^2 and that floor, 1e-14 lam_max^2.  Stops at ``_TOL`` or after
-    ``_MAX_ITER`` iterations.  Returns (u, converged); False means no
-    damping level shrinks the residual (the seeded branch has no root).
+    ``_MAX_ITER`` iterations.  Returns (u, converged, grad E at u); False
+    means no damping level shrinks the residual (the seeded branch has no
+    root).
     """
     mu = None
     gnorm, grad = _residual(u)
     for _ in range(_MAX_ITER):
         if float(np.abs(grad).max()) < _TOL:
-            return u, True
+            return u, True, grad
         hess = _planar_hessian(u)
         if mu is None:
             mu = float(np.square(np.linalg.eigvalsh(hess)).max())
@@ -421,30 +481,30 @@ def _track_root(u):
         found = _ladder(u, hess @ hess, -(hess @ _flat(grad)), mu, 8.0, 60,
                         _residual, gnorm)
         if found is None:
-            return u, False
+            return u, False, grad
         u, (gnorm, grad), mu = found
         mu = max(0.3 * mu, mu_floor)
-    return u, False
+    return u, False, grad
 
 
-def _descend_energy(u):
-    """Modified-Newton energy descent to ``_TOL`` within ``_MAX_ITER``
-    steps, each one :func:`_ladder` on (H + lam I) s = -g and the energy,
-    lam x10 per shift up to 80 shifts, then /3 down to 1e-14; returns
-    (u, converged)."""
+def _descend_energy(u, grad):
+    """Modified-Newton energy descent from u, where grad E is ``grad``, to
+    ``_TOL`` within ``_MAX_ITER`` steps, each one :func:`_ladder` on
+    (H + lam I) s = -g and the energy, lam x10 per shift up to 80 shifts,
+    then /3 down to 1e-14; returns (u, converged, grad E at u)."""
     lam = 1e-3
     energy = potential_energy(u)
     for _ in range(_MAX_ITER):
-        grad = potential_gradient(u)
         if float(np.abs(grad).max()) < _TOL:
-            return u, True
+            return u, True, grad
         found = _ladder(u, _planar_hessian(u), -_flat(grad), lam, 10.0, 80,
                         lambda trial: (potential_energy(trial),), energy)
         if found is None:
-            return u, False
+            return u, False, grad
         u, (energy,), lam = found
         lam = max(lam / 3.0, 1e-14)
-    return u, False
+        grad = potential_gradient(u)
+    return u, False, grad
 
 
 def _relax(u0):
@@ -457,19 +517,21 @@ def _relax(u0):
     energy descent from the tracked configuration, which lands in the
     adjacent minimum while preserving the formed structure.  The Newton
     polish takes the residual to rounding level and gives the verdict.
+    Each phase hands its last gradient to the next, so no point's gradient
+    is evaluated twice.
     """
-    u, converged = _track_root(np.array(u0, dtype=float))
+    u, converged, grad = _track_root(np.array(u0, dtype=float))
     if not converged:
-        u, _ = _descend_energy(u)
-    return _polish(u)
+        u, _, grad = _descend_energy(u, grad)
+    return _polish(u, grad)
 
 
-def _polish(u):
-    """At most three undamped Newton steps, each kept while it shrinks the
-    max-abs gradient: quadratic convergence takes the residual from the
-    stopping tolerance down to rounding level.  Returns (u, converged),
-    converged meaning the final max-abs gradient is below ``_TOL``."""
-    grad = potential_gradient(u)
+def _polish(u, grad):
+    """At most three undamped Newton steps from u, where grad E is
+    ``grad``, each kept while it shrinks the max-abs gradient: quadratic
+    convergence takes the residual from the stopping tolerance down to
+    rounding level.  Returns (u, converged), converged meaning the final
+    max-abs gradient is below ``_TOL``."""
     gmax = float(np.abs(grad).max())
     for _ in range(3):
         trial = u + _newton_step(u, grad)
@@ -719,11 +781,10 @@ def omega_r_for_spacing(crystal, d_min):
     Inverts d_min = u_min * ell(omega_r) with the crystal's u_min and its
     trap's ion mass and charge:
     omega_r = sqrt(q^2 u_min^3 / (4 pi eps0 M d_min^3)).  Raises
-    ValueError for a target that is not positive and finite, or a single
-    ion, which has no spacing.
+    ValueError for a target that is not one positive and finite number
+    (:func:`_positive`), or a single ion, which has no spacing.
     """
-    if not 0.0 < d_min < math.inf:
-        raise ValueError("d_min must be positive and finite")
+    d_min = _positive(d_min, "d_min")
     u_min = crystal.u_min
     if not np.isfinite(u_min):
         raise ValueError("u_min is not finite (single ion has no spacing)")

@@ -36,14 +36,19 @@ the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g)
 :func:`_evaluate`.  :func:`gate_report`, the report stage's one entry
 point, builds a schedule's kernels once and reads the phase, the
 fidelity and every ion's peak response from them.
+
+This module states no input rule of its own: a schedule's times and
+amplitudes are checked by ``crystal._reals``, its mu and a uniform
+duration by ``crystal._positive``, its target pair by
+:func:`crystal.check_pair` (imported here, so ``gate.check_pair`` is the
+same function) and an occupation by :func:`crystal.check_nbar`.
 """
 
 from dataclasses import dataclass
-import operator
 
 import numpy as np
 
-from .crystal import HBAR, check_nbar
+from .crystal import HBAR, _positive, _reals, check_nbar, check_pair
 from ._textio import fmt, read_rows, write_rows
 
 TWO_PI = 2.0 * np.pi
@@ -76,41 +81,18 @@ RESPONSE_SAMPLES = 2000
 _SAMPLE_BLOCK = 128
 
 
-def _index(value):
-    """``value`` as an int if it is an integer (numpy integers included),
-    never a float or a bool; else TypeError."""
-    if isinstance(value, bool):
-        raise TypeError("a bool is no integer")
-    return operator.index(value)
-
-
-def check_pair(pair, ion_count=None, name="pair"):
-    """``pair`` as two distinct int ion indices (:func:`_index`), also in
-    0..ion_count-1 when ``ion_count`` is given: the one statement of a
-    valid pair.  Raises ValueError, its message led by ``name``, for
-    anything else."""
-    span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
-    got = pair
-    try:
-        got = ", ".join(map(str, pair))
-        l, n = map(_index, pair)
-    except (TypeError, ValueError):  # not iterable, not two, not integers
-        l = n = None
-    if (l is None or l == n
-            or span and not 0 <= min(l, n) <= max(l, n) < ion_count):
-        raise ValueError("%s needs two distinct ion indices%s, got %s"
-                         % (name, span, got))
-    return l, n
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
     """Piecewise-constant drive: ``amplitudes[p]`` (rad/s) on
     ``[times[p], times[p+1])``, modulation frequency ``mu`` (rad/s).
 
-    ``target_pair`` optionally records which two ions the force acts on
-    (set it with ``dataclasses.replace``); evaluation functions take the
-    pair explicitly so a schedule can be re-targeted without copying.
+    ``times`` and ``amplitudes`` are non-empty 1-d arrays of finite real
+    numbers (:func:`crystal._reals`), stored as float arrays, and ``mu``
+    is one positive and finite number (:func:`crystal._positive`), stored
+    as a float.  ``target_pair`` optionally records which two ions the
+    force acts on (set it with ``dataclasses.replace``); evaluation
+    functions take the pair explicitly so a schedule can be re-targeted
+    without copying.
     """
 
     times: np.ndarray
@@ -119,26 +101,15 @@ class PulseSchedule:
     target_pair: tuple = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("times needs at least two boundaries")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if times[0] != 0.0:
-            raise ValueError("schedule must start at t = 0")
-        if amps.shape != (times.size - 1,):
-            raise ValueError("need one amplitude per segment")
-        mu = np.asarray(self.mu)
-        if mu.shape != () or mu.dtype.kind not in "iuf":
-            raise ValueError("mu must be one number, got %r" % (self.mu,))
-        if not all(np.all(np.isfinite(v)) for v in (times, amps, mu)):
-            raise ValueError("times, amplitudes and mu must be finite")
-        if not (mu > 0.0):
-            raise ValueError("mu must be positive")
+        times = _reals(self.times, "times")
+        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+            raise ValueError("times must start at 0 and increase strictly")
+        amps = _reals(self.amplitudes, "amplitudes")
+        if amps.size != times.size - 1:  # so two times or more
+            raise ValueError("amplitudes need one value per segment")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "mu", float(mu))
+        object.__setattr__(self, "mu", _positive(self.mu, "mu"))
         if self.target_pair is not None:
             object.__setattr__(self, "target_pair",
                                check_pair(self.target_pair,
@@ -146,10 +117,11 @@ class PulseSchedule:
 
     @classmethod
     def uniform(cls, duration, amplitudes, mu):
-        """Equal-length segments spanning ``[0, duration]``."""
-        amps = np.asarray(amplitudes, dtype=float)
-        times = np.linspace(0.0, float(duration), amps.size + 1)
-        return cls(times=times, amplitudes=amps, mu=float(mu))
+        """Equal-length segments spanning ``[0, duration]``, ``duration``
+        positive and finite (:func:`crystal._positive`)."""
+        times = np.linspace(0.0, _positive(duration, "duration"),
+                            np.size(amplitudes) + 1)
+        return cls(times=times, amplitudes=amplitudes, mu=mu)
 
     @property
     def duration(self):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crystal import TrapConfig, _pair_vectors, trap_meta, with_trap
+from .crystal import (TrapConfig, _pair_vectors, _positive, trap_meta,
+                      with_trap)
 from .errors import EigenFailure, UnstableSpectrum
 from .gate import TWO_PI
 from ._textio import fmt, write_rows
@@ -108,11 +109,13 @@ def critical_beta(crystal):
 
 def com_gap(crystal, beta=None):
     """Frequency gap (rad/s) between the centre-of-mass mode and its nearest
-    axial neighbour.  Shrinks monotonically as beta grows.  A ``beta``
-    re-dresses the trap with omega_z = beta omega_r first."""
+    axial neighbour.  Shrinks monotonically as beta grows.  A ``beta``, one
+    positive and finite number (:func:`crystal._positive`), re-dresses the
+    trap with omega_z = beta omega_r first."""
     if beta is not None:
         crystal = with_trap(crystal, replace(
-            crystal.config, omega_z=beta * crystal.config.omega_r))
+            crystal.config,
+            omega_z=_positive(beta, "beta") * crystal.config.omega_r))
     spec = axial_spectrum(crystal)
     if spec.mode_count < 2:
         raise ValueError("gap needs at least two ions")

@@ -33,17 +33,24 @@ pairs in one lockstep, so every row is its own pair's scan and
 best point; failed points (no positive-phase direction at that mu, none
 within the amplitude bound, or a residual form that is not positive
 definite) are recorded with fidelity zero rather than aborting the scan.
+
+The inputs are checked by the rules of :mod:`crystal`, which this module
+does not restate: ``_count`` for the segment, grid-point and pair counts,
+``_positive`` for tau and the amplitude bound, ``_reals`` for a detuning
+grid, :func:`crystal.check_pair` for a pair and :func:`crystal.check_nbar`
+for an occupation.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crystal import _positive, check_nbar, with_trap
+from .crystal import (_count, _positive, _reals, check_nbar, check_pair,
+                      with_trap)
 from .errors import IndefiniteKernel, InsufficientPoints
 from .gate import (PHASE_TARGET, TWO_PI, PulseSchedule, _BLOCK, _evaluate,
-                   _index, _pair_kernels, _phase, _phase_weights, check_pair,
-                   drive_couplings, thermal_weight)
+                   _pair_kernels, _phase, _phase_weights, drive_couplings,
+                   thermal_weight)
 from .modes import axial_spectrum
 from ._textio import fmt, write_rows
 
@@ -79,13 +86,16 @@ _FAILURES = {
 class OptimizationProblem:
     """One gate-design task: which pair, how long, how many segments.
 
-    ``tau`` (s) is one positive and finite number, stored as a float,
-    ``segment_count`` a positive integer (:func:`gate._index`).
-    ``mu_grid`` (rad/s) holds finite detunings and defaults to
-    :func:`default_mu_grid`.  ``nbar``, one number for every mode,
-    defaults to the trap's occupation.  ``amplitude_bound`` (rad/s), by
-    ``tau``'s rule, optionally caps max_p |Omega_p|: the seed and every
-    ascent step must respect it.
+    ``pair`` is two distinct ion indices (:func:`crystal.check_pair`).
+    ``tau`` (s) is one positive and finite number
+    (:func:`crystal._positive`), stored as a float, ``segment_count`` a
+    positive integer (:func:`crystal._count`), stored as an int.
+    ``mu_grid`` (rad/s), a non-empty 1-d array of finite detunings
+    (:func:`crystal._reals`), defaults to :func:`default_mu_grid`.
+    ``nbar``, one number for every mode, defaults to the trap's
+    occupation.  ``amplitude_bound`` (rad/s), by ``tau``'s rule,
+    optionally caps max_p |Omega_p|: the seed and every ascent step must
+    respect it.
     """
 
     pair: tuple
@@ -98,18 +108,11 @@ class OptimizationProblem:
     def __post_init__(self):
         object.__setattr__(self, "pair", check_pair(self.pair))
         object.__setattr__(self, "tau", _positive(self.tau, "tau"))
-        try:
-            count = _index(self.segment_count)
-        except TypeError:
-            count = 0
-        if count < 1:
-            raise ValueError("segment_count must be a positive integer")
-        object.__setattr__(self, "segment_count", count)
+        object.__setattr__(self, "segment_count",
+                           _count(self.segment_count, "segment_count"))
         if self.mu_grid is not None:
-            grid = np.asarray(self.mu_grid, dtype=float)
-            if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all()):
-                raise ValueError("mu_grid must be non-empty, 1-d and finite")
-            object.__setattr__(self, "mu_grid", grid)
+            object.__setattr__(self, "mu_grid",
+                               _reals(self.mu_grid, "mu_grid"))
         if self.amplitude_bound is not None:
             object.__setattr__(self, "amplitude_bound", _positive(
                 self.amplitude_bound, "amplitude_bound"))
@@ -158,9 +161,10 @@ class OptimizationResult:
 
 def default_mu_grid(omega_z, points=MU_GRID_POINTS, below_hz=MU_BELOW_HZ,
                     above_hz=MU_ABOVE_HZ):
-    """Detuning grid bracketing the axial band edge at omega_z."""
+    """Detuning grid of ``points`` (a positive integer,
+    :func:`crystal._count`) bracketing the axial band edge at omega_z."""
     return np.linspace(omega_z - TWO_PI * below_hz,
-                       omega_z + TWO_PI * above_hz, points)
+                       omega_z + TWO_PI * above_hz, _count(points, "points"))
 
 
 def check_mu_grid(grid, omega_z):
@@ -404,7 +408,7 @@ def _scan(spectrum, problem, pairs):
     path of a point, a scan and a table.  Every pair's kernels come from
     one build and every (pair, point) ascends in one lockstep, each row
     as it would alone.  Raises ValueError, before any kernel is built,
-    from :func:`check_mu_grid`, :func:`gate.check_pair` (on every pair) or
+    from :func:`check_mu_grid`, :func:`crystal.check_pair` (on every pair) or
     :func:`crystal.check_nbar`."""
     config = spectrum.config
     grid = check_mu_grid(problem.mu_grid, config.omega_z)
@@ -518,8 +522,10 @@ def default_pair_list(crystal, count=PAIR_COUNT):
     with the nearest neighbour and ending with the farthest ion, skipping
     ties so separations increase strictly.  Distances within 1e-9
     (relative) of the first of their run tie and are ordered by ion index,
-    so rounding noise cannot reorder a symmetric shell.
+    so rounding noise cannot reorder a symmetric shell.  ``count`` is a
+    positive integer (:func:`crystal._count`).
     """
+    count = _count(count, "count")
     u = crystal.positions
     anchor = int(np.argmin(np.hypot(u[:, 0], u[:, 1])))
     delta = u - u[anchor]

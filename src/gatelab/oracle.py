@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from .crystal import check_nbar
+from .crystal import _count, check_nbar, check_pair
 from .errors import CutoffInsufficient, StepFailure
-from .gate import check_pair, drive_couplings
+from .gate import drive_couplings
 
 MAX_IONS = 4
 MAX_CUTOFF = 20      # highest tracked Fock level per mode
@@ -190,21 +190,23 @@ def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
         All axial modes participate; ion count is capped at 4.
     pair : (l, n)
         Target ions: two distinct indices in 0..N-1 (see
-        :func:`gate.check_pair`).
+        :func:`crystal.check_pair`).
     nbar : float
         Thermal occupation of every mode, stated by the caller; used for
         cutoff sizing and the stored diagnostics (the propagators are
         temperature free).
     n_max : int
-        Highest Fock level per mode (<= 20).
+        Highest Fock level per mode, a positive integer
+        (:func:`crystal._count`) <= 20.
     tol : float
         Global error budget; each step gets tol * dt / tau.
 
     Raises
     ------
     ValueError
-        More than 4 ions, a bad pair, a cutoff above 20, or (as
-        NegativeOccupation) an nbar :func:`crystal.check_nbar` refuses.
+        More than 4 ions, a bad pair, a cutoff that is no positive
+        integer or is above 20, or (as NegativeOccupation) an nbar
+        :func:`crystal.check_nbar` refuses.
     CutoffInsufficient
         Thermal weight target unreachable, or the thermally weighted
         population of the top level reaches 1e-6 after any accepted step or
@@ -216,6 +218,7 @@ def evolve(schedule, spectrum, pair, nbar, n_max=MAX_CUTOFF, tol=1e-8,
     if n_ions > MAX_IONS:
         raise ValueError("oracle is restricted to %d ions" % MAX_IONS)
     l, n = pair = check_pair(pair, n_ions)
+    n_max = _count(n_max, "n_max")
     if n_max > MAX_CUTOFF:
         raise ValueError("per-mode cutoff capped at %d" % MAX_CUTOFF)
     freqs = spectrum.frequencies

@@ -334,7 +334,7 @@ class TestStepAlgebra:
     def test_newton_step_matches_lstsq(self):
         # the rotation-lifted solve is the least-squares step with the
         # rotation null direction cut
-        u, ok = cr._track_root(cr.triangular_seed(19))
+        u, ok, _ = cr._track_root(cr.triangular_seed(19))
         assert ok
         g = cr.potential_gradient(u)
         gflat = np.concatenate([g[:, 0], g[:, 1]])
@@ -437,7 +437,7 @@ class TestDampingLadders:
 
     def run(self, ladder, u, counts):
         before = dict(counts)
-        got, ok = ladder(u)
+        got, ok = ladder(u)[:2]
         return got, ok, {k: counts[k] - before[k] for k in counts}
 
     @pytest.mark.parametrize("n, restart", [(23, 0), (45, 0), (45, 2),
@@ -455,7 +455,9 @@ class TestDampingLadders:
         assert used["gradient"] < ref_used["gradient"]
 
         ref, ref_ok, ref_used = self.run(_full_ladder_descend, got, counts)
-        got, ok, used = self.run(cr._descend_energy, got, counts)
+        got, ok, used = self.run(
+            lambda u: cr._descend_energy(u, cr.potential_gradient(u)), got,
+            counts)
         assert ok == ref_ok
         assert np.array_equal(got, ref)
         assert used["gradient"] == ref_used["gradient"]
@@ -464,11 +466,10 @@ class TestDampingLadders:
         else:
             assert used["energy"] < ref_used["energy"]
 
-    def test_relax_evaluates_each_point_once(self, monkeypatch):
-        # from an at-rest seed: the tracker's stop check and the polish's
-        # start evaluate the seed, each Newton trial is evaluated once and
-        # the verdict reuses the last one (the seed was evaluated 4 times)
-        seed = cr.solve_equilibrium(make_config(19)).positions
+    @staticmethod
+    def relax_evaluations(seed, monkeypatch):
+        # (gradient evaluations at the seed, evaluations at a point already
+        # evaluated) in one _relax from the seed, and its verdict
         points = []
         gradient = cr.potential_gradient
 
@@ -478,10 +479,29 @@ class TestDampingLadders:
 
         monkeypatch.setattr(cr, "potential_gradient", recorded)
         u, ok = cr._relax(seed)
-        assert ok
-        seed_evaluations = points.count(seed.tobytes())
         repeats = len(points) - len(set(points))
-        assert (seed_evaluations, repeats) == (2, 1)
+        return points.count(seed.tobytes()), repeats, ok
+
+    def test_relax_evaluates_each_point_once(self, monkeypatch):
+        # from an at-rest seed: the tracker's stop check evaluates the seed,
+        # the polish starts from that gradient, each Newton trial is
+        # evaluated once and the verdict reuses the last one
+        seed = cr.solve_equilibrium(make_config(19)).positions
+        seed_evaluations, repeats, ok = self.relax_evaluations(seed,
+                                                                monkeypatch)
+        assert ok
+        assert (seed_evaluations, repeats) == (1, 0)
+
+    def test_descent_takes_the_tracker_gradient(self, monkeypatch):
+        # the N=18 lattice seed: the tracker fails, the energy descent
+        # starts from the tracker's last gradient and the polish from the
+        # descent's, so no point is evaluated twice
+        seed = cr.triangular_seed(18)
+        assert not cr._track_root(seed)[1]
+        seed_evaluations, repeats, ok = self.relax_evaluations(seed,
+                                                                monkeypatch)
+        assert ok
+        assert (seed_evaluations, repeats) == (1, 0)
 
     def test_shifted_solve(self, monkeypatch):
         # the same contract on numpy's bundled LAPACK and on the numpy-only
@@ -540,7 +560,7 @@ class TestDampingLadders:
             return None if len(shifts) == 1 else solve(matrix, shift, rhs)
 
         monkeypatch.setattr(cr, "_shifted_solve", first_fails)
-        u, ok = cr._track_root(cr.triangular_seed(19))
+        u, ok, _ = cr._track_root(cr.triangular_seed(19))
         assert ok
         assert shifts[1] == 8.0 * shifts[0]
         assert float(np.abs(cr.potential_gradient(u)).max()) < cr._TOL

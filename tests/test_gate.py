@@ -471,7 +471,8 @@ class TestSchedule:
     def test_mu_is_one_number(self, mu):
         # mu is kept as one float; anything else is a ValueError before
         # any kernel reads it
-        with pytest.raises(ValueError, match="mu must be one number"):
+        with pytest.raises(ValueError,
+                           match="^mu must be positive and finite$"):
             gt.PulseSchedule(times=np.array([0.0, 1.0]),
                              amplitudes=np.array([1.0]), mu=mu)
         for number in (np.float64(6e7), np.int64(60), 6e7, 60):
