@@ -47,7 +47,7 @@ on the path, the CPU count or the affinity mask.
 
 Every input rule of the package is stated here, once: :func:`_index` (an
 int, numpy integers included, never a bool or a float), :func:`_count` (a
-positive one), :func:`check_pair` (two distinct ion indices),
+positive one), :func:`check_pair` (two distinct ion indices, >= 0),
 :func:`_real` and :func:`_positive` (one real number, dtype kind ``iuf``,
 positive and finite), :func:`_reals` (a non-empty sequence of finite real
 numbers) and :func:`check_nbar` (a thermal occupation).
@@ -108,8 +108,12 @@ def closed_shell_count(shells):
 
 def _index(value):
     """``value`` as an int if it is one integer, a Python or numpy int
-    (dtype kind ``iu``), else None: a bool or a float is no integer."""
-    value = np.asarray(value)
+    (dtype kind ``iu``), else None: a bool, a float or a sequence, ragged
+    included, is no integer."""
+    try:
+        value = np.asarray(value)
+    except ValueError:  # a ragged sequence, which numpy refuses
+        return None
     integer = value.shape == () and value.dtype.kind in "iu"
     return int(value) if integer else None
 
@@ -124,19 +128,19 @@ def _count(value, name):
 
 
 def check_pair(pair, ion_count=None, name="pair"):
-    """``pair`` as two distinct int ion indices (:func:`_index`), also in
-    0..ion_count-1 when ``ion_count`` is given: the one statement of a
-    valid pair.  Raises ValueError, its message led by ``name``, for
+    """``pair`` as two distinct int ion indices (:func:`_index`), each
+    >= 0 and, when ``ion_count`` is given, below it: the one statement of
+    a valid pair.  Raises ValueError, its message led by ``name``, for
     anything else."""
-    span = "" if ion_count is None else " in 0..%d" % (ion_count - 1)
+    span = " >= 0" if ion_count is None else " in 0..%d" % (ion_count - 1)
+    top = math.inf if ion_count is None else ion_count
     got = pair
     try:
         got = ", ".join(map(str, pair))
         l, n = map(_index, pair)
     except (TypeError, ValueError):  # not iterable, not two
         l = n = None
-    if (None in (l, n) or l == n
-            or span and not 0 <= min(l, n) <= max(l, n) < ion_count):
+    if None in (l, n) or l == n or not 0 <= min(l, n) <= max(l, n) < top:
         raise ValueError("%s needs two distinct ion indices%s, got %s"
                          % (name, span, got))
     return l, n
@@ -145,8 +149,11 @@ def check_pair(pair, ion_count=None, name="pair"):
 def _real(value):
     """``value`` as a float if it is one real number, a Python or numpy
     int or float (dtype kind ``iuf``), else NaN: a bool, a str or a
-    sequence is no number."""
-    value = np.asarray(value)
+    sequence, ragged included, is no number."""
+    try:
+        value = np.asarray(value)
+    except ValueError:  # a ragged sequence, which numpy refuses
+        return math.nan
     if value.shape != () or value.dtype.kind not in "iuf":
         return math.nan
     return float(value)

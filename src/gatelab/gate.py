@@ -119,9 +119,10 @@ class PulseSchedule:
     def uniform(cls, duration, amplitudes, mu):
         """Equal-length segments spanning ``[0, duration]``, ``duration``
         positive and finite (:func:`crystal._positive`)."""
-        times = np.linspace(0.0, _positive(duration, "duration"),
-                            np.size(amplitudes) + 1)
-        return cls(times=times, amplitudes=amplitudes, mu=mu)
+        duration = _positive(duration, "duration")
+        amplitudes = _reals(amplitudes, "amplitudes")
+        return cls(times=np.linspace(0.0, duration, amplitudes.size + 1),
+                   amplitudes=amplitudes, mu=mu)
 
     @property
     def duration(self):

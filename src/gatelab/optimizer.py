@@ -86,7 +86,7 @@ _FAILURES = {
 class OptimizationProblem:
     """One gate-design task: which pair, how long, how many segments.
 
-    ``pair`` is two distinct ion indices (:func:`crystal.check_pair`).
+    ``pair`` is two distinct ion indices >= 0 (:func:`crystal.check_pair`).
     ``tau`` (s) is one positive and finite number
     (:func:`crystal._positive`), stored as a float, ``segment_count`` a
     positive integer (:func:`crystal._count`), stored as an int.

@@ -16,13 +16,20 @@ Two exact facts make the integration cheap without touching the
 displacement closed form.  Branch parity: the -+ and -- branches carry the
 negated weights of +- and ++, and the Fock parity P = diag((-1)^n) maps
 U(w) to U(-w), so only two branches are integrated.  Ladder algebra: each
-step's Magnus exponent is a phase similarity of a real symmetric tridiagonal
-matrix R, and exp(-i R) = cos R - i sin R is one batched Taylor series in
-real matmuls, its degree and squarings set by the batch's largest 1-norm so
-that the remainder stays below the unit roundoff.
+step's Magnus exponent is a phase similarity of R = hop X + shift C, where
+X = a + a^+ and C = [a, a^+] are fixed by the cutoff and only the two
+scalars change from step to step.  So the Taylor polynomial of exp(-i R) =
+cos R - i sin R is two real GEMMs, the powers hop^(k-j) shift^j times two
+fixed word tables (the sums W_{k,j} of the words in k - j X's and j C's,
+built once per cutoff), its degree and squarings set by the batch's largest
+1-norm so that the remainder stays below the unit roundoff.  The Magnus
+steps of the oracle3 benchmark have theta <= 0.017 and degree <= 6, those
+of acceptance check 07 (drives up to 0.5 MHz) theta <= 0.032 and degree
+<= 7.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -41,12 +48,23 @@ _TOP_POPULATION_LIMIT = 1e-8
 _TOP_POPULATION_ABORT = 1e-6
 _NORM_DRIFT_LIMIT = 1e-9
 _UNIT_ROUNDOFF = 2.0 ** -53
+# the degree rule's pick at theta = 1, the largest after scaling
+_MAX_DEGREE = 18
+# For each degree m: the rows of the running powers in _exp_minus_i (row
+# 2 p holds hop^p, row 2 p + 1 shift^p) whose product is the coefficient
+# hop^(k-j) shift^j of each word (k, j) with k <= m, the cos table's words
+# (even k) first, then the sin table's (odd k); and the cos word count.
+_POWER_ROWS = tuple(
+    (np.array([(2 * (k - j), 2 * j + 1) for parity in (0, 1)
+               for k in range(parity, m + 1, 2) for j in range(k + 1)]).T,
+     (m // 2 + 1) ** 2)
+    for m in range(_MAX_DEGREE + 1))
 # conditional phase of the ideal gate the fidelity is taken against
 _PHI_TARGET = math.pi / 4.0
 # spin eigenvalues (s_l, s_n) of the four branches, in propagator order
 _BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-_GAUSS_NODES = ((3.0 - math.sqrt(3.0)) / 6.0, (3.0 + math.sqrt(3.0)) / 6.0)
+_GAUSS_NODES = np.array([3.0 - math.sqrt(3.0), 3.0 + math.sqrt(3.0)]) / 6.0
 
 
 def thermal_weights(nbar, levels):
@@ -108,70 +126,115 @@ def _magnus_step(starts, widths, amp, mu, branch_weights, freqs, dim):
     i theta = dt/2 (w1 + w2) + i c [w1, w2], c = sqrt(3) dt^2 / 12.  The
     ladder algebra makes it tridiagonal: w1 + w2 = bw (z a^+ + conj(z) a)
     with z = f1 p1 + f2 p2, and [w1, w2] = 2i f1 f2 bw^2 Im(conj(p1) p2)
-    [a, a^+], where the truncated [a, a^+] is diag(1, ..., 1, -n_max).  So
-    i theta = D R D^* with D = diag(exp(i n arg z)) and R real symmetric
-    tridiagonal, and exp(-i theta) = D exp(-i R) D^* (see
-    :func:`_exp_minus_i`).
+    [a, a^+], where the truncated [a, a^+] is diag(1, ..., 1, -n_max) and
+    Im(conj(p1) p2) = sin(freqs dt / sqrt(3)).  So i theta = D R D^* with
+    D = diag(exp(i n arg z)) and R = hop X + shift C, X = a + a^+ and
+    C = [a, a^+], and exp(-i theta) = D exp(-i R) D^*, where exp(-i R) is
+    two GEMMs over fixed word tables (see :func:`_exp_minus_i`).
     """
-    widths = np.asarray(widths, dtype=float)
+    widths = np.asarray(widths, dtype=float)[:, None]
     nodes = np.asarray(starts, dtype=float)[:, None] \
-        + widths[:, None] * _GAUSS_NODES  # (S, 2)
-    force = -amp * np.sin(mu * nodes)
-    phase = np.exp(1j * nodes[..., None] * freqs)  # (S, 2, K)
-    z = force[:, :1] * phase[:, 0] + force[:, 1:] * phase[:, 1]  # (S, K)
-    area = (np.conj(phase[:, 0]) * phase[:, 1]).imag
-    c = math.sqrt(3.0) * widths * widths / 12.0
-    hop = (0.5 * widths[:, None] * np.abs(z))[:, None] * branch_weights
-    shift = (-2.0 * c[:, None] * force[:, :1] * force[:, 1:]
-             * area)[:, None] * branch_weights ** 2  # (S, B, K)
-    level = np.arange(dim)
-    commutator = np.ones(dim)
-    commutator[-1] = -(dim - 1.0)
-    # diagonal, then sub- and superdiagonal, of the flattened dim x dim R
-    r = np.zeros(hop.shape + (dim * dim,))
-    r[..., ::dim + 1] = shift[..., None] * commutator
-    r[..., dim::dim + 1] = hop[..., None] * np.sqrt(level[1:])
-    r[..., 1::dim + 1] = r[..., dim::dim + 1]
-    u = _exp_minus_i(r.reshape(hop.shape + (dim, dim)))
-    d = np.exp(1j * level * np.angle(z)[..., None])[:, None]  # (S, 1, K, dim)
-    u *= d[..., :, None] * np.conj(d)[..., None, :]
+        + widths * _GAUSS_NODES  # (S, 2)
+    force = np.sin(mu * nodes) * -amp
+    z = np.einsum("sj,sjk->sk", force,
+                  np.exp(nodes[..., None] * (1j * freqs)))  # (S, K)
+    # (S, K) at unit weight, hop = dt |z| / 2 and shift = -2 c f1 f2
+    # Im(conj(p1) p2); per branch, times bw and bw^2
+    hop = 0.5 * widths * np.abs(z)
+    shift = (-math.sqrt(3.0) / 6.0) * widths * widths * force[:, :1] \
+        * force[:, 1:] * np.sin(widths * freqs / math.sqrt(3.0))
+    u = _exp_minus_i(np.array([hop[:, None] * branch_weights,
+                               shift[:, None] * branch_weights ** 2]), dim)
+    d = np.exp(1j * np.arange(dim) * np.angle(z)[..., None])[:, None]
+    u *= d[..., :, None] * np.conj(d)[..., None, :]  # d: (S, 1, K, dim)
     return u
 
 
-def _exp_minus_i(r):
-    """exp(-i r) = cos r - i sin r for a batch of real symmetric r.
+def _words(dim):
+    """W[k][j], j = 0..k, for k = 0.._MAX_DEGREE: the sum of the words in
+    k - j factors X and j factors C, so (a X + b C)^k = sum_j a^(k-j) b^j
+    W[k][j].  X = a + a^+ (off-diagonals sqrt(n)) and C = [a, a^+] =
+    diag(1, ..., 1, -n_max) in ``dim`` Fock levels, and W[k][j] =
+    X W[k-1][j] + C W[k-1][j-1]."""
+    x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    x += x.T
+    c = np.ones((dim, 1))
+    c[-1] = 1.0 - dim
+    zero = np.zeros((dim, dim))
+    words = [[np.eye(dim)]]
+    for _ in range(_MAX_DEGREE):
+        last = words[-1]
+        words.append([x @ a + c * b
+                      for a, b in zip(last + [zero], [zero] + last)])
+    return words
 
-    Truncated Taylor series in real matmuls, with scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  With theta the
-    batch's largest 1-norm after s halvings (theta <= 1), the degree m is
-    the least m >= 3 with remainder theta^(m+1) / (m+1)! / (1 - theta /
-    (m+2)) <= 2^-53.  cos is even in r and sin odd, so both are sums of the
-    powers of q = r^2 up to m // 2; the s squarings are complex.  A Magnus
-    step of the oracle has theta <= 0.02: m = 6 or 7, s = 0, four real
-    matmuls.
+
+@functools.lru_cache(maxsize=None)
+def _word_tables(dim):
+    """The fixed tables of :func:`_exp_minus_i` at ``dim`` levels: the
+    1-norm map, then the cos and the negated sin table.
+
+    The cos table stacks (-1)^(k/2) / k! W[k][j] over even k, the negated
+    sin table (-1)^((k+1)/2) / k! W[k][j] over odd k, one row of dim^2 per
+    word in (k, j) order, so the words up to a degree are a prefix
+    (:data:`_POWER_ROWS`).  The 1-norm map takes (|hop|, |shift|) to the
+    row sums of |R| that can be largest.  Cached: :func:`evolve` allows
+    at most MAX_CUTOFF cutoffs, about 0.7 MB of tables at dim = 21.
     """
-    dim = r.shape[-1]
-    theta = float(np.abs(r).sum(-1).max())  # row sums: r is symmetric
+    words = _words(dim)
+    cos_table, sin_table = (
+        np.array([words[k][j] * ((-1) ** ((k + 1) // 2) / math.factorial(k))
+                  for k in range(parity, _MAX_DEGREE + 1, 2)
+                  for j in range(k + 1)]).reshape(-1, dim * dim)
+        for parity in (0, 1))
+    n_max = dim - 1.0
+    norms = np.array([[math.sqrt(n_max - 1.0) + math.sqrt(n_max), 1.0],
+                      [math.sqrt(n_max), n_max]])
+    tables = norms, cos_table, sin_table
+    for table in tables:  # one copy serves every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _exp_minus_i(hop_shift, dim):
+    """exp(-i R) = cos R - i sin R for the batch R = hop X + shift C of
+    :func:`_words`, hop = ``hop_shift[0]`` and shift = ``hop_shift[1]``;
+    the result has shape ``hop_shift.shape[1:] + (dim, dim)``.
+
+    Truncated Taylor series with scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)).  With theta the batch's largest
+    1-norm after s halvings (theta <= 1), the degree m is the least m >= 3
+    with remainder theta^(m+1) / (m+1)! / (1 - theta / (m+2)) <= 2^-53, so
+    m <= 18.  The 1-norm of R is the larger of its row sums |hop|
+    (sqrt(n_max - 1) + sqrt(n_max)) + |shift| and |hop| sqrt(n_max) +
+    |shift| n_max.  As R^k = sum_j hop^(k-j) shift^j W[k][j], cos R and
+    sin R are two real GEMMs: the (matrix x word) coefficients
+    hop^(k-j) shift^j, from running powers of hop and shift, times the
+    (word x dim^2) tables of :func:`_word_tables`.  The s squarings are
+    complex.  The oracle's Magnus steps have theta <= 0.032: m <= 7,
+    s = 0 (see the module docstring).
+    """
+    norms, cos_table, sin_table = _word_tables(dim)
+    flat = hop_shift.reshape(2, -1)
+    theta = float((norms @ np.abs(flat)).max())
     squarings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
-    r = np.ldexp(r, -squarings)
     theta = math.ldexp(theta, -squarings)
     degree, term = 3, theta ** 4 / 24.0  # term = theta^(m+1) / (m+1)!
     while term > _UNIT_ROUNDOFF * (1.0 - theta / (degree + 2)):
         degree += 1
         term *= theta / (degree + 1)
-    # cos r - 1 and sin r / r - 1 as sums of the powers of q
-    q = power = r @ r
-    cos = q * -0.5
-    sinc = q * (-1.0 / 6.0)
-    for k in range(2, degree // 2 + 1):
-        power = power @ q
-        cos += power * ((-1) ** k / math.factorial(2 * k))
-        if 2 * k + 1 <= degree:
-            sinc += power * ((-1) ** k / math.factorial(2 * k + 1))
-    cos.reshape(-1, dim * dim)[:, ::dim + 1] += 1.0
-    u = np.empty(r.shape, dtype=complex)
-    u.real = cos
-    u.imag = -(r + r @ sinc)
+    powers = np.empty((degree + 1,) + flat.shape)
+    powers[0] = 1.0
+    np.ldexp(flat, -squarings, out=powers[1])
+    for p in range(2, degree + 1):
+        np.multiply(powers[p - 1], powers[1], out=powers[p])
+    rows, cos_words = _POWER_ROWS[degree]
+    terms = powers.reshape(-1, flat.shape[1])[rows]
+    terms = terms[0] * terms[1]  # (word, matrix): hop^(k-j) shift^j
+    u = np.empty((flat.shape[1], dim * dim), dtype=complex)
+    u.real = terms[:cos_words].T @ cos_table[:cos_words]
+    u.imag = terms[cos_words:].T @ sin_table[:len(terms) - cos_words]
+    u = u.reshape(hop_shift.shape[1:] + (dim, dim))
     for _ in range(squarings):
         u = u @ u
     return u

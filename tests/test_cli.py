@@ -436,28 +436,39 @@ class TestCacheValidation:
 
 
 class TestPairValidation:
-    @pytest.mark.parametrize("command, pair, target_pair", [
-        ("optimize", "0, 9", None), ("optimize", "2, 2", None),
-        ("optimize", "0, -1", None), ("gate", "0, 3", (0, 9)),
-        ("gate", "0, 3", (0, -1)), ("gate", "7, 1", None)],
+    @pytest.mark.parametrize("command, pair, target_pair, named", [
+        ("optimize", "0, 9", None, "'pair'"),
+        ("optimize", "2, 2", None, "'pair'"),
+        ("optimize", "0, -1", None, "'pair'"),
+        ("gate", "0, 3", (0, 9), "'pair'"),
+        # refused as the file is read, by the schedule's own pair rule
+        ("gate", "0, 3", (0, -1), "target pair needs"),
+        ("gate", "7, 1", None, "'pair'")],
         ids=["optimize-out-of-range", "optimize-same-ion",
              "optimize-negative", "gate-schedule-out-of-range",
              "gate-schedule-negative", "gate-config-out-of-range"])
     def test_bad_pair_is_config_error(self, tmp_path, capsys, command, pair,
-                                      target_pair):
+                                      target_pair, named):
         config = write_config(tmp_path, BASE_CONFIG.replace(
             "pair = 0, 3", "pair = " + pair))
+        # no schedule holds a negative target pair: write (0, 3) and edit
+        # the file
+        negative = target_pair is not None and min(target_pair) < 0
         schedule = dataclasses.replace(gt.PulseSchedule.uniform(
             50e-6, 2 * math.pi * np.array([0.1e6, -0.2e6]),
-            2 * math.pi * 10.04e6), target_pair=target_pair)
-        path = str(tmp_path / "schedule.tsv")
-        gt.write_schedule(schedule, path)
-        extra = ["--schedule", path] if command == "gate" else []
+            2 * math.pi * 10.04e6),
+            target_pair=(0, 3) if negative else target_pair)
+        path = tmp_path / "schedule.tsv"
+        gt.write_schedule(schedule, str(path))
+        if negative:
+            path.write_text(path.read_text().replace(
+                "target_pair\t0,3", "target_pair\t%d,%d" % target_pair))
+        extra = ["--schedule", str(path)] if command == "gate" else []
         code = cli.main([command, "--config", config,
                          "--out", str(tmp_path / "out")] + extra)
         assert code == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "'pair'" in err
+        assert "config error" in err and named in err
 
     @pytest.mark.parametrize("pair_line, target_pair, expected", [
         ("pair = 1, 2", (0, 3), None), ("pair = 0, 3", (0, 3), [0, 3]),

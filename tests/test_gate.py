@@ -731,7 +731,11 @@ class TestPairCheck:
             gt.check_pair(pair, 3)
 
     def test_without_ion_count_checks_distinctness(self):
-        assert gt.check_pair((0, -1)) == (0, -1)
+        # no upper bound without an ion count, but never a negative index
+        assert gt.check_pair((4, 0)) == (4, 0)
+        with pytest.raises(ValueError, match=r"^pair needs two distinct ion "
+                                             r"indices >= 0, got 0, -1$"):
+            gt.check_pair((0, -1))
         with pytest.raises(ValueError, match="^pair needs .*, got 0, 1.7$"):
             gt.check_pair((0, 1.7))
         with pytest.raises(ValueError, match="^target pair needs"):

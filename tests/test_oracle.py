@@ -112,18 +112,31 @@ def eigh_exp_minus_i(r):
         @ np.swapaxes(evecs, -1, -2)
 
 
-def random_tridiagonal(rng, norm, batch=(3, 2, 3), dim=21):
-    """Real symmetric tridiagonal batch whose largest 1-norm is ``norm``."""
-    r = np.zeros(batch + (dim, dim))
-    level = np.arange(dim)
-    r[..., level, level] = rng.normal(size=batch + (dim,))
-    r[..., level[1:], level[:-1]] = rng.normal(size=batch + (dim - 1,))
-    r[..., level[:-1], level[1:]] = r[..., level[1:], level[:-1]]
-    return r * (norm / np.abs(r).sum(-2).max())
+def ladder_span(dim):
+    """X = a + a^+ and C = [a, a^+] = diag(1, ..., 1, -n_max) in ``dim``
+    Fock levels: every step exponent R of the oracle is hop X + shift C."""
+    x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    c = np.ones(dim)
+    c[-1] = 1.0 - dim
+    return x + x.T, np.diag(c)
+
+
+def random_span(rng, norm, batch=(3, 2, 3), dim=21):
+    """(hop, shift) stacked, and the batch R = hop X + shift C, with the
+    largest 1-norm of R ``norm``."""
+    x, c = ladder_span(dim)
+
+    def span(hop_shift):
+        return hop_shift[0][..., None, None] * x \
+            + hop_shift[1][..., None, None] * c
+
+    hop_shift = rng.normal(size=(2,) + batch)
+    hop_shift *= norm / np.abs(span(hop_shift)).sum(-2).max()
+    return hop_shift, span(hop_shift)
 
 
 class TestExpMinusI:
-    """The series exponential against the eigendecomposition formula."""
+    """The word-table exponential against the eigendecomposition formula."""
 
     # 1-norms from the oracle's steps (~0.02) through the squaring branch
     NORMS = (1e-6, 0.012, 0.018, 0.3, 0.99, 1.0, 1.5, 3.7, 10.0)
@@ -131,8 +144,8 @@ class TestExpMinusI:
     @pytest.mark.parametrize("norm", NORMS)
     def test_matches_eigendecomposition(self, norm):
         rng = np.random.default_rng(int(norm * 1e6))
-        r = random_tridiagonal(rng, norm)
-        u = orc._exp_minus_i(r)
+        hop_shift, r = random_span(rng, norm)
+        u = orc._exp_minus_i(hop_shift, r.shape[-1])
         assert np.abs(u - eigh_exp_minus_i(r)).max() < 1e-13
         eye = np.eye(r.shape[-1])
         gram = np.conj(np.swapaxes(u, -1, -2)) @ u
@@ -141,19 +154,36 @@ class TestExpMinusI:
     def test_mixed_norms_in_one_batch(self):
         # the batch's largest norm sets the degree and squarings for all
         rng = np.random.default_rng(5)
-        r = np.stack([random_tridiagonal(rng, x, batch=())
-                      for x in (0.0, 0.01, 0.5, 6.0)])
-        assert np.abs(orc._exp_minus_i(r) - eigh_exp_minus_i(r)).max() < 1e-13
+        spans = [random_span(rng, x, batch=()) for x in (0.0, 0.01, 0.5, 6.0)]
+        hop_shift = np.stack([h for h, _ in spans], axis=-1)
+        r = np.stack([m for _, m in spans])
+        assert np.abs(orc._exp_minus_i(hop_shift, 21)
+                      - eigh_exp_minus_i(r)).max() < 1e-13
 
     def test_zero_is_identity(self):
-        u = orc._exp_minus_i(np.zeros((2, 5, 5)))
+        u = orc._exp_minus_i(np.zeros((2, 2)), 5)
         assert np.array_equal(u, np.broadcast_to(np.eye(5), (2, 5, 5)))
 
     def test_input_unchanged(self):
-        r = random_tridiagonal(np.random.default_rng(3), 4.0)
-        kept = r.copy()
-        orc._exp_minus_i(r)
-        assert np.array_equal(r, kept)
+        hop_shift, _ = random_span(np.random.default_rng(3), 4.0)
+        kept = hop_shift.copy()
+        orc._exp_minus_i(hop_shift, 21)
+        assert np.array_equal(hop_shift, kept)
+
+    @pytest.mark.parametrize("dim", [17, 21])  # check 07's two cutoffs
+    def test_words_sum_to_the_powers(self, dim):
+        # (a X + b C)^k = sum_j a^(k-j) b^j W_{k,j} for every degree the
+        # tables hold
+        x, c = ladder_span(dim)
+        words = orc._words(dim)
+        assert len(words) == orc._MAX_DEGREE + 1
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            a, b = rng.normal(size=2)
+            for k, row in enumerate(words):
+                want = np.linalg.matrix_power(a * x + b * c, k)
+                got = sum(a ** (k - j) * b ** j * w for j, w in enumerate(row))
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMagnusKernel:

@@ -118,15 +118,16 @@ class TestBlasThreadDefault:
             assert unset[artifact] == one[artifact], artifact
 
 
-# one table of bad values, by id; a rule refuses those REFUSED names
+# one table of bad values, by id; a rule refuses those REFUSED names.  A
+# ragged sequence is one numpy cannot make an array of.
 BAD = {"str": "2", "bool": True, "none": None, "complex": 2j,
-       "list": [2.0], "nan": math.nan, "inf": math.inf,
-       "minus-inf": -math.inf, "zero": 0, "minus-one": -1,
-       "fraction": 2.5, "whole-float": 7.0}
+       "list": [2.0], "ragged": [1, [2]], "ragged-deep": [1.0, [2.0, [3.0]]],
+       "nan": math.nan, "inf": math.inf, "minus-inf": -math.inf, "zero": 0,
+       "minus-one": -1, "fraction": 2.5, "whole-float": 7.0}
 REFUSED = {
     "count": set(BAD),                               # crystal._count
     "shells": set(BAD) - {"zero"},                   # crystal._index, >= 0
-    "index": set(BAD) - {"zero", "minus-one"},       # crystal.check_pair
+    "index": set(BAD) - {"zero"},                    # crystal.check_pair
     "positive": set(BAD) - {"fraction", "whole-float"},  # crystal._positive
     # an optional number, where None means unset
     "optional": set(BAD) - {"none", "fraction", "whole-float"},
