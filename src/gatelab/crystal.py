@@ -68,6 +68,9 @@ from . import _one_blas_thread
 from .errors import InsufficientPoints, NegativeOccupation, NonConvergence
 from ._textio import fmt, read_rows, write_rows
 
+# rad/s per Hz, in every stage
+TWO_PI = 2.0 * math.pi
+
 # Stated here rather than read from scipy.constants, whose CODATA set
 # follows the installed scipy: e and h are exact in SI, eps0 is CODATA 2022.
 ELEMENTARY_CHARGE = 1.602176634e-19      # C

@@ -17,7 +17,7 @@ fallbacks where the closed forms lose precision, so detuning scans can hit
 exact resonances without special-casing.  The series are evaluated only on
 the entries that select them, and the segment integrals accept an array of
 detunings, so a scan builds the kernels of its whole grid in one call,
-block by block: only S and the P x P forms outlive a block.
+block by block: only S and the P x P phase forms G outlive a block.
 Every segment integral reads one primitive, E0(x) = integral_0^h e^{i x s}
 ds = e^{i theta} h sin(theta) / theta with theta = x h / 2, at x = omega
 +/- mu.  The build (:func:`_kernel_blocks`, which derives S and T)
@@ -29,13 +29,15 @@ amplitude reads the product's imaginary part.  One assembler,
 :func:`_pair_kernels`, turns each block of ``_BLOCK`` detunings into the
 form sum_k w_k G_k of every mode-weight row w asked for (a pair's
 2 c_l^k c_n^k, a mode's unit row) before it builds the next, so a
-benchmark table builds one trap's kernels once.  The thermal fidelity is
-the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) + e^{-G_n} cos 2(d + g)
-+ e^{-G_+} / 2 + e^{-G_-} / 2] (see :func:`thermal_fidelity`), and
-:func:`gate_report` and the optimizer score a drive with one function,
-:func:`_evaluate`.  :func:`gate_report`, the report stage's one entry
-point, builds a schedule's kernels once and reads the phase, the
-fidelity and every ion's peak response from them.
+benchmark table builds one trap's kernels once.  The kernel stage returns
+S and G and nothing else: the amplitude solve builds its residual forms
+from the S it holds (:func:`optimizer._grid_forms`).  The thermal
+fidelity is the closed form F = 1/4 [1 + e^{-G_l} cos 2(d - g) +
+e^{-G_n} cos 2(d + g) + e^{-G_+} / 2 + e^{-G_-} / 2] (see
+:func:`thermal_fidelity`), and :func:`gate_report` and the optimizer
+score a drive with one function, :func:`_evaluate`.  :func:`gate_report`,
+the report stage's one entry point, builds a schedule's kernels once and
+reads the phase, the fidelity and every ion's peak response from them.
 
 This module states no input rule of its own: a schedule's times and
 amplitudes are checked by ``crystal._reals``, its mu and a uniform
@@ -48,10 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import HBAR, _positive, _reals, check_nbar, check_pair
+from .crystal import (HBAR, TWO_PI, _positive, _reals, check_nbar,
+                      check_pair)
 from ._textio import fmt, read_rows, write_rows
 
-TWO_PI = 2.0 * np.pi
 PHASE_TARGET = np.pi / 4.0
 
 # Below this phase magnitude the closed forms cancel; switch to series.
@@ -62,11 +64,12 @@ _SERIES_THRESHOLD = 3e-3
 # its share grows as 1 / theta in S and 1 / theta^2 in the triangle
 # quotient, and stays near 1e-13 of the kernels' largest entry above 1.
 _DIRECT_ANGLE = 1.0
-# Detunings per block of the kernel build and of a scan's score: a block's
-# (B, P, K) arrays, about 160 kB each at 127 modes and 5 segments, stay in
-# the L2 cache.  A scan holds S (M, P, K) and its P x P forms for the
-# whole grid and one block of everything else: a 301-point N=127 scan
-# peaks at 6.9 MB under tracemalloc, S being 3.1 MB of it.
+# Detunings per block of the kernel build, of the optimizer's residual
+# forms and of a scan's score: a block's (B, P, K) arrays, about 160 kB
+# each at 127 modes and 5 segments, stay in the L2 cache.  A scan holds
+# S (M, P, K) and its P x P forms for the whole grid and one block of
+# everything else: a 301-point N=127 scan peaks at 6.35 MB under
+# tracemalloc, S being 3.1 MB of it.
 _BLOCK = 32
 _SERIES_TERMS = 6
 _TAYLOR_TERMS = 8
@@ -456,45 +459,32 @@ def _phase_weights(couplings, pairs):
 def _kernels(times, mu, frequencies, weight_rows):
     """(S, G), mu.shape + (K, P) and + (J, P, P), at any ``mu``."""
     mu = np.asarray(mu, dtype=float)
-    S, G, _ = _pair_kernels(times, mu.ravel(), frequencies, weight_rows, None)
+    S, G = _pair_kernels(times, mu.ravel(), frequencies, weight_rows)
     G = G.reshape((len(weight_rows),) + mu.shape + G.shape[1:])
     return (np.swapaxes(S.reshape(mu.shape + S.shape[1:]), -1, -2),
             np.moveaxis(G, 0, -3))
 
 
-def _pair_kernels(times, mu, frequencies, phase_weights, weights):
-    """(S, G, A) of the mode-weight rows ``phase_weights`` (J, K) at the
-    1-D detunings ``mu``, each block of :func:`_kernel_blocks` turned into
-    all of them before the next is built: the one kernel assembler.
+def _pair_kernels(times, mu, frequencies, phase_weights):
+    """(S, G) of the mode-weight rows ``phase_weights`` (J, K) at the 1-D
+    detunings ``mu``, each block of :func:`_kernel_blocks` turned into all
+    of them before the next is built: the one kernel assembler.
 
     S (M, P, K) is :func:`first_order_integrals` with the mode axis last.
     G (J M, P, P) stacks the forms sum_k w_k G_k of the rows w (a pair's
     :func:`_phase_weights`, a mode's the unit row) row-major: row j holds
-    j M ... (j + 1) M - 1.  A (J M, I, P, P) stacks the same way row j's
-    residual forms Re(S^* diag(w) S^T) of the rows w of ``weights[j]``,
-    ``weights`` (J, I, K); A is None when ``weights`` is.  Every row's G
-    and A are as they would be with that row alone.
+    j M ... (j + 1) M - 1.  Every row's G is as it would be with that row
+    alone.  No residual form is built here: the amplitude solve forms
+    its own from S (:func:`optimizer._grid_forms`).
     """
     shape = (mu.size, len(times) - 1)
     S = np.empty(shape + (len(frequencies),), dtype=complex)
     G = np.empty((len(phase_weights),) + shape + shape[-1:])
-    A = None
-    if weights is not None:
-        A = np.empty(G.shape[:2] + (weights.shape[1],) + G.shape[2:])
-        # Re(S^* w S^T) = R w R^T with R = [Re S, Im S]
-        tiled = np.tile(weights, 2)
     for rows, S_block, T_block in _kernel_blocks(times, mu, frequencies):
         S[rows] = S_block
         for j, phase_weight in enumerate(phase_weights):
             G[j, rows] = _phase_form(S_block, T_block, phase_weight)
-        if A is not None:
-            R = np.concatenate([S_block.real, S_block.imag], axis=-1)
-            R_T = np.swapaxes(R, -1, -2)
-            for j, pair_tiled in enumerate(tiled):
-                for i, row in enumerate(pair_tiled):
-                    A[j, rows, i] = (R * row) @ R_T
-    G = G.reshape((-1,) + G.shape[2:])
-    return S, G, None if A is None else A.reshape((-1,) + A.shape[2:])
+    return S, G.reshape((-1,) + G.shape[2:])
 
 
 def thermal_weight(nbar):
@@ -752,8 +742,8 @@ def gate_report(schedule, spectrum, pair):
     couplings = drive_couplings(spectrum)
     drive = couplings[[l, n]]
     freqs = spectrum.frequencies
-    S, G, _ = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
-                            _phase_weights(couplings, [pair]), None)
+    S, G = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
+                         _phase_weights(couplings, [pair]))
     phi, alpha_l, alpha_n, fidelity = _evaluate(
         S, G, schedule.amplitudes[None, :], drive,
         spectrum.config.temperature_nbar)

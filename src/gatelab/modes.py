@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crystal import (TrapConfig, _pair_vectors, _positive, trap_meta,
-                      with_trap)
+from .crystal import (TWO_PI, TrapConfig, _pair_vectors, _positive,
+                      trap_meta, with_trap)
 from .errors import EigenFailure, UnstableSpectrum
-from .gate import TWO_PI
 from ._textio import fmt, write_rows
 
 

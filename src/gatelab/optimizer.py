@@ -11,11 +11,13 @@ generalized eigenvector of G against the reweighted form (a
 minorize-maximize step, so the fidelity never drops).  With all gamma_i = 0
 that form is the plain residual cost, so the seed is step 0.
 
-The solve runs on a whole detuning grid at once.  The segment kernels of
-every grid point are built in one call, block by block, and from the
-first-order integrals S the four P x P forms A_i = Re(S^H diag(w_i) S):
-past that build an ascent step reads only G and the A_i, so its cost does
-not depend on the mode count.  The ascent runs in lockstep: each step
+The solve runs on a whole detuning grid at once.  The kernel stage,
+:func:`gate._pair_kernels`, returns the first-order integrals S and phase
+forms G of every grid point from one blocked call, and from the held S
+:func:`_grid_forms`, the one place they are made, builds the four P x P
+residual forms A_i = Re(S^H diag(w_i) S): past that build an ascent step
+reads only G and the A_i, so its cost does not depend on the mode
+count.  The ascent runs in lockstep: each step
 reduces the pencils of all points still rising with one batched Cholesky
 factorization and solves them with one batched symmetric eigensolve (Golub
 & Van Loan, Matrix Computations, 8.7), and a point drops out when its own
@@ -182,10 +184,11 @@ class _Forms:
     """The amplitude problem of J pairs at every detuning of an M-point
     grid, one row per (pair, detuning), pair-major.
 
-    The ascent reads the phase forms ``G`` (J M, P, P), the residual forms
-    ``A`` (J M, 4, P, P), A_i = Re(S^H diag(w_i) S) with w_i the thermal
-    weights of |alpha_l|^2, |alpha_n|^2 and |alpha_l +/- alpha_n|^2 (the
-    factor 2 of exp(-2 Gamma) included), and the ``bound`` (or None).
+    The ascent reads the kernel stage's phase forms ``G`` (J M, P, P),
+    the residual forms ``A`` (J M, 4, P, P) that :func:`_grid_forms`
+    builds from S, A_i = Re(S^H diag(w_i) S) with w_i the thermal weights
+    of |alpha_l|^2, |alpha_n|^2 and |alpha_l +/- alpha_n|^2 (the factor 2
+    of exp(-2 Gamma) included), and the ``bound`` (or None).
     Only the final score, shared with :func:`gate.gate_report`, reads the
     first-order integrals ``S`` (M, P, K), one grid's worth shared by the
     pairs, the pairs' coupling rows ``drive`` (J, 2, K) and the occupation
@@ -208,18 +211,30 @@ def _grid_forms(spectrum, pairs, times, grid, nbar, bound):
     """:class:`_Forms` of the sequence ``pairs`` on ``grid``, the kernels
     of all pairs built in one call; ``nbar`` None takes the trap's
     occupation.  Raises NegativeOccupation from :func:`crystal.check_nbar`
-    before any kernel is built."""
+    before any kernel is built.  The residual forms are made here alone,
+    from the S that :func:`gate._pair_kernels` returns, ``_BLOCK``
+    detunings at a time: A_i = Re(S^* diag(w_i) S^T) = R diag(w_i, w_i)
+    R^T with R = [Re S, Im S], one product per pair and weight row."""
     nbar = check_nbar(spectrum.config.temperature_nbar if nbar is None
                       else nbar)
     couplings = drive_couplings(spectrum)
     drive = couplings[np.array(pairs, dtype=int).reshape(-1, 2)]
     cl, cn = drive[:, 0], drive[:, 1]
-    weights = thermal_weight(nbar) * np.stack(
-        [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2], axis=1)
-    S, G, A = _pair_kernels(times, np.asarray(grid, dtype=float),
-                            spectrum.frequencies,
-                            _phase_weights(couplings, pairs), weights)
-    return _Forms(S=S, G=G, A=A, drive=drive, nbar=nbar, bound=bound)
+    S, G = _pair_kernels(times, np.asarray(grid, dtype=float),
+                         spectrum.frequencies,
+                         _phase_weights(couplings, pairs))
+    tiled = np.tile(thermal_weight(nbar) * np.stack(
+        [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2], axis=1), 2)
+    A = np.empty((len(tiled), len(S), tiled.shape[1]) + G.shape[1:])
+    for start in range(0, len(S), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        R = np.concatenate([S[rows].real, S[rows].imag], axis=-1)
+        R_T = np.swapaxes(R, -1, -2)
+        for j, pair_tiled in enumerate(tiled):
+            for i, row in enumerate(pair_tiled):
+                A[j, rows, i] = (R * row) @ R_T
+    return _Forms(S=S, G=G, A=A.reshape((-1,) + A.shape[2:]), drive=drive,
+                  nbar=nbar, bound=bound)
 
 
 def _locked(forms, vec):

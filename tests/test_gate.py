@@ -183,7 +183,7 @@ def triangles(times, mu, frequencies):
 def pair_kernels(times, grid, omega, couplings, pair):
     """(S, G) of :func:`gate._pair_kernels` for one pair."""
     return gt._pair_kernels(times, grid, omega,
-                            gt._phase_weights(couplings, [pair]), None)[:2]
+                            gt._phase_weights(couplings, [pair]))
 
 
 class TestSeriesMoments:
@@ -310,8 +310,8 @@ class TestBatchedKernels:
                          G_modes)
         assert np.max(np.abs(G - want)) <= 1e-12 * np.max(np.abs(want))
         pairs = [pair, (n, l), (l, l)]
-        _, stacked, _ = gt._pair_kernels(
-            times, grid, omega, gt._phase_weights(couplings, pairs), None)
+        _, stacked = gt._pair_kernels(
+            times, grid, omega, gt._phase_weights(couplings, pairs))
         for j, one in enumerate(pairs):
             assert np.array_equal(
                 stacked[j * grid.size:(j + 1) * grid.size],

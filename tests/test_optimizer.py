@@ -472,7 +472,11 @@ class TestLockstep:
             assert report.phi == op._phase(forged.G[[i]], amplitudes[[i]])[0]
             assert report.fidelity == fidelities[i]
 
-    def test_stacked_pairs_equal_their_own_solves(self):
+    # 31 points fit in one block of the kernels and residual forms; 76
+    # span three
+    @pytest.mark.parametrize("stride", [10, 4], ids=["one-block",
+                                                     "three-blocks"])
+    def test_stacked_pairs_equal_their_own_solves(self, stride):
         # two pairs stacked pair-major share one S; the second carries the
         # forged point and the binding bound fails and cuts short points
         # of both.  Each pair's block of forms and of results must equal
@@ -480,7 +484,7 @@ class TestLockstep:
         spectrum = spectrum19()
         pairs = [(0, 15), (3, 11)]
         times = np.linspace(0.0, 50e-6, 6)
-        grid = op.default_mu_grid(WZ)[::10]
+        grid = op.default_mu_grid(WZ)[::stride]
         m = grid.size
         free_amps = op._solve_grid(op._grid_forms(
             spectrum, pairs, times, grid, None, None))[0]

@@ -1,11 +1,14 @@
-"""The package surface, the command line's BLAS thread default and the
-input rules every entry point shares.
+"""The package surface, the order its stages import each other in, the
+command line's BLAS thread default and the input rules every entry point
+shares.
 
 Each surface and thread check runs in a fresh interpreter whose
 environment names no BLAS thread count, since both are decided when a
 process first imports gatelab and numpy.
 """
 
+import ast
+import glob
 import json
 import math
 import os
@@ -77,6 +80,58 @@ class TestLazySurface:
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             gatelab.no_such_name
+
+
+# each module's stage: an in-package import names a smaller one.  Rank 0
+# is the package itself (its own helpers), errors and _textio.
+STAGES = {"__init__": 0, "errors": 0, "_textio": 0, "crystal": 1,
+          "modes": 2, "gate": 3, "optimizer": 4, "oracle": 4, "cli": 5}
+
+
+def in_package_imports(path):
+    """The package modules a source file imports, read with ast: a name
+    of ``from . import name`` that is no module is the package's own."""
+    found = set()
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] == "gatelab":
+                parts = parts[1:]
+            elif node.level != 1:
+                continue
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name if alias.name in STAGES
+                             else "__init__" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".") + ["__init__"]
+                if parts[0] == "gatelab":
+                    found.add(parts[1])
+    return found
+
+
+class TestStageOrder:
+    """The stages import only earlier ones: crystal, modes, gate, then the
+    optimizer and the oracle, then the command line, which never loads
+    the oracle.  Read from the source, so no module is imported."""
+
+    paths = sorted(glob.glob(os.path.join(SRC, "gatelab", "*.py")))
+
+    def test_every_module_has_a_stage(self):
+        assert sorted(os.path.basename(p)[:-3] for p in self.paths) == sorted(
+            STAGES)
+
+    @pytest.mark.parametrize("path", paths, ids=os.path.basename)
+    def test_imports_name_earlier_stages(self, path):
+        module = os.path.basename(path)[:-3]
+        imported = in_package_imports(path)
+        later = {name: STAGES.get(name) for name in imported
+                 if not STAGES.get(name, 99) < STAGES[module]}
+        assert not later, "%s imports %s" % (module, later)
+        if module == "cli":
+            assert "oracle" not in imported
 
 
 class TestBlasThreadDefault:
