@@ -456,6 +456,9 @@ def cmd_optimize(config, out_dir, cache_dir, args):
         pair=pair, tau=config.tau_s, segment_count=config.segments,
         mu_grid=grid, amplitude_bound=bound)
     result = op.detuning_scan(spectrum, problem)
+    if config.table:  # an unstable table trap stops the run unwritten
+        rows = op.table_one(crystal, problem, pairs, [
+            TWO_PI * v for v in config.omega_r_table_hz])
     op.write_scan(result, os.path.join(out_dir, "scan.tsv"))
     files = ["scan.tsv"]
     summary = {
@@ -488,8 +491,6 @@ def cmd_optimize(config, out_dir, cache_dir, args):
     else:
         code = 3
     if config.table:
-        rows = op.table_one(crystal, problem, pairs, [
-            TWO_PI * v for v in config.omega_r_table_hz])
         op.write_table(rows, os.path.join(out_dir, "table.tsv"))
         files.append("table.tsv")
         summary["diagnostics"] = {"table": {"infeasible_rows": [

@@ -550,10 +550,10 @@ def _phase(G, vec):
 def _evaluate(S, G, amplitudes, drive, nbar):
     """(phi, alpha_l, alpha_n, :func:`gate_fidelity`) of the drives
     ``amplitudes`` (M, P) on the pair kernels S (M, P, K), G (M, P, P);
-    ``drive`` (2, K) holds the pair's coupling rows."""
+    row i of ``drive`` (M, 2, K) holds the coupling rows of row i's pair."""
     phi = _phase(G, amplitudes)
     disp = (amplitudes[:, None, :] @ S)[:, 0, :]
-    alpha_l, alpha_n = 1j * drive[:, None, :] * disp
+    alpha_l, alpha_n = 1j * np.swapaxes(drive, 0, 1) * disp
     return phi, alpha_l, alpha_n, gate_fidelity(phi, alpha_l, alpha_n, nbar)
 
 
@@ -745,7 +745,7 @@ def gate_report(schedule, spectrum, pair):
     S, G = _pair_kernels(schedule.times, np.array([schedule.mu]), freqs,
                          _phase_weights(couplings, [pair]))
     phi, alpha_l, alpha_n, fidelity = _evaluate(
-        S, G, schedule.amplitudes[None, :], drive,
+        S, G, schedule.amplitudes[None, :], drive[None],
         spectrum.config.temperature_nbar)
     return GateReport(pair=pair, schedule=schedule,
                       phi=float(phi[0]), fidelity=float(fidelity[0]),

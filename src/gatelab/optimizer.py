@@ -21,13 +21,14 @@ count.  The ascent runs in lockstep: each step
 reduces the pencils of all points still rising with one batched Cholesky
 factorization and solves them with one batched symmetric eigensolve (Golub
 & Van Loan, Matrix Computations, 8.7), and a point drops out when its own
-stopping rule fires.  The scorer of :func:`gate.gate_report` then scores
-each pair's points from S in blocks of ``gate._BLOCK``, bit for bit as
-that report would.  So a scan holds S (M, P, K), G and the A_i for its
-whole grid and one block of every other array with a mode axis.  Every
-operation acts on each point alone, so a point's result does not depend
-on the grid around it:
-:func:`solve_amplitudes` is the one-point grid.  The same holds across
+stopping rule fires; it carries on from step 0's scores, and each step
+copies only its active rows of the held forms.  The scorer of
+:func:`gate.gate_report` then scores all rows from S in blocks of
+``gate._BLOCK``, each with its own pair's couplings, bit for bit as that
+report would.  So a scan holds one copy of S (M, P, K), G and the A_i and
+one block of every other array with a mode axis.  Every operation acts on
+each point alone, so a point's result does not depend on the grid around
+it: :func:`solve_amplitudes` is the one-point grid.  The same holds across
 pairs: :func:`table_one` builds one trap's kernels once, turns them into
 each pair's G and A_i, and ascends the (pair, detuning) rows of all its
 pairs in one lockstep, so every row is its own pair's scan and
@@ -341,29 +342,30 @@ def _extremal(forms, coeffs):
             np.where(pick, gamma_lo, gamma_hi))
 
 
-def _ascend(forms, vec):
+def _ascend(forms, rows, vec, fid, gamma):
     """Reweighted generalized-eigenvector ascent (see the module
-    docstring) from row i of ``vec`` at grid point i, all points in
-    lockstep.
+    docstring) of the rows ``rows`` of ``forms`` in lockstep, carried on
+    from step 0: row r starts from ``vec[r]``, its fidelity ``fid[r]`` and
+    overlap exponents ``gamma[r]`` as :func:`_locked` scores them.  Inputs
+    stay as they were; each step copies its active rows of ``forms``.
 
     A point stops when a step does not raise its fidelity (one past the
     amplitude bound scores -1), gains less than _FTOL, or its reweighted
     form vanishes because every overlap factor underflowed to 0 (tiny but
     nonzero factors are rescaled by :func:`_extremal`); at most _MAX_STEPS
-    steps.  Returns (vector, fidelity, steps, broken), with
-    ``broken`` marking the points whose form stopped being positive
-    definite.
+    steps.  Returns (vector, fidelity, steps, broken) per entry of
+    ``rows``, ``broken`` marking the points whose form stopped being
+    positive definite.
     """
-    vec = vec.copy()
-    fid, _, gamma = _locked(forms, vec)
-    steps = np.zeros(len(vec), dtype=int)
-    broken = np.zeros(len(vec), dtype=bool)
-    active = np.arange(len(vec))
+    vec, fid, gamma = vec[rows], fid[rows], gamma[rows]
+    steps = np.zeros(len(rows), dtype=int)
+    broken = np.zeros(len(rows), dtype=bool)
+    active = np.arange(len(rows))
     for _ in range(_MAX_STEPS):
         if not active.size:
             break
         found, failed, new_fid, new_vec, new_gamma = _extremal(
-            forms.take(active), _BRANCH_COEFFS * np.exp(-gamma[active]))
+            forms.take(rows[active]), _BRANCH_COEFFS * np.exp(-gamma[active]))
         broken[active[failed]] = True
         rise = found & (new_fid > fid[active])
         moved = active[rise]
@@ -377,8 +379,9 @@ def _ascend(forms, vec):
 
 
 def _solve_grid(forms):
-    """Seed and ascent at every row (pair, grid point) of ``forms``, then
-    each pair's rows scored on the shared S in blocks of ``_BLOCK``.
+    """Step 0 at every row (pair, grid point) of ``forms``, the solve's
+    one copy of its forms, the ascent carried on from its vectors and
+    scores, then every row scored on the shared S in ``_BLOCK``-row blocks.
 
     Returns (amplitudes, fidelities, steps, status), one row each per row
     of ``forms``: amplitudes (J M, P) rescaled so |phase| is pi/4,
@@ -390,30 +393,28 @@ def _solve_grid(forms):
     m = len(forms.G)
     status = np.full(m, "ok", dtype=object)
     # step 0: every overlap exponent taken as zero
-    found, broken, fid, vec, _ = _extremal(
+    found, broken, fid, vec, gamma = _extremal(
         forms, np.broadcast_to(_BRANCH_COEFFS, (m, 4)))
     status[~found] = "no-phase"
     status[found & (fid < 0.0)] = "over-bound"
     status[broken] = "linalg"
     rows = np.flatnonzero(status == "ok")
-    vec, _, steps_taken, broken = _ascend(forms.take(rows), vec[rows])
+    vec, _, steps_taken, broken = _ascend(forms, rows, vec, fid, gamma)
     status[rows[broken]] = "linalg"
     steps = np.zeros(m, dtype=int)
     steps[rows] = steps_taken
-    rows = rows[~broken]
-    G = forms.G[rows]
-    vec = vec[~broken]
-    vec = np.sqrt(PHASE_TARGET / np.abs(_phase(G, vec)))[:, None] * vec
+    rows, vec = rows[~broken], vec[~broken]
     amplitudes = np.zeros((m, vec.shape[1]))
-    amplitudes[rows] = vec
     fidelities = np.zeros(m)
-    pair_of, point = np.divmod(rows, len(forms.S))
-    for j, drive in enumerate(forms.drive):
-        own = np.flatnonzero(pair_of == j)
-        for block in np.split(own, range(_BLOCK, own.size, _BLOCK)):
-            fidelities[rows[block]] = _evaluate(
-                forms.S[point[block]], G[block], vec[block], drive,
-                forms.nbar)[3]
+    for start in range(0, rows.size, _BLOCK):
+        own = rows[start:start + _BLOCK]
+        G = forms.G[own]
+        v = vec[start:start + _BLOCK]
+        v = np.sqrt(PHASE_TARGET / np.abs(_phase(G, v)))[:, None] * v
+        amplitudes[own] = v
+        pair_of, point = np.divmod(own, len(forms.S))
+        fidelities[own] = _evaluate(forms.S[point], G, v,
+                                    forms.drive[pair_of], forms.nbar)[3]
     return amplitudes, fidelities, steps, status
 
 

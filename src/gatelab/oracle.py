@@ -109,10 +109,6 @@ class TruncatedState:
     peak_top_population: float
     step_count: int
 
-    @property
-    def mode_count(self):
-        return len(self.propagators)
-
 
 def _magnus_step(starts, widths, amp, mu, branch_weights, freqs, dim):
     """Propagators of every (step, branch, mode) over [start, start + width],

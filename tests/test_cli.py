@@ -528,6 +528,22 @@ class TestOptimizePairs:
         assert "config error" in err and "'pair_count'" in err
         assert os.listdir(out) == []
 
+    def test_unstable_table_trap_writes_nothing(self, tmp_path, capsys):
+        # the run's own trap is stable, the table's 5 MHz trap is not: the
+        # table is solved before the first write, so its failure leaves
+        # the output directory empty
+        config = write_config(
+            tmp_path, "ion_count = 19\nomega_r_hz = 1e6\n"
+                      "omega_z_hz = 10e6\nmu_grid_points = 5\n"
+                      "table = true\npair_count = 3\n"
+                      "omega_r_table_hz = 1e6, 5e6\n")
+        out = tmp_path / "out"
+        code = cli.main(["optimize", "--config", config, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "axial branch unstable at beta=2" in err and "beta_c" in err
+        assert os.listdir(out) == []
+
     def test_table_runs_the_run_problem(self, tmp_path):
         # the table scans the problem of the run, amplitude bound and nbar
         # included; its row of the run's own pair and trap is the scan

@@ -60,6 +60,13 @@ def one_point(pair, mu, **options):
                                   mu_grid=[mu], **options)
 
 
+def ascend(forms, vec):
+    """op._ascend of every row of ``forms`` from ``vec``, step 0's
+    fidelities and overlap exponents those op._locked gives."""
+    fid, _, gamma = op._locked(forms, vec)
+    return op._ascend(forms, np.arange(len(vec)), vec, fid, gamma)
+
+
 @pytest.fixture
 def no_kernels(monkeypatch):
     """Fail the test if a segment kernel is built."""
@@ -193,7 +200,7 @@ class TestSolveAmplitudes:
                + np.sqrt(evals[-1]) * evecs[:, 0])[None, :]
         fid, _, gamma = op._locked(forms, vec)
         assert np.all(np.exp(-gamma) == 0.0)
-        out, out_fid, steps, broken = op._ascend(forms, vec)
+        out, out_fid, steps, broken = ascend(forms, vec)
         assert np.array_equal(out, vec)
         assert out_fid[0] == fid[0]
         assert steps[0] == 0 and not broken[0]
@@ -525,10 +532,34 @@ class TestLockstep:
         found, _, seed_fid, seed, _ = op._extremal(
             forms, np.broadcast_to(op._BRANCH_COEFFS, (len(forms.G), 4)))
         assert found.all()
-        _, fid, steps, broken = op._ascend(forms, seed)
+        _, fid, steps, broken = ascend(forms, seed)
         assert not broken.any()
         assert np.all(fid >= seed_fid)
         assert np.all(fid[steps > 0] > seed_fid[steps > 0])
+
+    def test_ascent_carries_on_from_step_0(self, monkeypatch):
+        # step 0's fidelities and overlap exponents are handed to the
+        # ascent, so each _extremal call scores its two candidate
+        # directions and nothing scores a drive again; the ascent leaves
+        # the arrays it is handed as they were
+        forms = op._grid_forms(spectrum19(), [(0, 15)],
+                               np.linspace(0.0, 50e-6, 6),
+                               op.default_mu_grid(WZ)[::10], None, None)
+        calls = {"_locked": 0, "_extremal": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(op, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(op, name, counted)
+        op._solve_grid(forms)
+        assert calls["_extremal"] > 2
+        assert calls["_locked"] == 2 * calls["_extremal"]
+        found, _, fid, vec, gamma = op._extremal(
+            forms, np.broadcast_to(op._BRANCH_COEFFS, (len(forms.G), 4)))
+        handed = [a.copy() for a in (vec, fid, gamma)]
+        op._ascend(forms, np.flatnonzero(found), vec, fid, gamma)
+        for a, b in zip((vec, fid, gamma), handed):
+            assert np.array_equal(a, b)
 
 
 class TestTinyOverlaps:
@@ -558,7 +589,7 @@ class TestTinyOverlaps:
         assert 0.0 < weights.max() < np.finfo(float).tiny
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            vec, out_fid, steps, broken = op._ascend(forms, seed)
+            vec, out_fid, steps, broken = ascend(forms, seed)
         assert out_fid[0] == fid[0] == 0.25
         assert steps[0] == 0 and not broken[0]
         assert np.array_equal(vec, seed)
@@ -621,6 +652,30 @@ class TestScanMemory:
         assert peak < s_bytes + 16e6, (
             "the scan peaked at %.1f MB, S is %.1f MB"
             % (peak / 1e6, s_bytes / 1e6))
+
+    def test_solve_holds_one_copy_of_its_forms(self):
+        # step 0 hands the ascent its rows and scores, each step copies
+        # only its active rows of the held forms and the score runs in
+        # blocks: on 3 pairs x 301 points this reads 2.7 (G + A) above the
+        # held forms, and a copy of the ok rows held for the whole ascent
+        # read 3.7
+        crystal = cr.solve_equilibrium(cr.TrapConfig(
+            19, omega_r=TWO_PI * 1e6, omega_z=WZ, temperature_nbar=0.1))
+        forms = op._grid_forms(
+            md.axial_spectrum(crystal), op.default_pair_list(crystal, 3),
+            np.linspace(0.0, 50e-6, 6), op.default_mu_grid(WZ), None, None)
+        op._solve_grid(forms)  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            op._solve_grid(forms)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        held = forms.G.nbytes + forms.A.nbytes
+        assert peak <= 3 * held, (
+            "the solve peaked at %.2f (G + A) above its forms"
+            % (peak / held))
 
 
 class TestBlockedGrid:
@@ -709,7 +764,7 @@ class TestResidualForms:
         weights = 2.0 * (2.0 * forms.nbar + 1.0) * np.array(
             [cl ** 2, cn ** 2, (cl + cn) ** 2, (cl - cn) ** 2])
         seed = self.seed(forms)
-        for vec in (seed, op._ascend(forms, seed)[0]):
+        for vec in (seed, ascend(forms, seed)[0]):
             _, _, gamma = op._locked(forms, vec)
             phase = np.einsum("mp,mpq,mq->m", vec, forms.G, vec)
             scale2 = (np.pi / 4 / np.abs(phase))[:, None]
@@ -733,9 +788,9 @@ class TestResidualForms:
         forms = self.grid_forms()
         seed = self.seed(forms)
         bare = replace(forms, S=None, drive=None, nbar=None)
-        want = op._ascend(forms, seed)
+        want = ascend(forms, seed)
         assert want[2].any()
-        for got, expected in zip(op._ascend(bare, seed), want):
+        for got, expected in zip(ascend(bare, seed), want):
             assert np.array_equal(got, expected)
 
 
